@@ -13,7 +13,7 @@ import sys
 import time
 
 from decapsp import cli
-from decapsp.graph import gnp_graph
+from decapsp.graph import gnp_workload
 
 
 def main():
@@ -33,10 +33,7 @@ def main():
 
     header_done = False
     for n in (int(s) for s in args.sizes.split(",") if s):
-        rng = random.Random(args.seed)
-        g = gnp_graph(n, args.density, args.W, rng)
-        edges = [(u, v) for u, v, _ in g.edges()]
-        rng.shuffle(edges)
+        g, edges = gnp_workload(n, args.density, args.W, random.Random(args.seed))
         m0 = g.m
         cfg = cli.RunConfig(
             algorithm=args.algorithm, graph_path="", updates_path="",

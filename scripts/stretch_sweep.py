@@ -13,7 +13,7 @@ import random
 import sys
 
 from decapsp import cli
-from decapsp.graph import DELETE, UpdateEvent, gnp_graph
+from decapsp.graph import DELETE, UpdateEvent, gnp_workload
 from decapsp.oracle import sweep
 
 
@@ -35,10 +35,7 @@ def main():
     print("seed,pairs,ok,max_ratio,max_slack,bound_alpha,bound_beta")
     worst = 0.0
     for seed in range(args.seeds):
-        rng = random.Random(seed)
-        g = gnp_graph(args.n, args.density, args.W, rng)
-        edges = [(u, v) for u, v, _ in g.edges()]
-        rng.shuffle(edges)
+        g, edges = gnp_workload(args.n, args.density, args.W, random.Random(seed))
         updates = [UpdateEvent(DELETE, u, v) for u, v in edges]
         cfg = cli.RunConfig(
             algorithm=args.algorithm, graph_path="", updates_path="",

@@ -98,7 +98,8 @@ class AdditiveAPSP:
                 for i in range(2, k + 1):
                     self.edge_set[i].add(pair)
 
-        # trees, built level by level so shortcut weights already exist
+        # trees, built level by level so shortcut weights already exist; level
+        # 1 reads graph.adj, each higher tree a view of its own for _tree_call
         self.tree = {}
         self.shortcut = {}  # root -> {lower node: exported weight}
         for v in range(n):
@@ -178,6 +179,18 @@ class AdditiveAPSP:
 
     # -- updates ------------------------------------------------------------
 
+    @staticmethod
+    def _tree_call(tree, op, x, y, w=INF):
+        """Write {x, y} at weight w into the view tree reads (inf removes it),
+        then return tree.op(x, y[, w]).  relax_edge is only asked for weight
+        1, the least there is, so writing w keeps the lower weight."""
+        view = tree.adj
+        if w == INF:
+            del view[x][y], view[y][x]
+            return tree.delete_edge(x, y)
+        view[x][y] = view[y][x] = w
+        return getattr(tree, op)(x, y, w)
+
     def delete(self, u, v):
         rec = apply_update(self.g, UpdateEvent(DELETE, u, v))
         self.updates_applied += 1
@@ -215,9 +228,9 @@ class AdditiveAPSP:
                 for x, y in new_pairs:
                     if u2 == x or u2 == y:
                         other = y if u2 == x else x
-                        tree.relax_edge(u2, other, 1)
+                        self._tree_call(tree, "relax_edge", u2, other, 1)
                     else:
-                        tree.insert_edge(x, y, 1)
+                        self._tree_call(tree, "insert_edge", x, y, 1)
                 for (root, w) in sorted(pend[i]):
                     if root != u2:
                         continue
@@ -227,20 +240,21 @@ class AdditiveAPSP:
                     if new_w == INF:
                         del cuts[w]
                         if not direct:
-                            export(tree, tree.delete_edge(root, w))
+                            export(tree, self._tree_call(tree, "delete_edge", root, w))
                     else:
                         cuts[w] = new_w
                         if not direct:
-                            export(tree, tree.increase_weight(root, w, new_w))
+                            export(tree, self._tree_call(
+                                tree, "increase_weight", root, w, new_w))
                 if dying:
                     r = None
                     if u2 == a or u2 == b:
                         other = b if u2 == a else a
                         r = cuts.get(other)
                     if r is None:
-                        export(tree, tree.delete_edge(a, b))
+                        export(tree, self._tree_call(tree, "delete_edge", a, b))
                     elif r > 1:
-                        export(tree, tree.increase_weight(a, b, r))
+                        export(tree, self._tree_call(tree, "increase_weight", a, b, r))
             if dying:
                 self.edge_set[i].discard(pair)
 

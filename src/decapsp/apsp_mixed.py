@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .bunches import INCREASE, JOIN, LEAVE, BunchEngine
+from .bunches import INCREASE, JOIN, BunchEngine
 from .estree import MonotoneESTree
 from .graph import DELETE, INCREASE as W_INCREASE, UpdateEvent, apply_update
 from .heaps import IndexedHeap

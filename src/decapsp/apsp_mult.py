@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from .bunches import EXP_ZERO, INCREASE, JOIN, LEAVE, BunchEngine
+from .bunches import INCREASE, JOIN, BunchEngine
 from .graph import DELETE, INCREASE as W_INCREASE, UpdateEvent, apply_update
 from .heaps import IndexedHeap
 

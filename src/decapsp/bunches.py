@@ -134,9 +134,6 @@ class BunchEngine:
     def value_of(self, exponent):
         return 0.0 if exponent == EXP_ZERO else self.rounder.value(exponent)
 
-    def bunch_value(self, v, w):
-        return self.value_of(self.bunch[v][w])
-
     def rebuild_bound(self):
         """Per-node rebuild budget for a run on this instance."""
         span = max(self.g.n * self.g.W, 2)

@@ -35,7 +35,7 @@ from .graph import (
     UpdateEvent,
     dump_graph,
     dump_updates,
-    gnp_graph,
+    gnp_workload,
     load_graph,
     parse_updates,
 )
@@ -123,9 +123,7 @@ def cmd_generate(args):
     if not (0 < args.fraction <= 1):
         raise ConfigError("deletion fraction must be in (0, 1]")
     rng = random.Random(args.seed)
-    g = gnp_graph(args.n, args.density, args.W, rng)
-    edges = [(u, v) for u, v, _ in g.edges()]
-    rng.shuffle(edges)
+    g, edges = gnp_workload(args.n, args.density, args.W, rng)
     take = max(1, math.ceil(args.fraction * len(edges))) if edges else 0
     stream = []
     for i, (u, v) in enumerate(edges[:take], start=1):
@@ -213,10 +211,7 @@ def cmd_bench(args):
         print("n,m,updates,wall_ms,rebuilds_total,rebuilds_max,rebuild_bound,"
               "nbr_min_changes_max,nbr_change_bound,searches,level_increases", file=writer)
         for n in sizes:
-            rng = random.Random(args.seed)
-            g = gnp_graph(n, args.density, args.W, rng)
-            edges = [(u, v) for u, v, _ in g.edges()]
-            rng.shuffle(edges)
+            g, edges = gnp_workload(n, args.density, args.W, random.Random(args.seed))
             m0 = g.m
             p = min(1.0, math.sqrt(g.n / max(g.m, 1)))
             algo = MultiplicativeAPSP(g, p, args.eps, args.seed + 1)

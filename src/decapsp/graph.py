@@ -9,7 +9,7 @@ can reason about "the graph at time t".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 INF = math.inf
 
@@ -272,3 +272,12 @@ def gnp_graph(n, density, max_weight, rng):
             if rng.random() < density:
                 edges.append((u, v, rng.randint(1, max_weight)))
     return DynamicGraph(n, edges)
+
+
+def gnp_workload(n, density, max_weight, rng):
+    """gnp_graph plus all of its edges as (u, v) pairs in a deletion order
+    shuffled by the same rng, which the caller may go on drawing from."""
+    g = gnp_graph(n, density, max_weight, rng)
+    order = [(u, v) for u, v, _ in g.edges()]
+    rng.shuffle(order)
+    return g, order

@@ -76,12 +76,6 @@ class IndexedHeap:
         else:
             self._sift_down(i)
 
-    def upsert(self, ident, key):
-        if ident in self._pos:
-            self.update(ident, key)
-        else:
-            self.insert(ident, key)
-
     def pop(self):
         """Remove and return (id, key) of the minimum."""
         if not self._ids:
@@ -113,12 +107,6 @@ class IndexedHeap:
             pos[last_id] = i
             self._sift_down(i)
             self._sift_up(i)
-
-    def _less(self, i, j):
-        ki, kj = self._keys[i], self._keys[j]
-        if ki != kj:
-            return ki < kj
-        return self._ids[i] < self._ids[j]
 
     def _sift_up(self, i):
         keys, ids, pos = self._keys, self._ids, self._pos

@@ -213,6 +213,8 @@ class StaticTwoAPSP:
         self._est = None
 
     def query(self, u, v):
+        self.graph._check_node(u)
+        self.graph._check_node(v)
         if u == v:
             return 0
         if self._est is None:

@@ -39,20 +39,14 @@ def _power(eps, e):
 
 
 class GeometricRounder:
-    """Rounds positive values up to powers of (1 + eps).
+    """Rounds positive values up to powers of (1 + eps)."""
 
-    Also usable as a single-stream cache: push() tracks the current rounded
-    value and counts how many times the exponent actually moved.
-    """
-
-    __slots__ = ("eps", "exponent_cached", "changes")
+    __slots__ = ("eps",)
 
     def __init__(self, eps):
         if not (eps > 0) or not math.isfinite(eps):
             raise DomainError(f"eps must be positive and finite, got {eps!r}")
         self.eps = eps
-        self.exponent_cached = None
-        self.changes = 0
 
     def exponent(self, delta):
         """Smallest integer e with (1+eps)^e >= delta (the ceil of the log)."""
@@ -74,19 +68,6 @@ class GeometricRounder:
 
     def round(self, delta):
         return _power(self.eps, self.exponent(delta))
-
-    def push(self, delta):
-        """Cache-and-count interface for one monotone estimate stream.
-
-        Returns the rounded value; the first push primes the cache and does
-        not count as a change.
-        """
-        e = self.exponent(delta)
-        if e != self.exponent_cached:
-            if self.exponent_cached is not None:
-                self.changes += 1
-            self.exponent_cached = e
-        return _power(self.eps, e)
 
 
 def rounded(delta, eps):

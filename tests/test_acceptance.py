@@ -17,7 +17,7 @@ from decapsp.apsp_mixed import MixedAPSP
 from decapsp.apsp_mult import MultiplicativeAPSP
 from decapsp.bunches import BunchEngine
 from decapsp.estree import MonotoneESTree
-from decapsp.graph import DELETE, UpdateEvent, QueryCheckpoint, gnp_graph
+from decapsp.graph import DELETE, UpdateEvent, QueryCheckpoint, gnp_graph, gnp_workload
 from decapsp.oracle import BoundSpec, exact_apsp, static_two_apsp, sweep
 from decapsp.reduction import subdivide, UnweightedAPSP
 
@@ -37,10 +37,7 @@ def report(name, ok, detail=""):
 def workload(n, density, W, seed, every=0):
     """Graph plus full deletion stream; the stream is fixed before any
     algorithm sees a seed, so the adversary stays oblivious."""
-    rng = random.Random(seed)
-    g = gnp_graph(n, density, W, rng)
-    edges = [(u, v) for u, v, _ in g.edges()]
-    rng.shuffle(edges)
+    g, edges = gnp_workload(n, density, W, random.Random(seed))
     updates = []
     for i, (u, v) in enumerate(edges, 1):
         updates.append(UpdateEvent(DELETE, u, v))
@@ -254,10 +251,7 @@ def test_criterion_7_size_bounds():
 
     heavy_ok = []
     for seed in seeds:
-        rng = random.Random(seed)
-        g = gnp_graph(64, 0.2, 1, rng)
-        edges = [(u, v) for u, v, _ in g.edges()]
-        rng.shuffle(edges)
+        g, edges = gnp_workload(64, 0.2, 1, random.Random(seed))
         algo = MixedAPSP(g, 0.25, eps, 8, seed + 100)
         for u, v in edges:
             algo.delete(u, v)
@@ -268,11 +262,8 @@ def test_criterion_7_size_bounds():
     ei_ok, estar_ok = [], []
     k = 3
     for seed in seeds:
-        rng = random.Random(seed)
-        g = gnp_graph(64, 0.4, 1, rng)
+        g, edges = gnp_workload(64, 0.4, 1, random.Random(seed))
         n, m0 = g.n, g.m
-        edges = [(u, v) for u, v, _ in g.edges()]
-        rng.shuffle(edges)
         algo = AdditiveAPSP(g, k, 4, 0.5, 0.0, seed + 100)
         for u, v in edges:
             algo.delete(u, v)

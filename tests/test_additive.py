@@ -64,13 +64,18 @@ def structural_audit(algo, prev_levels):
         dead = algo.edge_set[i] - live
         assert not dead
 
-    # tree graphs match the level construction exactly
+    # level-1 trees read the graph; each higher tree reads a view of its
+    # own, which AdditiveAPSP writes to match the level construction exactly
+    views = [id(algo.tree[u].adj) for u in range(g.n) if algo.level[u] > 1]
+    assert len(set(views)) == len(views)
     for u in range(g.n):
         tree = algo.tree[u]
         i = algo.level[u]
         if i == 1:
-            want = {x: dict(nb) for x, nb in g.adj.items()}
+            assert tree.adj is g.adj
+            want = g.adj
         else:
+            assert tree.adj is not g.adj
             want = {x: {} for x in range(g.n)}
             for a, b in algo.edge_set[i]:
                 want[a][b] = want[b][a] = 1

@@ -168,6 +168,7 @@ def test_pivot_tree_levels_match_exact_distances():
         rec = apply_update(g, UpdateEvent(DELETE, u, v))
         eng.refresh(rec)
     for s in eng.A:
+        assert eng.trees[s].adj is g.adj
         truth = ref_dijkstra(g.adj, s)
         for v in range(g.n):
             expected = truth[v] if truth[v] <= eng.depth_cap else INF

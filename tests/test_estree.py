@@ -6,12 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decapsp import (
+    DELETE,
+    INCREASE,
     DuplicateEdge,
     DynamicGraph,
     EdgeNotFound,
     MonotoneESTree,
     MonotonicityViolation,
+    UpdateEvent,
+    apply_update,
 )
+from decapsp.estree import UnwrittenChange
 from helpers import rand_connected, rand_gnp, ref_dijkstra
 
 INF = math.inf
@@ -26,6 +31,7 @@ def test_initial_levels_are_exact_up_to_cap():
 def test_root_level_pinned_at_zero():
     g = DynamicGraph(3, [(0, 1, 1), (1, 2, 1)])
     t = MonotoneESTree(g.adj, 0, cap=10)
+    apply_update(g, UpdateEvent(DELETE, 0, 1))
     t.delete_edge(0, 1)
     assert t.level(0) == 0
     assert t.level(1) == INF and t.level(2) == INF
@@ -35,6 +41,7 @@ def test_deletion_reroutes_through_alternative_path():
     g = DynamicGraph(4, [(0, 1, 1), (1, 3, 1), (0, 2, 2), (2, 3, 2)])
     t = MonotoneESTree(g.adj, 0, cap=10)
     assert t.level(3) == 2
+    apply_update(g, UpdateEvent(DELETE, 1, 3))
     changed = t.delete_edge(1, 3)
     assert changed == {3}
     assert t.level(3) == 4
@@ -43,8 +50,10 @@ def test_deletion_reroutes_through_alternative_path():
 def test_increase_beyond_cap_becomes_infinite():
     g = DynamicGraph(2, [(0, 1, 1)])
     t = MonotoneESTree(g.adj, 0, cap=3)
+    apply_update(g, UpdateEvent(INCREASE, 0, 1, 3))
     assert t.increase_weight(0, 1, 3) == {1}
     assert t.level(1) == 3
+    apply_update(g, UpdateEvent(INCREASE, 0, 1, 4))
     assert t.increase_weight(0, 1, 4) == {1}
     assert t.level(1) == INF
 
@@ -53,9 +62,11 @@ def test_insert_never_lowers_levels():
     g = DynamicGraph(4, [(0, 1, 5), (1, 2, 5), (2, 3, 5)])
     t = MonotoneESTree(g.adj, 0, cap=50)
     before = [t.level(v) for v in range(4)]
+    g.adj[0][3] = g.adj[3][0] = 1
     t.insert_edge(0, 3, 1)  # a shortcut the monotone tree must ignore
     assert [t.level(v) for v in range(4)] == before
     # but the shortcut participates in later recomputation
+    apply_update(g, UpdateEvent(DELETE, 2, 3))
     t.delete_edge(2, 3)
     assert t.level(3) == before[3]  # min over neighbors now includes the shortcut
 
@@ -67,8 +78,12 @@ def test_edge_errors():
         t.delete_edge(0, 2)
     with pytest.raises(DuplicateEdge):
         t.insert_edge(1, 0, 4)
+    # the owner refuses a weight that does not rise, before any tree runs
+    levels = dict(t.level_of)
     with pytest.raises(MonotonicityViolation):
-        t.increase_weight(0, 1, 1)
+        apply_update(g, UpdateEvent(INCREASE, 0, 1, 1))
+    assert t.level_of == levels
+    assert g.adj == {0: {1: 1}, 1: {0: 1}, 2: {}}
 
 
 @settings(max_examples=50, deadline=None)
@@ -158,7 +173,70 @@ def test_work_counter_bounded_by_nodes_times_cap():
     cap = 25
     t = MonotoneESTree(g.adj, 0, cap)
     for u, v in [(a, b) for a, b, _ in sorted(g.edges())]:
-        if t.has_edge(u, v):
+        if g.has_edge(u, v):
+            apply_update(g, UpdateEvent(DELETE, u, v))
             t.delete_edge(u, v)
     assert t.level_increases <= 20 * (cap + 1)
     assert all(t.level(v) == (0 if v == 0 else INF) for v in range(20))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**30))
+def test_tree_reads_its_owners_adjacency_and_never_writes_it(seed):
+    """Every tree op leaves the shared adjacency exactly as its owner wrote
+    it, and two trees on one adjacency both follow every change, relax_edge
+    included."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 12)
+    g = rand_gnp(rng, n, 0.5, 3)
+    adj = g.adj
+    t0 = MonotoneESTree(adj, 0, 4 * n)
+    t1 = MonotoneESTree(adj, n - 1, 4 * n)
+    assert t0.adj is adj and t1.adj is adj
+    for _ in range(30):
+        u, v = rng.sample(range(n), 2)
+        w = rng.randint(1, 3)
+        cur = adj[u].get(v)
+        if cur is None:
+            adj[u][v] = adj[v][u] = w
+            ops = [(t.relax_edge, (u, v, w)) for t in (t0, t1)]
+        elif rng.random() < 0.3:
+            adj[u][v] = adj[v][u] = min(cur, w)
+            ops = [(t.relax_edge, (u, v, w)) for t in (t0, t1)]
+        elif rng.random() < 0.5:
+            adj[u][v] = adj[v][u] = cur + w
+            ops = [(t.increase_weight, (u, v, cur + w)) for t in (t0, t1)]
+        else:
+            del adj[u][v], adj[v][u]
+            ops = [(t.delete_edge, (u, v)) for t in (t0, t1)]
+        written = {x: dict(nb) for x, nb in adj.items()}
+        for op, args in ops:
+            op(*args)
+            assert adj == written
+        for t in (t0, t1):  # neighbor heaps keyed by the weights the owner wrote
+            assert t.adj is adj
+            for x in range(n):
+                want = {y: t.level(y) + wy for y, wy in adj[x].items()}
+                assert dict(t._nbr[x].items()) == want
+
+
+def test_call_before_the_owner_writes_raises():
+    g = DynamicGraph(4, [(0, 1, 1), (1, 2, 2), (0, 2, 5)])
+    t = MonotoneESTree(g.adj, 0, cap=20)
+    levels = dict(t.level_of)
+    with pytest.raises(UnwrittenChange):
+        t.delete_edge(0, 1)
+    with pytest.raises(UnwrittenChange):
+        t.increase_weight(1, 2, 3)
+    with pytest.raises(UnwrittenChange):
+        t.insert_edge(2, 3, 1)
+    with pytest.raises(UnwrittenChange):
+        t.relax_edge(0, 2, 4)
+    g.adj[1][2] = 3  # half a change is not written either
+    with pytest.raises(UnwrittenChange):
+        t.increase_weight(1, 2, 3)
+    g.adj[1][2] = 2
+    assert t.level_of == levels and t.level_increases == 0
+    apply_update(g, UpdateEvent(DELETE, 0, 1))
+    assert t.delete_edge(0, 1) == {1, 2}
+    assert t.level(1) == 7 and t.level(2) == 5

@@ -60,8 +60,11 @@ def test_against_reference_model(ops, seed):
     h = IndexedHeap()
     model = {}
     for op, ident, key in ops:
-        if op == 0:  # upsert
-            h.upsert(ident, key)
+        if op == 0:  # update if present, else insert
+            if ident in h:
+                h.update(ident, key)
+            else:
+                h.insert(ident, key)
             model[ident] = key
         elif op == 1 and model:  # delete a present id
             victim = rng.choice(sorted(model))

@@ -148,6 +148,17 @@ def test_static_two_apsp_factor_two(seed, n, p):
                 assert d[u][v] <= est[u][v] <= 2 * d[u][v]
 
 
+def test_static_two_wrapper_rejects_out_of_range_nodes():
+    g = rand_connected(random.Random(5), 8, 0.4, 3)
+    algo = StaticTwoAPSP(g, 0.5, seed=1)
+    for u, v in ((-1, 3), (3, -1), (8, 3), (3, 8), (8, 8), (-1, -1), (2.0, 3)):
+        with pytest.raises(DomainError):
+            algo.query(u, v)
+    d = exact_apsp(g)
+    assert algo.query(7, 3) == static_two_apsp(g, 0.5, seed=1)[7][3] >= d[7][3]
+    assert algo.query(7, 7) == 0
+
+
 class ExactAlgo:
     """Perfect reference algorithm for exercising the sweep driver."""
 

@@ -74,18 +74,3 @@ def test_distinct_values_bounded_on_a_range(top, eps):
     exps = {r.exponent(x) for x in range(1, top + 1)}
     assert len(exps) <= math.ceil(math.log(top, 1 + eps)) + 1
 
-
-def test_push_counts_exponent_moves_only():
-    r = GeometricRounder(0.5)
-    stream = [1, 1, 2, 2, 3, 3, 3, 5, 5, 6, 100]
-    for x in stream:
-        r.push(x)
-    exps = []
-    ref = GeometricRounder(0.5)
-    for x in stream:
-        e = ref.exponent(x)
-        if not exps or exps[-1] != e:
-            exps.append(e)
-    assert r.changes == len(exps) - 1
-    nW = max(stream)
-    assert r.changes <= math.ceil(math.log(nW, 1.5)) + 1
