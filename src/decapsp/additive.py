@@ -23,7 +23,7 @@ import math
 import random
 
 from .estree import MonotoneESTree
-from .graph import DELETE, DomainError, UpdateEvent, apply_update
+from .graph import DELETE, DomainError, DuplicateEdge, EdgeNotFound, UpdateEvent, apply_update
 
 INF = math.inf
 
@@ -66,6 +66,7 @@ class AdditiveAPSP:
         self.eps = eps
         self.cap = d + 3 * k
         self.level = sample_partition(graph.n, graph.m, k, c, seed)
+        self.roots = [[v for v in range(graph.n) if self.level[v] == i] for i in range(k + 1)]
         self.s = level_thresholds(graph.n, graph.m, k)
 
         # escape-edge state: fixed neighbor scan order with a resume pointer
@@ -102,16 +103,13 @@ class AdditiveAPSP:
         # 1 reads graph.adj, each higher tree a view of its own for _tree_call
         self.tree = {}
         self.shortcut = {}  # root -> {lower node: exported weight}
-        for v in range(n):
-            if self.level[v] == 1:
-                self.tree[v] = MonotoneESTree(graph.adj, v, self.cap)
+        for v in self.roots[1]:
+            self.tree[v] = MonotoneESTree(graph.adj, v, self.cap)
         for i in range(2, k + 1):
             base = {u: {} for u in range(n)}
             for a, b in self.edge_set[i]:
                 base[a][b] = base[b][a] = 1
-            for u in range(n):
-                if self.level[u] != i:
-                    continue
+            for u in self.roots[i]:
                 adj = {x: dict(nb) for x, nb in base.items()}
                 cuts = self.shortcut[u] = {}
                 for w in range(n):
@@ -181,15 +179,21 @@ class AdditiveAPSP:
 
     @staticmethod
     def _tree_call(tree, op, x, y, w=INF):
-        """Write {x, y} at weight w into the view tree reads (inf removes it),
-        then return tree.op(x, y[, w]).  relax_edge is only asked for weight
-        1, the least there is, so writing w keeps the lower weight."""
+        """Refuse a duplicate insert or a change to a missing edge, write
+        {x, y} at weight w into the view tree reads (inf removes it), then
+        return tree.op(x, y[, w]), op being insert_edge for a new pair.
+        relax_edge only comes with weight 1, so writing w keeps the lower."""
         view = tree.adj
+        present = y in view[x]
+        if present and op == "insert_edge":
+            raise DuplicateEdge(f"edge {{{x}, {y}}} already in the view of tree {tree.root}")
+        if not present and op in ("increase_weight", "delete_edge"):
+            raise EdgeNotFound(f"edge {{{x}, {y}}} not in the view of tree {tree.root}")
         if w == INF:
             del view[x][y], view[y][x]
             return tree.delete_edge(x, y)
         view[x][y] = view[y][x] = w
-        return getattr(tree, op)(x, y, w)
+        return getattr(tree, op if present else "insert_edge")(x, y, w)
 
     def delete(self, u, v):
         rec = apply_update(self.g, UpdateEvent(DELETE, u, v))
@@ -202,27 +206,23 @@ class AdditiveAPSP:
             if self.escape[x] == y:
                 self._redesignate(x, additions)
 
-        # pend[(root, w)] marks a shortcut weight to re-read when the root's
-        # level is processed; lower levels fill it, higher levels drain it.
-        pend = {i: set() for i in range(2, self.k + 1)}
+        # pend[root]: lower nodes whose shortcut weight the root re-reads at
+        # its level; trees export upward only, so entries precede their root.
+        pend = {}
 
         def export(source_tree, changed):
             root_of = source_tree.root
             for x in changed:
-                lx = self.level[x]
-                if lx > self.level[root_of] and root_of in self.shortcut.get(x, ()):
-                    pend[lx].add((x, root_of))
+                if self.level[x] > self.level[root_of] and root_of in self.shortcut.get(x, ()):
+                    pend.setdefault(x, set()).add(root_of)
 
-        for w in range(self.g.n):
-            if self.level[w] == 1:
-                export(self.tree[w], self.tree[w].delete_edge(a, b))
+        for w in self.roots[1]:
+            export(self.tree[w], self.tree[w].delete_edge(a, b))
 
         for i in range(2, self.k + 1):
             new_pairs = additions.get(i, ())
             dying = pair in self.edge_set[i]
-            for u2 in range(self.g.n):
-                if self.level[u2] != i:
-                    continue
+            for u2 in self.roots[i]:
                 tree = self.tree[u2]
                 cuts = self.shortcut[u2]
                 for x, y in new_pairs:
@@ -231,21 +231,19 @@ class AdditiveAPSP:
                         self._tree_call(tree, "relax_edge", u2, other, 1)
                     else:
                         self._tree_call(tree, "insert_edge", x, y, 1)
-                for (root, w) in sorted(pend[i]):
-                    if root != u2:
-                        continue
-                    new_w = self.tree[w].level_of[root]
+                for w in sorted(pend.pop(u2, ())):
+                    new_w = self.tree[w].level_of[u2]
                     self.exports_applied += 1
-                    direct = self._pair(root, w) in self.edge_set[i]
+                    direct = self._pair(u2, w) in self.edge_set[i]
                     if new_w == INF:
                         del cuts[w]
                         if not direct:
-                            export(tree, self._tree_call(tree, "delete_edge", root, w))
+                            export(tree, self._tree_call(tree, "delete_edge", u2, w))
                     else:
                         cuts[w] = new_w
                         if not direct:
                             export(tree, self._tree_call(
-                                tree, "increase_weight", root, w, new_w))
+                                tree, "increase_weight", u2, w, new_w))
                 if dying:
                     r = None
                     if u2 == a or u2 == b:
@@ -277,5 +275,5 @@ class AdditiveAPSP:
             "neighbor_scans": self.scans,
             "exports_applied": self.exports_applied,
             "tree_level_increases": sum(t.level_increases for t in self.tree.values()),
-            "level_sizes": [self.level.count(i) for i in range(1, self.k + 1)],
+            "level_sizes": [len(r) for r in self.roots[1:]],
         }

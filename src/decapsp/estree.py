@@ -3,35 +3,39 @@
 MonotoneESTree keeps a level l(v) per node with the contract:
 
   * levels never decrease;
-  * l(v) is always an upper bound... (lower-bounded by the true distance:
-    d_H(root, v) <= l(v));
+  * l(v) is lower-bounded by the true distance: d_H(root, v) <= l(v);
   * under a purely decremental history the levels are exact whenever they
     do not exceed the depth cap;
   * on an increase the new level equals the minimum of l(u) + w(u, v) over
     the current neighbors, so every finite level is witnessed by an incident
     edge even when insertions made the true distance smaller.
 
-Ownership: the tree keeps a reference to the adjacency it is built on
-(node -> {neighbor: weight}) and never copies or writes it, so any number
-of trees can read one graph.  The owner of the adjacency writes each change
-first and then calls the tree method of the same kind with the same
-endpoints and weight; the tree re-keys its neighbor heaps and settles.  A
-call the adjacency does not yet show raises UnwrittenChange.  The tree
-cannot see an old weight, so refusing a weight that does not rise is the
-owner's job.
+Ownership: the tree reads the adjacency it is built on (node -> {neighbor:
+weight}) by reference and never copies or writes it, so any number of trees
+can share one graph.  The owner writes each change first, then calls the
+tree method of the same kind; a call the adjacency does not show yet raises
+UnwrittenChange.  The tree keeps no edge set and sees no old weight, so the
+owner refuses a missing or duplicate edge, or a weight that does not rise.
 
-Levels beyond the cap jump to infinity.  Each node owns a heap over its
-neighbors keyed by l(neighbor) + weight, and a global queue drives level
-recomputation in increasing level order.
+Repair.  With f sending values above the cap to infinity, a weight rise
+moves the levels to the least vector l >= l_old with l(v) >= f(min over
+neighbors u of l(u) + w(u, v)) for every v but the root.  Feasible vectors
+are closed under pointwise min, so it is unique, slack left by insertions
+included.  Bounded-region repair (Ramalingam & Reps, 1996) finds it:
+
+  1. Collect the nodes left without support, a support of x being a
+     neighbor y outside the set with l(y) + w <= l(x): check the endpoints,
+     and when x joins, recheck the neighbors it supported.
+  2. Run Dijkstra over that set only, seeded from its boundary with key
+     max(l_old(x), f(d)); nodes it does not reach go to infinity at once.
+
+level_increases counts raised nodes: one per node whose level rose, per call.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-
-from .graph import DuplicateEdge, EdgeNotFound
-from .heaps import IndexedHeap
 
 INF = math.inf
 
@@ -41,7 +45,7 @@ class UnwrittenChange(RuntimeError):
 
 
 class MonotoneESTree:
-    __slots__ = ("root", "cap", "adj", "level_of", "_nbr", "_queue", "level_increases")
+    __slots__ = ("root", "cap", "adj", "level_of", "level_increases")
 
     def __init__(self, adj, root, cap):
         """adj: mapping node -> {neighbor: weight}; read, never copied."""
@@ -53,11 +57,6 @@ class MonotoneESTree:
         if root not in adj:
             raise KeyError(f"root {root!r} not a node of the graph")
         self.level_of = self._dijkstra()
-        self._nbr = {
-            u: IndexedHeap((v, self.level_of[v] + w) for v, w in nbrs.items())
-            for u, nbrs in adj.items()
-        }
-        self._queue = IndexedHeap()
         self.level_increases = 0
 
     def _dijkstra(self):
@@ -88,32 +87,13 @@ class MonotoneESTree:
                 "write the change before calling the tree")
 
     def insert_edge(self, u, v, w):
-        """Absorb a new edge; levels never drop, so no recomputation happens."""
-        if v in self._nbr[u]:
-            raise DuplicateEdge(f"edge {{{u}, {v}}} already in tree graph")
+        """Check the new edge {u, v} reads w; levels never drop, so it only
+        counts from the next repair on."""
         self._require(u, v, w)
-        lv = self.level_of
-        self._nbr[u].insert(v, lv[v] + w)
-        self._nbr[v].insert(u, lv[u] + w)
 
     def relax_edge(self, u, v, w):
-        """Absorb {u, v} inserted with weight w, or its weight lowered to w.
-
-        The owner keeps the lower of the old weight and w.  A cheaper
-        parallel edge behaves exactly like an insertion: neighbor heap keys
-        drop but levels stay put, so the shortcut only takes effect at the
-        next level recomputation.
-        """
-        if v not in self._nbr[u]:
-            self.insert_edge(u, v, w)
-            return
-        cur = self.adj[u].get(v, INF)
-        self._require(u, v, min(cur, w))
-        lv = self.level_of
-        nu, nv = self._nbr[u], self._nbr[v]
-        if lv[v] + cur < nu.key_of(v) or lv[u] + cur < nv.key_of(u):
-            nu.update(v, lv[v] + cur)
-            nv.update(u, lv[u] + cur)
+        """Check {u, v}, new at w or lowered to w, reads the lower weight."""
+        self._require(u, v, min(self.adj[u].get(v, INF), w))
 
     def delete_edge(self, u, v):
         return self.increase_weight(u, v, INF)
@@ -121,47 +101,67 @@ class MonotoneESTree:
     def increase_weight(self, u, v, w):
         """Absorb the rise of {u, v} to weight w (inf: the edge is gone).
         Returns the set of nodes whose level increased as a consequence."""
-        if v not in self._nbr[u]:
-            raise EdgeNotFound(f"edge {{{u}, {v}}} not in tree graph")
         self._require(u, v, w)
-        nu, nv = self._nbr[u], self._nbr[v]
-        if w == INF:
-            nu.delete(v)
-            nv.delete(u)
-        else:
-            lv = self.level_of
-            nu.update(v, lv[v] + w)
-            nv.update(u, lv[u] + w)
-        queue = self._queue
-        root = self.root
-        if u != root and u not in queue:
-            queue.insert(u, self.level_of[u])
-        if v != root and v not in queue:
-            queue.insert(v, self.level_of[v])
-        return self._settle()
+        region = self._unsupported(u, v)
+        if not region:
+            return set()
+        raised = self._reroute(region)
+        self.level_increases += len(raised)
+        return raised
 
-    def _settle(self):
-        """Drain the queue, lifting levels in increasing order."""
-        queue = self._queue
+    def _unsupported(self, u, v):
+        """Phase 1: the nodes that no neighbor outside the set supports."""
         level_of = self.level_of
-        nbr = self._nbr
+        adj = self.adj
+        root = self.root
+        region = set()
+        stack = [u, v]
+        while stack:
+            x = stack.pop()
+            lx = level_of[x]
+            if x in region or x == root or lx == INF:
+                continue
+            nbrs = adj[x].items()
+            for y, w in nbrs:
+                if level_of[y] + w <= lx and y not in region:
+                    break
+            else:
+                region.add(x)
+                stack.extend(y for y, w in nbrs
+                             if lx + w <= level_of[y] and y not in region)
+        return region
+
+    def _reroute(self, region):
+        """Phase 2: Dijkstra inside the region from its boundary; returns
+        the nodes whose level rose."""
+        level_of = self.level_of
         adj = self.adj
         cap = self.cap
-        root = self.root
-        changed = set()
-        while queue:
-            u, _ = queue.pop()
-            heap = nbr[u]
-            new = heap.min_key() if heap else INF
-            old = level_of[u]
-            if new > old:
-                if new > cap:
-                    new = INF
-                level_of[u] = new
-                self.level_increases += 1
-                changed.add(u)
-                for v, w in adj[u].items():
-                    nbr[v].update(u, new + w)
-                    if v != root and v not in queue:
-                        queue.insert(v, level_of[v])
-        return changed
+        key = {}
+        for x in region:
+            best = min((level_of[y] + w for y, w in adj[x].items() if y not in region),
+                       default=INF)
+            if best <= cap:  # and best > level_of[x]: no support outside
+                key[x] = best
+        heap = [(d, x) for x, d in key.items()]
+        heapq.heapify(heap)
+        raised = set()
+        while heap:
+            d, x = heapq.heappop(heap)
+            if x not in region or d > key[x]:
+                continue
+            region.discard(x)
+            if d > level_of[x]:
+                level_of[x] = d
+                raised.add(x)
+            for y, w in adj[x].items():
+                nd = d + w
+                if y in region and nd <= cap:
+                    ny = max(level_of[y], nd)
+                    if ny < key.get(y, INF):
+                        key[y] = ny
+                        heapq.heappush(heap, (ny, y))
+        for x in region:
+            level_of[x] = INF
+        raised.update(region)
+        return raised

@@ -1,11 +1,11 @@
 """Binary min-heap with a reverse location index.
 
-Every priority structure in this package (neighbor heaps inside the
-shortest-path trees, the per-pair certificate heaps, the pivot heaps) needs
-decrease/increase-key and delete-by-id in O(log n), which heapq does not
-offer.  Entries are (key, id) pairs ordered lexicographically, so equal keys
-break ties toward the smaller id and iteration order never depends on
-insertion history.
+The per-pair certificate heaps and the per-node pivot and heavy-node heaps
+need decrease/increase-key and delete-by-id in O(log n), which heapq does
+not offer; the shortest-path trees keep no heap between calls.  Entries
+are (key, id) pairs ordered lexicographically, so equal keys break ties
+toward the smaller id and iteration order never depends on insertion
+history.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ import heapq
 import math
 import random
 
-from decapsp import DynamicGraph
+from decapsp import DuplicateEdge, DynamicGraph, EdgeNotFound, IndexedHeap
+from decapsp.estree import MonotoneESTree
 
 INF = math.inf
 
@@ -97,3 +98,81 @@ def deletion_order(rng, graph):
     edges = [(u, v) for u, v, _ in graph.edges()]
     rng.shuffle(edges)
     return edges
+
+
+class ReferenceESTree(MonotoneESTree):
+    """The ES-tree that raises a cut-off node one level at a time.
+
+    Each node keeps a heap over its neighbors keyed by l(neighbor) + weight,
+    and a queue settles nodes in increasing level order; every lift to the
+    current neighbor minimum counts as one level increase.  It shares
+    construction and checks with MonotoneESTree, keeps the edge set in its
+    heaps, and serves as the oracle for the region repair.
+    """
+
+    __slots__ = ("_nbr", "_queue")
+
+    def __init__(self, adj, root, cap):
+        super().__init__(adj, root, cap)
+        self._nbr = {
+            u: IndexedHeap((v, self.level_of[v] + w) for v, w in nbrs.items())
+            for u, nbrs in adj.items()
+        }
+        self._queue = IndexedHeap()
+
+    def insert_edge(self, u, v, w):
+        if v in self._nbr[u]:
+            raise DuplicateEdge(f"edge {{{u}, {v}}} already in tree graph")
+        self._require(u, v, w)
+        lv = self.level_of
+        self._nbr[u].insert(v, lv[v] + w)
+        self._nbr[v].insert(u, lv[u] + w)
+
+    def relax_edge(self, u, v, w):
+        if v not in self._nbr[u]:
+            self.insert_edge(u, v, w)
+            return
+        cur = self.adj[u].get(v, INF)
+        self._require(u, v, min(cur, w))
+        lv = self.level_of
+        nu, nv = self._nbr[u], self._nbr[v]
+        if lv[v] + cur < nu.key_of(v) or lv[u] + cur < nv.key_of(u):
+            nu.update(v, lv[v] + cur)
+            nv.update(u, lv[u] + cur)
+
+    def increase_weight(self, u, v, w):
+        if v not in self._nbr[u]:
+            raise EdgeNotFound(f"edge {{{u}, {v}}} not in tree graph")
+        self._require(u, v, w)
+        nu, nv = self._nbr[u], self._nbr[v]
+        if w == INF:
+            nu.delete(v)
+            nv.delete(u)
+        else:
+            lv = self.level_of
+            nu.update(v, lv[v] + w)
+            nv.update(u, lv[u] + w)
+        queue = self._queue
+        for x in (u, v):
+            if x != self.root and x not in queue:
+                queue.insert(x, self.level_of[x])
+        return self._settle()
+
+    def _settle(self):
+        queue, level_of, nbr = self._queue, self.level_of, self._nbr
+        changed = set()
+        while queue:
+            u, _ = queue.pop()
+            heap = nbr[u]
+            new = heap.min_key() if heap else INF
+            if new > level_of[u]:
+                if new > self.cap:
+                    new = INF
+                level_of[u] = new
+                self.level_increases += 1
+                changed.add(u)
+                for v, w in self.adj[u].items():
+                    nbr[v].update(u, new + w)
+                    if v != self.root and v not in queue:
+                        queue.insert(v, level_of[v])
+        return changed

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decapsp.additive import AdditiveAPSP, level_thresholds, sample_partition
-from decapsp.graph import DomainError, DynamicGraph, EdgeNotFound
+from decapsp.estree import MonotoneESTree
+from decapsp.graph import DomainError, DuplicateEdge, DynamicGraph, EdgeNotFound
 
 from helpers import rand_connected, ref_apsp, deletion_order
 
@@ -200,3 +201,47 @@ def test_property_random_runs(data):
         algo.delete(u, v)
         prev = structural_audit(algo, prev)
         check_stretch(algo)
+
+
+def view_owner():
+    """Eight nodes, k = 2: level-2 roots 0, 1 and 6 each own a view."""
+    g = DynamicGraph(8, [(i, i + 1, 1) for i in range(7)] + [(0, 4, 1), (2, 6, 1)])
+    algo = AdditiveAPSP(g, k=2, d=3, c=0.5, seed=0)
+    assert algo.roots == [[], [2, 3, 4, 5, 7], [0, 1, 6]]
+    return algo
+
+
+def test_view_refuses_missing_and_duplicate_edges_before_writing():
+    algo = view_owner()
+    tree = algo.tree[0]
+    view = {x: dict(nb) for x, nb in tree.adj.items()}
+    levels = dict(tree.level_of)
+    assert 5 not in view[1] and view[1][2] == 1
+    with pytest.raises(EdgeNotFound):
+        algo._tree_call(tree, "delete_edge", 1, 5)
+    with pytest.raises(EdgeNotFound):
+        algo._tree_call(tree, "increase_weight", 5, 1, 3)
+    with pytest.raises(DuplicateEdge):
+        algo._tree_call(tree, "insert_edge", 2, 1, 1)
+    assert tree.adj == view
+    assert tree.level_of == levels and tree.level_increases == 0
+
+
+def test_view_sends_a_new_pair_to_insert_and_a_held_one_to_relax(monkeypatch):
+    calls = []
+    for op in ("insert_edge", "relax_edge"):
+        def record(tree, x, y, w, op=op, orig=getattr(MonotoneESTree, op)):
+            calls.append((op, x, y, w))
+            return orig(tree, x, y, w)
+        monkeypatch.setattr(MonotoneESTree, op, record)
+    algo = view_owner()
+    tree = algo.tree[0]
+    assert 6 not in tree.adj[0] and tree.adj[0][2] == 2
+    algo._tree_call(tree, "relax_edge", 0, 6, 1)
+    algo._tree_call(tree, "relax_edge", 0, 2, 1)
+    algo._tree_call(tree, "insert_edge", 1, 5, 1)
+    assert calls == [("insert_edge", 0, 6, 1), ("relax_edge", 0, 2, 1),
+                     ("insert_edge", 1, 5, 1)]
+    assert tree.adj[0][6] == tree.adj[6][0] == 1
+    assert tree.adj[0][2] == tree.adj[2][0] == 1
+    assert tree.adj[1][5] == tree.adj[5][1] == 1

@@ -17,7 +17,7 @@ from decapsp import (
     apply_update,
 )
 from decapsp.estree import UnwrittenChange
-from helpers import rand_connected, rand_gnp, ref_dijkstra
+from helpers import ReferenceESTree, rand_connected, rand_gnp, ref_dijkstra
 
 INF = math.inf
 
@@ -72,17 +72,21 @@ def test_insert_never_lowers_levels():
 
 
 def test_edge_errors():
+    """The tree keeps no edge set: the owner refuses a missing or duplicate
+    edge, or a weight that does not rise, before it writes anything."""
     g = DynamicGraph(3, [(0, 1, 1)])
     t = MonotoneESTree(g.adj, 0, cap=5)
-    with pytest.raises(EdgeNotFound):
-        t.delete_edge(0, 2)
-    with pytest.raises(DuplicateEdge):
-        t.insert_edge(1, 0, 4)
-    # the owner refuses a weight that does not rise, before any tree runs
     levels = dict(t.level_of)
+    with pytest.raises(EdgeNotFound):
+        apply_update(g, UpdateEvent(DELETE, 0, 2))
+    with pytest.raises(DuplicateEdge):
+        g.add_edge(1, 0, 4)
     with pytest.raises(MonotonicityViolation):
         apply_update(g, UpdateEvent(INCREASE, 0, 1, 1))
-    assert t.level_of == levels
+    # what the tree can still see: {0, 1} does not read weight 4
+    with pytest.raises(UnwrittenChange):
+        t.insert_edge(1, 0, 4)
+    assert t.level_of == levels and t.level_increases == 0
     assert g.adj == {0: {1: 1}, 1: {0: 1}, 2: {}}
 
 
@@ -185,39 +189,91 @@ def test_work_counter_bounded_by_nodes_times_cap():
 def test_tree_reads_its_owners_adjacency_and_never_writes_it(seed):
     """Every tree op leaves the shared adjacency exactly as its owner wrote
     it, and two trees on one adjacency both follow every change, relax_edge
-    included."""
+    included, as the neighbor-heap reference trees on the same adjacency do."""
     rng = random.Random(seed)
     n = rng.randint(4, 12)
     g = rand_gnp(rng, n, 0.5, 3)
     adj = g.adj
-    t0 = MonotoneESTree(adj, 0, 4 * n)
-    t1 = MonotoneESTree(adj, n - 1, 4 * n)
-    assert t0.adj is adj and t1.adj is adj
+    trees = [MonotoneESTree(adj, 0, 4 * n), MonotoneESTree(adj, n - 1, 4 * n)]
+    refs = [ReferenceESTree(adj, 0, 4 * n), ReferenceESTree(adj, n - 1, 4 * n)]
+    assert all(t.adj is adj for t in trees + refs)
     for _ in range(30):
         u, v = rng.sample(range(n), 2)
         w = rng.randint(1, 3)
         cur = adj[u].get(v)
         if cur is None:
             adj[u][v] = adj[v][u] = w
-            ops = [(t.relax_edge, (u, v, w)) for t in (t0, t1)]
+            op, args = "relax_edge", (u, v, w)
         elif rng.random() < 0.3:
             adj[u][v] = adj[v][u] = min(cur, w)
-            ops = [(t.relax_edge, (u, v, w)) for t in (t0, t1)]
+            op, args = "relax_edge", (u, v, w)
         elif rng.random() < 0.5:
             adj[u][v] = adj[v][u] = cur + w
-            ops = [(t.increase_weight, (u, v, cur + w)) for t in (t0, t1)]
+            op, args = "increase_weight", (u, v, cur + w)
         else:
             del adj[u][v], adj[v][u]
-            ops = [(t.delete_edge, (u, v)) for t in (t0, t1)]
+            op, args = "delete_edge", (u, v)
         written = {x: dict(nb) for x, nb in adj.items()}
-        for op, args in ops:
-            op(*args)
+        for t, ref in zip(trees, refs):
+            got = getattr(t, op)(*args)
             assert adj == written
-        for t in (t0, t1):  # neighbor heaps keyed by the weights the owner wrote
+            want = getattr(ref, op)(*args)
+            assert adj == written
+            assert got == want
             assert t.adj is adj
-            for x in range(n):
-                want = {y: t.level(y) + wy for y, wy in adj[x].items()}
-                assert dict(t._nbr[x].items()) == want
+            assert t.level_of == ref.level_of
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**30), st.integers(2, 30), st.sampled_from([1, 3, 10]),
+       st.sampled_from([0, 1, 3, 10, 40, 1000]))
+def test_region_repair_matches_the_level_by_level_reference(seed, n, max_w, cap):
+    """Over streams of all four operations, the region repair ends at the
+    same levels and raises the same nodes as the tree that lifts one level
+    at a time, and counts one level increase per raised node."""
+    rng = random.Random(seed)
+    g = rand_gnp(rng, n, rng.choice((0.1, 0.3, 0.6)), max_w)
+    adj = g.adj
+    root = rng.randrange(n)
+    t, ref = MonotoneESTree(adj, root, cap), ReferenceESTree(adj, root, cap)
+    raised_total = 0
+    for _ in range(40):
+        u, v = rng.sample(range(n), 2)
+        w = rng.randint(1, max_w + 3)
+        cur = adj[u].get(v)
+        op = rng.choice(("insert_edge", "relax_edge") if cur is None else
+                        ("relax_edge", "increase_weight", "delete_edge", "delete_edge"))
+        if op == "delete_edge":
+            del adj[u][v], adj[v][u]
+            args = (u, v)
+        elif op == "increase_weight":
+            adj[u][v] = adj[v][u] = cur + w
+            args = (u, v, cur + w)
+        else:
+            adj[u][v] = adj[v][u] = w if cur is None else min(cur, w)
+            args = (u, v, w)
+        got = getattr(t, op)(*args) or set()
+        assert got == (getattr(ref, op)(*args) or set())
+        assert t.level_of == ref.level_of
+        raised_total += len(got)
+        assert t.level_increases == raised_total
+
+
+def test_slack_left_by_inserts_survives_a_repair():
+    """A node held above what its neighbors offer keeps its level when a
+    repair reaches it, and passes on its level, not the lower offer."""
+    g = DynamicGraph(7, [(0, 1, 5), (1, 2, 5), (0, 3, 3), (0, 4, 4), (3, 4, 1),
+                         (3, 5, 3), (5, 6, 1)])
+    t = MonotoneESTree(g.adj, 0, cap=100)
+    assert [t.level(v) for v in range(7)] == [0, 5, 10, 3, 4, 6, 7]
+    for x in (3, 6):
+        g.adj[x][2] = g.adj[2][x] = 1
+        t.insert_edge(x, 2, 1)
+    apply_update(g, UpdateEvent(DELETE, 1, 2))
+    assert t.delete_edge(1, 2) == set() and t.level(2) == 10
+    apply_update(g, UpdateEvent(DELETE, 0, 3))
+    assert t.delete_edge(0, 3) == {3, 5, 6}
+    assert [t.level(v) for v in range(7)] == [0, 5, 10, 5, 4, 8, 9]
 
 
 def test_call_before_the_owner_writes_raises():
