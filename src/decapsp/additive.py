@@ -181,18 +181,22 @@ class AdditiveAPSP:
     def _tree_call(tree, op, x, y, w=INF):
         """Refuse a duplicate insert or a change to a missing edge, write
         {x, y} at weight w into the view tree reads (inf removes it), then
-        return tree.op(x, y[, w]), op being insert_edge for a new pair.
-        relax_edge only comes with weight 1, so writing w keeps the lower."""
+        return tree.op(x, y[, w][, old]), op being insert_edge for a new
+        pair and old the weight the view held before a rise.  relax_edge
+        only comes with weight 1, so writing w keeps the lower."""
         view = tree.adj
-        present = y in view[x]
+        old = view[x].get(y)
+        present = old is not None
         if present and op == "insert_edge":
             raise DuplicateEdge(f"edge {{{x}, {y}}} already in the view of tree {tree.root}")
         if not present and op in ("increase_weight", "delete_edge"):
             raise EdgeNotFound(f"edge {{{x}, {y}}} not in the view of tree {tree.root}")
         if w == INF:
             del view[x][y], view[y][x]
-            return tree.delete_edge(x, y)
+            return tree.delete_edge(x, y, old)
         view[x][y] = view[y][x] = w
+        if op == "increase_weight":
+            return tree.increase_weight(x, y, w, old)
         return getattr(tree, op if present else "insert_edge")(x, y, w)
 
     def delete(self, u, v):
@@ -217,7 +221,7 @@ class AdditiveAPSP:
                     pend.setdefault(x, set()).add(root_of)
 
         for w in self.roots[1]:
-            export(self.tree[w], self.tree[w].delete_edge(a, b))
+            export(self.tree[w], self.tree[w].delete_edge(a, b, rec.old_weight))
 
         for i in range(2, self.k + 1):
             new_pairs = additions.get(i, ())

@@ -146,13 +146,12 @@ class MixedAPSP:
         rec = apply_update(self.g, ev)
         self.updates_applied += 1
         events = self.engine.refresh(rec)
-        for w in sorted(self.heavy):
-            tree = self.heavy_trees[w]
+        heaps = self.hp_heap
+        for w, tree in self.heavy_trees.items():
             if rec.new_weight == INF:
-                changed = tree.delete_edge(rec.u, rec.v)
+                changed = tree.delete_edge(rec.u, rec.v, rec.old_weight)
             else:
-                changed = tree.increase_weight(rec.u, rec.v, rec.new_weight)
-            heaps = self.hp_heap
+                changed = tree.increase_weight(rec.u, rec.v, rec.new_weight, rec.old_weight)
             level_of = tree.level_of
             for x in changed:
                 heaps[x].update(w, level_of[x])

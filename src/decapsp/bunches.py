@@ -208,15 +208,15 @@ class BunchEngine:
 
     def refresh(self, change):
         """Absorb one already-applied graph change; returns ordered events."""
-        u, v = change.u, change.v
+        u, v, old = change.u, change.v, change.old_weight
         removed = change.new_weight == INF
 
         touched = set()
         for s, tree in self.trees.items():
             if removed:
-                moved = tree.delete_edge(u, v)
+                moved = tree.delete_edge(u, v, old)
             else:
-                moved = tree.increase_weight(u, v, change.new_weight)
+                moved = tree.increase_weight(u, v, change.new_weight, old)
             if moved:
                 level_of = tree.level_of
                 for w in moved:

@@ -13,9 +13,11 @@ MonotoneESTree keeps a level l(v) per node with the contract:
 Ownership: the tree reads the adjacency it is built on (node -> {neighbor:
 weight}) by reference and never copies or writes it, so any number of trees
 can share one graph.  The owner writes each change first, then calls the
-tree method of the same kind; a call the adjacency does not show yet raises
-UnwrittenChange.  The tree keeps no edge set and sees no old weight, so the
-owner refuses a missing or duplicate edge, or a weight that does not rise.
+tree method of the same kind, passing the weight the edge had before a rise;
+a call the adjacency does not show yet raises UnwrittenChange, and an old
+weight that is not finite or not below the new one raises
+MonotonicityViolation.  The tree keeps no edge set, so the owner refuses a
+missing or duplicate edge.
 
 Repair.  With f sending values above the cap to infinity, a weight rise
 moves the levels to the least vector l >= l_old with l(v) >= f(min over
@@ -23,9 +25,15 @@ neighbors u of l(u) + w(u, v)) for every v but the root.  Feasible vectors
 are closed under pointwise min, so it is unique, slack left by insertions
 included.  Bounded-region repair (Ramalingam & Reps, 1996) finds it:
 
+  0. Test the endpoints in O(1).  Before the rise every finite non-root node
+     has a support (slack left by insertions keeps one), so an endpoint x can
+     have lost its support only if l(x) is finite and l(other) + old <= l(x).
+     A node the edge did not support keeps its own support; should that
+     support join the region, phase 1 rechecks its neighbors then.  With no
+     such endpoint nothing rises and the call returns at once.
   1. Collect the nodes left without support, a support of x being a
-     neighbor y outside the set with l(y) + w <= l(x): check the endpoints,
-     and when x joins, recheck the neighbors it supported.
+     neighbor y outside the set with l(y) + w <= l(x): check the endpoints
+     phase 0 kept, and when x joins, recheck the neighbors it supported.
   2. Run Dijkstra over that set only, seeded from its boundary with key
      max(l_old(x), f(d)); nodes it does not reach go to infinity at once.
 
@@ -36,6 +44,8 @@ from __future__ import annotations
 
 import heapq
 import math
+
+from .graph import MonotonicityViolation
 
 INF = math.inf
 
@@ -95,27 +105,40 @@ class MonotoneESTree:
         """Check {u, v}, new at w or lowered to w, reads the lower weight."""
         self._require(u, v, min(self.adj[u].get(v, INF), w))
 
-    def delete_edge(self, u, v):
-        return self.increase_weight(u, v, INF)
+    def delete_edge(self, u, v, old):
+        return self.increase_weight(u, v, INF, old)
 
-    def increase_weight(self, u, v, w):
-        """Absorb the rise of {u, v} to weight w (inf: the edge is gone).
-        Returns the set of nodes whose level increased as a consequence."""
+    def increase_weight(self, u, v, w, old):
+        """Absorb the rise of {u, v} from weight old to w (inf: the edge is
+        gone).  Returns the set of nodes whose level increased as a
+        consequence."""
         self._require(u, v, w)
-        region = self._unsupported(u, v)
+        if not (math.isfinite(old) and old < w):
+            raise MonotonicityViolation(
+                f"weight of {{{u}, {v}}} must rise from a finite weight: {old!r} -> {w!r}")
+        level_of = self.level_of
+        lu, lv = level_of[u], level_of[v]
+        seeds = []
+        if lv + old <= lu < INF:
+            seeds.append(u)
+        if lu + old <= lv < INF:
+            seeds.append(v)
+        if not seeds:
+            return set()
+        region = self._unsupported(seeds)
         if not region:
             return set()
         raised = self._reroute(region)
         self.level_increases += len(raised)
         return raised
 
-    def _unsupported(self, u, v):
-        """Phase 1: the nodes that no neighbor outside the set supports."""
+    def _unsupported(self, stack):
+        """Phase 1: the nodes that no neighbor outside the set supports,
+        grown from the endpoints in stack."""
         level_of = self.level_of
         adj = self.adj
         root = self.root
         region = set()
-        stack = [u, v]
         while stack:
             x = stack.pop()
             lx = level_of[x]

@@ -140,7 +140,8 @@ class ReferenceESTree(MonotoneESTree):
             nu.update(v, lv[v] + cur)
             nv.update(u, lv[u] + cur)
 
-    def increase_weight(self, u, v, w):
+    def increase_weight(self, u, v, w, old):
+        """Scans both endpoints whatever old is: the oracle for the skip."""
         if v not in self._nbr[u]:
             raise EdgeNotFound(f"edge {{{u}, {v}}} not in tree graph")
         self._require(u, v, w)

@@ -172,12 +172,12 @@ def _estree_trial(rng, allow_growth):
             nw = w + rng.randint(1, 3)
             g.adj[u][v] = nw
             g.adj[v][u] = nw
-            tree.increase_weight(u, v, nw)
+            tree.increase_weight(u, v, nw, w)
         elif edges:
-            u, v, _ = edges[rng.randrange(len(edges))]
+            u, v, w = edges[rng.randrange(len(edges))]
             del g.adj[u][v]
             del g.adj[v][u]
-            tree.delete_edge(u, v)
+            tree.delete_edge(u, v, w)
         exact = ref_dijkstra(g.adj, root)
         for x in range(n):
             lv = tree.level_of[x]

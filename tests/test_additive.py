@@ -245,3 +245,21 @@ def test_view_sends_a_new_pair_to_insert_and_a_held_one_to_relax(monkeypatch):
     assert tree.adj[0][6] == tree.adj[6][0] == 1
     assert tree.adj[0][2] == tree.adj[2][0] == 1
     assert tree.adj[1][5] == tree.adj[5][1] == 1
+
+
+def test_view_passes_the_weight_it_held_before_a_rise(monkeypatch):
+    calls = []
+    for op in ("increase_weight", "delete_edge"):
+        def record(tree, *args, op=op, orig=getattr(MonotoneESTree, op)):
+            calls.append((op, *args))
+            return orig(tree, *args)
+        monkeypatch.setattr(MonotoneESTree, op, record)
+    algo = view_owner()
+    tree = algo.tree[0]
+    assert tree.adj[0][2] == 2 and tree.adj[1][2] == 1
+    algo._tree_call(tree, "increase_weight", 2, 0, 5)
+    algo._tree_call(tree, "delete_edge", 1, 2)
+    assert calls == [("increase_weight", 2, 0, 5, 2), ("delete_edge", 1, 2, 1),
+                     ("increase_weight", 1, 2, INF, 1)]
+    assert tree.adj[0][2] == tree.adj[2][0] == 5
+    assert 2 not in tree.adj[1] and 1 not in tree.adj[2]

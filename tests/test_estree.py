@@ -31,8 +31,8 @@ def test_initial_levels_are_exact_up_to_cap():
 def test_root_level_pinned_at_zero():
     g = DynamicGraph(3, [(0, 1, 1), (1, 2, 1)])
     t = MonotoneESTree(g.adj, 0, cap=10)
-    apply_update(g, UpdateEvent(DELETE, 0, 1))
-    t.delete_edge(0, 1)
+    rec = apply_update(g, UpdateEvent(DELETE, 0, 1))
+    t.delete_edge(0, 1, rec.old_weight)
     assert t.level(0) == 0
     assert t.level(1) == INF and t.level(2) == INF
 
@@ -41,8 +41,8 @@ def test_deletion_reroutes_through_alternative_path():
     g = DynamicGraph(4, [(0, 1, 1), (1, 3, 1), (0, 2, 2), (2, 3, 2)])
     t = MonotoneESTree(g.adj, 0, cap=10)
     assert t.level(3) == 2
-    apply_update(g, UpdateEvent(DELETE, 1, 3))
-    changed = t.delete_edge(1, 3)
+    rec = apply_update(g, UpdateEvent(DELETE, 1, 3))
+    changed = t.delete_edge(1, 3, rec.old_weight)
     assert changed == {3}
     assert t.level(3) == 4
 
@@ -50,11 +50,11 @@ def test_deletion_reroutes_through_alternative_path():
 def test_increase_beyond_cap_becomes_infinite():
     g = DynamicGraph(2, [(0, 1, 1)])
     t = MonotoneESTree(g.adj, 0, cap=3)
-    apply_update(g, UpdateEvent(INCREASE, 0, 1, 3))
-    assert t.increase_weight(0, 1, 3) == {1}
+    rec = apply_update(g, UpdateEvent(INCREASE, 0, 1, 3))
+    assert t.increase_weight(0, 1, 3, rec.old_weight) == {1}
     assert t.level(1) == 3
-    apply_update(g, UpdateEvent(INCREASE, 0, 1, 4))
-    assert t.increase_weight(0, 1, 4) == {1}
+    rec = apply_update(g, UpdateEvent(INCREASE, 0, 1, 4))
+    assert t.increase_weight(0, 1, 4, rec.old_weight) == {1}
     assert t.level(1) == INF
 
 
@@ -66,8 +66,8 @@ def test_insert_never_lowers_levels():
     t.insert_edge(0, 3, 1)  # a shortcut the monotone tree must ignore
     assert [t.level(v) for v in range(4)] == before
     # but the shortcut participates in later recomputation
-    apply_update(g, UpdateEvent(DELETE, 2, 3))
-    t.delete_edge(2, 3)
+    rec = apply_update(g, UpdateEvent(DELETE, 2, 3))
+    t.delete_edge(2, 3, rec.old_weight)
     assert t.level(3) == before[3]  # min over neighbors now includes the shortcut
 
 
@@ -102,14 +102,15 @@ def test_pure_decremental_levels_stay_exact(seed, n, w):
     rng.shuffle(edges)
     for u, v in edges:
         if rng.random() < 0.3 and g.has_edge(u, v):
-            neww = g.adj[u][v] + rng.randint(1, 3)
+            oldw = g.adj[u][v]
+            neww = oldw + rng.randint(1, 3)
             g.adj[u][v] = neww
             g.adj[v][u] = neww
-            t.increase_weight(u, v, neww)
+            t.increase_weight(u, v, neww, oldw)
         if g.has_edge(u, v):
-            del g.adj[u][v]
+            oldw = g.adj[u].pop(v)
             del g.adj[v][u]
-            t.delete_edge(u, v)
+            t.delete_edge(u, v, oldw)
         truth = ref_dijkstra(g.adj, 0)
         for x in range(n):
             if truth[x] <= cap:
@@ -138,15 +139,16 @@ def test_mixed_ops_keep_monotone_lower_bounded_witnessed(seed):
         live = [(u, v) for u, v, _ in g.edges()]
         if op < 0.45 and live:
             u, v = live[rng.randrange(len(live))]
-            del g.adj[u][v]
+            oldw = g.adj[u].pop(v)
             del g.adj[v][u]
-            changed = t.delete_edge(u, v)
+            changed = t.delete_edge(u, v, oldw)
         elif op < 0.7 and live:
             u, v = live[rng.randrange(len(live))]
-            neww = g.adj[u][v] + rng.randint(1, 4)
+            oldw = g.adj[u][v]
+            neww = oldw + rng.randint(1, 4)
             g.adj[u][v] = neww
             g.adj[v][u] = neww
-            changed = t.increase_weight(u, v, neww)
+            changed = t.increase_weight(u, v, neww, oldw)
         elif pool:
             u, v = pool.pop()
             w = rng.randint(1, 3)
@@ -178,10 +180,26 @@ def test_work_counter_bounded_by_nodes_times_cap():
     t = MonotoneESTree(g.adj, 0, cap)
     for u, v in [(a, b) for a, b, _ in sorted(g.edges())]:
         if g.has_edge(u, v):
-            apply_update(g, UpdateEvent(DELETE, u, v))
-            t.delete_edge(u, v)
+            rec = apply_update(g, UpdateEvent(DELETE, u, v))
+            t.delete_edge(u, v, rec.old_weight)
     assert t.level_increases <= 20 * (cap + 1)
     assert all(t.level(v) == (0 if v == 0 else INF) for v in range(20))
+
+
+def pick_pair(rng, adj, tree):
+    """Two distinct nodes: uniform, or, as often, a live edge of the kind
+    the support test must get right (a tie l(x) + w == l(y), an endpoint at
+    inf, the root as an endpoint), in either orientation."""
+    kind = rng.choice(("any", "tie", "inf", "root"))
+    lv = tree.level_of
+    if kind != "any":
+        pool = [(x, y) for x in adj for y, w in adj[x].items()
+                if (lv[x] + w == lv[y] < INF if kind == "tie" else
+                    INF in (lv[x], lv[y]) if kind == "inf" else tree.root in (x, y))]
+        if pool:
+            x, y = rng.choice(pool)
+            return (x, y) if rng.random() < 0.5 else (y, x)
+    return rng.sample(sorted(adj), 2)
 
 
 @settings(max_examples=30, deadline=None)
@@ -194,11 +212,12 @@ def test_tree_reads_its_owners_adjacency_and_never_writes_it(seed):
     n = rng.randint(4, 12)
     g = rand_gnp(rng, n, 0.5, 3)
     adj = g.adj
-    trees = [MonotoneESTree(adj, 0, 4 * n), MonotoneESTree(adj, n - 1, 4 * n)]
-    refs = [ReferenceESTree(adj, 0, 4 * n), ReferenceESTree(adj, n - 1, 4 * n)]
+    cap = rng.choice((0, 1, 4 * n))
+    trees = [MonotoneESTree(adj, 0, cap), MonotoneESTree(adj, n - 1, cap)]
+    refs = [ReferenceESTree(adj, 0, cap), ReferenceESTree(adj, n - 1, cap)]
     assert all(t.adj is adj for t in trees + refs)
     for _ in range(30):
-        u, v = rng.sample(range(n), 2)
+        u, v = pick_pair(rng, adj, rng.choice(trees))
         w = rng.randint(1, 3)
         cur = adj[u].get(v)
         if cur is None:
@@ -209,10 +228,10 @@ def test_tree_reads_its_owners_adjacency_and_never_writes_it(seed):
             op, args = "relax_edge", (u, v, w)
         elif rng.random() < 0.5:
             adj[u][v] = adj[v][u] = cur + w
-            op, args = "increase_weight", (u, v, cur + w)
+            op, args = "increase_weight", (u, v, cur + w, cur)
         else:
             del adj[u][v], adj[v][u]
-            op, args = "delete_edge", (u, v)
+            op, args = "delete_edge", (u, v, cur)
         written = {x: dict(nb) for x, nb in adj.items()}
         for t, ref in zip(trees, refs):
             got = getattr(t, op)(*args)
@@ -238,17 +257,17 @@ def test_region_repair_matches_the_level_by_level_reference(seed, n, max_w, cap)
     t, ref = MonotoneESTree(adj, root, cap), ReferenceESTree(adj, root, cap)
     raised_total = 0
     for _ in range(40):
-        u, v = rng.sample(range(n), 2)
+        u, v = pick_pair(rng, adj, t)
         w = rng.randint(1, max_w + 3)
         cur = adj[u].get(v)
         op = rng.choice(("insert_edge", "relax_edge") if cur is None else
                         ("relax_edge", "increase_weight", "delete_edge", "delete_edge"))
         if op == "delete_edge":
             del adj[u][v], adj[v][u]
-            args = (u, v)
+            args = (u, v, cur)
         elif op == "increase_weight":
             adj[u][v] = adj[v][u] = cur + w
-            args = (u, v, cur + w)
+            args = (u, v, cur + w, cur)
         else:
             adj[u][v] = adj[v][u] = w if cur is None else min(cur, w)
             args = (u, v, w)
@@ -257,6 +276,64 @@ def test_region_repair_matches_the_level_by_level_reference(seed, n, max_w, cap)
         assert t.level_of == ref.level_of
         raised_total += len(got)
         assert t.level_increases == raised_total
+
+
+def test_a_bad_old_weight_is_refused_before_any_level_changes():
+    """An old weight that is not finite or does not lie below the new one
+    raises MonotonicityViolation with levels, counter and adjacency as they
+    were; the same change with its true old weight then goes through."""
+    g = DynamicGraph(4, [(0, 1, 1), (1, 2, 1), (0, 2, 5), (2, 3, 1)])
+    t = MonotoneESTree(g.adj, 0, cap=20)
+    rises = [(INCREASE, 1, 2, 4), (DELETE, 0, 1)]
+    bad_olds = [(4, 6, INF, -INF, math.nan), (INF, -INF, math.nan)]
+    raised = [{2, 3}, {1}]
+    for (kind, u, v, *w), olds, want in zip(rises, bad_olds, raised):
+        rec = apply_update(g, UpdateEvent(kind, u, v, *w))
+        levels = dict(t.level_of)
+        counted = t.level_increases
+        written = {x: dict(nb) for x, nb in g.adj.items()}
+        for old in olds:
+            with pytest.raises(MonotonicityViolation):
+                if kind == DELETE:
+                    t.delete_edge(u, v, old)
+                else:
+                    t.increase_weight(u, v, rec.new_weight, old)
+            assert t.level_of == levels and t.level_increases == counted
+            assert g.adj == written
+        if kind == DELETE:
+            assert t.delete_edge(u, v, rec.old_weight) == want
+        else:
+            assert t.increase_weight(u, v, rec.new_weight, rec.old_weight) == want
+    assert [t.level(x) for x in range(4)] == [0, 9, 5, 6]
+
+
+class NoScan(dict):
+    """A neighbor dict that answers lookups but refuses to be scanned."""
+
+    def items(self):
+        raise AssertionError("neighbors scanned")
+
+    keys = values = __iter__ = items
+
+
+def test_a_change_the_edge_never_supported_scans_no_neighbors():
+    """A rise of an edge supporting neither endpoint returns an empty set
+    without reading either endpoint's neighbors; one supporting only one
+    endpoint scans no neighbors of the other."""
+    g = DynamicGraph(5, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (1, 3, 2), (2, 3, 2),
+                         (3, 4, 1)])
+    t = MonotoneESTree(g.adj, 0, cap=10)
+    levels = [0, 1, 1, 3, 4]
+    assert [t.level(x) for x in range(5)] == levels
+    for x in (1, 2):
+        g.adj[x] = NoScan(g.adj[x])
+    rec = apply_update(g, UpdateEvent(INCREASE, 1, 2, 5))
+    assert t.increase_weight(1, 2, 5, rec.old_weight) == set()
+    rec = apply_update(g, UpdateEvent(DELETE, 2, 1))
+    assert t.delete_edge(2, 1, rec.old_weight) == set()
+    rec = apply_update(g, UpdateEvent(DELETE, 3, 2))  # 3 keeps the tie via 1
+    assert t.delete_edge(3, 2, rec.old_weight) == set()
+    assert [t.level(x) for x in range(5)] == levels and t.level_increases == 0
 
 
 def test_slack_left_by_inserts_survives_a_repair():
@@ -269,10 +346,10 @@ def test_slack_left_by_inserts_survives_a_repair():
     for x in (3, 6):
         g.adj[x][2] = g.adj[2][x] = 1
         t.insert_edge(x, 2, 1)
-    apply_update(g, UpdateEvent(DELETE, 1, 2))
-    assert t.delete_edge(1, 2) == set() and t.level(2) == 10
-    apply_update(g, UpdateEvent(DELETE, 0, 3))
-    assert t.delete_edge(0, 3) == {3, 5, 6}
+    rec = apply_update(g, UpdateEvent(DELETE, 1, 2))
+    assert t.delete_edge(1, 2, rec.old_weight) == set() and t.level(2) == 10
+    rec = apply_update(g, UpdateEvent(DELETE, 0, 3))
+    assert t.delete_edge(0, 3, rec.old_weight) == {3, 5, 6}
     assert [t.level(v) for v in range(7)] == [0, 5, 10, 5, 4, 8, 9]
 
 
@@ -281,18 +358,18 @@ def test_call_before_the_owner_writes_raises():
     t = MonotoneESTree(g.adj, 0, cap=20)
     levels = dict(t.level_of)
     with pytest.raises(UnwrittenChange):
-        t.delete_edge(0, 1)
+        t.delete_edge(0, 1, 1)
     with pytest.raises(UnwrittenChange):
-        t.increase_weight(1, 2, 3)
+        t.increase_weight(1, 2, 3, 2)
     with pytest.raises(UnwrittenChange):
         t.insert_edge(2, 3, 1)
     with pytest.raises(UnwrittenChange):
         t.relax_edge(0, 2, 4)
     g.adj[1][2] = 3  # half a change is not written either
     with pytest.raises(UnwrittenChange):
-        t.increase_weight(1, 2, 3)
+        t.increase_weight(1, 2, 3, 2)
     g.adj[1][2] = 2
     assert t.level_of == levels and t.level_increases == 0
-    apply_update(g, UpdateEvent(DELETE, 0, 1))
-    assert t.delete_edge(0, 1) == {1, 2}
+    rec = apply_update(g, UpdateEvent(DELETE, 0, 1))
+    assert t.delete_edge(0, 1, rec.old_weight) == {1, 2}
     assert t.level(1) == 7 and t.level(2) == 5
