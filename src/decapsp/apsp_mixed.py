@@ -8,10 +8,11 @@ every unordered pair {u, v} an overlap heap stores each light w lying in
 both bunches, keyed rounded_bunch(u, w) + rounded_bunch(v, w).
 
 Promotion happens the moment a join pushes a cluster to tau members: the
-node's tree is built on the current graph, it enters every heavy-pivot
-heap, and all of its overlap entries are purged.  Queries take the best of
-pivot routes, routes through the nearest heavy node of either endpoint,
-and the pair's overlap minimum.
+node's tree is built on the current graph and joins the heavy TreeFamily,
+where it competes for every node's nearest heavy root, and all of its
+overlap entries are purged.  Queries take the best of pivot routes, routes
+through the nearest heavy node of either endpoint, and the pair's overlap
+minimum.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 
 from .bunches import INCREASE, JOIN, BunchEngine
-from .estree import MonotoneESTree
+from .estree import TreeFamily
 from .graph import DELETE, INCREASE as W_INCREASE, UpdateEvent, apply_update
 from .heaps import IndexedHeap
 
@@ -46,10 +47,7 @@ class MixedAPSP:
                 self.bexp[(v, w)] = exp
                 self.cluster_m[w].add(v)
 
-        self.heavy = set()
-        self.heavy_trees = {}
-        self.hp_heap = [IndexedHeap() for _ in range(graph.n)]
-        self.promotions = 0
+        self.heavy_trees = TreeFamily(graph.adj, self.engine.depth_cap)
 
         self.overlap_heap = {}  # unordered (u, v) -> IndexedHeap of light w
         self.set_overlap = {}   # (w, u) -> set of v with entry w in heap {u, v}
@@ -59,7 +57,7 @@ class MixedAPSP:
             if len(self.cluster_m[w]) >= tau:
                 self._promote(w)
         for w in range(graph.n):
-            if w in self.heavy:
+            if w in self.heavy_trees:
                 continue
             owners = sorted(self.cluster_m[w])
             for i, u in enumerate(owners):
@@ -72,13 +70,7 @@ class MixedAPSP:
     # -- heavy layer ---------------------------------------------------------
 
     def _promote(self, w):
-        self.heavy.add(w)
-        self.promotions += 1
-        tree = MonotoneESTree(self.g.adj, w, self.engine.depth_cap)
-        self.heavy_trees[w] = tree
-        level_of = tree.level_of
-        for v in range(self.g.n):
-            self.hp_heap[v].insert(w, level_of[v])
+        self.heavy_trees.add_root(w)
         pairs = set()
         drop = [key for key in self.set_overlap if key[0] == w]
         for key in drop:
@@ -106,15 +98,15 @@ class MixedAPSP:
         value_of = self.engine.value_of
         if bev.case == JOIN:
             self.bexp[(v, w)] = bev.exponent
-            if w not in self.heavy:
+            if w not in self.heavy_trees:
                 for u in sorted(self.cluster_m[w]):
                     self._overlap_insert(w, u, v, value_of(self.bexp[(u, w)]) + bev.value)
             self.cluster_m[w].add(v)
-            if w not in self.heavy and len(self.cluster_m[w]) >= self.tau:
+            if w not in self.heavy_trees and len(self.cluster_m[w]) >= self.tau:
                 self._promote(w)
         elif bev.case == INCREASE:
             self.bexp[(v, w)] = bev.exponent
-            if w not in self.heavy:
+            if w not in self.heavy_trees:
                 targets = self.set_overlap.get((w, v), ())
                 self.overlap_touches += len(targets)
                 for u in sorted(targets):
@@ -123,7 +115,7 @@ class MixedAPSP:
         else:  # LEAVE
             del self.bexp[(v, w)]
             self.cluster_m[w].discard(v)
-            if w not in self.heavy:
+            if w not in self.heavy_trees:
                 for u in sorted(self.set_overlap.pop((w, v), ())):
                     uv = _pair(u, v)
                     heap = self.overlap_heap[uv]
@@ -146,15 +138,7 @@ class MixedAPSP:
         rec = apply_update(self.g, ev)
         self.updates_applied += 1
         events = self.engine.refresh(rec)
-        heaps = self.hp_heap
-        for w, tree in self.heavy_trees.items():
-            if rec.new_weight == INF:
-                changed = tree.delete_edge(rec.u, rec.v, rec.old_weight)
-            else:
-                changed = tree.increase_weight(rec.u, rec.v, rec.new_weight, rec.old_weight)
-            level_of = tree.level_of
-            for x in changed:
-                heaps[x].update(w, level_of[x])
+        self.heavy_trees.apply(rec)
         for bev in events:
             self._bunch_event(bev)
 
@@ -163,20 +147,13 @@ class MixedAPSP:
     def query(self, u, v):
         if u == v:
             return 0
-        engine = self.engine
         best = INF
-        for a, b in ((u, v), (v, u)):
-            pa = engine.pivot_of[a]
-            if pa is not None:
-                cand = engine.pivot_est[a] + engine.delta_A(pa, b)
-                if cand < best:
-                    best = cand
-        for a, b in ((u, v), (v, u)):
-            heap = self.hp_heap[a]
-            if heap:
-                w, near = heap.peek()
-                if near < INF:
-                    cand = near + self.heavy_trees[w].level_of[b]
+        for trees in (self.engine.trees, self.heavy_trees):
+            nearest, nearest_level = trees.nearest, trees.nearest_level
+            for a, b in ((u, v), (v, u)):
+                r = nearest[a]
+                if r is not None:
+                    cand = nearest_level[a] + trees[r].level_of[b]
                     if cand < best:
                         best = cand
         heap = self.overlap_heap.get(_pair(u, v))
@@ -192,8 +169,8 @@ class MixedAPSP:
             "searches": self.engine.searches,
             "bunch_rebuilds_max": max(self.engine.rebuilds, default=0),
             "bunch_rebuilds_total": sum(self.engine.rebuilds),
-            "promotions": self.promotions,
-            "heavy_count": len(self.heavy),
+            "promotions": len(self.heavy_trees),
+            "heavy_count": len(self.heavy_trees),
             "overlap_touches": self.overlap_touches,
             "overlap_pairs_live": len(self.overlap_heap),
             "tree_level_increases": (

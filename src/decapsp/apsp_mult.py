@@ -2,7 +2,7 @@
 
 Query answers come from the minimum of four certificates:
 
-  * route through u's pivot: pivot_est(u) + exact tree distance to v;
+  * route through u's nearest pivot s: level of u plus level of v in s's tree;
   * route through v's pivot, symmetrically;
   * for each ordered pair, a heap over "bunch of u touches an edge into a
     neighborhood of bunch of v" walks, keyed by rounded lengths.
@@ -237,12 +237,13 @@ class MultiplicativeAPSP:
     def query(self, u, v):
         if u == v:
             return 0
-        engine = self.engine
+        trees = self.engine.trees
+        nearest, nearest_level = trees.nearest, trees.nearest_level
         best = INF
         for a, b in ((u, v), (v, u)):
-            pa = engine.pivot_of[a]
-            if pa is not None:
-                cand = engine.pivot_est[a] + engine.delta_A(pa, b)
+            s = nearest[a]
+            if s is not None:
+                cand = nearest_level[a] + trees[s].level_of[b]
                 if cand < best:
                     best = cand
         for key in ((u, v), (v, u)):

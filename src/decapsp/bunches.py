@@ -1,8 +1,9 @@
 """Pivot and bunch maintenance under deletions.
 
-Each node v tracks its nearest sampled pivot through one shortest-path tree
-per pivot, and keeps a bunch: the set of nodes strictly closer than the
-pivot.  Bunch membership is maintained lazily around a cached radius:
+Each node v tracks its nearest sampled pivot through a TreeFamily, one
+shortest-path tree per pivot, and keeps a bunch: the set of nodes strictly
+closer than the pivot.  Bunch membership is maintained lazily around a
+cached radius:
 
   * the radius starts at the pivot distance;
   * members may leave at any time (their distance reached the current pivot
@@ -27,9 +28,8 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .estree import MonotoneESTree
+from .estree import TreeFamily
 from .graph import DomainError
-from .heaps import IndexedHeap
 from .rounding import GeometricRounder
 
 INF = math.inf
@@ -88,15 +88,7 @@ class BunchEngine:
         n = graph.n
         self.A = sample_pivots(n, p, seed)
         self.depth_cap = max(1, math.ceil((2 + eps) * max(n - 1, 1) * graph.W))
-        self.trees = {s: MonotoneESTree(graph.adj, s, self.depth_cap) for s in self.A}
-
-        self._pivot_heap = [
-            IndexedHeap((s, self.trees[s].level_of[v]) for s in self.A) for v in range(n)
-        ]
-        self.pivot_est = [INF] * n
-        self.pivot_of = [None] * n
-        for v in range(n):
-            self.pivot_of[v], self.pivot_est[v] = self._pivot_min(v)
+        self.trees = TreeFamily(graph.adj, self.depth_cap, self.A)
 
         self._size_cap = None
         if not self.A:
@@ -110,7 +102,7 @@ class BunchEngine:
                 self._size_cap,
             )
 
-        self.radius = list(self.pivot_est)
+        self.radius = list(self.trees.nearest_level)
         self.rebuilds = [0] * n
         self.bunch = [{} for _ in range(n)]
         self.cluster = [set() for _ in range(n)]
@@ -118,7 +110,7 @@ class BunchEngine:
         self._region_rev = [set() for _ in range(n)]
         self.searches = 0
         for v in range(n):
-            settled = self._search(v, self.pivot_est[v])
+            settled = self._search(v, self.trees.nearest_level[v])
             b = {}
             for w, dist in settled.items():
                 b[w] = EXP_ZERO if dist == 0 else self.rounder.exponent(dist)
@@ -127,9 +119,6 @@ class BunchEngine:
             self._set_region(v, set(settled))
 
     # -- accessors ---------------------------------------------------------
-
-    def delta_A(self, s, v):
-        return self.trees[s].level_of[v]
 
     def value_of(self, exponent):
         return 0.0 if exponent == EXP_ZERO else self.rounder.value(exponent)
@@ -140,15 +129,6 @@ class BunchEngine:
         return math.ceil(math.log(span, 1 + self.e3)) + 1
 
     # -- internals ---------------------------------------------------------
-
-    def _pivot_min(self, v):
-        heap = self._pivot_heap[v]
-        if not heap:
-            return None, INF
-        s, key = heap.peek()
-        if key == INF:
-            return None, INF
-        return s, key
 
     def _search(self, source, threshold):
         """Exact distances from source, settled strictly below threshold."""
@@ -186,8 +166,7 @@ class BunchEngine:
 
     def _rebuild_owner(self, x, rebuild, events):
         """Re-search around x and emit membership/estimate events."""
-        threshold = self.pivot_est[x]
-        settled = self._search(x, threshold)
+        settled = self._search(x, self.trees.nearest_level[x])
         old_b = self.bunch[x]
         new_b = {}
         rounder = self.rounder
@@ -208,39 +187,16 @@ class BunchEngine:
 
     def refresh(self, change):
         """Absorb one already-applied graph change; returns ordered events."""
-        u, v, old = change.u, change.v, change.old_weight
-        removed = change.new_weight == INF
-
-        touched = set()
-        for s, tree in self.trees.items():
-            if removed:
-                moved = tree.delete_edge(u, v, old)
-            else:
-                moved = tree.increase_weight(u, v, change.new_weight, old)
-            if moved:
-                level_of = tree.level_of
-                for w in moved:
-                    self._pivot_heap[w].update(s, level_of[w])
-                touched.update(moved)
-
-        grown = set()
-        for w in touched:
-            s_min, est = self._pivot_min(w)
-            if est != self.pivot_est[w]:
-                self.pivot_est[w] = est
-                self.pivot_of[w] = s_min
-                grown.add(w)
-            else:
-                self.pivot_of[w] = s_min
-
-        nearby = self._region_rev[u] & self._region_rev[v]
+        est, radius, grow = self.trees.nearest_level, self.radius, 1 + self.e3
+        # Only a raised node can outgrow its radius: its estimate never drops
+        # and stays within (1 + eps/3) * radius between rebuilds.
+        outgrown = {x for x in self.trees.apply(change) if est[x] > grow * radius[x]}
+        nearby = self._region_rev[change.u] & self._region_rev[change.v]
         events = []
-        for x in sorted(nearby | grown):
-            rebuild = x in grown and self.pivot_est[x] > (1 + self.e3) * self.radius[x]
+        for x in sorted(nearby | outgrown):
+            rebuild = x in outgrown
             if rebuild:
-                self.radius[x] = self.pivot_est[x]
+                radius[x] = est[x]
                 self.rebuilds[x] += 1
-            elif x not in nearby:
-                continue  # pivot estimate moved but the bunch ball is untouched
             self._rebuild_owner(x, rebuild, events)
         return events

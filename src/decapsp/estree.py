@@ -38,6 +38,10 @@ included.  Bounded-region repair (Ramalingam & Reps, 1996) finds it:
      max(l_old(x), f(d)); nodes it does not reach go to infinity at once.
 
 level_increases counts raised nodes: one per node whose level rose, per call.
+
+TreeFamily keeps trees of one cap on one adjacency, keyed by root, and each
+node's nearest root: the pivots of BunchEngine and the heavy nodes of
+MixedAPSP are two families.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ import heapq
 import math
 
 from .graph import MonotonicityViolation
+from .heaps import IndexedHeap
 
 INF = math.inf
 
@@ -187,4 +192,68 @@ class MonotoneESTree:
         for x in region:
             level_of[x] = INF
         raised.update(region)
+        return raised
+
+
+class TreeFamily(dict):
+    """MonotoneESTrees of one depth cap on one adjacency, keyed by root.
+
+    nearest[v] is the root whose tree gives v the least level, ties going
+    to the smaller root, and nearest_level[v] that level; None and inf when
+    every level at v is infinite.  A heap per node holds v's level in each
+    tree, so a change costs one heap update per raised node and tree.
+    """
+
+    __slots__ = ("adj", "cap", "nearest", "nearest_level", "_heaps")
+
+    def __init__(self, adj, cap, roots=()):
+        super().__init__((r, MonotoneESTree(adj, r, cap)) for r in roots)
+        self.adj = adj
+        self.cap = cap
+        n = len(adj)
+        self._heaps = [IndexedHeap((r, t.level_of[v]) for r, t in self.items())
+                       for v in range(n)]
+        self.nearest = [None] * n
+        self.nearest_level = [INF] * n
+        self._read_min(range(n))
+
+    def _read_min(self, nodes):
+        heaps, nearest, nearest_level = self._heaps, self.nearest, self.nearest_level
+        for v in nodes:
+            heap = heaps[v]
+            r, level = heap.peek() if heap else (None, INF)
+            nearest[v] = None if level == INF else r
+            nearest_level[v] = level
+
+    def add_root(self, r):
+        """Build r's tree on the current graph and let it compete for every
+        node's nearest root; a root already present raises KeyError at the
+        first heap insert, before anything changes."""
+        tree = MonotoneESTree(self.adj, r, self.cap)
+        heaps, nearest, nearest_level = self._heaps, self.nearest, self.nearest_level
+        for v, level in tree.level_of.items():
+            heaps[v].insert(r, level)
+            best = nearest_level[v]
+            if level < best or (level == best < INF and r < nearest[v]):
+                nearest[v] = r
+                nearest_level[v] = level
+        self[r] = tree
+
+    def apply(self, change):
+        """Pass one written ChangeRecord (a rise or a deletion) to every
+        tree; returns the nodes raised in any of them."""
+        u, v, old, new = change.u, change.v, change.old_weight, change.new_weight
+        heaps = self._heaps
+        raised = set()
+        for r, tree in self.items():
+            if new == INF:
+                moved = tree.delete_edge(u, v, old)
+            else:
+                moved = tree.increase_weight(u, v, new, old)
+            if moved:
+                level_of = tree.level_of
+                for x in moved:
+                    heaps[x].update(r, level_of[x])
+                raised |= moved
+        self._read_min(raised)
         return raised

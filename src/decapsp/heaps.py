@@ -1,6 +1,6 @@
 """Binary min-heap with a reverse location index.
 
-The per-pair certificate heaps and the per-node pivot and heavy-node heaps
+The per-pair certificate heaps and the per-node heaps of a TreeFamily
 need decrease/increase-key and delete-by-id in O(log n), which heapq does
 not offer; the shortest-path trees keep no heap between calls.  Entries
 are (key, id) pairs ordered lexicographically, so equal keys break ties
@@ -87,10 +87,6 @@ class IndexedHeap:
 
     def delete(self, ident):
         self._remove_at(self._pos[ident])
-
-    def discard(self, ident):
-        if ident in self._pos:
-            self._remove_at(self._pos[ident])
 
     def items(self):
         """Snapshot of (id, key) pairs in arbitrary heap order."""

@@ -34,7 +34,7 @@ class SubdividedGraph:
     update stream always addresses the same chain nodes.
     """
 
-    __slots__ = ("n", "m", "k", "expanded", "chains", "_gone")
+    __slots__ = ("n", "m", "k", "expanded", "chains")
 
     def __init__(self, graph, k):
         if k < 1:
@@ -46,7 +46,6 @@ class SubdividedGraph:
         self.m = graph.m
         self.k = k
         self.chains = {}
-        self._gone = set()
         chain_edges = []
         for i, (u, v, _) in enumerate(sorted(graph.edges())):
             path = [u] + [graph.n + k * i + j for j in range(k)] + [v]
@@ -59,12 +58,12 @@ class SubdividedGraph:
         if event.kind != DELETE:
             raise DomainError("subdivided graphs only support deletions")
         u, v = (event.u, event.v) if event.u < event.v else (event.v, event.u)
-        if (u, v) not in self.chains:
+        chain = self.chains.get((u, v))
+        if chain is None:
             raise EdgeNotFound(f"edge {{{u}, {v}}} not in the original graph")
-        if (u, v) in self._gone:
+        if not self.expanded.has_edge(*chain[0]):
             raise EdgeNotFound(f"edge {{{u}, {v}}} already deleted")
-        self._gone.add((u, v))
-        return [UpdateEvent(DELETE, a, b) for a, b in self.chains[(u, v)]]
+        return [UpdateEvent(DELETE, a, b) for a, b in chain]
 
 
 def subdivide(graph, k):
@@ -103,7 +102,7 @@ class UnweightedAPSP:
         raise DomainError("subdivided graphs only support deletions")
 
     def query(self, u, v):
-        if u >= self.sub.n or v >= self.sub.n:
+        if not (0 <= u < self.sub.n and 0 <= v < self.sub.n):
             raise DomainError("query endpoints must be original nodes")
         return translate_query(self.inner.query(u, v), self.k)
 

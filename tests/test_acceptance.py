@@ -256,7 +256,7 @@ def test_criterion_7_size_bounds():
         for u, v in edges:
             algo.delete(u, v)
         limit = 8 * (64 / (0.25 * 8)) * math.log(max(64 * g.W, 2), 1 + eps / 3)
-        heavy_ok.append(len(algo.heavy) <= limit)
+        heavy_ok.append(len(algo.heavy_trees) <= limit)
     ok_h, n_h = _fraction_passing(heavy_ok)
 
     ei_ok, estar_ok = [], []

@@ -21,31 +21,32 @@ def audit(algo, prev_heavy):
     assert [set(c) for c in eng.cluster] == algo.cluster_m
 
     # heaviness: permanent, and every tau-sized cluster is already promoted
-    assert algo.heavy >= prev_heavy
+    heavy = set(algo.heavy_trees)
+    assert heavy >= prev_heavy
     for w in range(g.n):
         if len(eng.cluster[w]) >= algo.tau:
-            assert w in algo.heavy
-    assert set(algo.heavy_trees) == algo.heavy
+            assert w in heavy
 
     # pivot and heavy trees all read the one graph; heavy trees stay exact
     # under deletions and increases
     assert all(t.adj is g.adj for t in eng.trees.values())
-    for w in algo.heavy:
-        tree = algo.heavy_trees[w]
+    for w, tree in algo.heavy_trees.items():
         assert tree.adj is g.adj
         dist = ref_dijkstra(g.adj, w)
         for v in range(g.n):
             want = dist[v] if dist[v] <= tree.cap else INF
             assert tree.level_of[v] == want
-        for v in range(g.n):
-            assert algo.hp_heap[v].key_of(w) == tree.level_of[v]
+    # each node's nearest heavy root is the argmin over the heavy trees
     for v in range(g.n):
-        assert len(algo.hp_heap[v]) == len(algo.heavy)
+        level, w = min(((t.level_of[v], w) for w, t in algo.heavy_trees.items()),
+                       default=(INF, None))
+        assert algo.heavy_trees.nearest_level[v] == level
+        assert algo.heavy_trees.nearest[v] == (w if level < INF else None)
 
     # overlap: exactly the light pairwise-cluster entries, exact keys
     want_heaps = {}
     for w in range(g.n):
-        if w in algo.heavy:
+        if w in heavy:
             continue
         owners = sorted(eng.cluster[w])
         for i, u in enumerate(owners):
@@ -59,7 +60,7 @@ def audit(algo, prev_heavy):
             want_sets.setdefault((w, u), set()).add(v)
             want_sets.setdefault((w, v), set()).add(u)
     assert algo.set_overlap == want_sets
-    return set(algo.heavy)
+    return heavy
 
 
 def check_stretch(algo, limit):
@@ -77,7 +78,7 @@ def check_stretch(algo, limit):
 
 
 def run_deletions(algo, rng, audit_every=True, limit=2.9):
-    prev = set(algo.heavy)
+    prev = set(algo.heavy_trees)
     check_stretch(algo, limit)
     for u, v in deletion_order(rng, algo.g):
         algo.delete(u, v)
@@ -93,7 +94,7 @@ def test_small_threshold_promotes_all_clustered():
     # every node held by at least one bunch is heavy, so no overlap remains
     assert not algo.overlap_heap and not algo.set_overlap
     for w in range(g.n):
-        assert (w in algo.heavy) == bool(algo.engine.cluster[w])
+        assert (w in algo.heavy_trees) == bool(algo.engine.cluster[w])
     run_deletions(algo, rng)
 
 
@@ -102,8 +103,8 @@ def test_huge_threshold_never_promotes():
     g = rand_connected(rng, 9, 0.35, 5)
     algo = MixedAPSP(g, p=0.4, eps=0.9, tau=g.n + 1, seed=8)
     run_deletions(algo, rng)
-    assert not algo.heavy
-    assert algo.promotions == 0
+    assert not algo.heavy_trees
+    assert algo.counters()["promotions"] == 0
 
 
 def test_mid_threshold_promotion_purges_overlap():
@@ -112,15 +113,15 @@ def test_mid_threshold_promotion_purges_overlap():
     algo = MixedAPSP(g, p=0.3, eps=0.9, tau=3, seed=2)
     prev = audit(algo, set())
     saw_promotion_after_init = False
-    base = algo.promotions
+    base = len(algo.heavy_trees)
     for u, v in deletion_order(rng, algo.g):
         algo.delete(u, v)
         prev = audit(algo, prev)
-        if algo.promotions > base:
+        if len(algo.heavy_trees) > base:
             saw_promotion_after_init = True
-            base = algo.promotions
+            base = len(algo.heavy_trees)
         check_stretch(algo, 2.9)
-    assert algo.promotions == len(algo.heavy)
+    assert algo.counters()["promotions"] == len(algo.heavy_trees)
     # this seed promotes mid-stream, so audit() has checked that trees
     # built during the run read the live graph too
     assert saw_promotion_after_init

@@ -32,7 +32,7 @@ def test_all_pivots_means_empty_bunches():
     g = rand_connected(random.Random(0), 10, 0.3, 3)
     eng = BunchEngine(g, p=1.0, eps=0.9, seed=1)
     assert eng.A == list(range(10))
-    assert all(eng.pivot_est[v] == 0 and eng.pivot_of[v] == v for v in range(10))
+    assert all(eng.trees.nearest_level[v] == 0 and eng.trees.nearest[v] == v for v in range(10))
     assert all(not eng.bunch[v] for v in range(10))
 
 
@@ -41,7 +41,7 @@ def test_empty_pivot_set_degenerates_with_warning(caplog):
     with caplog.at_level(logging.WARNING, logger="decapsp.bunches"):
         eng = BunchEngine(g, p=0.0, eps=0.9, seed=1)
     assert any("no pivots" in r.message for r in caplog.records)
-    assert all(eng.pivot_est[v] == INF for v in range(8))
+    assert all(eng.trees.nearest_level[v] == INF for v in range(8))
     # every bunch covers its whole component here (n below any cap)
     dist = ref_apsp(g)
     for v in range(8):
@@ -63,13 +63,16 @@ def _check_against_truth(eng, g, prev_est):
     e3 = eng.e3
     for v in range(n):
         # pivot estimate: exact nearest-pivot distance, monotone, right argmin
+        est = eng.trees.nearest_level[v]
         true_est = min((dist[v][s] for s in eng.A), default=INF)
-        assert eng.pivot_est[v] == true_est
-        assert eng.pivot_est[v] >= prev_est[v]
-        prev_est[v] = eng.pivot_est[v]
+        assert est == true_est
+        assert est >= prev_est[v]
+        prev_est[v] = est
         if true_est < INF:
             best = min(eng.A, key=lambda s: (dist[v][s], s))
-            assert eng.pivot_of[v] == best
+            assert eng.trees.nearest[v] == best
+        else:
+            assert eng.trees.nearest[v] is None
         # spec containment: everything strictly inside the pivot ball, with
         # the (1 + eps/3) slack, must be a member
         members = set(eng.bunch[v])
@@ -103,7 +106,7 @@ def test_full_deletion_run_keeps_all_contracts(seed, p, W):
     n = rng.randint(6, 13)
     g = rand_gnp(rng, n, 0.45, W)
     eng = BunchEngine(g, p=p, eps=0.9, seed=seed ^ 0xABC)
-    prev_est = list(eng.pivot_est)
+    prev_est = list(eng.trees.nearest_level)
     _check_against_truth(eng, g, prev_est)
     edges = [(u, v) for u, v, _ in g.edges()]
     rng.shuffle(edges)
@@ -172,7 +175,7 @@ def test_pivot_tree_levels_match_exact_distances():
         truth = ref_dijkstra(g.adj, s)
         for v in range(g.n):
             expected = truth[v] if truth[v] <= eng.depth_cap else INF
-            assert eng.delta_A(s, v) == expected
+            assert eng.trees[s].level_of[v] == expected
 
 
 def test_isolating_a_node_evicts_its_bunch():

@@ -16,7 +16,7 @@ from decapsp import (
     UpdateEvent,
     apply_update,
 )
-from decapsp.estree import UnwrittenChange
+from decapsp.estree import TreeFamily, UnwrittenChange
 from helpers import ReferenceESTree, rand_connected, rand_gnp, ref_dijkstra
 
 INF = math.inf
@@ -373,3 +373,57 @@ def test_call_before_the_owner_writes_raises():
     rec = apply_update(g, UpdateEvent(DELETE, 0, 1))
     assert t.delete_edge(0, 1, rec.old_weight) == {1, 2}
     assert t.level(1) == 7 and t.level(2) == 5
+
+
+def check_nearest(fam):
+    """nearest/nearest_level against the brute-force argmin over the family."""
+    for v in fam.adj:
+        level, r = min(((t.level_of[v], r) for r, t in fam.items()), default=(INF, None))
+        assert fam.nearest_level[v] == level
+        assert fam.nearest[v] == (r if level < INF else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**30))
+def test_tree_family_keeps_each_nodes_nearest_root(seed):
+    """Over deletions and rises, with roots added mid-stream, each node's
+    nearest root and level are the argmin over the family (ties to the
+    smaller root), and apply returns exactly the union of the sets that
+    per-tree calls on a twin adjacency raise."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 14)
+    g = rand_gnp(rng, n, rng.choice((0.2, 0.5)), 3)
+    twin = {x: dict(nb) for x, nb in g.adj.items()}
+    cap = rng.choice((0, 1, 3, 4 * n))
+    roots = rng.sample(range(n), rng.randint(0, min(3, n)))
+    fam = TreeFamily(g.adj, cap, roots)
+    twins = {r: MonotoneESTree(twin, r, cap) for r in roots}
+    assert list(fam) == roots and all(t.adj is g.adj for t in fam.values())
+    check_nearest(fam)
+    for _ in range(30):
+        spare = [r for r in range(n) if r not in fam]
+        if spare and rng.random() < 0.2:
+            r = rng.choice(spare)
+            fam.add_root(r)
+            twins[r] = MonotoneESTree(twin, r, cap)
+            check_nearest(fam)
+            before = (dict(fam), list(fam.nearest), list(fam.nearest_level))
+            with pytest.raises(KeyError):
+                fam.add_root(r)
+            assert (dict(fam), fam.nearest, fam.nearest_level) == before
+        live = [(u, v) for u, v, _ in g.edges()]
+        if not live:
+            break
+        u, v = rng.choice(live)
+        if rng.random() < 0.5:
+            rec = apply_update(g, UpdateEvent(DELETE, u, v))
+            del twin[u][v], twin[v][u]
+            want = [t.delete_edge(u, v, rec.old_weight) for t in twins.values()]
+        else:
+            rec = apply_update(g, UpdateEvent(INCREASE, u, v, g.weight(u, v) + rng.randint(1, 3)))
+            twin[u][v] = twin[v][u] = rec.new_weight
+            want = [t.increase_weight(u, v, rec.new_weight, rec.old_weight)
+                    for t in twins.values()]
+        assert fam.apply(rec) == set().union(*want)
+        assert all(fam[r].level_of == t.level_of for r, t in twins.items())
+        check_nearest(fam)

@@ -31,11 +31,10 @@ def test_insert_duplicate_raises():
         h.insert(0, 2)
 
 
-def test_delete_and_discard():
+def test_delete():
     h = IndexedHeap([(i, i) for i in range(5)])
     h.delete(0)
     assert h.peek() == (1, 1)
-    h.discard(99)  # absent: no-op
     with pytest.raises(KeyError):
         h.delete(99)
     assert len(h) == 4

@@ -4,7 +4,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decapsp.graph import DELETE, DomainError, DynamicGraph, EdgeNotFound, UpdateEvent, gnp_graph
+from decapsp.graph import (
+    DELETE,
+    DomainError,
+    DynamicGraph,
+    EdgeNotFound,
+    UpdateEvent,
+    apply_update,
+    gnp_graph,
+)
 from decapsp.reduction import SubdividedGraph, UnweightedAPSP, subdivide, translate_query
 
 from helpers import rand_connected, ref_apsp, deletion_order
@@ -58,6 +66,11 @@ def test_translate_update_chain_and_replay_guard():
     sub = subdivide(g, 2)
     events = sub.translate_update(UpdateEvent(DELETE, 1, 0))
     assert [(e.u, e.v) for e in events] == sub.chains[(0, 1)]
+    # the expanded graph is what says an edge is gone: until its chain is
+    # applied there, the edge translates again
+    assert sub.translate_update(UpdateEvent(DELETE, 0, 1)) == events
+    for ev in events:
+        apply_update(sub.expanded, ev)
     with pytest.raises(EdgeNotFound):
         sub.translate_update(UpdateEvent(DELETE, 0, 1))
     with pytest.raises(EdgeNotFound):
@@ -129,8 +142,9 @@ def test_composed_wrapper_stretch():
         check()
     with pytest.raises(DomainError):
         algo.increase(0, 1, 5)
-    with pytest.raises(DomainError):
-        algo.query(0, g.n + 1)
+    for u, v in ((0, g.n + 1), (g.n, 0), (-1, 3), (3, -1)):
+        with pytest.raises(DomainError):
+            algo.query(u, v)
 
 
 @settings(max_examples=6, deadline=None)
