@@ -67,6 +67,10 @@ class AdditiveAPSP:
         self.cap = d + 3 * k
         self.level = sample_partition(graph.n, graph.m, k, c, seed)
         self.roots = [[v for v in range(graph.n) if self.level[v] == i] for i in range(k + 1)]
+        # rank[v]: v's place in (level, node) order; a pair's lower one roots its tree
+        self.rank = [0] * graph.n
+        for place, v in enumerate(v for level in self.roots for v in level):
+            self.rank[v] = place
         self.s = level_thresholds(graph.n, graph.m, k)
 
         # escape-edge state: fixed neighbor scan order with a resume pointer
@@ -221,7 +225,9 @@ class AdditiveAPSP:
                     pend.setdefault(x, set()).add(root_of)
 
         for w in self.roots[1]:
-            export(self.tree[w], self.tree[w].delete_edge(a, b, rec.old_weight))
+            moved = self.tree[w].delete_edge(a, b, rec.old_weight)
+            if moved:
+                export(self.tree[w], moved)
 
         for i in range(2, self.k + 1):
             new_pairs = additions.get(i, ())
@@ -235,28 +241,34 @@ class AdditiveAPSP:
                         self._tree_call(tree, "relax_edge", u2, other, 1)
                     else:
                         self._tree_call(tree, "insert_edge", x, y, 1)
-                for w in sorted(pend.pop(u2, ())):
+                exported = pend.pop(u2, None)
+                for w in sorted(exported) if exported else ():
                     new_w = self.tree[w].level_of[u2]
                     self.exports_applied += 1
                     direct = self._pair(u2, w) in self.edge_set[i]
                     if new_w == INF:
                         del cuts[w]
-                        if not direct:
-                            export(tree, self._tree_call(tree, "delete_edge", u2, w))
+                        op = "delete_edge"
                     else:
                         cuts[w] = new_w
-                        if not direct:
-                            export(tree, self._tree_call(
-                                tree, "increase_weight", u2, w, new_w))
+                        op = "increase_weight"
+                    if not direct:
+                        moved = self._tree_call(tree, op, u2, w, new_w)
+                        if moved:
+                            export(tree, moved)
                 if dying:
                     r = None
                     if u2 == a or u2 == b:
                         other = b if u2 == a else a
                         r = cuts.get(other)
                     if r is None:
-                        export(tree, self._tree_call(tree, "delete_edge", a, b))
+                        moved = self._tree_call(tree, "delete_edge", a, b)
                     elif r > 1:
-                        export(tree, self._tree_call(tree, "increase_weight", a, b, r))
+                        moved = self._tree_call(tree, "increase_weight", a, b, r)
+                    else:
+                        moved = None
+                    if moved:
+                        export(tree, moved)
             if dying:
                 self.edge_set[i].discard(pair)
 
@@ -268,7 +280,11 @@ class AdditiveAPSP:
     def query(self, u, v):
         if u == v:
             return 0
-        root, other = (u, v) if (self.level[u], u) <= (self.level[v], v) else (v, u)
+        rank = self.rank
+        n = len(rank)
+        if not (0 <= u < n and 0 <= v < n):
+            raise DomainError(f"query ({u}, {v}) outside the nodes [0, {n})")
+        root, other = (u, v) if rank[u] < rank[v] else (v, u)
         return self.tree[root].level_of[other]
 
     def counters(self):

@@ -21,7 +21,7 @@ import math
 
 from .bunches import INCREASE, JOIN, BunchEngine
 from .estree import TreeFamily
-from .graph import DELETE, INCREASE as W_INCREASE, UpdateEvent, apply_update
+from .graph import DELETE, INCREASE as W_INCREASE, DomainError, UpdateEvent, apply_update
 from .heaps import IndexedHeap
 
 INF = math.inf
@@ -147,6 +147,9 @@ class MixedAPSP:
     def query(self, u, v):
         if u == v:
             return 0
+        n = self.g.n
+        if not (0 <= u < n and 0 <= v < n):
+            raise DomainError(f"query ({u}, {v}) outside the nodes [0, {n})")
         best = INF
         for trees in (self.engine.trees, self.heavy_trees):
             nearest, nearest_level = trees.nearest, trees.nearest_level

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 
 from .bunches import INCREASE, JOIN, BunchEngine
-from .graph import DELETE, INCREASE as W_INCREASE, UpdateEvent, apply_update
+from .graph import DELETE, INCREASE as W_INCREASE, DomainError, UpdateEvent, apply_update
 from .heaps import IndexedHeap
 
 INF = math.inf
@@ -237,6 +237,9 @@ class MultiplicativeAPSP:
     def query(self, u, v):
         if u == v:
             return 0
+        n = self.g.n
+        if not (0 <= u < n and 0 <= v < n):
+            raise DomainError(f"query ({u}, {v}) outside the nodes [0, {n})")
         trees = self.engine.trees
         nearest, nearest_level = trees.nearest, trees.nearest_level
         best = INF

@@ -34,8 +34,15 @@ included.  Bounded-region repair (Ramalingam & Reps, 1996) finds it:
   1. Collect the nodes left without support, a support of x being a
      neighbor y outside the set with l(y) + w <= l(x): check the endpoints
      phase 0 kept, and when x joins, recheck the neighbors it supported.
-  2. Run Dijkstra over that set only, seeded from its boundary with key
-     max(l_old(x), f(d)); nodes it does not reach go to infinity at once.
+     One pass over x's row does both: it stops at the first support
+     outside the set, and otherwise has collected x's dependants, the y
+     with l(x) + w <= l(y) (with w >= 1 no neighbor is both).  A dependant
+     already in the set is dropped when it is popped.
+  2. Run Dijkstra over that set only.  One pass over each member's row
+     finds its best offer from outside the set, which exceeds its old
+     level and, up to the cap, seeds the heap; a settled node x offers each
+     neighbor y still in the set the key max(l_old(y), f(l(x) + w)).
+     Nodes it does not reach go to infinity at once.
 
 level_increases counts raised nodes: one per node whose level rose, per call.
 
@@ -117,8 +124,10 @@ class MonotoneESTree:
         """Absorb the rise of {u, v} from weight old to w (inf: the edge is
         gone).  Returns the set of nodes whose level increased as a
         consequence."""
-        self._require(u, v, w)
-        if not (math.isfinite(old) and old < w):
+        adj = self.adj
+        if adj[u].get(v, INF) != w or adj[v].get(u, INF) != w:
+            self._require(u, v, w)
+        if not -INF < old < w:
             raise MonotonicityViolation(
                 f"weight of {{{u}, {v}}} must rise from a finite weight: {old!r} -> {w!r}")
         level_of = self.level_of
@@ -139,7 +148,8 @@ class MonotoneESTree:
 
     def _unsupported(self, stack):
         """Phase 1: the nodes that no neighbor outside the set supports,
-        grown from the endpoints in stack."""
+        grown from the endpoints in stack.  One pass over x's neighbors
+        looks for a support and collects the neighbors x supported."""
         level_of = self.level_of
         adj = self.adj
         root = self.root
@@ -149,14 +159,17 @@ class MonotoneESTree:
             lx = level_of[x]
             if x in region or x == root or lx == INF:
                 continue
-            nbrs = adj[x].items()
-            for y, w in nbrs:
-                if level_of[y] + w <= lx and y not in region:
-                    break
+            dependants = []
+            for y, w in adj[x].items():
+                ly = level_of[y]
+                if ly + w <= lx:
+                    if y not in region:
+                        break
+                elif lx + w <= ly:
+                    dependants.append(y)
             else:
                 region.add(x)
-                stack.extend(y for y, w in nbrs
-                             if lx + w <= level_of[y] and y not in region)
+                stack += dependants
         return region
 
     def _reroute(self, region):
@@ -166,29 +179,38 @@ class MonotoneESTree:
         adj = self.adj
         cap = self.cap
         key = {}
+        heap = []
         for x in region:
-            best = min((level_of[y] + w for y, w in adj[x].items() if y not in region),
-                       default=INF)
+            best = INF
+            for y, w in adj[x].items():
+                if y not in region:
+                    d = level_of[y] + w
+                    if d < best:
+                        best = d
             if best <= cap:  # and best > level_of[x]: no support outside
                 key[x] = best
-        heap = [(d, x) for x, d in key.items()]
+                heap.append((best, x))
         heapq.heapify(heap)
+        heappop, heappush = heapq.heappop, heapq.heappush
         raised = set()
         while heap:
-            d, x = heapq.heappop(heap)
-            if x not in region or d > key[x]:
+            d, x = heappop(heap)
+            if d > key[x]:  # stale: a lower entry for x came later
                 continue
             region.discard(x)
             if d > level_of[x]:
                 level_of[x] = d
                 raised.add(x)
             for y, w in adj[x].items():
-                nd = d + w
-                if y in region and nd <= cap:
-                    ny = max(level_of[y], nd)
-                    if ny < key.get(y, INF):
-                        key[y] = ny
-                        heapq.heappush(heap, (ny, y))
+                if y in region:
+                    nd = d + w
+                    if nd <= cap:
+                        ly = level_of[y]
+                        if nd < ly:
+                            nd = ly
+                        if nd < key.get(y, INF):
+                            key[y] = nd
+                            heappush(heap, (nd, y))
         for x in region:
             level_of[x] = INF
         raised.update(region)

@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import pytest
 
 import decapsp
 from decapsp import cli
-from decapsp.graph import DELETE, QueryCheckpoint, UpdateEvent, load_graph, parse_updates
+from decapsp.graph import (
+    DELETE, DomainError, QueryCheckpoint, UpdateEvent, gnp_workload, load_graph, parse_updates)
 
 
 def generate(tmp_path, prefix="w", n=12, density=0.5, W=10, seed=3, extra=()):
@@ -194,3 +196,18 @@ def test_installed_console_script(tmp_path):
                            "--algorithm", "static-2"], check=True, capture_output=True)
     rep = json.loads(proc.stdout)
     assert rep["schema"] == 1
+
+
+@pytest.mark.parametrize("tag", cli.ALGORITHMS)
+def test_out_of_range_queries_raise_domain_error(tag):
+    """Every structure refuses a node outside [0, n) with DomainError, a
+    negative one included, instead of reading another node's entry."""
+    n = 24
+    graph, _ = gnp_workload(n, 0.3, 1 if tag in ("additive", "unweighted-mult") else 10,
+                            random.Random(5))
+    cfg = cli.RunConfig(tag, "", "", tau=6, k=3, d=4, c=0.3, seed=1)
+    algo = cli.make_algorithm(cfg, graph)
+    for u, v in ((-1, 3), (3, -1), (-n, 3), (n, 3)):
+        with pytest.raises(DomainError):
+            algo.query(u, v)
+    assert algo.query(3, 3) == 0

@@ -17,7 +17,7 @@ from decapsp import (
     apply_update,
 )
 from decapsp.estree import TreeFamily, UnwrittenChange
-from helpers import ReferenceESTree, rand_connected, rand_gnp, ref_dijkstra
+from helpers import ReferenceESTree, deletion_order, rand_connected, rand_gnp, ref_dijkstra
 
 INF = math.inf
 
@@ -278,6 +278,34 @@ def test_region_repair_matches_the_level_by_level_reference(seed, n, max_w, cap)
         assert t.level_increases == raised_total
 
 
+@pytest.mark.parametrize("max_w", [1, 10])
+@pytest.mark.parametrize("density", [0.12, 0.25, 0.6])
+@pytest.mark.parametrize("cap", [1, 13, "4n"])
+def test_draining_every_edge_matches_the_reference_on_a_shared_adjacency(cap, density, max_w):
+    """The regime of a full drain: three trees on one adjacency lose every
+    edge in shuffled order, and after each deletion each tree raises the
+    same nodes as the level-by-level reference, ends at its levels and
+    counts one level increase per raised node."""
+    for seed in range(2):
+        rng = random.Random(f"{cap}/{density}/{max_w}/{seed}")
+        n = rng.randint(20, 48)
+        g = rand_gnp(rng, n, density, max_w)
+        depth = 4 * n if cap == "4n" else cap
+        pairs = [(MonotoneESTree(g.adj, r, depth), ReferenceESTree(g.adj, r, depth))
+                 for r in rng.sample(range(n), 3)]
+        raised_total = [0] * len(pairs)
+        for u, v in deletion_order(rng, g):
+            rec = apply_update(g, UpdateEvent(DELETE, u, v))
+            for i, (t, ref) in enumerate(pairs):
+                got = t.delete_edge(u, v, rec.old_weight)
+                assert got == ref.delete_edge(u, v, rec.old_weight)
+                assert t.level_of == ref.level_of
+                raised_total[i] += len(got)
+                assert t.level_increases == raised_total[i]
+        assert all(t.level_of == {x: INF if x != t.root else 0 for x in g.adj}
+                   for t, _ in pairs)
+
+
 def test_a_bad_old_weight_is_refused_before_any_level_changes():
     """An old weight that is not finite or does not lie below the new one
     raises MonotonicityViolation with levels, counter and adjacency as they
@@ -334,6 +362,18 @@ def test_a_change_the_edge_never_supported_scans_no_neighbors():
     rec = apply_update(g, UpdateEvent(DELETE, 3, 2))  # 3 keeps the tie via 1
     assert t.delete_edge(3, 2, rec.old_weight) == set()
     assert [t.level(x) for x in range(5)] == levels and t.level_increases == 0
+
+
+def test_a_tie_is_a_support():
+    """A node whose level a remaining neighbor matches exactly keeps it
+    without joining the region, so the rows of the nodes it supports are
+    never read."""
+    g = DynamicGraph(5, [(0, 1, 1), (0, 2, 1), (1, 3, 2), (2, 3, 2), (3, 4, 1)])
+    t = MonotoneESTree(g.adj, 0, cap=10)
+    g.adj[4] = NoScan(g.adj[4])
+    rec = apply_update(g, UpdateEvent(DELETE, 2, 3))
+    assert t.delete_edge(2, 3, rec.old_weight) == set()
+    assert [t.level(x) for x in range(5)] == [0, 1, 1, 3, 4] and t.level_increases == 0
 
 
 def test_slack_left_by_inserts_survives_a_repair():
