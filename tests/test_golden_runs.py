@@ -1,17 +1,21 @@
 """Golden `decapsp run` reports on fixed `decapsp generate` workloads.
 
 golden_runs.json holds, for each case below, the run report without its
-one timing field, wall_ms.  A change that must keep every answer and
+one timing field, wall_ms.  The churn cases replace the generated deletion
+stream with a fixed-seed mix of weight increases and deletions, the only
+cases that reach increase re-rounding and INCREASE bunch events.  A change that must keep every answer and
 counter reproduces these reports exactly; a change that alters a counter
 on purpose updates its entry and says which values moved.
 """
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from decapsp import cli
+from decapsp.graph import DELETE, INCREASE, QueryCheckpoint, UpdateEvent, dump_updates, load_graph
 
 GOLDEN = Path(__file__).with_name("golden_runs.json")
 
@@ -28,7 +32,45 @@ CASES = {
                   "--seed", "3"]),
     "unweighted-mult": (["--n", "24", "--density", "0.2", "--W", "1", "--seed", "9"],
                         ["--algorithm", "unweighted-mult", "--eps", "0.5", "--seed", "4"]),
+    "mult-churn": (["--n", "24", "--density", "0.3", "--W", "10", "--seed", "10"],
+                   ["--algorithm", "mult", "--eps", "0.6", "--seed", "5"]),
+    "mixed-churn": (["--n", "24", "--density", "0.5", "--W", "10", "--seed", "11"],
+                    ["--algorithm", "mixed", "--tau", "6", "--eps", "0.6", "--seed", "6"]),
 }
+
+# name -> seed of the churn stream that replaces the generated updates
+CHURN = {"mult-churn": 12, "mixed-churn": 13}
+
+
+def churn_updates(graph, seed):
+    """Increases and deletions about 1:1 until half the edges are gone.
+
+    A new weight is uniform in (old, W], and an edge already at W is deleted
+    instead, so weights stay within the bound the structures were built for.
+    Three random queries follow every fifth update and the last one.
+    """
+    rng = random.Random(seed)
+    weight = {(u, v): w for u, v, w in graph.edges()}
+    live = sorted(weight)
+    updates = []
+    target = len(live) - len(live) // 2
+    while len(live) > target:
+        i = rng.randrange(len(live))
+        u, v = live[i]
+        if weight[(u, v)] < graph.W and rng.random() < 0.5:
+            weight[(u, v)] = rng.randint(weight[(u, v)] + 1, graph.W)
+            updates.append(UpdateEvent(INCREASE, u, v, weight[(u, v)]))
+        else:
+            live[i] = live[-1]
+            live.pop()
+            updates.append(UpdateEvent(DELETE, u, v))
+    stream = []
+    for i, ev in enumerate(updates, start=1):
+        stream.append(ev)
+        if i % 5 == 0 or i == len(updates):
+            stream.extend(QueryCheckpoint(rng.randrange(graph.n), rng.randrange(graph.n))
+                          for _ in range(3))
+    return stream
 
 
 def run_case(name, tmp_path):
@@ -36,6 +78,9 @@ def run_case(name, tmp_path):
     gen, run = CASES[name]
     gp, up, rp = (str(tmp_path / f"{name}.{ext}") for ext in ("graph", "updates", "json"))
     assert cli.main(["generate", *gen, "--graph", gp, "--updates", up]) == 0
+    if name in CHURN:
+        stream = churn_updates(load_graph(Path(gp).read_text()), CHURN[name])
+        Path(up).write_text(dump_updates(stream))
     assert cli.main(["run", "--graph", gp, "--updates", up, "--report", rp, *run]) == 0
     report = json.loads(Path(rp).read_text())
     del report["wall_ms"]
