@@ -51,7 +51,7 @@ def sample_partition(n, m, k, c, seed):
 
 
 class AdditiveAPSP:
-    def __init__(self, graph, k, d, c=2, eps=0.0, seed=0):
+    def __init__(self, graph, k, d, c=2, seed=0):
         if k < 2 or k > max(2, int(math.log2(graph.n))):
             raise DomainError(f"k={k} outside [2, log2(n)]")
         if d < 1:
@@ -62,8 +62,6 @@ class AdditiveAPSP:
         self.g = graph
         self.k = k
         self.d = d
-        self.c = c
-        self.eps = eps
         self.cap = d + 3 * k
         self.level = sample_partition(graph.n, graph.m, k, c, seed)
         self.roots = [[v for v in range(graph.n) if self.level[v] == i] for i in range(k + 1)]
@@ -71,7 +69,6 @@ class AdditiveAPSP:
         self.rank = [0] * graph.n
         for place, v in enumerate(v for level in self.roots for v in level):
             self.rank[v] = place
-        self.s = level_thresholds(graph.n, graph.m, k)
 
         # escape-edge state: fixed neighbor scan order with a resume pointer
         n = graph.n

@@ -5,14 +5,18 @@ tau bunches contain it; heaviness is permanent.  Heavy nodes root their own
 bounded-depth trees, so any pair can route through its nearest heavy node
 at exact tree distances.  Light intermediates are covered pairwise: for
 every unordered pair {u, v} an overlap heap stores each light w lying in
-both bunches, keyed rounded_bunch(u, w) + rounded_bunch(v, w).
+both bunches, keyed rounded_bunch(u, w) + rounded_bunch(v, w).  The heaps
+holding w are exactly the pairs of its cluster mirror cluster_m[w], so a
+bunch event on (owner v, member w) reaches the heaps {u, v} for the other
+owners u in cluster_m[w], and a promotion every pair of it; no reverse
+index is kept.
 
 Promotion happens the moment a join pushes a cluster to tau members: the
 node's tree is built on the current graph and joins the heavy TreeFamily,
-where it competes for every node's nearest heavy root, and all of its
-overlap entries are purged.  Queries take the best of pivot routes, routes
-through the nearest heavy node of either endpoint, and the pair's overlap
-minimum.
+where it competes for every node's nearest heavy root, and its entry leaves
+the heap of every pair in its cluster.  Queries take the best of pivot
+routes, routes through the nearest heavy node of either endpoint, and the
+pair's overlap minimum.
 """
 
 from __future__ import annotations
@@ -50,12 +54,11 @@ class MixedAPSP:
         self.heavy_trees = TreeFamily(graph.adj, self.engine.depth_cap)
 
         self.overlap_heap = {}  # unordered (u, v) -> IndexedHeap of light w
-        self.set_overlap = {}   # (w, u) -> set of v with entry w in heap {u, v}
         self.overlap_touches = 0
 
         for w in range(graph.n):
             if len(self.cluster_m[w]) >= tau:
-                self._promote(w)
+                self.heavy_trees.add_root(w)
         for w in range(graph.n):
             if w in self.heavy_trees:
                 continue
@@ -71,17 +74,10 @@ class MixedAPSP:
 
     def _promote(self, w):
         self.heavy_trees.add_root(w)
-        pairs = set()
-        drop = [key for key in self.set_overlap if key[0] == w]
-        for key in drop:
-            for v in self.set_overlap[key]:
-                pairs.add(_pair(key[1], v))
-            del self.set_overlap[key]
-        for uv in sorted(pairs):
-            heap = self.overlap_heap[uv]
-            heap.delete(w)
-            if not heap:
-                del self.overlap_heap[uv]
+        owners = sorted(self.cluster_m[w])
+        for i, u in enumerate(owners):
+            for v in owners[i + 1:]:
+                self._overlap_delete(w, u, v)
 
     # -- overlap layer -------------------------------------------------------
 
@@ -90,8 +86,13 @@ class MixedAPSP:
         if heap is None:
             heap = self.overlap_heap[_pair(u, v)] = IndexedHeap()
         heap.insert(w, key)
-        self.set_overlap.setdefault((w, u), set()).add(v)
-        self.set_overlap.setdefault((w, v), set()).add(u)
+
+    def _overlap_delete(self, w, u, v):
+        uv = _pair(u, v)
+        heap = self.overlap_heap[uv]
+        heap.delete(w)
+        if not heap:
+            del self.overlap_heap[uv]
 
     def _bunch_event(self, bev):
         w, v = bev.member, bev.owner
@@ -107,24 +108,17 @@ class MixedAPSP:
         elif bev.case == INCREASE:
             self.bexp[(v, w)] = bev.exponent
             if w not in self.heavy_trees:
-                targets = self.set_overlap.get((w, v), ())
-                self.overlap_touches += len(targets)
-                for u in sorted(targets):
-                    self.overlap_heap[_pair(u, v)].update(
-                        w, value_of(self.bexp[(u, w)]) + bev.value)
+                self.overlap_touches += len(self.cluster_m[w]) - 1
+                for u in sorted(self.cluster_m[w]):
+                    if u != v:
+                        self.overlap_heap[_pair(u, v)].update(
+                            w, value_of(self.bexp[(u, w)]) + bev.value)
         else:  # LEAVE
             del self.bexp[(v, w)]
             self.cluster_m[w].discard(v)
             if w not in self.heavy_trees:
-                for u in sorted(self.set_overlap.pop((w, v), ())):
-                    uv = _pair(u, v)
-                    heap = self.overlap_heap[uv]
-                    heap.delete(w)
-                    if not heap:
-                        del self.overlap_heap[uv]
-                    self.set_overlap[(w, u)].discard(v)
-                    if not self.set_overlap[(w, u)]:
-                        del self.set_overlap[(w, u)]
+                for u in sorted(self.cluster_m[w]):
+                    self._overlap_delete(w, u, v)
 
     # -- updates ---------------------------------------------------------------
 

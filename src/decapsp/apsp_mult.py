@@ -11,10 +11,21 @@ The per-pair heaps are layered.  For an intermediate x and target v, a
 neighborhood heap holds w~(x, y) + rounded_bunch(y, v) over edge neighbors
 y of x inside bunch(v); its rounded minimum feeds a per-(u, v) adjacency
 heap entry keyed rounded_bunch(u, x) + that minimum, for every owner u whose
-bunch holds x.  Reverse index sets track exactly which heap every edge,
-membership and minimum contributed to, so bunch events and edge updates
-touch only their own entries.  Geometric rounding keeps the propagated
-minima from changing more than polylogarithmically often per pair.
+bunch holds x.  Each change reaches exactly its own entries through state
+the structure keeps anyway, with no reverse index:
+
+  * an edge {x, y} sits in the neighborhood heaps (x, v) for every owner v
+    of y in the cluster mirror cluster_m[y], and symmetrically;
+  * a bunch event on (owner v, member w) reaches the neighborhood heaps
+    (x, v) for x in the graph's adjacency of w, and the adjacency heaps
+    (v, t) for every t in nbr_live[w];
+  * a changed neighborhood minimum (x, v) reaches the adjacency heaps (u, v)
+    for every owner u in cluster_m[x].
+
+The mirrors bexp and cluster_m lag the engine by the events not yet
+absorbed; an event on (v, w) only reads the mirrors of members other than
+w, which are current.  Geometric rounding keeps the propagated minima from
+changing more than polylogarithmically often per pair.
 """
 
 from __future__ import annotations
@@ -41,19 +52,17 @@ class MultiplicativeAPSP:
             e = self.rounder.exponent(w)
             self.w_round[(a, b) if a < b else (b, a)] = (e, self.rounder.value(e))
 
+        # bunch mirrors, updated as each event is absorbed
+        self.bexp = {}        # (owner, member) -> exponent mirror of the engine
+        self.cluster_m = [set() for _ in range(graph.n)]  # member -> owners
+
         # neighborhood layer
         self.nbr_heap = {}    # (x, v) -> IndexedHeap of y
         self.nbr_min = {}     # (x, v) -> exponent of the rounded minimum
-        self.set_edge = {}    # oriented (x, y) -> set of v with entry y in (x, v)
-        self.set_member = {}  # (y, v) -> set of x with entry y in (x, v)
         self.nbr_live = {}    # x -> set of v with a live minimum
-        self.bexp = {}        # (owner, member) -> exponent mirror of the engine
 
         # adjacency layer
-        self.adj_heap = {}       # ordered (u, v) -> IndexedHeap of intermediates x
-        self.set_adj_bunch = {}  # (u, x) -> set of v; key exists iff x in bunch(u) here
-        self.set_adj_heap = {}   # (x, v) -> set of u with entry x in (u, v)
-        self.owners = {}         # x -> set of u with (u, x) membership
+        self.adj_heap = {}    # ordered (u, v) -> IndexedHeap of intermediates x
 
         self.nbr_min_changes = {}
         self.updates_applied = 0
@@ -61,7 +70,6 @@ class MultiplicativeAPSP:
         for v in range(graph.n):
             for y, exp in self.engine.bunch[v].items():
                 self.bexp[(v, y)] = exp
-                self.set_member[(y, v)] = set()
                 yval = value_of(exp)
                 for x in graph.adj[y]:
                     key = self.w_round[(x, y) if x < y else (y, x)][1] + yval
@@ -69,16 +77,12 @@ class MultiplicativeAPSP:
                     if heap is None:
                         heap = self.nbr_heap[(x, v)] = IndexedHeap()
                     heap.insert(y, key)
-                    self.set_edge.setdefault((x, y), set()).add(v)
-                    self.set_member[(y, v)].add(x)
         for (x, v), heap in self.nbr_heap.items():
             self.nbr_min[(x, v)] = self.rounder.exponent(heap.min_key())
             self.nbr_live.setdefault(x, set()).add(v)
-            self.set_adj_heap[(x, v)] = set()
         for u in range(graph.n):
             for x, exp in self.engine.bunch[u].items():
-                self.set_adj_bunch[(u, x)] = set()
-                self.owners.setdefault(x, set()).add(u)
+                self.cluster_m[x].add(u)
                 uval = value_of(exp)
                 for v in self.nbr_live.get(x, ()):
                     key = uval + self.rounder.value(self.nbr_min[(x, v)])
@@ -86,8 +90,6 @@ class MultiplicativeAPSP:
                     if heap is None:
                         heap = self.adj_heap[(u, v)] = IndexedHeap()
                     heap.insert(x, key)
-                    self.set_adj_bunch[(u, x)].add(v)
-                    self.set_adj_heap[(x, v)].add(u)
 
     # -- updates -----------------------------------------------------------
 
@@ -115,9 +117,8 @@ class MultiplicativeAPSP:
         if rec.new_weight == INF:
             self.w_round.pop(pair, None)
             for x, y in ((a, b), (b, a)):
-                for v in sorted(self.set_edge.pop((x, y), ())):
+                for v in sorted(self.cluster_m[y]):
                     self.nbr_heap[(x, v)].delete(y)
-                    self.set_member[(y, v)].discard(x)
                     touched.add((x, v))
             return touched
         new_exp = self.rounder.exponent(rec.new_weight)
@@ -128,7 +129,7 @@ class MultiplicativeAPSP:
         self.w_round[pair] = (new_exp, new_val)
         value_of = self.engine.value_of
         for x, y in ((a, b), (b, a)):
-            for v in sorted(self.set_edge.get((x, y), ())):
+            for v in sorted(self.cluster_m[y]):
                 self.nbr_heap[(x, v)].update(y, new_val + value_of(self.bexp[(v, y)]))
                 touched.add((x, v))
         return touched
@@ -138,7 +139,6 @@ class MultiplicativeAPSP:
         touched = set()
         if bev.case == JOIN:
             self.bexp[(v, w)] = bev.exponent
-            members = self.set_member[(w, v)] = set()
             for x in sorted(self.g.adj[w]):
                 pair = (x, w) if x < w else (w, x)
                 key = self.w_round[pair][1] + bev.value
@@ -146,20 +146,17 @@ class MultiplicativeAPSP:
                 if heap is None:
                     heap = self.nbr_heap[(x, v)] = IndexedHeap()
                 heap.insert(w, key)
-                self.set_edge.setdefault((x, w), set()).add(v)
-                members.add(x)
                 touched.add((x, v))
         elif bev.case == INCREASE:
             self.bexp[(v, w)] = bev.exponent
-            for x in sorted(self.set_member.get((w, v), ())):
+            for x in sorted(self.g.adj[w]):
                 pair = (x, w) if x < w else (w, x)
                 self.nbr_heap[(x, v)].update(w, self.w_round[pair][1] + bev.value)
                 touched.add((x, v))
         else:  # LEAVE
             del self.bexp[(v, w)]
-            for x in sorted(self.set_member.pop((w, v), ())):
+            for x in sorted(self.g.adj[w]):
                 self.nbr_heap[(x, v)].delete(w)
-                self.set_edge[(x, w)].discard(v)
                 touched.add((x, v))
         return touched
 
@@ -181,56 +178,48 @@ class MultiplicativeAPSP:
             if old_exp is None:
                 self.nbr_min[xv] = new_exp
                 self.nbr_live.setdefault(x, set()).add(v)
-                watchers = self.set_adj_heap[xv] = set()
                 val = rounder.value(new_exp)
-                for u in sorted(self.owners.get(x, ())):
+                for u in sorted(self.cluster_m[x]):
                     key = value_of(self.bexp[(u, x)]) + val
                     heap2 = self.adj_heap.get((u, v))
                     if heap2 is None:
                         heap2 = self.adj_heap[(u, v)] = IndexedHeap()
                     heap2.insert(x, key)
-                    self.set_adj_bunch[(u, x)].add(v)
-                    watchers.add(u)
             elif new_exp is None:
                 del self.nbr_min[xv]
                 self.nbr_live[x].discard(v)
-                for u in sorted(self.set_adj_heap.pop(xv, ())):
+                for u in sorted(self.cluster_m[x]):
                     heap2 = self.adj_heap[(u, v)]
                     heap2.delete(x)
                     if not heap2:
                         del self.adj_heap[(u, v)]
-                    self.set_adj_bunch[(u, x)].discard(v)
             else:
                 self.nbr_min[xv] = new_exp
                 val = rounder.value(new_exp)
-                for u in sorted(self.set_adj_heap.get(xv, ())):
+                for u in sorted(self.cluster_m[x]):
                     self.adj_heap[(u, v)].update(x, value_of(self.bexp[(u, x)]) + val)
 
     def _adj_bunch_change(self, bev):
         x, u = bev.member, bev.owner
         rounder = self.rounder
         if bev.case == JOIN:
-            targets = self.set_adj_bunch[(u, x)] = set()
-            self.owners.setdefault(x, set()).add(u)
+            self.cluster_m[x].add(u)
             for v in sorted(self.nbr_live.get(x, ())):
                 key = bev.value + rounder.value(self.nbr_min[(x, v)])
                 heap = self.adj_heap.get((u, v))
                 if heap is None:
                     heap = self.adj_heap[(u, v)] = IndexedHeap()
                 heap.insert(x, key)
-                targets.add(v)
-                self.set_adj_heap[(x, v)].add(u)
         elif bev.case == INCREASE:
-            for v in sorted(self.set_adj_bunch.get((u, x), ())):
+            for v in sorted(self.nbr_live.get(x, ())):
                 self.adj_heap[(u, v)].update(x, bev.value + rounder.value(self.nbr_min[(x, v)]))
         else:  # LEAVE
-            self.owners[x].discard(u)
-            for v in sorted(self.set_adj_bunch.pop((u, x), ())):
+            self.cluster_m[x].discard(u)
+            for v in sorted(self.nbr_live.get(x, ())):
                 heap = self.adj_heap[(u, v)]
                 heap.delete(x)
                 if not heap:
                     del self.adj_heap[(u, v)]
-                self.set_adj_heap[(x, v)].discard(u)
 
     # -- queries -----------------------------------------------------------
 

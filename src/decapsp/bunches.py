@@ -82,7 +82,6 @@ class BunchEngine:
         if not (eps > 0):
             raise DomainError(f"eps must be positive, got {eps!r}")
         self.g = graph
-        self.eps = eps
         self.e3 = eps / 3.0
         self.rounder = GeometricRounder(eps / 3.0)
         n = graph.n

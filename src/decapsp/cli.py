@@ -82,7 +82,7 @@ def make_algorithm(cfg, graph):
     if tag == "additive":
         if cfg.k is None or cfg.d is None:
             raise ConfigError("algorithm 'additive' requires --k and --d")
-        return AdditiveAPSP(graph, cfg.k, cfg.d, cfg.c, cfg.eps, cfg.seed)
+        return AdditiveAPSP(graph, cfg.k, cfg.d, cfg.c, cfg.seed)
     if tag == "static-2":
         p = cfg.p if cfg.p is not None else math.sqrt(n / m)
         return StaticTwoAPSP(graph, min(p, 1.0), cfg.seed)

@@ -98,9 +98,6 @@ class MonotoneESTree:
                     heapq.heappush(heap, (nd, v))
         return dist
 
-    def level(self, v):
-        return self.level_of[v]
-
     def _require(self, u, v, w):
         adj = self.adj
         if adj[u].get(v, INF) != w or adj[v].get(u, INF) != w:

@@ -135,7 +135,7 @@ def test_criterion_4_additive_stretch():
         for d in (4, 8):
             for seed in (0, 1):
                 g, updates = workload(64, 0.15, 1, seed)
-                algo = AdditiveAPSP(g.copy(), k, d, 2.0, 0.0, seed + 11)
+                algo = AdditiveAPSP(g.copy(), k, d, 2.0, seed + 11)
                 bound = BoundSpec(alpha=1.0, beta=2 * (k - 1), radius=d)
                 rep = sweep(algo, g, updates, bound, dense=True)
                 pairs += rep.pairs_checked
@@ -264,7 +264,7 @@ def test_criterion_7_size_bounds():
     for seed in seeds:
         g, edges = gnp_workload(64, 0.4, 1, random.Random(seed))
         n, m0 = g.n, g.m
-        algo = AdditiveAPSP(g, k, 4, 0.5, 0.0, seed + 100)
+        algo = AdditiveAPSP(g, k, 4, 0.5, seed + 100)
         for u, v in edges:
             algo.delete(u, v)
         c = algo.counters()

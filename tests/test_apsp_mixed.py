@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decapsp.apsp_mixed import MixedAPSP
-from decapsp.graph import DynamicGraph
+from decapsp.graph import DynamicGraph, gnp_graph
 from decapsp.oracle import bottleneck_weights
 
 from helpers import rand_connected, ref_apsp, ref_dijkstra, deletion_order
@@ -54,12 +54,6 @@ def audit(algo, prev_heavy):
                 key = eng.value_of(flat[(u, w)]) + eng.value_of(flat[(v, w)])
                 want_heaps.setdefault((u, v), {})[w] = key
     assert {uv: dict(h.items()) for uv, h in algo.overlap_heap.items()} == want_heaps
-    want_sets = {}
-    for (u, v), entries in want_heaps.items():
-        for w in entries:
-            want_sets.setdefault((w, u), set()).add(v)
-            want_sets.setdefault((w, v), set()).add(u)
-    assert algo.set_overlap == want_sets
     return heavy
 
 
@@ -92,7 +86,7 @@ def test_small_threshold_promotes_all_clustered():
     g = rand_connected(rng, 9, 0.35, 5)
     algo = MixedAPSP(g, p=0.4, eps=0.9, tau=1, seed=8)
     # every node held by at least one bunch is heavy, so no overlap remains
-    assert not algo.overlap_heap and not algo.set_overlap
+    assert not algo.overlap_heap
     for w in range(g.n):
         assert (w in algo.heavy_trees) == bool(algo.engine.cluster[w])
     run_deletions(algo, rng)
@@ -174,3 +168,23 @@ def test_property_random_mixed_runs(data):
             algo.delete(u, v)
         prev = audit(algo, prev)
         check_stretch(algo, 2.9)
+
+
+def test_bunch_increases_update_every_other_owners_overlap_entry():
+    # tau 6 leaves light nodes with several owners, so an INCREASE event on
+    # (v, w) must re-key w in the heap {u, v} of each other owner u
+    rng = random.Random(21)
+    g = gnp_graph(20, 0.5, 10, rng)
+    algo = MixedAPSP(g, p=g.m ** -0.25, eps=0.6, tau=6, seed=3)
+    prev = audit(algo, set())
+    live = sorted((u, v) for u, v, _ in g.edges())
+    while len(live) > g.n:
+        u, v = live[rng.randrange(len(live))]
+        if g.weight(u, v) < g.W and rng.random() < 0.5:
+            algo.increase(u, v, rng.randint(g.weight(u, v) + 1, g.W))
+        else:
+            algo.delete(u, v)
+            live.remove((u, v))
+        prev = audit(algo, prev)
+        check_stretch(algo, 2.6)
+    assert algo.overlap_touches >= 10

@@ -45,7 +45,7 @@ def rebuilt_layers(algo):
 
 
 def audit(algo):
-    g, eng = algo.g, algo.engine
+    eng = algo.engine
     wv, bexp, nbr, nbr_min, adj = rebuilt_layers(algo)
 
     assert algo.bexp == bexp
@@ -59,40 +59,14 @@ def audit(algo):
     assert algo.nbr_min == nbr_min
     assert {uv: dict(h.items()) for uv, h in algo.adj_heap.items()} == adj
 
-    # reverse indices: ignore empty leftovers, check exact live contents
-    live_edge = {}
-    for (x, v), entries in nbr.items():
-        for y in entries:
-            live_edge.setdefault((x, y), set()).add(v)
-    assert {k: s for k, s in algo.set_edge.items() if s} == live_edge
-    member = {}
-    for (v, y) in bexp:
-        member[(y, v)] = set(g.adj[y])
-    assert algo.set_member == member
     assert {x: s for x, s in algo.nbr_live.items() if s} == group_by_first(nbr_min)
-    assert {x: s for x, s in algo.owners.items() if s} == group_by_second_owner(bexp)
-    adj_bunch = {}
-    for (v, y) in bexp:
-        adj_bunch[(v, y)] = {t for (x, t) in nbr_min if x == y}
-    assert algo.set_adj_bunch == adj_bunch
-    adj_heap_idx = {}
-    for xv in nbr_min:
-        x, _ = xv
-        adj_heap_idx[xv] = {u for (u, m) in bexp if m == x}
-    assert algo.set_adj_heap == adj_heap_idx
+    assert algo.cluster_m == [set(c) for c in eng.cluster]
 
 
 def group_by_first(pairs):
     out = {}
     for x, v in pairs:
         out.setdefault(x, set()).add(v)
-    return out
-
-
-def group_by_second_owner(bexp):
-    out = {}
-    for owner, member in bexp:
-        out.setdefault(member, set()).add(owner)
     return out
 
 

@@ -25,7 +25,7 @@ INF = math.inf
 def test_initial_levels_are_exact_up_to_cap():
     g = DynamicGraph(5, [(0, 1, 2), (1, 2, 2), (2, 3, 2), (3, 4, 2), (0, 4, 9)])
     t = MonotoneESTree(g.adj, 0, cap=6)
-    assert [t.level(v) for v in range(5)] == [0, 2, 4, 6, INF]
+    assert [t.level_of[v] for v in range(5)] == [0, 2, 4, 6, INF]
 
 
 def test_root_level_pinned_at_zero():
@@ -33,18 +33,18 @@ def test_root_level_pinned_at_zero():
     t = MonotoneESTree(g.adj, 0, cap=10)
     rec = apply_update(g, UpdateEvent(DELETE, 0, 1))
     t.delete_edge(0, 1, rec.old_weight)
-    assert t.level(0) == 0
-    assert t.level(1) == INF and t.level(2) == INF
+    assert t.level_of[0] == 0
+    assert t.level_of[1] == INF and t.level_of[2] == INF
 
 
 def test_deletion_reroutes_through_alternative_path():
     g = DynamicGraph(4, [(0, 1, 1), (1, 3, 1), (0, 2, 2), (2, 3, 2)])
     t = MonotoneESTree(g.adj, 0, cap=10)
-    assert t.level(3) == 2
+    assert t.level_of[3] == 2
     rec = apply_update(g, UpdateEvent(DELETE, 1, 3))
     changed = t.delete_edge(1, 3, rec.old_weight)
     assert changed == {3}
-    assert t.level(3) == 4
+    assert t.level_of[3] == 4
 
 
 def test_increase_beyond_cap_becomes_infinite():
@@ -52,23 +52,23 @@ def test_increase_beyond_cap_becomes_infinite():
     t = MonotoneESTree(g.adj, 0, cap=3)
     rec = apply_update(g, UpdateEvent(INCREASE, 0, 1, 3))
     assert t.increase_weight(0, 1, 3, rec.old_weight) == {1}
-    assert t.level(1) == 3
+    assert t.level_of[1] == 3
     rec = apply_update(g, UpdateEvent(INCREASE, 0, 1, 4))
     assert t.increase_weight(0, 1, 4, rec.old_weight) == {1}
-    assert t.level(1) == INF
+    assert t.level_of[1] == INF
 
 
 def test_insert_never_lowers_levels():
     g = DynamicGraph(4, [(0, 1, 5), (1, 2, 5), (2, 3, 5)])
     t = MonotoneESTree(g.adj, 0, cap=50)
-    before = [t.level(v) for v in range(4)]
+    before = [t.level_of[v] for v in range(4)]
     g.adj[0][3] = g.adj[3][0] = 1
     t.insert_edge(0, 3, 1)  # a shortcut the monotone tree must ignore
-    assert [t.level(v) for v in range(4)] == before
+    assert [t.level_of[v] for v in range(4)] == before
     # but the shortcut participates in later recomputation
     rec = apply_update(g, UpdateEvent(DELETE, 2, 3))
     t.delete_edge(2, 3, rec.old_weight)
-    assert t.level(3) == before[3]  # min over neighbors now includes the shortcut
+    assert t.level_of[3] == before[3]  # min over neighbors now includes the shortcut
 
 
 def test_edge_errors():
@@ -114,9 +114,9 @@ def test_pure_decremental_levels_stay_exact(seed, n, w):
         truth = ref_dijkstra(g.adj, 0)
         for x in range(n):
             if truth[x] <= cap:
-                assert t.level(x) == truth[x]
+                assert t.level_of[x] == truth[x]
             else:
-                assert t.level(x) == INF
+                assert t.level_of[x] == INF
 
 
 @settings(max_examples=50, deadline=None)
@@ -133,7 +133,7 @@ def test_mixed_ops_keep_monotone_lower_bounded_witnessed(seed):
         (u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)
     ]
     rng.shuffle(pool)
-    prev = {v: t.level(v) for v in range(n)}
+    prev = {v: t.level_of[v] for v in range(n)}
     for _ in range(25):
         op = rng.random()
         live = [(u, v) for u, v, _ in g.edges()]
@@ -160,16 +160,16 @@ def test_mixed_ops_keep_monotone_lower_bounded_witnessed(seed):
             continue
         truth = ref_dijkstra(g.adj, 0)
         for x in range(n):
-            lvl = t.level(x)
+            lvl = t.level_of[x]
             assert lvl >= prev[x], "level decreased"
             assert lvl >= truth[x] or lvl == truth[x], "level below true distance"
             assert truth[x] <= lvl
             prev[x] = lvl
         for x in changed:
-            lvl = t.level(x)
+            lvl = t.level_of[x]
             assert lvl > 0
             if lvl != INF:
-                witness = min(t.level(y) + w for y, w in t.adj[x].items())
+                witness = min(t.level_of[y] + w for y, w in t.adj[x].items())
                 assert lvl == witness
 
 
@@ -183,7 +183,7 @@ def test_work_counter_bounded_by_nodes_times_cap():
             rec = apply_update(g, UpdateEvent(DELETE, u, v))
             t.delete_edge(u, v, rec.old_weight)
     assert t.level_increases <= 20 * (cap + 1)
-    assert all(t.level(v) == (0 if v == 0 else INF) for v in range(20))
+    assert all(t.level_of[v] == (0 if v == 0 else INF) for v in range(20))
 
 
 def pick_pair(rng, adj, tree):
@@ -332,7 +332,7 @@ def test_a_bad_old_weight_is_refused_before_any_level_changes():
             assert t.delete_edge(u, v, rec.old_weight) == want
         else:
             assert t.increase_weight(u, v, rec.new_weight, rec.old_weight) == want
-    assert [t.level(x) for x in range(4)] == [0, 9, 5, 6]
+    assert [t.level_of[x] for x in range(4)] == [0, 9, 5, 6]
 
 
 class NoScan(dict):
@@ -352,7 +352,7 @@ def test_a_change_the_edge_never_supported_scans_no_neighbors():
                          (3, 4, 1)])
     t = MonotoneESTree(g.adj, 0, cap=10)
     levels = [0, 1, 1, 3, 4]
-    assert [t.level(x) for x in range(5)] == levels
+    assert [t.level_of[x] for x in range(5)] == levels
     for x in (1, 2):
         g.adj[x] = NoScan(g.adj[x])
     rec = apply_update(g, UpdateEvent(INCREASE, 1, 2, 5))
@@ -361,7 +361,7 @@ def test_a_change_the_edge_never_supported_scans_no_neighbors():
     assert t.delete_edge(2, 1, rec.old_weight) == set()
     rec = apply_update(g, UpdateEvent(DELETE, 3, 2))  # 3 keeps the tie via 1
     assert t.delete_edge(3, 2, rec.old_weight) == set()
-    assert [t.level(x) for x in range(5)] == levels and t.level_increases == 0
+    assert [t.level_of[x] for x in range(5)] == levels and t.level_increases == 0
 
 
 def test_a_tie_is_a_support():
@@ -373,7 +373,7 @@ def test_a_tie_is_a_support():
     g.adj[4] = NoScan(g.adj[4])
     rec = apply_update(g, UpdateEvent(DELETE, 2, 3))
     assert t.delete_edge(2, 3, rec.old_weight) == set()
-    assert [t.level(x) for x in range(5)] == [0, 1, 1, 3, 4] and t.level_increases == 0
+    assert [t.level_of[x] for x in range(5)] == [0, 1, 1, 3, 4] and t.level_increases == 0
 
 
 def test_slack_left_by_inserts_survives_a_repair():
@@ -382,15 +382,15 @@ def test_slack_left_by_inserts_survives_a_repair():
     g = DynamicGraph(7, [(0, 1, 5), (1, 2, 5), (0, 3, 3), (0, 4, 4), (3, 4, 1),
                          (3, 5, 3), (5, 6, 1)])
     t = MonotoneESTree(g.adj, 0, cap=100)
-    assert [t.level(v) for v in range(7)] == [0, 5, 10, 3, 4, 6, 7]
+    assert [t.level_of[v] for v in range(7)] == [0, 5, 10, 3, 4, 6, 7]
     for x in (3, 6):
         g.adj[x][2] = g.adj[2][x] = 1
         t.insert_edge(x, 2, 1)
     rec = apply_update(g, UpdateEvent(DELETE, 1, 2))
-    assert t.delete_edge(1, 2, rec.old_weight) == set() and t.level(2) == 10
+    assert t.delete_edge(1, 2, rec.old_weight) == set() and t.level_of[2] == 10
     rec = apply_update(g, UpdateEvent(DELETE, 0, 3))
     assert t.delete_edge(0, 3, rec.old_weight) == {3, 5, 6}
-    assert [t.level(v) for v in range(7)] == [0, 5, 10, 5, 4, 8, 9]
+    assert [t.level_of[v] for v in range(7)] == [0, 5, 10, 5, 4, 8, 9]
 
 
 def test_call_before_the_owner_writes_raises():
@@ -412,7 +412,7 @@ def test_call_before_the_owner_writes_raises():
     assert t.level_of == levels and t.level_increases == 0
     rec = apply_update(g, UpdateEvent(DELETE, 0, 1))
     assert t.delete_edge(0, 1, rec.old_weight) == {1, 2}
-    assert t.level(1) == 7 and t.level(2) == 5
+    assert t.level_of[1] == 7 and t.level_of[2] == 5
 
 
 def check_nearest(fam):

@@ -1,0 +1,60 @@
+"""Smoke runs of the experiment wrappers in scripts/ on tiny instances.
+
+Each script is launched in a fresh process with the package under test on
+PYTHONPATH, as the README shows; it must exit 0 and print its CSV header.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import decapsp
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# algorithm -> (extra flags, counter columns of bench_ladder.py)
+ALGORITHMS = {
+    "mult": ([], ["updates", "searches", "bunch_rebuilds_max", "bunch_rebuilds_total",
+                  "nbr_min_changes_max", "nbr_min_changes_total", "nbr_pairs_live",
+                  "adj_pairs_live", "tree_level_increases"]),
+    "mixed": (["--tau", "4"], ["updates", "searches", "bunch_rebuilds_max",
+                               "bunch_rebuilds_total", "promotions", "heavy_count",
+                               "overlap_touches", "overlap_pairs_live",
+                               "tree_level_increases"]),
+    "additive": (["--k", "2", "--d", "4", "--W", "1"],
+                 ["updates", "estar_added", "neighbor_scans", "exports_applied",
+                  "tree_level_increases"]),
+}
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    src = str(Path(decapsp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_bench_ladder(algorithm):
+    flags, columns = ALGORITHMS[algorithm]
+    lines = run_script("bench_ladder.py", "--algorithm", algorithm,
+                       "--sizes", "12,16", *flags)
+    assert lines[0] == ",".join(["n", "m", "wall_ms", *columns])
+    assert [row.split(",")[0] for row in lines[1:]] == ["12", "16"]
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_stretch_sweep(algorithm):
+    flags, _ = ALGORITHMS[algorithm]
+    lines = run_script("stretch_sweep.py", "--algorithm", algorithm,
+                       "--n", "12", "--seeds", "2", *flags)
+    assert lines[0] == "seed,pairs,ok,max_ratio,max_slack,bound_alpha,bound_beta"
+    rows = [row.split(",") for row in lines[1:]]
+    assert [r[0] for r in rows] == ["0", "1"]
+    assert all(r[2] == "True" for r in rows)
