@@ -15,6 +15,9 @@ import time
 from decapsp import cli
 from decapsp.graph import gnp_workload
 
+# algorithms that refuse any edge weight other than 1
+UNIT_WEIGHT = ("unweighted-mult", "additive")
+
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
@@ -30,6 +33,8 @@ def main():
     ap.add_argument("--p", type=float, default=None)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.algorithm in UNIT_WEIGHT and args.W != 1:
+        ap.error(f"--algorithm {args.algorithm} takes unit weights only: pass --W 1")
 
     header_done = False
     for n in (int(s) for s in args.sizes.split(",") if s):

@@ -16,6 +16,9 @@ from decapsp import cli
 from decapsp.graph import DELETE, UpdateEvent, gnp_workload
 from decapsp.oracle import sweep
 
+# algorithms that refuse any edge weight other than 1
+UNIT_WEIGHT = ("unweighted-mult", "additive")
+
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
@@ -31,6 +34,8 @@ def main():
     ap.add_argument("--p", type=float, default=None)
     ap.add_argument("--seeds", type=int, default=5)
     args = ap.parse_args()
+    if args.algorithm in UNIT_WEIGHT and args.W != 1:
+        ap.error(f"--algorithm {args.algorithm} takes unit weights only: pass --W 1")
 
     print("seed,pairs,ok,max_ratio,max_slack,bound_alpha,bound_beta")
     worst = 0.0

@@ -29,12 +29,12 @@ from .graph import (
     parse_updates,
 )
 from .heaps import IndexedHeap
-from .rounding import GeometricRounder, rounded
+from .rounding import GeometricRounder
 from .estree import MonotoneESTree
 from .bunches import BunchChangeEvent, BunchEngine, sample_pivots
 from .apsp_mult import MultiplicativeAPSP
 from .apsp_mixed import MixedAPSP
-from .reduction import SubdividedGraph, UnweightedAPSP, subdivide, translate_query
+from .reduction import SubdividedGraph, UnweightedAPSP, translate_query
 from .additive import AdditiveAPSP, level_thresholds, sample_partition
 from .oracle import (
     BoundSpec,
@@ -97,11 +97,9 @@ __all__ = [
     "load_graph",
     "main",
     "parse_updates",
-    "rounded",
     "sample_partition",
     "sample_pivots",
     "static_two_apsp",
-    "subdivide",
     "sweep",
     "translate_query",
 ]

@@ -6,24 +6,28 @@ bounded-depth trees, so any pair can route through its nearest heavy node
 at exact tree distances.  Light intermediates are covered pairwise: for
 every unordered pair {u, v} an overlap heap stores each light w lying in
 both bunches, keyed rounded_bunch(u, w) + rounded_bunch(v, w).  The heaps
-holding w are exactly the pairs of its cluster mirror cluster_m[w], so a
-bunch event on (owner v, member w) reaches the heaps {u, v} for the other
-owners u in cluster_m[w], and a promotion every pair of it; no reverse
-index is kept.
+holding w are exactly the pairs of its cluster, so bunches and clusters are
+read from the BunchEngine, which owns them, and no copy or reverse index is
+kept.
 
-Promotion happens the moment a join pushes a cluster to tau members: the
-node's tree is built on the current graph and joins the heavy TreeFamily,
-where it competes for every node's nearest heavy root, and its entry leaves
-the heap of every pair in its cluster.  Queries take the best of pivot
-routes, routes through the nearest heavy node of either endpoint, and the
-pair's overlap minimum.
+An update is absorbed against the engine's final state.  After the refresh
+and the heavy trees' repair, the bunch events are grouped by member w; the
+owners w had before the update are its final cluster without the owners
+that joined, plus those that left.  A light w whose final cluster holds at
+least tau owners is promoted: its tree is built on the current graph and
+joins the heavy TreeFamily, where it competes for every node's nearest
+heavy root, and its entry leaves the heap of every pair of its old owners.
+Otherwise each pair with a changed owner is brought to its final state
+once.  Queries take the best of pivot routes, routes through the nearest
+heavy node of either endpoint, and the pair's overlap minimum.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
-from .bunches import INCREASE, JOIN, BunchEngine
+from .bunches import INCREASE, JOIN, LEAVE, BunchEngine
 from .estree import TreeFamily
 from .graph import DELETE, INCREASE as W_INCREASE, DomainError, UpdateEvent, apply_update
 from .heaps import IndexedHeap
@@ -42,42 +46,24 @@ class MixedAPSP:
         self.g = graph
         self.tau = tau
         self.engine = BunchEngine(graph, p, eps, seed)
+        bunch, cluster = self.engine.bunch, self.engine.cluster
         value_of = self.engine.value_of
-
-        self.bexp = {}         # (owner, member) -> exponent mirror
-        self.cluster_m = [set() for _ in range(graph.n)]
-        for v in range(graph.n):
-            for w, exp in self.engine.bunch[v].items():
-                self.bexp[(v, w)] = exp
-                self.cluster_m[w].add(v)
 
         self.heavy_trees = TreeFamily(graph.adj, self.engine.depth_cap)
 
         self.overlap_heap = {}  # unordered (u, v) -> IndexedHeap of light w
-        self.overlap_touches = 0
+        self.overlap_touches = 0  # overlap entries re-keyed by INCREASE events
 
         for w in range(graph.n):
-            if len(self.cluster_m[w]) >= tau:
+            if len(cluster[w]) >= tau:
                 self.heavy_trees.add_root(w)
         for w in range(graph.n):
             if w in self.heavy_trees:
                 continue
-            owners = sorted(self.cluster_m[w])
-            for i, u in enumerate(owners):
-                uval = value_of(self.bexp[(u, w)])
-                for v in owners[i + 1:]:
-                    self._overlap_insert(w, u, v, uval + value_of(self.bexp[(v, w)]))
+            for u, v in combinations(cluster[w], 2):
+                self._overlap_insert(w, u, v, value_of(bunch[u][w]) + value_of(bunch[v][w]))
 
         self.updates_applied = 0
-
-    # -- heavy layer ---------------------------------------------------------
-
-    def _promote(self, w):
-        self.heavy_trees.add_root(w)
-        owners = sorted(self.cluster_m[w])
-        for i, u in enumerate(owners):
-            for v in owners[i + 1:]:
-                self._overlap_delete(w, u, v)
 
     # -- overlap layer -------------------------------------------------------
 
@@ -94,31 +80,42 @@ class MixedAPSP:
         if not heap:
             del self.overlap_heap[uv]
 
-    def _bunch_event(self, bev):
-        w, v = bev.member, bev.owner
+    def _absorb(self, events):
+        """Bring the overlap entries of each member named by the events to the
+        engine's final bunches and clusters, promoting it if it reached tau."""
+        changed = {}  # member -> {owner: case}
+        for bev in events:
+            changed.setdefault(bev.member, {})[bev.owner] = bev.case
+        bunch, cluster = self.engine.bunch, self.engine.cluster
         value_of = self.engine.value_of
-        if bev.case == JOIN:
-            self.bexp[(v, w)] = bev.exponent
-            if w not in self.heavy_trees:
-                for u in sorted(self.cluster_m[w]):
-                    self._overlap_insert(w, u, v, value_of(self.bexp[(u, w)]) + bev.value)
-            self.cluster_m[w].add(v)
-            if w not in self.heavy_trees and len(self.cluster_m[w]) >= self.tau:
-                self._promote(w)
-        elif bev.case == INCREASE:
-            self.bexp[(v, w)] = bev.exponent
-            if w not in self.heavy_trees:
-                self.overlap_touches += len(self.cluster_m[w]) - 1
-                for u in sorted(self.cluster_m[w]):
-                    if u != v:
-                        self.overlap_heap[_pair(u, v)].update(
-                            w, value_of(self.bexp[(u, w)]) + bev.value)
-        else:  # LEAVE
-            del self.bexp[(v, w)]
-            self.cluster_m[w].discard(v)
-            if w not in self.heavy_trees:
-                for u in sorted(self.cluster_m[w]):
+        for w, cases in changed.items():
+            if w in self.heavy_trees:
+                continue
+            final = cluster[w]
+            old = {u for u in final if cases.get(u) != JOIN}
+            old.update(u for u, case in cases.items() if case == LEAVE)
+            if len(final) >= self.tau:
+                self.heavy_trees.add_root(w)
+                for u, v in combinations(old, 2):
                     self._overlap_delete(w, u, v)
+                continue
+            # an INCREASE on (v, w) re-keys {u, v} for each other owner u kept
+            # through the update, even where u's own INCREASE re-keys it too
+            increases = sum(1 for case in cases.values() if case == INCREASE)
+            self.overlap_touches += increases * (len(old & final) - 1)
+            owners = old | final
+            for v in cases:
+                for u in owners:
+                    if u == v or (u in cases and u > v):
+                        continue  # {u, v} is done once, from its larger changed owner
+                    if u in final and v in final:
+                        key = value_of(bunch[u][w]) + value_of(bunch[v][w])
+                        if u in old and v in old:
+                            self.overlap_heap[_pair(u, v)].update(w, key)
+                        else:
+                            self._overlap_insert(w, u, v, key)
+                    elif u in old and v in old:
+                        self._overlap_delete(w, u, v)
 
     # -- updates ---------------------------------------------------------------
 
@@ -133,8 +130,7 @@ class MixedAPSP:
         self.updates_applied += 1
         events = self.engine.refresh(rec)
         self.heavy_trees.apply(rec)
-        for bev in events:
-            self._bunch_event(bev)
+        self._absorb(events)
 
     # -- queries ---------------------------------------------------------------
 

@@ -11,21 +11,29 @@ The per-pair heaps are layered.  For an intermediate x and target v, a
 neighborhood heap holds w~(x, y) + rounded_bunch(y, v) over edge neighbors
 y of x inside bunch(v); its rounded minimum feeds a per-(u, v) adjacency
 heap entry keyed rounded_bunch(u, x) + that minimum, for every owner u whose
-bunch holds x.  Each change reaches exactly its own entries through state
-the structure keeps anyway, with no reverse index:
+bunch holds x.  Bunches and clusters are read from the BunchEngine, which
+owns them; the structure keeps no copy of them and no reverse index.
 
-  * an edge {x, y} sits in the neighborhood heaps (x, v) for every owner v
-    of y in the cluster mirror cluster_m[y], and symmetrically;
-  * a bunch event on (owner v, member w) reaches the neighborhood heaps
-    (x, v) for x in the graph's adjacency of w, and the adjacency heaps
-    (v, t) for every t in nbr_live[w];
-  * a changed neighborhood minimum (x, v) reaches the adjacency heaps (u, v)
-    for every owner u in cluster_m[x].
+An update is absorbed in five steps, each reaching its entries through the
+graph's adjacency, engine.cluster and the live minima nbr_live:
 
-The mirrors bexp and cluster_m lag the engine by the events not yet
-absorbed; an event on (v, w) only reads the mirrors of members other than
-w, which are current.  Geometric rounding keeps the propagated minima from
-changing more than polylogarithmically often per pair.
+  1. the changed edge {x, y} is re-keyed or dropped in the neighborhood
+     heaps (x, v) for every owner v of y, and symmetrically.  This runs
+     before engine.refresh: only then does engine.cluster[y] still list the
+     owners those heaps hold, and a deleted edge is already gone from the
+     adjacency, so no later step could find it;
+  2. engine.refresh brings bunches and clusters to their final state and
+     returns the events, at most one per (owner v, member w);
+  3. each event re-keys, inserts or drops w in the neighborhood heaps
+     (x, v) for x adjacent to w, keyed by the event's rounded estimate;
+  4. each event brings w's entries in the adjacency heaps (v, t), for t in
+     nbr_live[w], to its estimate, against the minima as they stand;
+  5. every neighborhood minimum touched by steps 1 and 3 is re-rounded
+     once; a changed one reaches the adjacency heaps (u, v) for every final
+     owner u in engine.cluster[x].
+
+Geometric rounding keeps the propagated minima from changing more than
+polylogarithmically often per pair.
 """
 
 from __future__ import annotations
@@ -52,10 +60,6 @@ class MultiplicativeAPSP:
             e = self.rounder.exponent(w)
             self.w_round[(a, b) if a < b else (b, a)] = (e, self.rounder.value(e))
 
-        # bunch mirrors, updated as each event is absorbed
-        self.bexp = {}        # (owner, member) -> exponent mirror of the engine
-        self.cluster_m = [set() for _ in range(graph.n)]  # member -> owners
-
         # neighborhood layer
         self.nbr_heap = {}    # (x, v) -> IndexedHeap of y
         self.nbr_min = {}     # (x, v) -> exponent of the rounded minimum
@@ -69,7 +73,6 @@ class MultiplicativeAPSP:
 
         for v in range(graph.n):
             for y, exp in self.engine.bunch[v].items():
-                self.bexp[(v, y)] = exp
                 yval = value_of(exp)
                 for x in graph.adj[y]:
                     key = self.w_round[(x, y) if x < y else (y, x)][1] + yval
@@ -82,7 +85,6 @@ class MultiplicativeAPSP:
             self.nbr_live.setdefault(x, set()).add(v)
         for u in range(graph.n):
             for x, exp in self.engine.bunch[u].items():
-                self.cluster_m[x].add(u)
                 uval = value_of(exp)
                 for v in self.nbr_live.get(x, ()):
                     key = uval + self.rounder.value(self.nbr_min[(x, v)])
@@ -102,22 +104,25 @@ class MultiplicativeAPSP:
     def _apply(self, ev):
         rec = apply_update(self.g, ev)
         self.updates_applied += 1
-        events = self.engine.refresh(rec)
         touched = self._edge_stage(rec)
-        self._flush_minima(touched)
+        events = self.engine.refresh(rec)
         for bev in events:
-            touched = self._nbr_bunch_change(bev)
-            self._flush_minima(touched)
+            self._nbr_bunch_change(bev, touched)
+        for bev in events:
             self._adj_bunch_change(bev)
+        self._flush_minima(touched)
 
     def _edge_stage(self, rec):
+        """Re-key or drop the changed edge's neighborhood entries; runs before
+        the refresh, while engine.cluster still holds the owners they list."""
         a, b = rec.u, rec.v
         pair = (a, b) if a < b else (b, a)
         touched = set()
+        cluster = self.engine.cluster
         if rec.new_weight == INF:
             self.w_round.pop(pair, None)
             for x, y in ((a, b), (b, a)):
-                for v in sorted(self.cluster_m[y]):
+                for v in cluster[y]:
                     self.nbr_heap[(x, v)].delete(y)
                     touched.add((x, v))
             return touched
@@ -127,19 +132,17 @@ class MultiplicativeAPSP:
             return touched
         new_val = self.rounder.value(new_exp)
         self.w_round[pair] = (new_exp, new_val)
-        value_of = self.engine.value_of
+        bunch, value_of = self.engine.bunch, self.engine.value_of
         for x, y in ((a, b), (b, a)):
-            for v in sorted(self.cluster_m[y]):
-                self.nbr_heap[(x, v)].update(y, new_val + value_of(self.bexp[(v, y)]))
+            for v in cluster[y]:
+                self.nbr_heap[(x, v)].update(y, new_val + value_of(bunch[v][y]))
                 touched.add((x, v))
         return touched
 
-    def _nbr_bunch_change(self, bev):
+    def _nbr_bunch_change(self, bev, touched):
         w, v = bev.member, bev.owner
-        touched = set()
         if bev.case == JOIN:
-            self.bexp[(v, w)] = bev.exponent
-            for x in sorted(self.g.adj[w]):
+            for x in self.g.adj[w]:
                 pair = (x, w) if x < w else (w, x)
                 key = self.w_round[pair][1] + bev.value
                 heap = self.nbr_heap.get((x, v))
@@ -148,23 +151,43 @@ class MultiplicativeAPSP:
                 heap.insert(w, key)
                 touched.add((x, v))
         elif bev.case == INCREASE:
-            self.bexp[(v, w)] = bev.exponent
-            for x in sorted(self.g.adj[w]):
+            for x in self.g.adj[w]:
                 pair = (x, w) if x < w else (w, x)
                 self.nbr_heap[(x, v)].update(w, self.w_round[pair][1] + bev.value)
                 touched.add((x, v))
         else:  # LEAVE
-            del self.bexp[(v, w)]
-            for x in sorted(self.g.adj[w]):
+            for x in self.g.adj[w]:
                 self.nbr_heap[(x, v)].delete(w)
                 touched.add((x, v))
-        return touched
+
+    def _adj_bunch_change(self, bev):
+        """Bring (owner u, member x)'s adjacency entries to the estimate of the
+        event, against the neighborhood minima as they stand."""
+        x, u = bev.member, bev.owner
+        rounder = self.rounder
+        if bev.case == JOIN:
+            for v in self.nbr_live.get(x, ()):
+                key = bev.value + rounder.value(self.nbr_min[(x, v)])
+                heap = self.adj_heap.get((u, v))
+                if heap is None:
+                    heap = self.adj_heap[(u, v)] = IndexedHeap()
+                heap.insert(x, key)
+        elif bev.case == INCREASE:
+            for v in self.nbr_live.get(x, ()):
+                self.adj_heap[(u, v)].update(x, bev.value + rounder.value(self.nbr_min[(x, v)]))
+        else:  # LEAVE
+            for v in self.nbr_live.get(x, ()):
+                heap = self.adj_heap[(u, v)]
+                heap.delete(x)
+                if not heap:
+                    del self.adj_heap[(u, v)]
 
     def _flush_minima(self, touched):
-        """Re-round touched neighborhood minima and patch adjacency heaps."""
+        """Re-round each touched neighborhood minimum once and patch the
+        adjacency entries of x's final owners where it changed."""
         rounder = self.rounder
-        value_of = self.engine.value_of
-        for xv in sorted(touched):
+        bunch, cluster, value_of = self.engine.bunch, self.engine.cluster, self.engine.value_of
+        for xv in touched:
             heap = self.nbr_heap.get(xv)
             if heap is not None and not heap:
                 del self.nbr_heap[xv]
@@ -179,8 +202,8 @@ class MultiplicativeAPSP:
                 self.nbr_min[xv] = new_exp
                 self.nbr_live.setdefault(x, set()).add(v)
                 val = rounder.value(new_exp)
-                for u in sorted(self.cluster_m[x]):
-                    key = value_of(self.bexp[(u, x)]) + val
+                for u in cluster[x]:
+                    key = value_of(bunch[u][x]) + val
                     heap2 = self.adj_heap.get((u, v))
                     if heap2 is None:
                         heap2 = self.adj_heap[(u, v)] = IndexedHeap()
@@ -188,7 +211,7 @@ class MultiplicativeAPSP:
             elif new_exp is None:
                 del self.nbr_min[xv]
                 self.nbr_live[x].discard(v)
-                for u in sorted(self.cluster_m[x]):
+                for u in cluster[x]:
                     heap2 = self.adj_heap[(u, v)]
                     heap2.delete(x)
                     if not heap2:
@@ -196,30 +219,8 @@ class MultiplicativeAPSP:
             else:
                 self.nbr_min[xv] = new_exp
                 val = rounder.value(new_exp)
-                for u in sorted(self.cluster_m[x]):
-                    self.adj_heap[(u, v)].update(x, value_of(self.bexp[(u, x)]) + val)
-
-    def _adj_bunch_change(self, bev):
-        x, u = bev.member, bev.owner
-        rounder = self.rounder
-        if bev.case == JOIN:
-            self.cluster_m[x].add(u)
-            for v in sorted(self.nbr_live.get(x, ())):
-                key = bev.value + rounder.value(self.nbr_min[(x, v)])
-                heap = self.adj_heap.get((u, v))
-                if heap is None:
-                    heap = self.adj_heap[(u, v)] = IndexedHeap()
-                heap.insert(x, key)
-        elif bev.case == INCREASE:
-            for v in sorted(self.nbr_live.get(x, ())):
-                self.adj_heap[(u, v)].update(x, bev.value + rounder.value(self.nbr_min[(x, v)]))
-        else:  # LEAVE
-            self.cluster_m[x].discard(u)
-            for v in sorted(self.nbr_live.get(x, ())):
-                heap = self.adj_heap[(u, v)]
-                heap.delete(x)
-                if not heap:
-                    del self.adj_heap[(u, v)]
+                for u in cluster[x]:
+                    self.adj_heap[(u, v)].update(x, value_of(bunch[u][x]) + val)
 
     # -- queries -----------------------------------------------------------
 

@@ -220,10 +220,8 @@ def cmd_bench(args):
                 algo.delete(u, v)
             wall_ms = (time.perf_counter() - t0) * 1000.0
             c = algo.counters()
-            log_arg = max(n * max(args.W, 1), 2)
-            log_bound = math.ceil(math.log(log_arg) / math.log(1 + args.eps / 3))
-            rebuild_bound = log_bound + 1
-            change_bound = log_bound * log_bound
+            rebuild_bound = algo.engine.rebuild_bound()
+            change_bound = (rebuild_bound - 1) ** 2
             if c["bunch_rebuilds_max"] > rebuild_bound:
                 raise SystemExit(
                     f"rebuild bound violated at n={n}: "

@@ -66,10 +66,6 @@ class SubdividedGraph:
         return [UpdateEvent(DELETE, a, b) for a, b in chain]
 
 
-def subdivide(graph, k):
-    return SubdividedGraph(graph, k)
-
-
 def translate_query(estimate, k):
     if estimate == INF:
         return INF

@@ -68,8 +68,3 @@ class GeometricRounder:
 
     def round(self, delta):
         return _power(self.eps, self.exponent(delta))
-
-
-def rounded(delta, eps):
-    """One-shot geometric rounding: (1+eps)^ceil(log_(1+eps) delta)."""
-    return GeometricRounder(eps).round(delta)

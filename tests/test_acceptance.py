@@ -19,7 +19,7 @@ from decapsp.bunches import BunchEngine
 from decapsp.estree import MonotoneESTree
 from decapsp.graph import DELETE, UpdateEvent, QueryCheckpoint, gnp_graph, gnp_workload
 from decapsp.oracle import BoundSpec, exact_apsp, static_two_apsp, sweep
-from decapsp.reduction import subdivide, UnweightedAPSP
+from decapsp.reduction import SubdividedGraph, UnweightedAPSP
 
 from helpers import ref_dijkstra
 
@@ -87,7 +87,7 @@ def test_criterion_2_mixed_stretch():
 
 def _identity_pairs(g, k, rng, count=100):
     """d in the subdivided graph must be exactly (k+1) times d in g."""
-    sub = subdivide(g.copy(), k)
+    sub = SubdividedGraph(g.copy(), k)
     bad = 0
     for _ in range(count):
         u = rng.randrange(g.n)

@@ -17,8 +17,6 @@ def audit(algo, prev_heavy):
     g, eng = algo.g, algo.engine
 
     flat = {(v, w): e for v in range(g.n) for w, e in eng.bunch[v].items()}
-    assert algo.bexp == flat
-    assert [set(c) for c in eng.cluster] == algo.cluster_m
 
     # heaviness: permanent, and every tau-sized cluster is already promoted
     heavy = set(algo.heavy_trees)

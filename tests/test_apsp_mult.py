@@ -23,11 +23,9 @@ def rebuilt_layers(algo):
     for a, b, w in g.edges():
         wv[(a, b)] = wv[(b, a)] = rounder.round(w)
 
-    bexp = {}
     nbr = {}
     for v in range(g.n):
         for y, exp in eng.bunch[v].items():
-            bexp[(v, y)] = exp
             yval = eng.value_of(exp)
             for x in g.adj[y]:
                 nbr.setdefault((x, v), {})[y] = wv[(x, y)] + yval
@@ -41,14 +39,12 @@ def rebuilt_layers(algo):
             for (x2, v), e in nbr_min.items():
                 if x2 == x:
                     adj.setdefault((u, v), {})[x] = uval + rounder.value(e)
-    return wv, bexp, nbr, nbr_min, adj
+    return wv, nbr, nbr_min, adj
 
 
 def audit(algo):
-    eng = algo.engine
-    wv, bexp, nbr, nbr_min, adj = rebuilt_layers(algo)
+    wv, nbr, nbr_min, adj = rebuilt_layers(algo)
 
-    assert algo.bexp == bexp
     got_w = {}
     for (a, b), (e, val) in algo.w_round.items():
         assert val == algo.rounder.value(e)
@@ -60,7 +56,6 @@ def audit(algo):
     assert {uv: dict(h.items()) for uv, h in algo.adj_heap.items()} == adj
 
     assert {x: s for x, s in algo.nbr_live.items() if s} == group_by_first(nbr_min)
-    assert algo.cluster_m == [set(c) for c in eng.cluster]
 
 
 def group_by_first(pairs):
@@ -181,3 +176,26 @@ def test_property_random_mixed_runs(data):
             algo.delete(u, v)
         audit(algo)
         check_stretch(algo, 2 + eps)
+
+
+def test_each_neighborhood_minimum_changes_at_most_once_per_update():
+    # an update re-rounds each touched (x, v) minimum once, after all of
+    # its bunch events, so no counter grows by more than 1 per update
+    rng = random.Random(17)
+    g = gnp_graph(20, 0.4, 10, rng)
+    algo = MultiplicativeAPSP(g, p=0.15, eps=0.6, seed=6)
+    live = sorted((u, v) for u, v, _ in g.edges())
+    increases = 0
+    while len(live) > g.n:
+        u, v = live[rng.randrange(len(live))]
+        before = dict(algo.nbr_min_changes)
+        if g.weight(u, v) < g.W and rng.random() < 0.5:
+            algo.increase(u, v, rng.randint(g.weight(u, v) + 1, g.W))
+            increases += 1
+        else:
+            algo.delete(u, v)
+            live.remove((u, v))
+        for xv, count in algo.nbr_min_changes.items():
+            assert count - before.get(xv, 0) <= 1, (xv, u, v)
+        audit(algo)
+    assert increases >= 10

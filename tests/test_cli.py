@@ -133,11 +133,18 @@ def test_bench_csv_and_counter_assertions(tmp_path):
     lines = open(out).read().strip().splitlines()
     assert lines[0].startswith("n,m,updates,wall_ms")
     assert len(lines) == 3
+    header = lines[0].split(",")
     for line, n in zip(lines[1:], (12, 16)):
         fields = line.split(",")
-        assert len(fields) == len(lines[0].split(","))
+        assert len(fields) == len(header)
         assert int(fields[0]) == n
         assert int(fields[1]) == int(fields[2])
+        # the budgets are the engine's own, for the instance the row ran
+        g, _ = gnp_workload(n, 0.4, 6, random.Random(4))
+        bound = decapsp.BunchEngine(g, 0.5, 0.9, 5).rebuild_bound()
+        row = dict(zip(header, fields))
+        assert int(row["rebuild_bound"]) == bound
+        assert int(row["nbr_change_bound"]) == (bound - 1) ** 2
 
 
 def _declared_entry_point():

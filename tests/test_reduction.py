@@ -13,7 +13,7 @@ from decapsp.graph import (
     apply_update,
     gnp_graph,
 )
-from decapsp.reduction import SubdividedGraph, UnweightedAPSP, subdivide, translate_query
+from decapsp.reduction import SubdividedGraph, UnweightedAPSP, translate_query
 
 from helpers import rand_connected, ref_apsp, deletion_order
 
@@ -28,7 +28,7 @@ def unit_graph(rng, n, density):
 
 def test_single_edge_chain():
     g = DynamicGraph(2, [(0, 1, 1)])
-    sub = subdivide(g, 2)
+    sub = SubdividedGraph(g, 2)
     assert sub.expanded.n == 4
     assert sub.expanded.m == 3
     d = ref_apsp(sub.expanded)
@@ -38,7 +38,7 @@ def test_single_edge_chain():
 
 def test_path_counts():
     g = DynamicGraph(3, [(0, 1, 1), (1, 2, 1)])
-    sub = subdivide(g, 1)
+    sub = SubdividedGraph(g, 1)
     assert sub.expanded.n == 5
     assert sub.expanded.m == 4
 
@@ -47,7 +47,7 @@ def test_distance_identity_random_pairs():
     rng = random.Random(17)
     g = unit_graph(rng, 18, 0.25)
     for k in (1, 2, 3):
-        sub = subdivide(g, k)
+        sub = SubdividedGraph(g, k)
         assert sub.expanded.n == g.n + k * g.m
         assert sub.expanded.m == (k + 1) * g.m
         d0 = ref_apsp(g)
@@ -63,7 +63,7 @@ def test_distance_identity_random_pairs():
 
 def test_translate_update_chain_and_replay_guard():
     g = DynamicGraph(3, [(0, 1, 1), (1, 2, 1)])
-    sub = subdivide(g, 2)
+    sub = SubdividedGraph(g, 2)
     events = sub.translate_update(UpdateEvent(DELETE, 1, 0))
     assert [(e.u, e.v) for e in events] == sub.chains[(0, 1)]
     # the expanded graph is what says an edge is gone: until its chain is
@@ -81,7 +81,7 @@ def test_identity_survives_deletions():
     rng = random.Random(29)
     g = unit_graph(rng, 14, 0.3)
     k = 1
-    sub = subdivide(g, k)
+    sub = SubdividedGraph(g, k)
     gp = sub.expanded
     for u, v in deletion_order(rng, g.copy()):
         for ev in sub.translate_update(UpdateEvent(DELETE, u, v)):
@@ -100,9 +100,9 @@ def test_identity_survives_deletions():
 def test_rejects_weighted_input_and_bad_k():
     g = DynamicGraph(2, [(0, 1, 3)])
     with pytest.raises(DomainError):
-        subdivide(g, 1)
+        SubdividedGraph(g, 1)
     with pytest.raises(DomainError):
-        subdivide(DynamicGraph(2, [(0, 1, 1)]), 0)
+        SubdividedGraph(DynamicGraph(2, [(0, 1, 1)]), 0)
 
 
 def test_translate_query_floor():
@@ -152,7 +152,7 @@ def test_composed_wrapper_stretch():
 def test_property_identity(seed, k):
     rng = random.Random(seed)
     g = gnp_graph(rng.randrange(4, 12), 0.4, 1, rng)
-    sub = subdivide(g, k)
+    sub = SubdividedGraph(g, k)
     assert sub.expanded.n == g.n + k * g.m
     assert sub.expanded.m == (k + 1) * g.m
     d0 = ref_apsp(g)

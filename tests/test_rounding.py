@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decapsp import DomainError, GeometricRounder, rounded
+from decapsp import DomainError, GeometricRounder
 
 
 def ceil_power_reference(delta, eps):
@@ -27,7 +27,7 @@ def test_known_value_five_at_half():
     # 1.5^3 = 3.375 < 5 <= 1.5^4 = 5.0625
     e, val = ceil_power_reference(5, 0.5)
     assert e == 4 and val == pytest.approx(5.0625)
-    assert rounded(5, 0.5) == pytest.approx(5.0625)
+    assert GeometricRounder(0.5).round(5) == pytest.approx(5.0625)
     assert GeometricRounder(0.5).exponent(5) == 4
 
 
@@ -42,7 +42,7 @@ def test_exact_powers_round_to_themselves():
 def test_rounding_domain_errors():
     for bad in (0, -1, -0.5, math.inf, math.nan):
         with pytest.raises(DomainError):
-            rounded(bad, 0.3)
+            GeometricRounder(0.3).round(bad)
     for bad_eps in (0, -0.1, math.inf):
         with pytest.raises(DomainError):
             GeometricRounder(bad_eps)

@@ -30,12 +30,16 @@ ALGORITHMS = {
 }
 
 
-def run_script(name, *args):
+def launch(name, *args):
     env = dict(os.environ)
     src = str(Path(decapsp.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
                           capture_output=True, text=True, env=env)
+
+
+def run_script(name, *args):
+    proc = launch(name, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
@@ -58,3 +62,13 @@ def test_stretch_sweep(algorithm):
     rows = [row.split(",") for row in lines[1:]]
     assert [r[0] for r in rows] == ["0", "1"]
     assert all(r[2] == "True" for r in rows)
+
+
+@pytest.mark.parametrize("script", ["bench_ladder.py", "stretch_sweep.py"])
+@pytest.mark.parametrize("algorithm", ["additive", "unweighted-mult"])
+def test_unit_weight_algorithm_without_w1_is_a_usage_error(script, algorithm):
+    # both scripts default to --W 10, which these algorithms refuse
+    proc = launch(script, "--algorithm", algorithm, "--k", "2", "--d", "4")
+    assert proc.returncode == 2
+    assert "--W 1" in proc.stderr.splitlines()[-1]
+    assert "Traceback" not in proc.stderr
