@@ -35,6 +35,9 @@ def main():
     args = ap.parse_args()
     if args.algorithm in UNIT_WEIGHT and args.W != 1:
         ap.error(f"--algorithm {args.algorithm} takes unit weights only: pass --W 1")
+    missing = cli.missing_flags(args.algorithm, args)
+    if missing:
+        ap.error(f"--algorithm {args.algorithm} requires {' and '.join(missing)}")
 
     header_done = False
     for n in (int(s) for s in args.sizes.split(",") if s):

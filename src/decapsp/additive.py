@@ -2,19 +2,22 @@
 
 Nodes are partitioned into levels D_1..D_k by independent sampling with
 geometrically interpolated densities; every node roots one bounded-depth
-tree.  Level-1 trees run on the full graph.  A tree at level i runs on a
-sparser graph holding only edges whose endpoints lack low-level neighbors
-(E_i), one designated escape edge per node into its lowest reachable level
-(E*), plus weighted shortcut edges from the root to every lower-level node
-priced at that node's own tree estimate.
+tree.  Level-1 trees run on the full graph.  The trees of level i share one
+view, a sparser graph holding only edges whose endpoints lack low-level
+neighbors (E_i) and one designated escape edge per node into its lowest
+reachable level (E*).  Each of them also owns a shortcut from its root to
+every lower-level node, priced at that node's own tree estimate; shortcuts
+touch the root, so a tree holds them as offers (see estree) and the view
+stays the same for every root of the level.
 
 A deletion is absorbed level by level: replacement escape edges and newly
-qualifying sparse edges are inserted first, then shortcut reweightings
-exported by lower levels are applied, and only then does the edge leave
-the level's trees; estimate increases are exported upward.  For a pair at
-distance at most d + (k - i), the tree rooted at its lower-level endpoint
-(level i) answers within additive error 2(i - 1), so any pair within d is
-answered within 2(k - 1).
+qualifying sparse edges are written into the view first (levels never drop
+on an insertion, so no tree is called), then each root raises the offers
+whose estimates lower levels exported, and only then does the edge leave
+the view and each of the level's trees; estimate increases are exported
+upward.  For a pair at distance at most d + (k - i), the tree rooted at its
+lower-level endpoint (level i) answers within additive error 2(i - 1), so
+any pair within d is answered within 2(k - 1).
 """
 
 from __future__ import annotations
@@ -100,27 +103,24 @@ class AdditiveAPSP:
                 for i in range(2, k + 1):
                     self.edge_set[i].add(pair)
 
-        # trees, built level by level so shortcut weights already exist; level
-        # 1 reads graph.adj, each higher tree a view of its own for _tree_call
+        # trees, built level by level so the offers' estimates already exist;
+        # level 1 reads graph.adj, the roots of each higher level its view
         self.tree = {}
-        self.shortcut = {}  # root -> {lower node: exported weight}
         for v in self.roots[1]:
             self.tree[v] = MonotoneESTree(graph.adj, v, self.cap)
+        self.view = {}
         for i in range(2, k + 1):
-            base = {u: {} for u in range(n)}
+            view = self.view[i] = {u: {} for u in range(n)}
             for a, b in self.edge_set[i]:
-                base[a][b] = base[b][a] = 1
+                view[a][b] = view[b][a] = 1
+            lower = [w for j in range(1, i) for w in self.roots[j]]
             for u in self.roots[i]:
-                adj = {x: dict(nb) for x, nb in base.items()}
-                cuts = self.shortcut[u] = {}
-                for w in range(n):
-                    if self.level[w] < i:
-                        lw = self.tree[w].level_of[u]
-                        if lw < INF:
-                            cuts[w] = lw
-                            if adj[u].get(w, INF) > lw:
-                                adj[u][w] = adj[w][u] = lw
-                self.tree[u] = MonotoneESTree(adj, u, self.cap)
+                offers = {}
+                for w in lower:
+                    lw = self.tree[w].level_of[u]
+                    if lw < INF:
+                        offers[w] = lw
+                self.tree[u] = MonotoneESTree(view, u, self.cap, offers)
 
         self.updates_applied = 0
 
@@ -178,27 +178,46 @@ class AdditiveAPSP:
 
     # -- updates ------------------------------------------------------------
 
-    @staticmethod
-    def _tree_call(tree, op, x, y, w=INF):
-        """Refuse a duplicate insert or a change to a missing edge, write
-        {x, y} at weight w into the view tree reads (inf removes it), then
-        return tree.op(x, y[, w][, old]), op being insert_edge for a new
-        pair and old the weight the view held before a rise.  relax_edge
-        only comes with weight 1, so writing w keeps the lower."""
-        view = tree.adj
-        old = view[x].get(y)
-        present = old is not None
-        if present and op == "insert_edge":
-            raise DuplicateEdge(f"edge {{{x}, {y}}} already in the view of tree {tree.root}")
-        if not present and op in ("increase_weight", "delete_edge"):
-            raise EdgeNotFound(f"edge {{{x}, {y}}} not in the view of tree {tree.root}")
-        if w == INF:
-            del view[x][y], view[y][x]
-            return tree.delete_edge(x, y, old)
-        view[x][y] = view[y][x] = w
-        if op == "increase_weight":
-            return tree.increase_weight(x, y, w, old)
-        return getattr(tree, op if present else "insert_edge")(x, y, w)
+    def _export(self, pend, tree, raised):
+        """Queue tree's root at each higher-level node tree raised, whose
+        offer at that root must follow; pend maps a root to the nodes whose
+        offers it re-reads.  A raised node's level was finite, so the
+        offer is there."""
+        source = tree.root
+        level = self.level
+        for x in raised:
+            if level[x] > level[source]:
+                pend.setdefault(x, set()).add(source)
+
+    def _advance_level(self, i, new_pairs, pend, dying):
+        """Bring level i through one deletion: write new_pairs into its view
+        at weight 1, raise each root's exported offers, then take the dying
+        pair (None if the level lacks it) out of the view and each tree.  A
+        new pair the view holds raises DuplicateEdge, a dying pair it lacks
+        EdgeNotFound, before the view changes."""
+        view = self.view[i]
+        for x, y in new_pairs:
+            if y in view[x]:
+                raise DuplicateEdge(f"edge {{{x}, {y}}} already in the level-{i} view")
+        if dying is not None and dying[1] not in view[dying[0]]:
+            raise EdgeNotFound(f"edge {{{dying[0]}, {dying[1]}}} not in the level-{i} view")
+        for x, y in new_pairs:
+            view[x][y] = view[y][x] = 1
+        trees = [self.tree[r] for r in self.roots[i]]
+        for tree in trees:
+            exported = pend.pop(tree.root, None)
+            for w in sorted(exported) if exported else ():
+                self.exports_applied += 1
+                raised = tree.raise_offer(w, self.tree[w].level_of[tree.root])
+                if raised:
+                    self._export(pend, tree, raised)
+        if dying is not None:
+            a, b = dying
+            del view[a][b], view[b][a]
+            for tree in trees:
+                raised = tree.delete_edge(a, b, 1)
+                if raised:
+                    self._export(pend, tree, raised)
 
     def delete(self, u, v):
         rec = apply_update(self.g, UpdateEvent(DELETE, u, v))
@@ -211,61 +230,17 @@ class AdditiveAPSP:
             if self.escape[x] == y:
                 self._redesignate(x, additions)
 
-        # pend[root]: lower nodes whose shortcut weight the root re-reads at
-        # its level; trees export upward only, so entries precede their root.
+        # pend[root]: lower nodes whose estimate the root re-reads as an
+        # offer; trees export upward only, so entries precede their root
         pend = {}
-
-        def export(source_tree, changed):
-            root_of = source_tree.root
-            for x in changed:
-                if self.level[x] > self.level[root_of] and root_of in self.shortcut.get(x, ()):
-                    pend.setdefault(x, set()).add(root_of)
-
         for w in self.roots[1]:
-            moved = self.tree[w].delete_edge(a, b, rec.old_weight)
-            if moved:
-                export(self.tree[w], moved)
+            raised = self.tree[w].delete_edge(a, b, rec.old_weight)
+            if raised:
+                self._export(pend, self.tree[w], raised)
 
         for i in range(2, self.k + 1):
-            new_pairs = additions.get(i, ())
             dying = pair in self.edge_set[i]
-            for u2 in self.roots[i]:
-                tree = self.tree[u2]
-                cuts = self.shortcut[u2]
-                for x, y in new_pairs:
-                    if u2 == x or u2 == y:
-                        other = y if u2 == x else x
-                        self._tree_call(tree, "relax_edge", u2, other, 1)
-                    else:
-                        self._tree_call(tree, "insert_edge", x, y, 1)
-                exported = pend.pop(u2, None)
-                for w in sorted(exported) if exported else ():
-                    new_w = self.tree[w].level_of[u2]
-                    self.exports_applied += 1
-                    direct = self._pair(u2, w) in self.edge_set[i]
-                    if new_w == INF:
-                        del cuts[w]
-                        op = "delete_edge"
-                    else:
-                        cuts[w] = new_w
-                        op = "increase_weight"
-                    if not direct:
-                        moved = self._tree_call(tree, op, u2, w, new_w)
-                        if moved:
-                            export(tree, moved)
-                if dying:
-                    r = None
-                    if u2 == a or u2 == b:
-                        other = b if u2 == a else a
-                        r = cuts.get(other)
-                    if r is None:
-                        moved = self._tree_call(tree, "delete_edge", a, b)
-                    elif r > 1:
-                        moved = self._tree_call(tree, "increase_weight", a, b, r)
-                    else:
-                        moved = None
-                    if moved:
-                        export(tree, moved)
+            self._advance_level(i, additions.get(i, ()), pend, pair if dying else None)
             if dying:
                 self.edge_set[i].discard(pair)
 

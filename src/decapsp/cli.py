@@ -44,6 +44,8 @@ from .reduction import UnweightedAPSP
 
 INF = math.inf
 ALGORITHMS = ("mult", "mixed", "unweighted-mult", "additive", "static-2")
+# the flags an algorithm cannot run without
+REQUIRED_FLAGS = {"mixed": ("tau",), "additive": ("k", "d")}
 
 
 @dataclass
@@ -62,16 +64,24 @@ class RunConfig:
     report_path: str = None
 
 
+def missing_flags(algorithm, values):
+    """The REQUIRED_FLAGS of algorithm, as --name, that values (a RunConfig
+    or parsed arguments) leaves unset."""
+    return [f"--{flag}" for flag in REQUIRED_FLAGS.get(algorithm, ())
+            if getattr(values, flag) is None]
+
+
 def make_algorithm(cfg, graph):
     """Instantiate the configured algorithm; enforce per-tag required flags."""
     tag = cfg.algorithm
+    missing = missing_flags(tag, cfg)
+    if missing:
+        raise ConfigError(f"algorithm {tag!r} requires {' and '.join(missing)}")
     n, m = graph.n, max(graph.m, 1)
     if tag == "mult":
         p = cfg.p if cfg.p is not None else math.sqrt(n / m)
         return MultiplicativeAPSP(graph, min(p, 1.0), cfg.eps, cfg.seed)
     if tag == "mixed":
-        if cfg.tau is None:
-            raise ConfigError("algorithm 'mixed' requires --tau")
         p = cfg.p if cfg.p is not None else m ** -0.25
         return MixedAPSP(graph, min(p, 1.0), cfg.eps, cfg.tau, cfg.seed)
     if tag == "unweighted-mult":
@@ -80,8 +90,6 @@ def make_algorithm(cfg, graph):
         tau = cfg.tau if cfg.tau is not None else max(1, int(math.sqrt(m2)))
         return UnweightedAPSP(graph, min(p, 1.0), cfg.eps, tau, cfg.seed, k=1)
     if tag == "additive":
-        if cfg.k is None or cfg.d is None:
-            raise ConfigError("algorithm 'additive' requires --k and --d")
         return AdditiveAPSP(graph, cfg.k, cfg.d, cfg.c, cfg.seed)
     if tag == "static-2":
         p = cfg.p if cfg.p is not None else math.sqrt(n / m)

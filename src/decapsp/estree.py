@@ -19,6 +19,13 @@ weight that is not finite or not below the new one raises
 MonotonicityViolation.  The tree keeps no edge set, so the owner refuses a
 missing or duplicate edge.
 
+Offers: a tree may also own offers (node -> weight), edges of its own from
+the root that no other tree sees, so trees whose root edges differ can still
+share one adjacency.  An offer w at x is the constraint l(x) <= w: like an
+edge from the root it supports x whenever w <= l(x), and it is only ever
+raised (raise_offer, the same repair as for a rising edge) or dropped.  A
+tree without offers holds the shared read-only NO_OFFERS.
+
 Repair.  With f sending values above the cap to infinity, a weight rise
 moves the levels to the least vector l >= l_old with l(v) >= f(min over
 neighbors u of l(u) + w(u, v)) for every v but the root.  Feasible vectors
@@ -32,15 +39,17 @@ included.  Bounded-region repair (Ramalingam & Reps, 1996) finds it:
      support join the region, phase 1 rechecks its neighbors then.  With no
      such endpoint nothing rises and the call returns at once.
   1. Collect the nodes left without support, a support of x being a
-     neighbor y outside the set with l(y) + w <= l(x): check the endpoints
+     neighbor y outside the set with l(y) + w <= l(x), or an offer at x no
+     larger than l(x) (the root never joins the set): check the endpoints
      phase 0 kept, and when x joins, recheck the neighbors it supported.
      One pass over x's row does both: it stops at the first support
      outside the set, and otherwise has collected x's dependants, the y
      with l(x) + w <= l(y) (with w >= 1 no neighbor is both).  A dependant
      already in the set is dropped when it is popped.
   2. Run Dijkstra over that set only.  One pass over each member's row
-     finds its best offer from outside the set, which exceeds its old
-     level and, up to the cap, seeds the heap; a settled node x offers each
+     finds its best offer from outside the set, starting from its own offer
+     from the root if it has one; that best exceeds its old level and, up
+     to the cap, seeds the heap; a settled node x offers each
      neighbor y still in the set the key max(l_old(y), f(l(x) + w)).
      Nodes it does not reach go to infinity at once.
 
@@ -55,11 +64,13 @@ from __future__ import annotations
 
 import heapq
 import math
+from types import MappingProxyType
 
 from .graph import MonotonicityViolation
 from .heaps import IndexedHeap
 
 INF = math.inf
+NO_OFFERS = MappingProxyType({})  # the offers of every tree that has none
 
 
 class UnwrittenChange(RuntimeError):
@@ -67,10 +78,12 @@ class UnwrittenChange(RuntimeError):
 
 
 class MonotoneESTree:
-    __slots__ = ("root", "cap", "adj", "level_of", "level_increases")
+    __slots__ = ("root", "cap", "adj", "offers", "level_of", "level_increases")
 
-    def __init__(self, adj, root, cap):
-        """adj: mapping node -> {neighbor: weight}; read, never copied."""
+    def __init__(self, adj, root, cap, offers=None):
+        """adj: mapping node -> {neighbor: weight}; read, never copied.
+        offers: node -> finite positive weight, or None; the tree takes the
+        dict over and is its only writer from then on."""
         if cap < 0:
             raise ValueError("depth cap must be nonnegative")
         self.root = root
@@ -78,6 +91,12 @@ class MonotoneESTree:
         self.adj = adj
         if root not in adj:
             raise KeyError(f"root {root!r} not a node of the graph")
+        if offers:
+            for x, w in offers.items():
+                if x == root or x not in adj or not 0 < w < INF:
+                    raise ValueError(f"offer {w!r} at {x!r}: need a non-root node "
+                                     "and a finite positive weight")
+        self.offers = offers or NO_OFFERS
         self.level_of = self._dijkstra()
         self.level_increases = 0
 
@@ -87,6 +106,11 @@ class MonotoneESTree:
         heap = [(0, self.root)]
         adj = self.adj
         cap = self.cap
+        for x, w in self.offers.items():
+            if w <= cap:
+                dist[x] = w
+                heap.append((w, x))
+        heapq.heapify(heap)
         while heap:
             d, u = heapq.heappop(heap)
             if d > dist[u]:
@@ -136,6 +160,27 @@ class MonotoneESTree:
             seeds.append(v)
         if not seeds:
             return set()
+        return self._repair(seeds)
+
+    def raise_offer(self, x, w):
+        """Raise x's offer to w (inf drops it) and absorb the rise as that of
+        an edge from the root.  Returns the set of nodes whose level
+        increased.  An offer that does not rise, x holding none included,
+        raises MonotonicityViolation before anything changes."""
+        offers = self.offers
+        old = offers.get(x, INF)
+        if not old < w:
+            raise MonotonicityViolation(
+                f"offer at {x!r} must rise from a finite weight: {old!r} -> {w!r}")
+        if w == INF:
+            del offers[x]
+        else:
+            offers[x] = w
+        if old <= self.level_of[x] < INF:
+            return self._repair([x])
+        return set()
+
+    def _repair(self, seeds):
         region = self._unsupported(seeds)
         if not region:
             return set()
@@ -144,12 +189,14 @@ class MonotoneESTree:
         return raised
 
     def _unsupported(self, stack):
-        """Phase 1: the nodes that no neighbor outside the set supports,
-        grown from the endpoints in stack.  One pass over x's neighbors
-        looks for a support and collects the neighbors x supported."""
+        """Phase 1: the nodes that no neighbor outside the set and no offer
+        supports, grown from the nodes in stack.  One pass over x's
+        neighbors looks for a support and collects the neighbors x
+        supported."""
         level_of = self.level_of
         adj = self.adj
         root = self.root
+        offers = self.offers
         region = set()
         while stack:
             x = stack.pop()
@@ -165,6 +212,8 @@ class MonotoneESTree:
                 elif lx + w <= ly:
                     dependants.append(y)
             else:
+                if offers and offers.get(x, INF) <= lx:
+                    continue
                 region.add(x)
                 stack += dependants
         return region
@@ -175,10 +224,11 @@ class MonotoneESTree:
         level_of = self.level_of
         adj = self.adj
         cap = self.cap
+        offers = self.offers
         key = {}
         heap = []
         for x in region:
-            best = INF
+            best = offers.get(x, INF) if offers else INF
             for y, w in adj[x].items():
                 if y not in region:
                     d = level_of[y] + w

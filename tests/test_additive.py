@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decapsp.additive import AdditiveAPSP, level_thresholds, sample_partition
-from decapsp.estree import MonotoneESTree
+from decapsp.estree import NO_OFFERS, MonotoneESTree
 from decapsp.graph import DomainError, DuplicateEdge, DynamicGraph, EdgeNotFound
 
 from helpers import rand_connected, ref_apsp, deletion_order
@@ -65,29 +65,29 @@ def structural_audit(algo, prev_levels):
         dead = algo.edge_set[i] - live
         assert not dead
 
-    # level-1 trees read the graph; each higher tree reads a view of its
-    # own, which AdditiveAPSP writes to match the level construction exactly
-    views = [id(algo.tree[u].adj) for u in range(g.n) if algo.level[u] > 1]
-    assert len(set(views)) == len(views)
+    # level-1 trees read the graph and own no offers; the roots of a higher
+    # level share its view, which holds exactly the level's edge set at
+    # weight 1, and each owns an offer at every lower node its tree reaches,
+    # priced at that tree's level of the root
+    assert len({id(view) for view in algo.view.values()}) == k - 1
+    for i in range(2, k + 1):
+        want = {x: {} for x in range(g.n)}
+        for a, b in algo.edge_set[i]:
+            want[a][b] = want[b][a] = 1
+        assert algo.view[i] is not g.adj and algo.view[i] == want
     for u in range(g.n):
         tree = algo.tree[u]
         i = algo.level[u]
         if i == 1:
             assert tree.adj is g.adj
-            want = g.adj
-        else:
-            assert tree.adj is not g.adj
-            want = {x: {} for x in range(g.n)}
-            for a, b in algo.edge_set[i]:
-                want[a][b] = want[b][a] = 1
-            for w, lw in algo.shortcut[u].items():
-                assert lw == algo.tree[w].level_of[u] < INF
-                if want[u].get(w, INF) > lw:
-                    want[u][w] = want[w][u] = lw
-            for w in range(g.n):
-                if algo.level[w] < i and w not in algo.shortcut[u]:
-                    assert algo.tree[w].level_of[u] == INF
-        assert tree.adj == want
+            assert tree.offers is NO_OFFERS
+            continue
+        assert tree.adj is algo.view[i]
+        for w in range(g.n):
+            if algo.level[w] < i and algo.tree[w].level_of[u] < INF:
+                assert tree.offers[w] == algo.tree[w].level_of[u]
+            else:
+                assert w not in tree.offers
 
     # monotone levels
     for u in range(g.n):
@@ -204,62 +204,82 @@ def test_property_random_runs(data):
 
 
 def view_owner():
-    """Eight nodes, k = 2: level-2 roots 0, 1 and 6 each own a view."""
+    """Eight nodes, k = 2: level-2 roots 0, 1 and 6 share one view."""
     g = DynamicGraph(8, [(i, i + 1, 1) for i in range(7)] + [(0, 4, 1), (2, 6, 1)])
     algo = AdditiveAPSP(g, k=2, d=3, c=0.5, seed=0)
     assert algo.roots == [[], [2, 3, 4, 5, 7], [0, 1, 6]]
     return algo
 
 
+def snapshot(algo):
+    trees = algo.tree.values()
+    return ({x: dict(nb) for x, nb in algo.view[2].items()},
+            [(dict(t.level_of), dict(t.offers), t.level_increases) for t in trees])
+
+
 def test_view_refuses_missing_and_duplicate_edges_before_writing():
     algo = view_owner()
-    tree = algo.tree[0]
-    view = {x: dict(nb) for x, nb in tree.adj.items()}
-    levels = dict(tree.level_of)
-    assert 5 not in view[1] and view[1][2] == 1
-    with pytest.raises(EdgeNotFound):
-        algo._tree_call(tree, "delete_edge", 1, 5)
-    with pytest.raises(EdgeNotFound):
-        algo._tree_call(tree, "increase_weight", 5, 1, 3)
+    view = algo.view[2]
+    before = snapshot(algo)
+    assert 5 not in view[1] and 6 not in view[0] and view[1][2] == 1
+    pend = {0: {2}}
     with pytest.raises(DuplicateEdge):
-        algo._tree_call(tree, "insert_edge", 2, 1, 1)
-    assert tree.adj == view
-    assert tree.level_of == levels and tree.level_increases == 0
+        algo._advance_level(2, [(0, 6), (2, 1)], pend, None)
+    with pytest.raises(EdgeNotFound):
+        algo._advance_level(2, [(0, 6)], pend, (1, 5))
+    with pytest.raises(EdgeNotFound):
+        algo._advance_level(2, [], pend, (5, 1))
+    assert snapshot(algo) == before and pend == {0: {2}}
 
 
-def test_view_sends_a_new_pair_to_insert_and_a_held_one_to_relax(monkeypatch):
+def test_level_write_adds_new_pairs_without_a_tree_call(monkeypatch):
+    """A new pair goes into the view at weight 1, also where a root holds an
+    offer at the other endpoint; levels never drop on an insertion, so no
+    tree is called and every offer stays as it was."""
     calls = []
-    for op in ("insert_edge", "relax_edge"):
-        def record(tree, x, y, w, op=op, orig=getattr(MonotoneESTree, op)):
-            calls.append((op, x, y, w))
-            return orig(tree, x, y, w)
-        monkeypatch.setattr(MonotoneESTree, op, record)
-    algo = view_owner()
-    tree = algo.tree[0]
-    assert 6 not in tree.adj[0] and tree.adj[0][2] == 2
-    algo._tree_call(tree, "relax_edge", 0, 6, 1)
-    algo._tree_call(tree, "relax_edge", 0, 2, 1)
-    algo._tree_call(tree, "insert_edge", 1, 5, 1)
-    assert calls == [("insert_edge", 0, 6, 1), ("relax_edge", 0, 2, 1),
-                     ("insert_edge", 1, 5, 1)]
-    assert tree.adj[0][6] == tree.adj[6][0] == 1
-    assert tree.adj[0][2] == tree.adj[2][0] == 1
-    assert tree.adj[1][5] == tree.adj[5][1] == 1
-
-
-def test_view_passes_the_weight_it_held_before_a_rise(monkeypatch):
-    calls = []
-    for op in ("increase_weight", "delete_edge"):
+    for op in ("insert_edge", "relax_edge", "increase_weight", "delete_edge", "raise_offer"):
         def record(tree, *args, op=op, orig=getattr(MonotoneESTree, op)):
-            calls.append((op, *args))
+            calls.append(op)
             return orig(tree, *args)
         monkeypatch.setattr(MonotoneESTree, op, record)
     algo = view_owner()
-    tree = algo.tree[0]
-    assert tree.adj[0][2] == 2 and tree.adj[1][2] == 1
-    algo._tree_call(tree, "increase_weight", 2, 0, 5)
-    algo._tree_call(tree, "delete_edge", 1, 2)
-    assert calls == [("increase_weight", 2, 0, 5, 2), ("delete_edge", 1, 2, 1),
-                     ("increase_weight", 1, 2, INF, 1)]
-    assert tree.adj[0][2] == tree.adj[2][0] == 5
-    assert 2 not in tree.adj[1] and 1 not in tree.adj[2]
+    view = algo.view[2]
+    _, trees = snapshot(algo)
+    assert 6 not in view[0] and 2 not in view[0] and algo.tree[0].offers[2] == 2
+    algo._advance_level(2, [(0, 6), (2, 0), (1, 5)], {}, None)
+    assert calls == []
+    assert view[0][6] == view[6][0] == view[0][2] == view[2][0] == view[1][5] == view[5][1] == 1
+    assert snapshot(algo)[1] == trees
+
+
+def test_deletion_raises_offers_before_the_edge_leaves_the_view(monkeypatch):
+    """Deleting {1, 2} moves root 1's escape edge to {0, 1}, which enters the
+    view first; then each level-2 root raises the offers the level-1 trees
+    exported, in node order, while the view still holds {1, 2}; then the
+    view drops {1, 2} once and every level-2 root absorbs its deletion at
+    the weight 1 it had."""
+    calls, active = [], []
+    for op in ("insert_edge", "relax_edge", "increase_weight", "delete_edge", "raise_offer"):
+        def record(tree, *args, op=op, orig=getattr(MonotoneESTree, op)):
+            if tree.adj is algo.view[2] and tree not in active:
+                view = tree.adj
+                calls.append((op, tree.root, *args, 2 in view[1], 0 in view[1]))
+            active.append(tree)
+            try:
+                return orig(tree, *args)
+            finally:
+                active.pop()
+        monkeypatch.setattr(MonotoneESTree, op, record)
+    algo = view_owner()
+    assert algo.escape[1] == 2 and 0 not in algo.view[2][1]
+    algo.delete(1, 2)
+    assert calls == [("raise_offer", 0, 2, 3, True, True),
+                     ("raise_offer", 1, 2, 4, True, True),
+                     ("raise_offer", 1, 3, 3, True, True),
+                     ("raise_offer", 1, 7, 5, True, True),
+                     ("delete_edge", 0, 1, 2, 1, False, True),
+                     ("delete_edge", 1, 1, 2, 1, False, True),
+                     ("delete_edge", 6, 1, 2, 1, False, True)]
+    assert algo.escape[1] == 0 and algo.exports_applied == 4
+    assert dict(algo.tree[1].offers) == {2: 4, 3: 3, 4: 2, 5: 3, 7: 5}
+    structural_audit(algo, {})

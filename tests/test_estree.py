@@ -16,7 +16,7 @@ from decapsp import (
     UpdateEvent,
     apply_update,
 )
-from decapsp.estree import TreeFamily, UnwrittenChange
+from decapsp.estree import NO_OFFERS, TreeFamily, UnwrittenChange
 from helpers import ReferenceESTree, deletion_order, rand_connected, rand_gnp, ref_dijkstra
 
 INF = math.inf
@@ -376,6 +376,18 @@ def test_a_tie_is_a_support():
     assert [t.level_of[x] for x in range(5)] == [0, 1, 1, 3, 4] and t.level_increases == 0
 
 
+def test_an_offer_is_a_support():
+    """A node whose offer matches its level keeps it when its last edge
+    support goes, without joining the region, so the rows of the nodes it
+    supports are never read."""
+    g = DynamicGraph(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)])
+    t = MonotoneESTree(g.adj, 0, cap=10, offers={2: 2})
+    g.adj[3] = NoScan(g.adj[3])
+    rec = apply_update(g, UpdateEvent(DELETE, 1, 2))
+    assert t.delete_edge(1, 2, rec.old_weight) == set()
+    assert [t.level_of[x] for x in range(5)] == [0, 1, 2, 3, 4] and t.level_increases == 0
+
+
 def test_slack_left_by_inserts_survives_a_repair():
     """A node held above what its neighbors offer keeps its level when a
     repair reaches it, and passes on its level, not the lower offer."""
@@ -413,6 +425,119 @@ def test_call_before_the_owner_writes_raises():
     rec = apply_update(g, UpdateEvent(DELETE, 0, 1))
     assert t.delete_edge(0, 1, rec.old_weight) == {1, 2}
     assert t.level_of[1] == 7 and t.level_of[2] == 5
+
+
+def offer_stream(rng, g, root, offers):
+    """Steps mixing offer rises (to a larger weight, or inf to drop one)
+    with edge deletions, each drawn as the previous one is applied."""
+    while g.m or offers:
+        if offers and (not g.m or rng.random() < 0.4):
+            x = rng.choice(sorted(offers))
+            w = INF if rng.random() < 0.3 else offers[x] + rng.randint(1, 4)
+            yield "raise_offer", x, w
+        else:
+            u, v = rng.choice([(u, v) for u, v, _ in g.edges()])
+            if rng.random() < 0.3 and root in g.adj[u]:
+                u, v = root, u  # root edges meet the offers most often
+            yield "delete_edge", u, v
+
+
+@pytest.mark.parametrize("max_w", [1, 10])
+@pytest.mark.parametrize("density", [0.1, 0.3, 0.6])
+def test_offers_match_the_reference_with_root_edges(density, max_w):
+    """A tree whose offers stand for edges from the root raises the same
+    nodes, ends at the same levels and counts one level increase per raised
+    node as the level-by-level reference built on the adjacency plus those
+    edges, over raised and dropped offers interleaved with deletions; the
+    adjacency it shares is never written."""
+    for seed in range(4):
+        rng = random.Random(f"offers/{density}/{max_w}/{seed}")
+        n = rng.randint(6, 30)
+        g = rand_gnp(rng, n, density, max_w)
+        adj = g.adj
+        root = rng.randrange(n)
+        cap = rng.choice((2 * max_w, 4 * n * max_w))
+        others = [x for x in range(n) if x != root]
+        offers = {x: rng.randint(1, 3 * max_w) for x in rng.sample(others, rng.randint(1, n - 1))}
+        with_edges = {x: dict(nb) for x, nb in adj.items()}
+
+        def root_edge(x):
+            return min(adj[root].get(x, INF), offers.get(x, INF))
+
+        for x in offers:
+            with_edges[root][x] = with_edges[x][root] = root_edge(x)
+        t = MonotoneESTree(adj, root, cap, dict(offers))
+        ref = ReferenceESTree(with_edges, root, cap)
+        assert t.level_of == ref.level_of and t.offers == offers
+        raised_total = 0
+        for op, x, y in offer_stream(rng, g, root, t.offers):
+            # the reference edge the step changes: a root edge where an
+            # offer or a deleted edge meets the root, else the deleted edge
+            if op == "raise_offer":
+                u, v = root, x
+            else:
+                u, v = (root, x + y - root) if root in (x, y) else (x, y)
+            before = with_edges[u].get(v, INF)
+            if op == "raise_offer":
+                got = t.raise_offer(x, y)
+                if y == INF:
+                    del offers[x]
+                else:
+                    offers[x] = y
+            else:
+                old = adj[x][y]
+                del adj[x][y], adj[y][x]
+                written = {z: dict(nb) for z, nb in adj.items()}
+                got = t.delete_edge(x, y, old)
+                assert adj == written
+            after = root_edge(v) if u == root else INF
+            if after == before:
+                want = set()
+            elif after == INF:
+                del with_edges[u][v], with_edges[v][u]
+                want = ref.delete_edge(u, v, before)
+            else:
+                with_edges[u][v] = with_edges[v][u] = after
+                want = ref.increase_weight(u, v, after, before)
+            assert got == want
+            assert t.level_of == ref.level_of and t.offers == offers
+            raised_total += len(got)
+            assert t.level_increases == raised_total
+
+
+def test_a_non_rising_offer_or_an_unknown_node_is_refused():
+    """raise_offer refuses an offer that does not rise, at a node holding
+    none (the root, a node outside the graph) too, before anything
+    changes; a tree built without offers holds the shared read-only empty
+    mapping and refuses every raise."""
+    g = DynamicGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    t = MonotoneESTree(g.adj, 0, cap=10, offers={2: 1, 3: 5})
+    assert [t.level_of[x] for x in range(4)] == [0, 1, 1, 2]
+    before = (dict(t.level_of), dict(t.offers), t.level_increases)
+    for x, w in [(2, 1), (2, 0), (2, math.nan), (3, 4), (0, 3), (1, 3), (9, 3), (-1, INF)]:
+        with pytest.raises(MonotonicityViolation):
+            t.raise_offer(x, w)
+        assert (t.level_of, t.offers, t.level_increases) == before
+    assert t.raise_offer(3, 6) == set()  # not the support of 3: no repair
+    assert t.raise_offer(2, INF) == {2, 3}
+    assert [t.level_of[x] for x in range(4)] == [0, 1, 2, 3] and t.offers == {3: 6}
+    assert t.level_increases == 2
+
+    # an offer up to the cap seeds the build, one above it does not
+    short = MonotoneESTree(DynamicGraph(4, [(0, 1, 4), (1, 3, 3)]).adj, 0, cap=5,
+                           offers={2: 5, 3: 6})
+    assert [short.level_of[x] for x in range(4)] == [0, 4, 5, INF]
+
+    bare = MonotoneESTree(g.adj, 0, cap=10)
+    fam = TreeFamily(g.adj, 10, [0, 3])
+    assert bare.offers is NO_OFFERS and all(tr.offers is NO_OFFERS for tr in fam.values())
+    assert MonotoneESTree(g.adj, 0, cap=10, offers={}).offers is NO_OFFERS
+    with pytest.raises(MonotonicityViolation):
+        bare.raise_offer(1, 5)
+    assert not NO_OFFERS
+    for offers in ({0: 1}, {4: 1}, {1: 0}, {1: INF}, {1: -2}):
+        with pytest.raises(ValueError):
+            MonotoneESTree(g.adj, 0, cap=10, offers=offers)
 
 
 def check_nearest(fam):

@@ -72,3 +72,17 @@ def test_unit_weight_algorithm_without_w1_is_a_usage_error(script, algorithm):
     assert proc.returncode == 2
     assert "--W 1" in proc.stderr.splitlines()[-1]
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("script", ["bench_ladder.py", "stretch_sweep.py"])
+@pytest.mark.parametrize("flags, missing", [
+    (["--algorithm", "mixed"], "--tau"),
+    (["--algorithm", "additive", "--W", "1"], "--k and --d"),
+    (["--algorithm", "additive", "--W", "1", "--k", "2"], "--d"),
+    (["--algorithm", "additive", "--W", "1", "--d", "4"], "--k"),
+])
+def test_a_missing_required_flag_is_a_usage_error(script, flags, missing):
+    proc = launch(script, *flags)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1].endswith(f"requires {missing}")
+    assert "Traceback" not in proc.stderr and not proc.stdout
