@@ -10,12 +10,18 @@ every lower-level node, priced at that node's own tree estimate; shortcuts
 touch the root, so a tree holds them as offers (see estree) and the view
 stays the same for every root of the level.
 
-A deletion is absorbed level by level: replacement escape edges and newly
-qualifying sparse edges are written into the view first (levels never drop
-on an insertion, so no tree is called), then each root raises the offers
-whose estimates lower levels exported, and only then does the edge leave
-the view and each of the level's trees; estimate increases are exported
-upward.  For a pair at distance at most d + (k - i), the tree rooted at its
+A deletion is absorbed level by level.  Level 1 calls only the trees in
+which the edge supported an endpoint (the O(1) phase-0 test of estree).  At
+each higher level, replacement escape edges and newly qualifying sparse
+edges are written into the view (levels never drop on an insertion, so no
+tree is called) and the dying edge leaves it, once per level; then each
+root whose offers lower levels exported, or whose tree the dying edge
+supported, absorbs all of its raised offers and the deletion in one repair
+(MonotoneESTree.absorb).  The repair's fixpoint is unique, so the levels
+and offers are those of absorbing the changes one by one; estimate
+increases are exported upward.
+
+For a pair at distance at most d + (k - i), the tree rooted at its
 lower-level endpoint (level i) answers within additive error 2(i - 1), so
 any pair within d is answered within 2(k - 1).
 """
@@ -90,29 +96,26 @@ class AdditiveAPSP:
                 self.escape[v] = self._scan(v)
                 self.estar_added += 1
 
-        # per-level sparse edge sets; level 1 implicitly holds everything
-        self.edge_set = {i: set() for i in range(2, k + 1)}
+        # per-level sparse views at weight 1; level 1 reads the whole graph
+        self.view = {i: {u: {} for u in range(n)} for i in range(2, k + 1)}
         for u, v, _ in graph.edges():
             top = max(self.idx[u], self.idx[v])
             for i in range(2, min(top, k) + 1):
-                self.edge_set[i].add((u, v))
+                self.view[i][u][v] = self.view[i][v][u] = 1
                 self.ei_added[i] += 1
         for v in range(n):
-            if self.escape[v] is not None:
-                pair = self._pair(v, self.escape[v])
+            x = self.escape[v]
+            if x is not None:
                 for i in range(2, k + 1):
-                    self.edge_set[i].add(pair)
+                    self.view[i][v][x] = self.view[i][x][v] = 1
 
         # trees, built level by level so the offers' estimates already exist;
         # level 1 reads graph.adj, the roots of each higher level its view
         self.tree = {}
         for v in self.roots[1]:
             self.tree[v] = MonotoneESTree(graph.adj, v, self.cap)
-        self.view = {}
         for i in range(2, k + 1):
-            view = self.view[i] = {u: {} for u in range(n)}
-            for a, b in self.edge_set[i]:
-                view[a][b] = view[b][a] = 1
+            view = self.view[i]
             lower = [w for j in range(1, i) for w in self.roots[j]]
             for u in self.roots[i]:
                 offers = {}
@@ -170,11 +173,15 @@ class AdditiveAPSP:
                 self._add_edge_level(pair, i, additions, star=True)
 
     def _add_edge_level(self, pair, i, additions, star=False):
-        if i >= 2 and pair not in self.edge_set[i]:
-            self.edge_set[i].add(pair)
+        """Queue pair for level i's view unless the view or the queue holds
+        it; additions maps a level to its queued pairs, in order."""
+        if i < 2 or pair[1] in self.view[i][pair[0]]:
+            return
+        pending = additions.setdefault(i, {})
+        if pair not in pending:
+            pending[pair] = None
             if not star:
                 self.ei_added[i] += 1
-            additions.setdefault(i, []).append(pair)
 
     # -- updates ------------------------------------------------------------
 
@@ -191,33 +198,42 @@ class AdditiveAPSP:
 
     def _advance_level(self, i, new_pairs, pend, dying):
         """Bring level i through one deletion: write new_pairs into its view
-        at weight 1, raise each root's exported offers, then take the dying
-        pair (None if the level lacks it) out of the view and each tree.  A
-        new pair the view holds raises DuplicateEdge, a dying pair it lacks
-        EdgeNotFound, before the view changes."""
+        at weight 1 and take the dying pair (None if the level lacks it) out
+        of it, then let each root whose offers were exported, or whose tree
+        the dying pair supported, absorb both in one repair.  A new pair the
+        view holds raises DuplicateEdge, a dying pair it lacks EdgeNotFound,
+        before the view changes."""
         view = self.view[i]
         for x, y in new_pairs:
             if y in view[x]:
                 raise DuplicateEdge(f"edge {{{x}, {y}}} already in the level-{i} view")
-        if dying is not None and dying[1] not in view[dying[0]]:
-            raise EdgeNotFound(f"edge {{{dying[0]}, {dying[1]}}} not in the level-{i} view")
-        for x, y in new_pairs:
-            view[x][y] = view[y][x] = 1
-        trees = [self.tree[r] for r in self.roots[i]]
-        for tree in trees:
-            exported = pend.pop(tree.root, None)
-            for w in sorted(exported) if exported else ():
-                self.exports_applied += 1
-                raised = tree.raise_offer(w, self.tree[w].level_of[tree.root])
-                if raised:
-                    self._export(pend, tree, raised)
         if dying is not None:
             a, b = dying
+            if b not in view[a]:
+                raise EdgeNotFound(f"edge {{{a}, {b}}} not in the level-{i} view")
+        for x, y in new_pairs:
+            view[x][y] = view[y][x] = 1
+        edge = None
+        if dying is not None:
             del view[a][b], view[b][a]
-            for tree in trees:
-                raised = tree.delete_edge(a, b, 1)
-                if raised:
-                    self._export(pend, tree, raised)
+            edge = (a, b, 1)
+        tree = self.tree
+        for r in self.roots[i]:
+            t = tree[r]
+            exported = pend.pop(r, None)
+            if exported:
+                rises = {w: tree[w].level_of[r] for w in exported}
+                self.exports_applied += len(rises)
+            elif edge is None:
+                continue
+            else:
+                la, lb = t.level_of[a], t.level_of[b]
+                if not (lb + 1 <= la < INF or la + 1 <= lb < INF):
+                    continue  # phase 0: the pair supported neither endpoint
+                rises = {}
+            raised = t.absorb(rises, edge)
+            if raised:
+                self._export(pend, t, raised)
 
     def delete(self, u, v):
         rec = apply_update(self.g, UpdateEvent(DELETE, u, v))
@@ -231,18 +247,21 @@ class AdditiveAPSP:
                 self._redesignate(x, additions)
 
         # pend[root]: lower nodes whose estimate the root re-reads as an
-        # offer; trees export upward only, so entries precede their root
+        # offer; trees export upward only, so entries precede their root.
+        # A level-1 tree the edge supported at neither endpoint is skipped.
         pend = {}
+        old = rec.old_weight
         for w in self.roots[1]:
-            raised = self.tree[w].delete_edge(a, b, rec.old_weight)
-            if raised:
-                self._export(pend, self.tree[w], raised)
+            t = self.tree[w]
+            la, lb = t.level_of[a], t.level_of[b]
+            if lb + old <= la < INF or la + old <= lb < INF:
+                raised = t.delete_edge(a, b, old)
+                if raised:
+                    self._export(pend, t, raised)
 
         for i in range(2, self.k + 1):
-            dying = pair in self.edge_set[i]
-            self._advance_level(i, additions.get(i, ()), pend, pair if dying else None)
-            if dying:
-                self.edge_set[i].discard(pair)
+            dying = pair if b in self.view[i][a] else None
+            self._advance_level(i, additions.get(i, ()), pend, dying)
 
     def increase(self, u, v, delta):
         raise DomainError("additive structure supports deletions only")

@@ -23,8 +23,10 @@ Offers: a tree may also own offers (node -> weight), edges of its own from
 the root that no other tree sees, so trees whose root edges differ can still
 share one adjacency.  An offer w at x is the constraint l(x) <= w: like an
 edge from the root it supports x whenever w <= l(x), and it is only ever
-raised (raise_offer, the same repair as for a rising edge) or dropped.  A
-tree without offers holds the shared read-only NO_OFFERS.
+raised or dropped.  A tree without offers holds the shared read-only
+NO_OFFERS.  absorb is the one entry for offers: it raises any number of
+them, together with at most one deletion the owner has written, in a
+single repair.
 
 Repair.  With f sending values above the cap to infinity, a weight rise
 moves the levels to the least vector l >= l_old with l(v) >= f(min over
@@ -37,7 +39,10 @@ included.  Bounded-region repair (Ramalingam & Reps, 1996) finds it:
      have lost its support only if l(x) is finite and l(other) + old <= l(x).
      A node the edge did not support keeps its own support; should that
      support join the region, phase 1 rechecks its neighbors then.  With no
-     such endpoint nothing rises and the call returns at once.
+     such endpoint nothing rises and the call returns at once.  A raised
+     offer seeds its node x the same way when old <= l(x) < inf; absorb
+     seeds the region with every flagged node of its batch at once, so
+     each tree runs at most one repair per batch.
   1. Collect the nodes left without support, a support of x being a
      neighbor y outside the set with l(y) + w <= l(x), or an offer at x no
      larger than l(x) (the root never joins the set): check the endpoints
@@ -53,11 +58,17 @@ included.  Bounded-region repair (Ramalingam & Reps, 1996) finds it:
      neighbor y still in the set the key max(l_old(y), f(l(x) + w)).
      Nodes it does not reach go to infinity at once.
 
-level_increases counts raised nodes: one per node whose level rose, per call.
+level_increases counts raised nodes: one per node whose level rose, per
+repair, so a node that a batch raises counts once however many of the
+batch's changes it felt.
 
-TreeFamily keeps trees of one cap on one adjacency, keyed by root, and each
-node's nearest root: the pivots of BunchEngine and the heavy nodes of
-MixedAPSP are two families.
+Screening.  Phase 0 reads two levels, so an owner of many trees can run it
+inline and call only the trees it flags; a skipped tree would have returned
+an empty set.  TreeFamily keeps trees of one cap on one adjacency, keyed by
+root, and each node's nearest root (the pivots of BunchEngine and the heavy
+nodes of MixedAPSP are two families); it checks a change once, screens
+every tree, and calls increase_weight or delete_edge only on the flagged
+ones.
 """
 
 from __future__ import annotations
@@ -67,7 +78,6 @@ import math
 from types import MappingProxyType
 
 from .graph import MonotonicityViolation
-from .heaps import IndexedHeap
 
 INF = math.inf
 NO_OFFERS = MappingProxyType({})  # the offers of every tree that has none
@@ -75,6 +85,21 @@ NO_OFFERS = MappingProxyType({})  # the offers of every tree that has none
 
 class UnwrittenChange(RuntimeError):
     """A tree call for an edge change its owner has not written yet."""
+
+
+def _require_written(adj, u, v, w):
+    """Refuse a change to {u, v} that adj does not show at weight w both
+    ways (inf: the edge is gone)."""
+    if adj[u].get(v, INF) != w or adj[v].get(u, INF) != w:
+        raise UnwrittenChange(
+            f"edge {{{u}, {v}}} should read weight {w} in the adjacency: "
+            "write the change before calling the tree")
+
+
+def _require_rise(u, v, old, w):
+    if not -INF < old < w:
+        raise MonotonicityViolation(
+            f"weight of {{{u}, {v}}} must rise from a finite weight: {old!r} -> {w!r}")
 
 
 class MonotoneESTree:
@@ -122,21 +147,14 @@ class MonotoneESTree:
                     heapq.heappush(heap, (nd, v))
         return dist
 
-    def _require(self, u, v, w):
-        adj = self.adj
-        if adj[u].get(v, INF) != w or adj[v].get(u, INF) != w:
-            raise UnwrittenChange(
-                f"edge {{{u}, {v}}} should read weight {w} in the adjacency: "
-                "write the change before calling the tree")
-
     def insert_edge(self, u, v, w):
         """Check the new edge {u, v} reads w; levels never drop, so it only
         counts from the next repair on."""
-        self._require(u, v, w)
+        _require_written(self.adj, u, v, w)
 
     def relax_edge(self, u, v, w):
         """Check {u, v}, new at w or lowered to w, reads the lower weight."""
-        self._require(u, v, min(self.adj[u].get(v, INF), w))
+        _require_written(self.adj, u, v, min(self.adj[u].get(v, INF), w))
 
     def delete_edge(self, u, v, old):
         return self.increase_weight(u, v, INF, old)
@@ -147,10 +165,9 @@ class MonotoneESTree:
         consequence."""
         adj = self.adj
         if adj[u].get(v, INF) != w or adj[v].get(u, INF) != w:
-            self._require(u, v, w)
+            _require_written(adj, u, v, w)
         if not -INF < old < w:
-            raise MonotonicityViolation(
-                f"weight of {{{u}, {v}}} must rise from a finite weight: {old!r} -> {w!r}")
+            _require_rise(u, v, old, w)
         level_of = self.level_of
         lu, lv = level_of[u], level_of[v]
         seeds = []
@@ -162,23 +179,42 @@ class MonotoneESTree:
             return set()
         return self._repair(seeds)
 
-    def raise_offer(self, x, w):
-        """Raise x's offer to w (inf drops it) and absorb the rise as that of
-        an edge from the root.  Returns the set of nodes whose level
-        increased.  An offer that does not rise, x holding none included,
-        raises MonotonicityViolation before anything changes."""
+    def absorb(self, rises, dying=None):
+        """Raise the offers in rises (node -> new weight, inf drops the
+        offer) and, given dying = (u, v, old), absorb the deletion of edge
+        {u, v} of weight old, which the owner has taken out of the
+        adjacency: all in one repair.  Returns the set of nodes whose level
+        increased.  An offer that does not rise (a node holding none
+        included), an edge the adjacency still shows or an old weight that
+        is not finite raises before anything changes."""
         offers = self.offers
-        old = offers.get(x, INF)
-        if not old < w:
-            raise MonotonicityViolation(
-                f"offer at {x!r} must rise from a finite weight: {old!r} -> {w!r}")
-        if w == INF:
-            del offers[x]
-        else:
-            offers[x] = w
-        if old <= self.level_of[x] < INF:
-            return self._repair([x])
-        return set()
+        for x, w in rises.items():
+            old = offers.get(x, INF)
+            if not old < w:
+                raise MonotonicityViolation(
+                    f"offer at {x!r} must rise from a finite weight: {old!r} -> {w!r}")
+        if dying is not None:
+            u, v, old = dying
+            _require_written(self.adj, u, v, INF)
+            if not -INF < old < INF:
+                raise MonotonicityViolation(
+                    f"deleted edge {{{u}, {v}}} must have had a finite weight: {old!r}")
+        level_of = self.level_of
+        seeds = []
+        for x, w in rises.items():
+            if offers[x] <= level_of[x] < INF:
+                seeds.append(x)
+            if w == INF:
+                del offers[x]
+            else:
+                offers[x] = w
+        if dying is not None:
+            lu, lv = level_of[u], level_of[v]
+            if lv + old <= lu < INF:
+                seeds.append(u)
+            if lu + old <= lv < INF:
+                seeds.append(v)
+        return self._repair(seeds) if seeds else set()
 
     def _repair(self, seeds):
         region = self._unsupported(seeds)
@@ -269,39 +305,43 @@ class TreeFamily(dict):
 
     nearest[v] is the root whose tree gives v the least level, ties going
     to the smaller root, and nearest_level[v] that level; None and inf when
-    every level at v is infinite.  A heap per node holds v's level in each
-    tree, so a change costs one heap update per raised node and tree.
+    every level at v is infinite.  There is no heap per node: levels only
+    rise, so nearest[v] can move only when v's nearest tree raised v, and
+    apply re-reads the roots at exactly those nodes.
     """
 
-    __slots__ = ("adj", "cap", "nearest", "nearest_level", "_heaps")
+    __slots__ = ("adj", "cap", "nearest", "nearest_level")
 
     def __init__(self, adj, cap, roots=()):
         super().__init__((r, MonotoneESTree(adj, r, cap)) for r in roots)
         self.adj = adj
         self.cap = cap
         n = len(adj)
-        self._heaps = [IndexedHeap((r, t.level_of[v]) for r, t in self.items())
-                       for v in range(n)]
         self.nearest = [None] * n
         self.nearest_level = [INF] * n
         self._read_min(range(n))
 
     def _read_min(self, nodes):
-        heaps, nearest, nearest_level = self._heaps, self.nearest, self.nearest_level
+        """Re-read the nearest root of each node in nodes over every tree."""
+        nearest, nearest_level = self.nearest, self.nearest_level
         for v in nodes:
-            heap = heaps[v]
-            r, level = heap.peek() if heap else (None, INF)
-            nearest[v] = None if level == INF else r
-            nearest_level[v] = level
+            best, arg = INF, None
+            for r, tree in self.items():
+                level = tree.level_of[v]
+                if level < best or (level == best < INF and r < arg):
+                    best, arg = level, r
+            nearest[v] = arg
+            nearest_level[v] = best
 
     def add_root(self, r):
         """Build r's tree on the current graph and let it compete for every
-        node's nearest root; a root already present raises KeyError at the
-        first heap insert, before anything changes."""
+        node's nearest root; a root already present raises KeyError before
+        anything changes."""
+        if r in self:
+            raise KeyError(f"root {r!r} already has a tree in the family")
         tree = MonotoneESTree(self.adj, r, self.cap)
-        heaps, nearest, nearest_level = self._heaps, self.nearest, self.nearest_level
+        nearest, nearest_level = self.nearest, self.nearest_level
         for v, level in tree.level_of.items():
-            heaps[v].insert(r, level)
             best = nearest_level[v]
             if level < best or (level == best < INF and r < nearest[v]):
                 nearest[v] = r
@@ -309,20 +349,27 @@ class TreeFamily(dict):
         self[r] = tree
 
     def apply(self, change):
-        """Pass one written ChangeRecord (a rise or a deletion) to every
-        tree; returns the nodes raised in any of them."""
+        """Pass one written ChangeRecord (a rise or a deletion) to the trees
+        whose phase-0 test flags an endpoint, each once; returns the nodes
+        raised in any of them.  A change the adjacency does not show, or a
+        weight that does not rise, raises before any tree changes."""
         u, v, old, new = change.u, change.v, change.old_weight, change.new_weight
-        heaps = self._heaps
+        _require_written(self.adj, u, v, new)
+        _require_rise(u, v, old, new)
+        nearest = self.nearest
         raised = set()
+        stale = []
         for r, tree in self.items():
-            if new == INF:
-                moved = tree.delete_edge(u, v, old)
-            else:
-                moved = tree.increase_weight(u, v, new, old)
-            if moved:
-                level_of = tree.level_of
-                for x in moved:
-                    heaps[x].update(r, level_of[x])
-                raised |= moved
-        self._read_min(raised)
+            level_of = tree.level_of
+            lu, lv = level_of[u], level_of[v]
+            if lv + old <= lu < INF or lu + old <= lv < INF:
+                if new == INF:
+                    moved = tree.delete_edge(u, v, old)
+                else:
+                    moved = tree.increase_weight(u, v, new, old)
+                if moved:
+                    raised |= moved
+                    stale += [x for x in moved if nearest[x] == r]
+        if stale:
+            self._read_min(stale)
         return raised

@@ -1,8 +1,8 @@
 """Binary min-heap with a reverse location index.
 
-The per-pair certificate heaps and the per-node heaps of a TreeFamily
-need decrease/increase-key and delete-by-id in O(log n), which heapq does
-not offer; the shortest-path trees keep no heap between calls.  Entries
+The per-pair certificate heaps need decrease/increase-key and
+delete-by-id in O(log n), which heapq does not offer; the shortest-path
+trees and their families keep no heap between calls.  Entries
 are (key, id) pairs ordered lexicographically, so equal keys break ties
 toward the smaller id and iteration order never depends on insertion
 history.
@@ -47,12 +47,6 @@ class IndexedHeap:
     def key_of(self, ident):
         return self._keys[self._pos[ident]]
 
-    def peek(self):
-        """(id, key) of the minimum without removing it."""
-        if not self._ids:
-            raise IndexError("peek on empty heap")
-        return self._ids[0], self._keys[0]
-
     def min_key(self):
         if not self._ids:
             raise IndexError("min_key on empty heap")
@@ -87,10 +81,6 @@ class IndexedHeap:
 
     def delete(self, ident):
         self._remove_at(self._pos[ident])
-
-    def items(self):
-        """Snapshot of (id, key) pairs in arbitrary heap order."""
-        return list(zip(self._ids, self._keys))
 
     def _remove_at(self, i):
         keys, ids, pos = self._keys, self._ids, self._pos

@@ -9,9 +9,15 @@ import math
 import random
 
 from decapsp import DuplicateEdge, DynamicGraph, EdgeNotFound, IndexedHeap
-from decapsp.estree import MonotoneESTree
+from decapsp.estree import MonotoneESTree, _require_written
 
 INF = math.inf
+
+
+def heap_entries(heap):
+    """id -> key of every entry of an IndexedHeap, read off its arrays: the
+    heap's users only ever ask for the minimum, so it offers no snapshot."""
+    return dict(zip(heap._ids, heap._keys))
 
 
 def ref_dijkstra(adj, source):
@@ -123,7 +129,7 @@ class ReferenceESTree(MonotoneESTree):
     def insert_edge(self, u, v, w):
         if v in self._nbr[u]:
             raise DuplicateEdge(f"edge {{{u}, {v}}} already in tree graph")
-        self._require(u, v, w)
+        _require_written(self.adj, u, v, w)
         lv = self.level_of
         self._nbr[u].insert(v, lv[v] + w)
         self._nbr[v].insert(u, lv[u] + w)
@@ -133,7 +139,7 @@ class ReferenceESTree(MonotoneESTree):
             self.insert_edge(u, v, w)
             return
         cur = self.adj[u].get(v, INF)
-        self._require(u, v, min(cur, w))
+        _require_written(self.adj, u, v, min(cur, w))
         lv = self.level_of
         nu, nv = self._nbr[u], self._nbr[v]
         if lv[v] + cur < nu.key_of(v) or lv[u] + cur < nv.key_of(u):
@@ -144,7 +150,7 @@ class ReferenceESTree(MonotoneESTree):
         """Scans both endpoints whatever old is: the oracle for the skip."""
         if v not in self._nbr[u]:
             raise EdgeNotFound(f"edge {{{u}, {v}}} not in tree graph")
-        self._require(u, v, w)
+        _require_written(self.adj, u, v, w)
         nu, nv = self._nbr[u], self._nbr[v]
         if w == INF:
             nu.delete(v)

@@ -53,28 +53,25 @@ def structural_audit(algo, prev_levels):
     # every designated escape edge
     for x, y, _ in g.edges():
         for i in range(2, max(algo.idx[x], algo.idx[y]) + 1):
-            assert algo._pair(x, y) in algo.edge_set[i]
+            assert y in algo.view[i][x]
     for v in range(g.n):
         if algo.escape[v] is not None:
-            pair = algo._pair(v, algo.escape[v])
             for i in range(2, k + 1):
-                assert pair in algo.edge_set[i]
+                assert algo.escape[v] in algo.view[i][v]
 
-    live = {algo._pair(u, v) for u, v, _ in g.edges()}
+    # no dead edge: every pair a view holds is a live edge of the graph,
+    # held both ways at weight 1
     for i in range(2, k + 1):
-        dead = algo.edge_set[i] - live
-        assert not dead
+        view = algo.view[i]
+        assert view is not g.adj and sorted(view) == list(range(g.n))
+        for a, row in view.items():
+            for b, w in row.items():
+                assert b in g.adj[a] and w == 1 and view[b][a] == 1
 
     # level-1 trees read the graph and own no offers; the roots of a higher
-    # level share its view, which holds exactly the level's edge set at
-    # weight 1, and each owns an offer at every lower node its tree reaches,
-    # priced at that tree's level of the root
+    # level share its view, and each owns an offer at every lower node its
+    # tree reaches, priced at that tree's level of the root
     assert len({id(view) for view in algo.view.values()}) == k - 1
-    for i in range(2, k + 1):
-        want = {x: {} for x in range(g.n)}
-        for a, b in algo.edge_set[i]:
-            want[a][b] = want[b][a] = 1
-        assert algo.view[i] is not g.adj and algo.view[i] == want
     for u in range(g.n):
         tree = algo.tree[u]
         i = algo.level[u]
@@ -237,7 +234,7 @@ def test_level_write_adds_new_pairs_without_a_tree_call(monkeypatch):
     offer at the other endpoint; levels never drop on an insertion, so no
     tree is called and every offer stays as it was."""
     calls = []
-    for op in ("insert_edge", "relax_edge", "increase_weight", "delete_edge", "raise_offer"):
+    for op in ("insert_edge", "relax_edge", "increase_weight", "delete_edge", "absorb"):
         def record(tree, *args, op=op, orig=getattr(MonotoneESTree, op)):
             calls.append(op)
             return orig(tree, *args)
@@ -252,14 +249,15 @@ def test_level_write_adds_new_pairs_without_a_tree_call(monkeypatch):
     assert snapshot(algo)[1] == trees
 
 
-def test_deletion_raises_offers_before_the_edge_leaves_the_view(monkeypatch):
-    """Deleting {1, 2} moves root 1's escape edge to {0, 1}, which enters the
-    view first; then each level-2 root raises the offers the level-1 trees
-    exported, in node order, while the view still holds {1, 2}; then the
-    view drops {1, 2} once and every level-2 root absorbs its deletion at
-    the weight 1 it had."""
+def test_deletion_absorbs_offers_and_the_dying_edge_in_one_repair(monkeypatch):
+    """Deleting {1, 2} moves root 1's escape edge to {0, 1}; both enter and
+    leave the level-2 view before any level-2 tree is called.  Then each
+    level-2 root whose offers the level-1 trees exported, or whose tree the
+    dying edge supported at an endpoint, absorbs all of them and the
+    deletion at its weight 1 in one call, in node order; the levels, offers
+    and level increases are those of raising each offer, then deleting."""
     calls, active = [], []
-    for op in ("insert_edge", "relax_edge", "increase_weight", "delete_edge", "raise_offer"):
+    for op in ("insert_edge", "relax_edge", "increase_weight", "delete_edge", "absorb"):
         def record(tree, *args, op=op, orig=getattr(MonotoneESTree, op)):
             if tree.adj is algo.view[2] and tree not in active:
                 view = tree.adj
@@ -272,14 +270,15 @@ def test_deletion_raises_offers_before_the_edge_leaves_the_view(monkeypatch):
         monkeypatch.setattr(MonotoneESTree, op, record)
     algo = view_owner()
     assert algo.escape[1] == 2 and 0 not in algo.view[2][1]
+    # root 6's tree: l(2) + 1 <= l(1), so the dying edge supported node 1
+    assert algo.tree[6].level_of[2] + 1 <= algo.tree[6].level_of[1] < INF
     algo.delete(1, 2)
-    assert calls == [("raise_offer", 0, 2, 3, True, True),
-                     ("raise_offer", 1, 2, 4, True, True),
-                     ("raise_offer", 1, 3, 3, True, True),
-                     ("raise_offer", 1, 7, 5, True, True),
-                     ("delete_edge", 0, 1, 2, 1, False, True),
-                     ("delete_edge", 1, 1, 2, 1, False, True),
-                     ("delete_edge", 6, 1, 2, 1, False, True)]
+    assert calls == [("absorb", 0, {2: 3}, (1, 2, 1), False, True),
+                     ("absorb", 1, {2: 4, 3: 3, 7: 5}, (1, 2, 1), False, True),
+                     ("absorb", 6, {}, (1, 2, 1), False, True)]
     assert algo.escape[1] == 0 and algo.exports_applied == 4
     assert dict(algo.tree[1].offers) == {2: 4, 3: 3, 4: 2, 5: 3, 7: 5}
+    assert [[algo.tree[r].level_of[x] for x in range(8)] for r in (0, 1, 6)] == [
+        [0, 3, 3, 2, 1, 2, 4, 4], [3, 0, 4, 3, 2, 3, 5, 5], [3, 4, 1, 2, 2, 1, 0, 1]]
+    assert [algo.tree[r].level_increases for r in (0, 1, 6)] == [2, 4, 1]
     structural_audit(algo, {})

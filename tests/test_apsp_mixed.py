@@ -8,7 +8,7 @@ from decapsp.apsp_mixed import MixedAPSP
 from decapsp.graph import DynamicGraph, gnp_graph
 from decapsp.oracle import bottleneck_weights
 
-from helpers import rand_connected, ref_apsp, ref_dijkstra, deletion_order
+from helpers import deletion_order, heap_entries, rand_connected, ref_apsp, ref_dijkstra
 
 INF = math.inf
 
@@ -51,7 +51,7 @@ def audit(algo, prev_heavy):
             for v in owners[i + 1:]:
                 key = eng.value_of(flat[(u, w)]) + eng.value_of(flat[(v, w)])
                 want_heaps.setdefault((u, v), {})[w] = key
-    assert {uv: dict(h.items()) for uv, h in algo.overlap_heap.items()} == want_heaps
+    assert {uv: heap_entries(h) for uv, h in algo.overlap_heap.items()} == want_heaps
     return heavy
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from decapsp.apsp_mult import MultiplicativeAPSP
 from decapsp.graph import DynamicGraph, gnp_graph
 
-from helpers import rand_connected, ref_apsp, deletion_order
+from helpers import deletion_order, heap_entries, rand_connected, ref_apsp
 
 INF = math.inf
 
@@ -51,9 +51,9 @@ def audit(algo):
         got_w[(a, b)] = got_w[(b, a)] = val
     assert got_w == wv
 
-    assert {xv: dict(h.items()) for xv, h in algo.nbr_heap.items()} == nbr
+    assert {xv: heap_entries(h) for xv, h in algo.nbr_heap.items()} == nbr
     assert algo.nbr_min == nbr_min
-    assert {uv: dict(h.items()) for uv, h in algo.adj_heap.items()} == adj
+    assert {uv: heap_entries(h) for uv, h in algo.adj_heap.items()} == adj
 
     assert {x: s for x, s in algo.nbr_live.items() if s} == group_by_first(nbr_min)
 

@@ -17,6 +17,7 @@ from decapsp import (
     apply_update,
 )
 from decapsp.estree import NO_OFFERS, TreeFamily, UnwrittenChange
+from decapsp.graph import ChangeRecord
 from helpers import ReferenceESTree, deletion_order, rand_connected, rand_gnp, ref_dijkstra
 
 INF = math.inf
@@ -434,7 +435,7 @@ def offer_stream(rng, g, root, offers):
         if offers and (not g.m or rng.random() < 0.4):
             x = rng.choice(sorted(offers))
             w = INF if rng.random() < 0.3 else offers[x] + rng.randint(1, 4)
-            yield "raise_offer", x, w
+            yield "absorb", x, w
         else:
             u, v = rng.choice([(u, v) for u, v, _ in g.edges()])
             if rng.random() < 0.3 and root in g.adj[u]:
@@ -473,13 +474,13 @@ def test_offers_match_the_reference_with_root_edges(density, max_w):
         for op, x, y in offer_stream(rng, g, root, t.offers):
             # the reference edge the step changes: a root edge where an
             # offer or a deleted edge meets the root, else the deleted edge
-            if op == "raise_offer":
+            if op == "absorb":
                 u, v = root, x
             else:
                 u, v = (root, x + y - root) if root in (x, y) else (x, y)
             before = with_edges[u].get(v, INF)
-            if op == "raise_offer":
-                got = t.raise_offer(x, y)
+            if op == "absorb":
+                got = t.absorb({x: y})
                 if y == INF:
                     del offers[x]
                 else:
@@ -506,7 +507,7 @@ def test_offers_match_the_reference_with_root_edges(density, max_w):
 
 
 def test_a_non_rising_offer_or_an_unknown_node_is_refused():
-    """raise_offer refuses an offer that does not rise, at a node holding
+    """absorb refuses an offer that does not rise, at a node holding
     none (the root, a node outside the graph) too, before anything
     changes; a tree built without offers holds the shared read-only empty
     mapping and refuses every raise."""
@@ -516,10 +517,10 @@ def test_a_non_rising_offer_or_an_unknown_node_is_refused():
     before = (dict(t.level_of), dict(t.offers), t.level_increases)
     for x, w in [(2, 1), (2, 0), (2, math.nan), (3, 4), (0, 3), (1, 3), (9, 3), (-1, INF)]:
         with pytest.raises(MonotonicityViolation):
-            t.raise_offer(x, w)
+            t.absorb({x: w})
         assert (t.level_of, t.offers, t.level_increases) == before
-    assert t.raise_offer(3, 6) == set()  # not the support of 3: no repair
-    assert t.raise_offer(2, INF) == {2, 3}
+    assert t.absorb({3: 6}) == set()  # not the support of 3: no repair
+    assert t.absorb({2: INF}) == {2, 3}
     assert [t.level_of[x] for x in range(4)] == [0, 1, 2, 3] and t.offers == {3: 6}
     assert t.level_increases == 2
 
@@ -533,11 +534,72 @@ def test_a_non_rising_offer_or_an_unknown_node_is_refused():
     assert bare.offers is NO_OFFERS and all(tr.offers is NO_OFFERS for tr in fam.values())
     assert MonotoneESTree(g.adj, 0, cap=10, offers={}).offers is NO_OFFERS
     with pytest.raises(MonotonicityViolation):
-        bare.raise_offer(1, 5)
+        bare.absorb({1: 5})
     assert not NO_OFFERS
     for offers in ({0: 1}, {4: 1}, {1: 0}, {1: INF}, {1: -2}):
         with pytest.raises(ValueError):
             MonotoneESTree(g.adj, 0, cap=10, offers=offers)
+
+
+def test_absorb_refuses_a_bad_batch_before_anything_changes():
+    """absorb checks every offer and the deletion before it writes any:
+    one offer that does not rise, an edge the adjacency still shows, or an
+    old weight that is not finite refuses the whole batch."""
+    g = DynamicGraph(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)])
+    t = MonotoneESTree(g.adj, 0, cap=10, offers={2: 1, 3: 5})
+    before = (dict(t.level_of), dict(t.offers), t.level_increases)
+    with pytest.raises(MonotonicityViolation):
+        t.absorb({2: INF, 3: 5})
+    with pytest.raises(UnwrittenChange):
+        t.absorb({2: INF}, (1, 2, 1))
+    del g.adj[1][2], g.adj[2][1]
+    for old in (INF, -INF, math.nan):
+        with pytest.raises(MonotonicityViolation):
+            t.absorb({2: INF}, (1, 2, old))
+    assert (t.level_of, t.offers, t.level_increases) == before
+    assert t.absorb({2: INF}, (1, 2, 1)) == {2, 3, 4}
+    assert [t.level_of[x] for x in range(5)] == [0, 1, 6, 5, 6] and t.offers == {3: 5}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**30))
+def test_one_batched_absorb_equals_sequential_changes(seed):
+    """absorb of several offer rises and a deletion ends at the levels and
+    offers that absorbing each offer and then the deletion one by one, on a
+    twin tree and adjacency, reaches; it raises the union of their raised
+    sets and counts no more level increases."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 16)
+    g = rand_gnp(rng, n, rng.choice((0.2, 0.5)), rng.choice((1, 4)))
+    twin_adj = {x: dict(nb) for x, nb in g.adj.items()}
+    root = rng.randrange(n)
+    cap = rng.choice((2, 6, 4 * n * 4))
+    others = [x for x in range(n) if x != root]
+    offers = {x: rng.randint(1, 6) for x in rng.sample(others, rng.randint(0, n - 1))}
+    batched = MonotoneESTree(g.adj, root, cap, dict(offers))
+    twin = MonotoneESTree(twin_adj, root, cap, dict(offers))
+    for _ in range(6):
+        held = sorted(batched.offers)
+        rises = {x: INF if rng.random() < 0.3 else batched.offers[x] + rng.randint(1, 4)
+                 for x in rng.sample(held, rng.randint(0, len(held)))}
+        edges = [(u, v) for u, v, _ in g.edges()]
+        dying = None
+        if edges and rng.random() < 0.8:
+            u, v = rng.choice(edges)
+            rec = apply_update(g, UpdateEvent(DELETE, u, v))
+            dying = (u, v, rec.old_weight)
+        if not rises and dying is None:
+            continue
+        got = batched.absorb(rises, dying)
+        want = set()
+        for x, w in rises.items():
+            want |= twin.absorb({x: w})
+        if dying is not None:
+            del twin_adj[u][v], twin_adj[v][u]
+            want |= twin.delete_edge(u, v, dying[2])
+        assert got == want
+        assert batched.level_of == twin.level_of and batched.offers == twin.offers
+        assert batched.level_increases <= twin.level_increases
 
 
 def check_nearest(fam):
@@ -546,6 +608,42 @@ def check_nearest(fam):
         level, r = min(((t.level_of[v], r) for r, t in fam.items()), default=(INF, None))
         assert fam.nearest_level[v] == level
         assert fam.nearest[v] == (r if level < INF else None)
+
+
+def test_tree_family_refuses_an_unwritten_or_non_rising_change():
+    """apply checks the shared adjacency and the rise once, before any tree
+    is called: a change the adjacency does not show yet, or a weight that
+    does not rise, raises and leaves every level and nearest root as it
+    was, also when no tree's phase-0 test would flag the edge ({1, 4})."""
+    g = DynamicGraph(5, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 4, 3), (0, 4, 6), (1, 4, 9)])
+    fam = TreeFamily(g.adj, 20, [0, 3])
+
+    def state():
+        return ({r: (dict(t.level_of), t.level_increases) for r, t in fam.items()},
+                list(fam.nearest), list(fam.nearest_level))
+
+    before = state()
+    bad = [(UnwrittenChange, ChangeRecord(0, 1, 1, INF, 1)),      # deletion not written
+           (UnwrittenChange, ChangeRecord(1, 2, 2, 5, 1)),        # rise not written
+           (MonotonicityViolation, ChangeRecord(1, 2, 2, 2, 1)),  # no rise
+           (MonotonicityViolation, ChangeRecord(1, 2, 3, 2, 1)),  # a drop
+           (MonotonicityViolation, ChangeRecord(1, 2, INF, 2, 1)),
+           (UnwrittenChange, ChangeRecord(1, 4, 9, INF, 1)),
+           (MonotonicityViolation, ChangeRecord(1, 4, 9, 9, 1))]
+    for error, rec in bad:
+        with pytest.raises(error):
+            fam.apply(rec)
+        assert state() == before
+    g.adj[1][2] = 5  # half a change is not written either
+    with pytest.raises(UnwrittenChange):
+        fam.apply(ChangeRecord(1, 2, 2, 5, 1))
+    assert state() == before
+    g.adj[2][1] = 5
+    assert fam.apply(ChangeRecord(1, 2, 2, 5, 1)) == {0, 1, 2, 3}
+    assert [fam[0].level_of[x] for x in range(5)] == [0, 1, 6, 7, 6]
+    assert [fam[3].level_of[x] for x in range(5)] == [7, 6, 1, 0, 3]
+    assert fam.nearest == [0, 0, 3, 3, 3] and fam.nearest_level == [0, 1, 1, 0, 3]
+    check_nearest(fam)
 
 
 @settings(max_examples=60, deadline=None)

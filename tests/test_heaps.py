@@ -19,10 +19,11 @@ def test_pop_order_with_ties_prefers_smaller_id():
 def test_update_both_directions():
     h = IndexedHeap([(0, 10), (1, 20), (2, 30)])
     h.update(2, 5)
-    assert h.peek() == (2, 5)
+    assert h.min_key() == 5
     h.update(2, 50)
-    assert h.peek() == (0, 10)
+    assert h.min_key() == 10
     assert h.key_of(2) == 50
+    assert [h.pop() for _ in range(3)] == [(0, 10), (1, 20), (2, 50)]
 
 
 def test_insert_duplicate_raises():
@@ -34,10 +35,10 @@ def test_insert_duplicate_raises():
 def test_delete():
     h = IndexedHeap([(i, i) for i in range(5)])
     h.delete(0)
-    assert h.peek() == (1, 1)
     with pytest.raises(KeyError):
         h.delete(99)
     assert len(h) == 4
+    assert [h.pop() for _ in range(4)] == [(i, i) for i in range(1, 5)]
 
 
 def test_build_matches_incremental():
@@ -76,9 +77,11 @@ def test_against_reference_model(ops, seed):
             del model[ident2]
         elif op == 3:
             assert (ident in h) == (ident in model)
-        elif op == 4 and model:
+        elif op == 4 and model:  # the minimum, id included, left in place
             mn = min(model.items(), key=lambda kv: (kv[1], kv[0]))
-            assert h.peek() == mn
+            assert h.min_key() == mn[1]
+            assert h.pop() == mn
+            h.insert(*mn)
         elif op == 5 and ident in model:
             assert h.key_of(ident) == model[ident]
     assert len(h) == len(model)

@@ -3,8 +3,9 @@ of the maps that name its family: engine.trees (pivot), heavy_trees (heavy)
 or tree (additive).  perfbench's tracer bills each tree call through these
 maps, so a tree missing from all of them would be billed to estree.other.
 It counts calls and raised nodes at the public increase_weight and
-delete_edge, so each change must reach the family trees through them."""
+delete_edge, so each tree a change can reach must get it through them."""
 
+import math
 import random
 
 from decapsp.additive import AdditiveAPSP
@@ -14,6 +15,8 @@ from decapsp.estree import MonotoneESTree
 from decapsp.graph import gnp_workload
 
 from helpers import deletion_order, rand_connected
+
+INF = math.inf
 
 
 def owners(structure, tree):
@@ -85,43 +88,108 @@ def count_rise_calls(monkeypatch):
     return calls
 
 
-def reached_once(calls, trees):
+def flagged(trees, u, v, old):
+    """The trees whose phase-0 test flags an endpoint of {u, v} at weight
+    old: l(other) + old <= l(x) < inf at x = u or x = v."""
+    out = []
+    for t in trees:
+        lu, lv = t.level_of[u], t.level_of[v]
+        if lv + old <= lu < INF or lu + old <= lv < INF:
+            out.append(t)
+    return out
+
+
+def same_trees(calls, trees):
     """Each tree in trees got exactly one call, and no other tree got any."""
     return sorted(map(id, calls)) == sorted(map(id, trees))
 
 
-def test_every_change_reaches_each_family_tree_once(monkeypatch):
-    """TreeFamily.apply hands each deletion and each rise to every pivot
-    and heavy tree through increase_weight/delete_edge, once per tree, so
-    the tracer's estree.*.calls and nodes_raised see every tree's repair."""
+def check_twins(twins, twin_adj, trees, called, u, v, old, new):
+    """Write the change into the twin adjacency and call every twin, as if
+    no tree were skipped: a skipped tree's twin raises nothing, and each
+    twin ends at its tree's levels."""
+    if new == INF:
+        del twin_adj[u][v], twin_adj[v][u]
+    else:
+        twin_adj[u][v] = twin_adj[v][u] = new
+    for t in trees:
+        twin = twins[id(t)]
+        if new == INF:
+            moved = twin.delete_edge(u, v, old)
+        else:
+            moved = twin.increase_weight(u, v, new, old)
+        if not any(c is t for c in called):
+            assert moved == set()
+        assert twin.level_of == t.level_of
+
+
+def test_every_change_calls_exactly_the_family_trees_it_flags(monkeypatch):
+    """TreeFamily.apply calls increase_weight/delete_edge on exactly the
+    pivot and heavy trees whose phase-0 test flags an endpoint, each once,
+    so the tracer's estree.*.calls and nodes_raised see every repair; a
+    twin of each tree, called on every change, raises nothing in each tree
+    that was skipped."""
     rng = random.Random(9)
     g = rand_connected(rng, 12, 0.4, 6)
     algo = MixedAPSP(g, p=0.3, eps=0.9, tau=3, seed=2)
+    twin_adj = {x: dict(nb) for x, nb in g.adj.items()}
+    twins = {}
     calls = count_rise_calls(monkeypatch)
-    heavy_seen = 0
+    heavy_seen = skipped = 0
     for u, v in deletion_order(rng, g):
         for kind in ("increase", "delete"):
             trees = [*algo.engine.trees.values(), *algo.heavy_trees.values()]
+            for t in trees:
+                if id(t) not in twins:
+                    twins[id(t)] = MonotoneESTree(twin_adj, t.root, t.cap)
             heavy_seen += bool(algo.heavy_trees)
+            old = algo.g.adj[u][v]
+            want = flagged(trees, u, v, old)
+            skipped += len(trees) - len(want)
             calls.clear()
             if kind == "increase":
-                algo.increase(u, v, algo.g.adj[u][v] + rng.randint(1, 3))
+                algo.increase(u, v, old + rng.randint(1, 3))
             else:
                 algo.delete(u, v)
-            assert reached_once(calls, trees)
-    assert heavy_seen
+            called = list(calls)
+            assert same_trees(called, want)
+            check_twins(twins, twin_adj, trees, called, u, v, old,
+                        algo.g.adj[u].get(v, INF))
+    assert heavy_seen and skipped
 
 
-def test_every_deletion_reaches_each_level_one_additive_tree_once(monkeypatch):
-    """AdditiveAPSP hands each deletion to every level-1 tree through
-    delete_edge, once per tree; the trees above level 1 get a number of
-    calls that depends on the change."""
+def test_every_deletion_calls_exactly_the_level_one_additive_trees_it_flags(monkeypatch):
+    """AdditiveAPSP calls delete_edge on exactly the level-1 trees whose
+    phase-0 test flags an endpoint, each once; a twin of each level-1 tree,
+    called on every deletion, raises nothing in each tree that was skipped.
+    A tree above level 1 gets at most one absorb call per deletion, which
+    the tracer does not wrap, and only when it has offers to raise or the
+    dying edge is flagged in it."""
     g, order = gnp_workload(24, 0.3, 1, random.Random(3))
     algo = AdditiveAPSP(g, k=3, d=4, c=0.3, seed=4)
     level_one = [algo.tree[r] for r in algo.roots[1]]
     assert level_one
+    twin_adj = {x: dict(nb) for x, nb in g.adj.items()}
+    twins = {id(t): MonotoneESTree(twin_adj, t.root, t.cap) for t in level_one}
     calls = count_rise_calls(monkeypatch)
+    absorbed = []
+
+    def absorb(tree, rises, dying=None, _fn=MonotoneESTree.absorb):
+        edge_flagged = dying is not None and bool(flagged([tree], *dying))
+        absorbed.append((tree, bool(rises) or edge_flagged))
+        return _fn(tree, rises, dying)
+
+    monkeypatch.setattr(MonotoneESTree, "absorb", absorb)
+    skipped = 0
     for u, v in order:
+        want = flagged(level_one, u, v, 1)
+        skipped += len(level_one) - len(want)
         calls.clear()
+        absorbed.clear()
         algo.delete(u, v)
-        assert reached_once([t for t in calls if any(t is s for s in level_one)], level_one)
+        called = [t for t in calls if any(t is s for s in level_one)]
+        assert same_trees(called, want)
+        check_twins(twins, twin_adj, level_one, called, u, v, 1, INF)
+        assert all(needed for _, needed in absorbed)
+        assert len({id(t) for t, _ in absorbed}) == len(absorbed)
+    assert skipped
