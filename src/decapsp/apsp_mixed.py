@@ -5,10 +5,11 @@ tau bunches contain it; heaviness is permanent.  Heavy nodes root their own
 bounded-depth trees, so any pair can route through its nearest heavy node
 at exact tree distances.  Light intermediates are covered pairwise: for
 every unordered pair {u, v} an overlap heap stores each light w lying in
-both bunches, keyed rounded_bunch(u, w) + rounded_bunch(v, w).  The heaps
-holding w are exactly the pairs of its cluster, so bunches and clusters are
-read from the BunchEngine, which owns them, and no copy or reverse index is
-kept.
+both bunches, keyed rounded_bunch(u, w) + rounded_bunch(v, w): the sum of
+the two ladder values engine.bunch holds.  A pair's heap exists only while
+it holds an entry (heaps.heap_insert/heap_delete).  The heaps holding w are
+exactly the pairs of its cluster, so bunches and clusters are read from the
+BunchEngine, which owns them, and no copy or reverse index is kept.
 
 An update is absorbed against the engine's final state.  After the refresh
 and the heavy trees' repair, the bunch events are grouped by member w; the
@@ -30,7 +31,7 @@ from itertools import combinations
 from .bunches import INCREASE, JOIN, LEAVE, BunchEngine
 from .estree import TreeFamily
 from .graph import DELETE, INCREASE as W_INCREASE, DomainError, UpdateEvent, apply_update
-from .heaps import IndexedHeap
+from .heaps import heap_delete, heap_insert
 
 INF = math.inf
 
@@ -41,13 +42,12 @@ def _pair(a, b):
 
 class MixedAPSP:
     def __init__(self, graph, p, eps, tau, seed):
-        if tau < 1:
-            raise ValueError("tau must be a positive threshold")
+        if not tau >= 1:
+            raise DomainError(f"tau must be a threshold of at least 1, got {tau!r}")
         self.g = graph
         self.tau = tau
         self.engine = BunchEngine(graph, p, eps, seed)
         bunch, cluster = self.engine.bunch, self.engine.cluster
-        value_of = self.engine.value_of
 
         self.heavy_trees = TreeFamily(graph.adj, self.engine.depth_cap)
 
@@ -61,24 +61,11 @@ class MixedAPSP:
             if w in self.heavy_trees:
                 continue
             for u, v in combinations(cluster[w], 2):
-                self._overlap_insert(w, u, v, value_of(bunch[u][w]) + value_of(bunch[v][w]))
+                heap_insert(self.overlap_heap, _pair(u, v), w, bunch[u][w] + bunch[v][w])
 
         self.updates_applied = 0
 
     # -- overlap layer -------------------------------------------------------
-
-    def _overlap_insert(self, w, u, v, key):
-        heap = self.overlap_heap.get(_pair(u, v))
-        if heap is None:
-            heap = self.overlap_heap[_pair(u, v)] = IndexedHeap()
-        heap.insert(w, key)
-
-    def _overlap_delete(self, w, u, v):
-        uv = _pair(u, v)
-        heap = self.overlap_heap[uv]
-        heap.delete(w)
-        if not heap:
-            del self.overlap_heap[uv]
 
     def _absorb(self, events):
         """Bring the overlap entries of each member named by the events to the
@@ -87,7 +74,7 @@ class MixedAPSP:
         for bev in events:
             changed.setdefault(bev.member, {})[bev.owner] = bev.case
         bunch, cluster = self.engine.bunch, self.engine.cluster
-        value_of = self.engine.value_of
+        heaps = self.overlap_heap
         for w, cases in changed.items():
             if w in self.heavy_trees:
                 continue
@@ -97,7 +84,7 @@ class MixedAPSP:
             if len(final) >= self.tau:
                 self.heavy_trees.add_root(w)
                 for u, v in combinations(old, 2):
-                    self._overlap_delete(w, u, v)
+                    heap_delete(heaps, _pair(u, v), w)
                 continue
             # an INCREASE on (v, w) re-keys {u, v} for each other owner u kept
             # through the update, even where u's own INCREASE re-keys it too
@@ -109,13 +96,13 @@ class MixedAPSP:
                     if u == v or (u in cases and u > v):
                         continue  # {u, v} is done once, from its larger changed owner
                     if u in final and v in final:
-                        key = value_of(bunch[u][w]) + value_of(bunch[v][w])
+                        key = bunch[u][w] + bunch[v][w]
                         if u in old and v in old:
-                            self.overlap_heap[_pair(u, v)].update(w, key)
+                            heaps[_pair(u, v)].update(w, key)
                         else:
-                            self._overlap_insert(w, u, v, key)
+                            heap_insert(heaps, _pair(u, v), w, key)
                     elif u in old and v in old:
-                        self._overlap_delete(w, u, v)
+                        heap_delete(heaps, _pair(u, v), w)
 
     # -- updates ---------------------------------------------------------------
 

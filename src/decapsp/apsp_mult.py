@@ -13,6 +13,10 @@ y of x inside bunch(v); its rounded minimum feeds a per-(u, v) adjacency
 heap entry keyed rounded_bunch(u, x) + that minimum, for every owner u whose
 bunch holds x.  Bunches and clusters are read from the BunchEngine, which
 owns them; the structure keeps no copy of them and no reverse index.
+Rounded edge weights (w_round), bunch estimates and minima (nbr_min) are
+all ladder values of the GeometricRounder, so a key is a plain sum and a
+change is detected by comparing floats.  Both heap maps hold no empty
+heap (heaps.heap_insert/heap_delete): a pair without entries is absent.
 
 An update is absorbed in five steps, each reaching its entries through the
 graph's adjacency, engine.cluster and the live minima nbr_live:
@@ -29,8 +33,9 @@ graph's adjacency, engine.cluster and the live minima nbr_live:
   4. each event brings w's entries in the adjacency heaps (v, t), for t in
      nbr_live[w], to its estimate, against the minima as they stand;
   5. every neighborhood minimum touched by steps 1 and 3 is re-rounded
-     once; a changed one reaches the adjacency heaps (u, v) for every final
-     owner u in engine.cluster[x].
+     once (an emptied heap is already gone, so its minimum is dropped); a
+     changed one reaches the adjacency heaps (u, v) for every final owner u
+     in engine.cluster[x].
 
 Geometric rounding keeps the propagated minima from changing more than
 polylogarithmically often per pair.
@@ -42,7 +47,7 @@ import math
 
 from .bunches import INCREASE, JOIN, BunchEngine
 from .graph import DELETE, INCREASE as W_INCREASE, DomainError, UpdateEvent, apply_update
-from .heaps import IndexedHeap
+from .heaps import heap_delete, heap_insert
 
 INF = math.inf
 
@@ -52,17 +57,15 @@ class MultiplicativeAPSP:
         self.g = graph
         self.engine = BunchEngine(graph, p, eps, seed)
         self.rounder = self.engine.rounder
-        value_of = self.engine.value_of
 
         # rounded edge weights, keyed by unordered pair
         self.w_round = {}
         for a, b, w in graph.edges():
-            e = self.rounder.exponent(w)
-            self.w_round[(a, b) if a < b else (b, a)] = (e, self.rounder.value(e))
+            self.w_round[(a, b) if a < b else (b, a)] = self.rounder.round(w)
 
         # neighborhood layer
         self.nbr_heap = {}    # (x, v) -> IndexedHeap of y
-        self.nbr_min = {}     # (x, v) -> exponent of the rounded minimum
+        self.nbr_min = {}     # (x, v) -> rounded minimum of nbr_heap[(x, v)]
         self.nbr_live = {}    # x -> set of v with a live minimum
 
         # adjacency layer
@@ -72,26 +75,17 @@ class MultiplicativeAPSP:
         self.updates_applied = 0
 
         for v in range(graph.n):
-            for y, exp in self.engine.bunch[v].items():
-                yval = value_of(exp)
+            for y, yval in self.engine.bunch[v].items():
                 for x in graph.adj[y]:
-                    key = self.w_round[(x, y) if x < y else (y, x)][1] + yval
-                    heap = self.nbr_heap.get((x, v))
-                    if heap is None:
-                        heap = self.nbr_heap[(x, v)] = IndexedHeap()
-                    heap.insert(y, key)
+                    key = self.w_round[(x, y) if x < y else (y, x)] + yval
+                    heap_insert(self.nbr_heap, (x, v), y, key)
         for (x, v), heap in self.nbr_heap.items():
-            self.nbr_min[(x, v)] = self.rounder.exponent(heap.min_key())
+            self.nbr_min[(x, v)] = self.rounder.round(heap.min_key())
             self.nbr_live.setdefault(x, set()).add(v)
         for u in range(graph.n):
-            for x, exp in self.engine.bunch[u].items():
-                uval = value_of(exp)
+            for x, uval in self.engine.bunch[u].items():
                 for v in self.nbr_live.get(x, ()):
-                    key = uval + self.rounder.value(self.nbr_min[(x, v)])
-                    heap = self.adj_heap.get((u, v))
-                    if heap is None:
-                        heap = self.adj_heap[(u, v)] = IndexedHeap()
-                    heap.insert(x, key)
+                    heap_insert(self.adj_heap, (u, v), x, uval + self.nbr_min[(x, v)])
 
     # -- updates -----------------------------------------------------------
 
@@ -123,19 +117,17 @@ class MultiplicativeAPSP:
             self.w_round.pop(pair, None)
             for x, y in ((a, b), (b, a)):
                 for v in cluster[y]:
-                    self.nbr_heap[(x, v)].delete(y)
+                    heap_delete(self.nbr_heap, (x, v), y)
                     touched.add((x, v))
             return touched
-        new_exp = self.rounder.exponent(rec.new_weight)
-        old_exp, _ = self.w_round[pair]
-        if new_exp == old_exp:
+        new_val = self.rounder.round(rec.new_weight)
+        if new_val == self.w_round[pair]:
             return touched
-        new_val = self.rounder.value(new_exp)
-        self.w_round[pair] = (new_exp, new_val)
-        bunch, value_of = self.engine.bunch, self.engine.value_of
+        self.w_round[pair] = new_val
+        bunch = self.engine.bunch
         for x, y in ((a, b), (b, a)):
             for v in cluster[y]:
-                self.nbr_heap[(x, v)].update(y, new_val + value_of(bunch[v][y]))
+                self.nbr_heap[(x, v)].update(y, new_val + bunch[v][y])
                 touched.add((x, v))
         return touched
 
@@ -144,83 +136,59 @@ class MultiplicativeAPSP:
         if bev.case == JOIN:
             for x in self.g.adj[w]:
                 pair = (x, w) if x < w else (w, x)
-                key = self.w_round[pair][1] + bev.value
-                heap = self.nbr_heap.get((x, v))
-                if heap is None:
-                    heap = self.nbr_heap[(x, v)] = IndexedHeap()
-                heap.insert(w, key)
+                heap_insert(self.nbr_heap, (x, v), w, self.w_round[pair] + bev.value)
                 touched.add((x, v))
         elif bev.case == INCREASE:
             for x in self.g.adj[w]:
                 pair = (x, w) if x < w else (w, x)
-                self.nbr_heap[(x, v)].update(w, self.w_round[pair][1] + bev.value)
+                self.nbr_heap[(x, v)].update(w, self.w_round[pair] + bev.value)
                 touched.add((x, v))
         else:  # LEAVE
             for x in self.g.adj[w]:
-                self.nbr_heap[(x, v)].delete(w)
+                heap_delete(self.nbr_heap, (x, v), w)
                 touched.add((x, v))
 
     def _adj_bunch_change(self, bev):
         """Bring (owner u, member x)'s adjacency entries to the estimate of the
         event, against the neighborhood minima as they stand."""
         x, u = bev.member, bev.owner
-        rounder = self.rounder
         if bev.case == JOIN:
             for v in self.nbr_live.get(x, ()):
-                key = bev.value + rounder.value(self.nbr_min[(x, v)])
-                heap = self.adj_heap.get((u, v))
-                if heap is None:
-                    heap = self.adj_heap[(u, v)] = IndexedHeap()
-                heap.insert(x, key)
+                heap_insert(self.adj_heap, (u, v), x, bev.value + self.nbr_min[(x, v)])
         elif bev.case == INCREASE:
             for v in self.nbr_live.get(x, ()):
-                self.adj_heap[(u, v)].update(x, bev.value + rounder.value(self.nbr_min[(x, v)]))
+                self.adj_heap[(u, v)].update(x, bev.value + self.nbr_min[(x, v)])
         else:  # LEAVE
             for v in self.nbr_live.get(x, ()):
-                heap = self.adj_heap[(u, v)]
-                heap.delete(x)
-                if not heap:
-                    del self.adj_heap[(u, v)]
+                heap_delete(self.adj_heap, (u, v), x)
 
     def _flush_minima(self, touched):
         """Re-round each touched neighborhood minimum once and patch the
         adjacency entries of x's final owners where it changed."""
         rounder = self.rounder
-        bunch, cluster, value_of = self.engine.bunch, self.engine.cluster, self.engine.value_of
+        bunch, cluster = self.engine.bunch, self.engine.cluster
         for xv in touched:
             heap = self.nbr_heap.get(xv)
-            if heap is not None and not heap:
-                del self.nbr_heap[xv]
-                heap = None
-            new_exp = rounder.exponent(heap.min_key()) if heap is not None else None
-            old_exp = self.nbr_min.get(xv)
-            if new_exp == old_exp:
+            new_val = rounder.round(heap.min_key()) if heap is not None else None
+            old_val = self.nbr_min.get(xv)
+            if new_val == old_val:
                 continue
             self.nbr_min_changes[xv] = self.nbr_min_changes.get(xv, 0) + 1
             x, v = xv
-            if old_exp is None:
-                self.nbr_min[xv] = new_exp
+            if old_val is None:
+                self.nbr_min[xv] = new_val
                 self.nbr_live.setdefault(x, set()).add(v)
-                val = rounder.value(new_exp)
                 for u in cluster[x]:
-                    key = value_of(bunch[u][x]) + val
-                    heap2 = self.adj_heap.get((u, v))
-                    if heap2 is None:
-                        heap2 = self.adj_heap[(u, v)] = IndexedHeap()
-                    heap2.insert(x, key)
-            elif new_exp is None:
+                    heap_insert(self.adj_heap, (u, v), x, bunch[u][x] + new_val)
+            elif new_val is None:
                 del self.nbr_min[xv]
                 self.nbr_live[x].discard(v)
                 for u in cluster[x]:
-                    heap2 = self.adj_heap[(u, v)]
-                    heap2.delete(x)
-                    if not heap2:
-                        del self.adj_heap[(u, v)]
+                    heap_delete(self.adj_heap, (u, v), x)
             else:
-                self.nbr_min[xv] = new_exp
-                val = rounder.value(new_exp)
+                self.nbr_min[xv] = new_val
                 for u in cluster[x]:
-                    self.adj_heap[(u, v)].update(x, value_of(bunch[u][x]) + val)
+                    self.adj_heap[(u, v)].update(x, bunch[u][x] + new_val)
 
     # -- queries -----------------------------------------------------------
 

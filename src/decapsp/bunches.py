@@ -38,9 +38,6 @@ LEAVE = "leave"
 INCREASE = "increase"
 JOIN = "join"
 
-# exponent sentinel for a zero distance (a node inside its own bunch)
-EXP_ZERO = -(10**9)
-
 logger = logging.getLogger(__name__)
 
 
@@ -59,14 +56,13 @@ class BunchChangeEvent:
     """One membership or estimate change of bunch(owner) w.r.t. member.
 
     case is LEAVE (value = inf), INCREASE (rounded estimate grew) or JOIN
-    (member entered at a rebuild).  exponent/value carry the new rounded
-    in-bunch estimate.
+    (member entered at a rebuild).  value is the new rounded in-bunch
+    estimate, as stored in engine.bunch[owner][member].
     """
 
     owner: int
     member: int
     case: str
-    exponent: int | None
     value: float
 
 
@@ -103,6 +99,7 @@ class BunchEngine:
 
         self.radius = list(self.trees.nearest_level)
         self.rebuilds = [0] * n
+        # bunch[v][w]: the rounded estimate round(d(v, w)), 0.0 for w == v
         self.bunch = [{} for _ in range(n)]
         self.cluster = [set() for _ in range(n)]
         self._region = [set() for _ in range(n)]
@@ -112,15 +109,12 @@ class BunchEngine:
             settled = self._search(v, self.trees.nearest_level[v])
             b = {}
             for w, dist in settled.items():
-                b[w] = EXP_ZERO if dist == 0 else self.rounder.exponent(dist)
+                b[w] = 0.0 if dist == 0 else self.rounder.round(dist)
                 self.cluster[w].add(v)
             self.bunch[v] = b
             self._set_region(v, set(settled))
 
     # -- accessors ---------------------------------------------------------
-
-    def value_of(self, exponent):
-        return 0.0 if exponent == EXP_ZERO else self.rounder.value(exponent)
 
     def rebuild_bound(self):
         """Per-node rebuild budget for a run on this instance."""
@@ -171,16 +165,16 @@ class BunchEngine:
         rounder = self.rounder
         for w, dist in settled.items():
             if rebuild or w in old_b:
-                new_b[w] = EXP_ZERO if dist == 0 else rounder.exponent(dist)
+                new_b[w] = 0.0 if dist == 0 else rounder.round(dist)
         for w in sorted(old_b.keys() | new_b.keys()):
             if w not in new_b:
                 self.cluster[w].discard(x)
-                events.append(BunchChangeEvent(x, w, LEAVE, None, INF))
+                events.append(BunchChangeEvent(x, w, LEAVE, INF))
             elif w not in old_b:
                 self.cluster[w].add(x)
-                events.append(BunchChangeEvent(x, w, JOIN, new_b[w], self.value_of(new_b[w])))
+                events.append(BunchChangeEvent(x, w, JOIN, new_b[w]))
             elif new_b[w] != old_b[w]:
-                events.append(BunchChangeEvent(x, w, INCREASE, new_b[w], self.value_of(new_b[w])))
+                events.append(BunchChangeEvent(x, w, INCREASE, new_b[w]))
         self.bunch[x] = new_b
         self._set_region(x, set(settled))
 

@@ -130,6 +130,10 @@ def cmd_generate(args):
         raise ConfigError("density must be in (0, 1]")
     if not (0 < args.fraction <= 1):
         raise ConfigError("deletion fraction must be in (0, 1]")
+    if args.checkpoint_every < 1:
+        raise ConfigError("--checkpoint-every must be at least 1")
+    if args.checkpoint_queries < 0:
+        raise ConfigError("--checkpoint-queries must be non-negative")
     rng = random.Random(args.seed)
     g, edges = gnp_workload(args.n, args.density, args.W, rng)
     take = max(1, math.ceil(args.fraction * len(edges))) if edges else 0

@@ -149,11 +149,14 @@ class MonotoneESTree:
 
     def insert_edge(self, u, v, w):
         """Check the new edge {u, v} reads w; levels never drop, so it only
-        counts from the next repair on."""
+        counts from the next repair on.  No caller in the package; kept for
+        the tests and because perfbench's tracer patches it by name."""
         _require_written(self.adj, u, v, w)
 
     def relax_edge(self, u, v, w):
-        """Check {u, v}, new at w or lowered to w, reads the lower weight."""
+        """Check {u, v}, new at w or lowered to w, reads the lower weight.
+        No caller in the package; kept for the tests and because perfbench's
+        tracer patches it by name."""
         _require_written(self.adj, u, v, min(self.adj[u].get(v, INF), w))
 
     def delete_edge(self, u, v, old):

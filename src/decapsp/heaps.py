@@ -1,4 +1,4 @@
-"""Binary min-heap with a reverse location index.
+"""Binary min-heap with a reverse location index, and maps of such heaps.
 
 The per-pair certificate heaps need decrease/increase-key and
 delete-by-id in O(log n), which heapq does not offer; the shortest-path
@@ -6,6 +6,11 @@ trees and their families keep no heap between calls.  Entries
 are (key, id) pairs ordered lexicographically, so equal keys break ties
 toward the smaller id and iteration order never depends on insertion
 history.
+
+The certificate heaps live in dicts keyed by node pair.  heap_insert and
+heap_delete own their lifecycle: a pair's heap is made by its first insert
+and dropped with its last entry, so no map ever holds an empty heap and a
+missing pair means no entry.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ class IndexedHeap:
         return bool(self._ids)
 
     def key_of(self, ident):
+        """Key of ident.  Unused in the package; kept for the reference
+        ES-tree in tests/helpers.py, which reads its queue through it."""
         return self._keys[self._pos[ident]]
 
     def min_key(self):
@@ -71,7 +78,12 @@ class IndexedHeap:
             self._sift_down(i)
 
     def pop(self):
-        """Remove and return (id, key) of the minimum."""
+        """Remove and return (id, key) of the minimum.
+
+        Unused in the package; kept because perfbench's HeapCounter patches
+        it by name and the reference ES-tree in tests/helpers.py pops its
+        queue.
+        """
         if not self._ids:
             raise IndexError("pop on empty heap")
         ident = self._ids[0]
@@ -133,3 +145,19 @@ class IndexedHeap:
         keys[i] = key
         ids[i] = ident
         pos[ident] = i
+
+
+def heap_insert(heaps, pair, ident, key):
+    """Insert ident into heaps[pair], making the heap if pair has none."""
+    heap = heaps.get(pair)
+    if heap is None:
+        heap = heaps[pair] = IndexedHeap()
+    heap.insert(ident, key)
+
+
+def heap_delete(heaps, pair, ident):
+    """Delete ident from heaps[pair], dropping the heap once it is empty."""
+    heap = heaps[pair]
+    heap.delete(ident)
+    if not heap:
+        del heaps[pair]

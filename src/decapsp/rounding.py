@@ -5,9 +5,11 @@ Rounding every estimate up to the next power of (1 + eps) costs a factor
 only O(log_(1+eps) of their range) times over a monotone stream, which is
 what bounds the update work of the certificate heaps.
 
-Rounded values are identified by their integer exponent; two rounded values
-are equal iff their exponents are equal, so all change detection happens on
-ints and float drift cannot split or merge buckets.
+A rounded value is the ladder float of its exponent: round() computes the
+exponent and returns the cached power for it, so equal exponents give the
+same float and different exponents different floats.  Comparing rounded
+values is therefore exactly as exact as comparing exponents, float drift
+cannot split or merge buckets, and the structures keep only the value.
 """
 
 from __future__ import annotations
@@ -63,8 +65,6 @@ class GeometricRounder:
             e += 1
         return e
 
-    def value(self, exponent):
-        return _power(self.eps, exponent)
-
     def round(self, delta):
+        """The ladder value (1+eps)^exponent(delta); a fixed point of round."""
         return _power(self.eps, self.exponent(delta))

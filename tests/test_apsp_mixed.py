@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decapsp.apsp_mixed import MixedAPSP
-from decapsp.graph import DynamicGraph, gnp_graph
+from decapsp.graph import DomainError, DynamicGraph, gnp_graph
 from decapsp.oracle import bottleneck_weights
 
 from helpers import deletion_order, heap_entries, rand_connected, ref_apsp, ref_dijkstra
@@ -16,7 +16,7 @@ INF = math.inf
 def audit(algo, prev_heavy):
     g, eng = algo.g, algo.engine
 
-    flat = {(v, w): e for v in range(g.n) for w, e in eng.bunch[v].items()}
+    flat = {(v, w): val for v in range(g.n) for w, val in eng.bunch[v].items()}
 
     # heaviness: permanent, and every tau-sized cluster is already promoted
     heavy = set(algo.heavy_trees)
@@ -49,7 +49,7 @@ def audit(algo, prev_heavy):
         owners = sorted(eng.cluster[w])
         for i, u in enumerate(owners):
             for v in owners[i + 1:]:
-                key = eng.value_of(flat[(u, w)]) + eng.value_of(flat[(v, w)])
+                key = flat[(u, w)] + flat[(v, w)]
                 want_heaps.setdefault((u, v), {})[w] = key
     assert {uv: heap_entries(h) for uv, h in algo.overlap_heap.items()} == want_heaps
     return heavy
@@ -143,6 +143,14 @@ def test_query_trivia():
     assert algo.query(0, 2) == INF
     with pytest.raises(ValueError):
         MixedAPSP(g, p=0.5, eps=0.9, tau=0, seed=0)
+
+
+@pytest.mark.parametrize("tau", [0, 0.5, -2, math.nan])
+def test_tau_below_one_or_nan_is_refused(tau):
+    """A NaN tau compares false both ways; it would promote nothing."""
+    g = DynamicGraph(3, [(0, 1, 2)])
+    with pytest.raises(DomainError):
+        MixedAPSP(g, p=0.5, eps=0.9, tau=tau, seed=0)
 
 
 @settings(max_examples=8, deadline=None)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from decapsp import DELETE, INCREASE, UpdateEvent, apply_update
 from decapsp.bunches import (
-    EXP_ZERO,
     JOIN,
     LEAVE,
     BunchChangeEvent,
@@ -80,13 +79,13 @@ def _check_against_truth(eng, g, prev_est):
             if (1 + e3) * dist[v][w] < true_est:
                 assert w in members
         # estimates sandwich the true distance
-        for w, exp in eng.bunch[v].items():
+        for w, val in eng.bunch[v].items():
             d = dist[v][w]
             assert d < INF, "bunch member disconnected from owner"
-            val = eng.value_of(exp)
             if w == v:
-                assert exp == EXP_ZERO and val == 0.0
+                assert val == 0.0
             else:
+                assert eng.rounder.round(val) == val  # on the ladder
                 assert d <= val <= (1 + e3) * d * (1 + 1e-12)
         # members never sit at or beyond the cached radius
         for w in members:
@@ -145,12 +144,12 @@ def test_events_replay_to_state_diff():
                 saw_leave = True
             elif bev.case == JOIN:
                 assert bev.member not in mirror[bev.owner]
-                mirror[bev.owner][bev.member] = bev.exponent
+                mirror[bev.owner][bev.member] = bev.value
                 saw_join = True
             else:
                 assert bev.member in mirror[bev.owner]
-                assert bev.exponent != mirror[bev.owner][bev.member]
-                mirror[bev.owner][bev.member] = bev.exponent
+                assert bev.value != mirror[bev.owner][bev.member]
+                mirror[bev.owner][bev.member] = bev.value
         assert mirror == eng.bunch, "events do not describe the state diff"
     assert saw_leave  # a full teardown must evict everybody else
     # isolated non-pivot nodes keep themselves: d(v, v) = 0 < inf estimate
@@ -158,7 +157,7 @@ def test_events_replay_to_state_diff():
         if v in eng.A:
             assert b == {}
         else:
-            assert b == {v: EXP_ZERO}
+            assert b == {v: 0.0}
 
 
 def test_pivot_tree_levels_match_exact_distances():

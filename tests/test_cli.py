@@ -50,6 +50,29 @@ def test_generate_deterministic(tmp_path):
     assert open(gp1).read() != open(gp3).read()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--checkpoint-every", "0"), ("--checkpoint-every", "-3"), ("--checkpoint-queries", "-1")])
+def test_generate_refuses_bad_checkpoint_flags_before_writing(tmp_path, capsys, flag, value):
+    gp, up = tmp_path / "g.graph", tmp_path / "g.updates"
+    rc = cli.main(["generate", "--n", "8", "--density", "0.5", "--graph", str(gp),
+                   "--updates", str(up), flag, value])
+    assert rc == 2
+    assert flag in capsys.readouterr().err
+    assert not gp.exists() and not up.exists()
+
+
+def test_generate_without_checkpoint_queries(tmp_path):
+    _, up = generate(tmp_path, extra=("--checkpoint-queries", "0"))
+    events = parse_updates(open(up).read())
+    assert events and not any(isinstance(e, QueryCheckpoint) for e in events)
+
+
+def test_run_refuses_a_nan_tau(tmp_path):
+    gp, up = generate(tmp_path)
+    with pytest.raises(DomainError):
+        cli.main(["run", "--graph", gp, "--updates", up, "--algorithm", "mixed", "--tau", "nan"])
+
+
 def run_report(tmp_path, gp, up, name, argv):
     rp = str(tmp_path / name)
     rc = cli.main(["run", "--graph", gp, "--updates", up, "--report", rp, *argv])

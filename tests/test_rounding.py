@@ -74,3 +74,13 @@ def test_distinct_values_bounded_on_a_range(top, eps):
     exps = {r.exponent(x) for x in range(1, top + 1)}
     assert len(exps) <= math.ceil(math.log(top, 1 + eps)) + 1
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-6, 1e12), st.floats(1e-6, 1e12), st.sampled_from([0.1, 0.2, 0.3, 1 / 3]))
+def test_values_identify_exponents(a, b, eps):
+    """The structures store and compare rounded values instead of exponents:
+    equal values exactly when equal exponents, and a value rounds to itself."""
+    r = GeometricRounder(eps)
+    assert (r.round(a) == r.round(b)) == (r.exponent(a) == r.exponent(b))
+    assert r.round(r.round(a)) == r.round(a)
