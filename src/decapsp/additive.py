@@ -2,24 +2,25 @@
 
 Nodes are partitioned into levels D_1..D_k by independent sampling with
 geometrically interpolated densities; every node roots one bounded-depth
-tree.  Level-1 trees run on the full graph.  The trees of level i share one
-view, a sparser graph holding only edges whose endpoints lack low-level
-neighbors (E_i) and one designated escape edge per node into its lowest
-reachable level (E*).  Each of them also owns a shortcut from its root to
-every lower-level node, priced at that node's own tree estimate; shortcuts
-touch the root, so a tree holds them as offers (see estree) and the view
-stays the same for every root of the level.
+tree.  The trees of level i share one view: level 1's is the graph's own
+adjacency, and each higher level's a sparser graph holding only edges whose
+endpoints lack low-level neighbors (E_i) and one designated escape edge per
+node into its lowest reachable level (E*).  Each tree above level 1 also
+owns a shortcut from its root to every lower-level node, priced at that
+node's own tree estimate; shortcuts touch the root, so a tree holds them as
+offers (see estree) and the view stays the same for every root of the
+level.
 
-A deletion is absorbed level by level.  Level 1 calls only the trees in
-which the edge supported an endpoint (the O(1) phase-0 test of estree).  At
-each higher level, replacement escape edges and newly qualifying sparse
-edges are written into the view (levels never drop on an insertion, so no
-tree is called) and the dying edge leaves it, once per level; then each
-root whose offers lower levels exported, or whose tree the dying edge
-supported, absorbs all of its raised offers and the deletion in one repair
-(MonotoneESTree.absorb).  The repair's fixpoint is unique, so the levels
-and offers are those of absorbing the changes one by one; estimate
-increases are exported upward.
+A deletion is absorbed level by level, every level the same way.  The
+graph loses the edge first; each higher view gains its replacement escape
+edges and newly qualifying sparse edges (levels never drop on an insertion,
+so no tree is called) and loses the dying edge where it holds it, once per
+level.  Then each root of the level whose offers lower levels exported
+absorbs all of its raised offers and the deletion in one repair
+(MonotoneESTree.absorb), and each other root calls delete_edge only where
+the edge supported an endpoint (the O(1) phase-0 test of estree).  The
+repair's fixpoint is unique, so the levels and offers are those of
+absorbing the changes one by one; estimate increases are exported upward.
 
 For a pair at distance at most d + (k - i), the tree rooted at its
 lower-level endpoint (level i) answers within additive error 2(i - 1), so
@@ -32,7 +33,7 @@ import math
 import random
 
 from .estree import MonotoneESTree
-from .graph import DELETE, DomainError, DuplicateEdge, EdgeNotFound, UpdateEvent, apply_update
+from .graph import DELETE, DomainError, UpdateEvent, apply_update
 
 INF = math.inf
 
@@ -96,8 +97,10 @@ class AdditiveAPSP:
                 self.escape[v] = self._scan(v)
                 self.estar_added += 1
 
-        # per-level sparse views at weight 1; level 1 reads the whole graph
+        # per-level views: level 1 reads the whole graph, each higher level a
+        # sparse view at weight 1
         self.view = {i: {u: {} for u in range(n)} for i in range(2, k + 1)}
+        self.view[1] = graph.adj
         for u, v, _ in graph.edges():
             top = max(self.idx[u], self.idx[v])
             for i in range(2, min(top, k) + 1):
@@ -110,11 +113,9 @@ class AdditiveAPSP:
                     self.view[i][v][x] = self.view[i][x][v] = 1
 
         # trees, built level by level so the offers' estimates already exist;
-        # level 1 reads graph.adj, the roots of each higher level its view
+        # the roots of a level share its view
         self.tree = {}
-        for v in self.roots[1]:
-            self.tree[v] = MonotoneESTree(graph.adj, v, self.cap)
-        for i in range(2, k + 1):
+        for i in range(1, k + 1):
             view = self.view[i]
             lower = [w for j in range(1, i) for w in self.roots[j]]
             for u in self.roots[i]:
@@ -196,27 +197,12 @@ class AdditiveAPSP:
             if level[x] > level[source]:
                 pend.setdefault(x, set()).add(source)
 
-    def _advance_level(self, i, new_pairs, pend, dying):
-        """Bring level i through one deletion: write new_pairs into its view
-        at weight 1 and take the dying pair (None if the level lacks it) out
-        of it, then let each root whose offers were exported, or whose tree
-        the dying pair supported, absorb both in one repair.  A new pair the
-        view holds raises DuplicateEdge, a dying pair it lacks EdgeNotFound,
-        before the view changes."""
-        view = self.view[i]
-        for x, y in new_pairs:
-            if y in view[x]:
-                raise DuplicateEdge(f"edge {{{x}, {y}}} already in the level-{i} view")
-        if dying is not None:
-            a, b = dying
-            if b not in view[a]:
-                raise EdgeNotFound(f"edge {{{a}, {b}}} not in the level-{i} view")
-        for x, y in new_pairs:
-            view[x][y] = view[y][x] = 1
-        edge = None
-        if dying is not None:
-            del view[a][b], view[b][a]
-            edge = (a, b, 1)
+    def _advance_level(self, i, pend, edge):
+        """Bring level i's trees through one deletion, its view written: each
+        root whose offers were exported absorbs them and edge = (a, b, 1),
+        the pair taken out of the view (None if the view lacked it), in one
+        repair; any other root calls delete_edge where the edge supported
+        an endpoint."""
         tree = self.tree
         for r in self.roots[i]:
             t = tree[r]
@@ -224,14 +210,15 @@ class AdditiveAPSP:
             if exported:
                 rises = {w: tree[w].level_of[r] for w in exported}
                 self.exports_applied += len(rises)
+                raised = t.absorb(rises, edge)
             elif edge is None:
                 continue
             else:
+                a, b, _ = edge
                 la, lb = t.level_of[a], t.level_of[b]
                 if not (lb + 1 <= la < INF or la + 1 <= lb < INF):
                     continue  # phase 0: the pair supported neither endpoint
-                rises = {}
-            raised = t.absorb(rises, edge)
+                raised = t.delete_edge(a, b, 1)
             if raised:
                 self._export(pend, t, raised)
 
@@ -239,7 +226,6 @@ class AdditiveAPSP:
         rec = apply_update(self.g, UpdateEvent(DELETE, u, v))
         self.updates_applied += 1
         a, b = rec.u, rec.v
-        pair = self._pair(a, b)
 
         additions = {}
         for x, y in ((a, b), (b, a)):
@@ -248,20 +234,19 @@ class AdditiveAPSP:
 
         # pend[root]: lower nodes whose estimate the root re-reads as an
         # offer; trees export upward only, so entries precede their root.
-        # A level-1 tree the edge supported at neither endpoint is skipped.
+        # The graph is level 1's view; each higher view gains its queued
+        # pairs at weight 1 and loses the dying pair where it holds it.
         pend = {}
-        old = rec.old_weight
-        for w in self.roots[1]:
-            t = self.tree[w]
-            la, lb = t.level_of[a], t.level_of[b]
-            if lb + old <= la < INF or la + old <= lb < INF:
-                raised = t.delete_edge(a, b, old)
-                if raised:
-                    self._export(pend, t, raised)
-
+        self._advance_level(1, pend, (a, b, 1))
         for i in range(2, self.k + 1):
-            dying = pair if b in self.view[i][a] else None
-            self._advance_level(i, additions.get(i, ()), pend, dying)
+            view = self.view[i]
+            for x, y in additions.get(i, ()):
+                view[x][y] = view[y][x] = 1
+            edge = None
+            if b in view[a]:
+                del view[a][b], view[b][a]
+                edge = (a, b, 1)
+            self._advance_level(i, pend, edge)
 
     def increase(self, u, v, delta):
         raise DomainError("additive structure supports deletions only")

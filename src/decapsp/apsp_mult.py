@@ -11,15 +11,18 @@ The per-pair heaps are layered.  For an intermediate x and target v, a
 neighborhood heap holds w~(x, y) + rounded_bunch(y, v) over edge neighbors
 y of x inside bunch(v); its rounded minimum feeds a per-(u, v) adjacency
 heap entry keyed rounded_bunch(u, x) + that minimum, for every owner u whose
-bunch holds x.  Bunches and clusters are read from the BunchEngine, which
-owns them; the structure keeps no copy of them and no reverse index.
-Rounded edge weights (w_round), bunch estimates and minima (nbr_min) are
-all ladder values of the GeometricRounder, so a key is a plain sum and a
-change is detected by comparing floats.  Both heap maps hold no empty
-heap (heaps.heap_insert/heap_delete): a pair without entries is absent.
+bunch holds x.  Each layer is a list of n dicts keyed by the second node:
+nbr_heap[x][v], nbr_min[x][v] and adj_heap[u][v], so the live minima of x
+are the keys of nbr_min[x].  Bunches and clusters are read from the
+BunchEngine, which owns them; the structure keeps no copy of them and no
+reverse index.  Rounded edge weights (w_round), bunch estimates and minima
+(nbr_min) are all ladder values of the GeometricRounder, so a key is a
+plain sum and a change is detected by comparing floats.  Neither heap layer
+holds an empty heap (heaps.heap_insert/heap_delete): a pair without entries
+is absent from its node's dict.
 
-An update is absorbed in five steps, each reaching its entries through the
-graph's adjacency, engine.cluster and the live minima nbr_live:
+An update is absorbed in four steps, each reaching its entries through the
+graph's adjacency, engine.cluster and the keys of nbr_min:
 
   1. the changed edge {x, y} is re-keyed or dropped in the neighborhood
      heaps (x, v) for every owner v of y, and symmetrically.  This runs
@@ -28,11 +31,12 @@ graph's adjacency, engine.cluster and the live minima nbr_live:
      adjacency, so no later step could find it;
   2. engine.refresh brings bunches and clusters to their final state and
      returns the events, at most one per (owner v, member w);
-  3. each event re-keys, inserts or drops w in the neighborhood heaps
-     (x, v) for x adjacent to w, keyed by the event's rounded estimate;
-  4. each event brings w's entries in the adjacency heaps (v, t), for t in
-     nbr_live[w], to its estimate, against the minima as they stand;
-  5. every neighborhood minimum touched by steps 1 and 3 is re-rounded
+  3. each event, in one pass, re-keys, inserts or drops w in the
+     neighborhood heaps (x, v) for x adjacent to w, keyed by the event's
+     rounded estimate, and brings w's entries in the adjacency heaps (v, t),
+     for t in nbr_min[w], to that estimate against the minima as they
+     stand (step 3 never writes nbr_min, so no event sees another's);
+  4. every neighborhood minimum touched by steps 1 and 3 is re-rounded
      once (an emptied heap is already gone, so its minimum is dropped); a
      changed one reaches the adjacency heaps (u, v) for every final owner u
      in engine.cluster[x].
@@ -57,35 +61,35 @@ class MultiplicativeAPSP:
         self.g = graph
         self.engine = BunchEngine(graph, p, eps, seed)
         self.rounder = self.engine.rounder
+        n = graph.n
 
         # rounded edge weights, keyed by unordered pair
         self.w_round = {}
         for a, b, w in graph.edges():
             self.w_round[(a, b) if a < b else (b, a)] = self.rounder.round(w)
 
-        # neighborhood layer
-        self.nbr_heap = {}    # (x, v) -> IndexedHeap of y
-        self.nbr_min = {}     # (x, v) -> rounded minimum of nbr_heap[(x, v)]
-        self.nbr_live = {}    # x -> set of v with a live minimum
+        # neighborhood layer: x -> v -> IndexedHeap of y, and its rounded minimum
+        self.nbr_heap = [{} for _ in range(n)]
+        self.nbr_min = [{} for _ in range(n)]
 
-        # adjacency layer
-        self.adj_heap = {}    # ordered (u, v) -> IndexedHeap of intermediates x
+        # adjacency layer: u -> v -> IndexedHeap of intermediates x
+        self.adj_heap = [{} for _ in range(n)]
 
         self.nbr_min_changes = {}
         self.updates_applied = 0
 
-        for v in range(graph.n):
+        for v in range(n):
             for y, yval in self.engine.bunch[v].items():
                 for x in graph.adj[y]:
                     key = self.w_round[(x, y) if x < y else (y, x)] + yval
-                    heap_insert(self.nbr_heap, (x, v), y, key)
-        for (x, v), heap in self.nbr_heap.items():
-            self.nbr_min[(x, v)] = self.rounder.round(heap.min_key())
-            self.nbr_live.setdefault(x, set()).add(v)
-        for u in range(graph.n):
+                    heap_insert(self.nbr_heap[x], v, y, key)
+        for x in range(n):
+            for v, heap in self.nbr_heap[x].items():
+                self.nbr_min[x][v] = self.rounder.round(heap.min_key())
+        for u in range(n):
             for x, uval in self.engine.bunch[u].items():
-                for v in self.nbr_live.get(x, ()):
-                    heap_insert(self.adj_heap, (u, v), x, uval + self.nbr_min[(x, v)])
+                for v, val in self.nbr_min[x].items():
+                    heap_insert(self.adj_heap[u], v, x, uval + val)
 
     # -- updates -----------------------------------------------------------
 
@@ -99,11 +103,8 @@ class MultiplicativeAPSP:
         rec = apply_update(self.g, ev)
         self.updates_applied += 1
         touched = self._edge_stage(rec)
-        events = self.engine.refresh(rec)
-        for bev in events:
-            self._nbr_bunch_change(bev, touched)
-        for bev in events:
-            self._adj_bunch_change(bev)
+        for bev in self.engine.refresh(rec):
+            self._bunch_change(bev, touched)
         self._flush_minima(touched)
 
     def _edge_stage(self, rec):
@@ -117,7 +118,7 @@ class MultiplicativeAPSP:
             self.w_round.pop(pair, None)
             for x, y in ((a, b), (b, a)):
                 for v in cluster[y]:
-                    heap_delete(self.nbr_heap, (x, v), y)
+                    heap_delete(self.nbr_heap[x], v, y)
                     touched.add((x, v))
             return touched
         new_val = self.rounder.round(rec.new_weight)
@@ -127,68 +128,65 @@ class MultiplicativeAPSP:
         bunch = self.engine.bunch
         for x, y in ((a, b), (b, a)):
             for v in cluster[y]:
-                self.nbr_heap[(x, v)].update(y, new_val + bunch[v][y])
+                self.nbr_heap[x][v].update(y, new_val + bunch[v][y])
                 touched.add((x, v))
         return touched
 
-    def _nbr_bunch_change(self, bev, touched):
+    def _bunch_change(self, bev, touched):
+        """Bring member w's entries for owner v to the event: the
+        neighborhood entries (x, v) for x adjacent to w, then v's adjacency
+        entries (v, t) through w against the minima as they stand, which
+        only _flush_minima writes."""
         w, v = bev.member, bev.owner
+        adj_v, mins = self.adj_heap[v], self.nbr_min[w]
         if bev.case == JOIN:
             for x in self.g.adj[w]:
                 pair = (x, w) if x < w else (w, x)
-                heap_insert(self.nbr_heap, (x, v), w, self.w_round[pair] + bev.value)
+                heap_insert(self.nbr_heap[x], v, w, self.w_round[pair] + bev.value)
                 touched.add((x, v))
+            for t, val in mins.items():
+                heap_insert(adj_v, t, w, bev.value + val)
         elif bev.case == INCREASE:
             for x in self.g.adj[w]:
                 pair = (x, w) if x < w else (w, x)
-                self.nbr_heap[(x, v)].update(w, self.w_round[pair] + bev.value)
+                self.nbr_heap[x][v].update(w, self.w_round[pair] + bev.value)
                 touched.add((x, v))
+            for t, val in mins.items():
+                adj_v[t].update(w, bev.value + val)
         else:  # LEAVE
             for x in self.g.adj[w]:
-                heap_delete(self.nbr_heap, (x, v), w)
+                heap_delete(self.nbr_heap[x], v, w)
                 touched.add((x, v))
-
-    def _adj_bunch_change(self, bev):
-        """Bring (owner u, member x)'s adjacency entries to the estimate of the
-        event, against the neighborhood minima as they stand."""
-        x, u = bev.member, bev.owner
-        if bev.case == JOIN:
-            for v in self.nbr_live.get(x, ()):
-                heap_insert(self.adj_heap, (u, v), x, bev.value + self.nbr_min[(x, v)])
-        elif bev.case == INCREASE:
-            for v in self.nbr_live.get(x, ()):
-                self.adj_heap[(u, v)].update(x, bev.value + self.nbr_min[(x, v)])
-        else:  # LEAVE
-            for v in self.nbr_live.get(x, ()):
-                heap_delete(self.adj_heap, (u, v), x)
+            for t in mins:
+                heap_delete(adj_v, t, w)
 
     def _flush_minima(self, touched):
         """Re-round each touched neighborhood minimum once and patch the
         adjacency entries of x's final owners where it changed."""
         rounder = self.rounder
         bunch, cluster = self.engine.bunch, self.engine.cluster
+        adj_heap = self.adj_heap
         for xv in touched:
-            heap = self.nbr_heap.get(xv)
+            x, v = xv
+            heap = self.nbr_heap[x].get(v)
             new_val = rounder.round(heap.min_key()) if heap is not None else None
-            old_val = self.nbr_min.get(xv)
+            mins = self.nbr_min[x]
+            old_val = mins.get(v)
             if new_val == old_val:
                 continue
             self.nbr_min_changes[xv] = self.nbr_min_changes.get(xv, 0) + 1
-            x, v = xv
             if old_val is None:
-                self.nbr_min[xv] = new_val
-                self.nbr_live.setdefault(x, set()).add(v)
+                mins[v] = new_val
                 for u in cluster[x]:
-                    heap_insert(self.adj_heap, (u, v), x, bunch[u][x] + new_val)
+                    heap_insert(adj_heap[u], v, x, bunch[u][x] + new_val)
             elif new_val is None:
-                del self.nbr_min[xv]
-                self.nbr_live[x].discard(v)
+                del mins[v]
                 for u in cluster[x]:
-                    heap_delete(self.adj_heap, (u, v), x)
+                    heap_delete(adj_heap[u], v, x)
             else:
-                self.nbr_min[xv] = new_val
+                mins[v] = new_val
                 for u in cluster[x]:
-                    self.adj_heap[(u, v)].update(x, bunch[u][x] + new_val)
+                    adj_heap[u][v].update(x, bunch[u][x] + new_val)
 
     # -- queries -----------------------------------------------------------
 
@@ -207,8 +205,8 @@ class MultiplicativeAPSP:
                 cand = nearest_level[a] + trees[s].level_of[b]
                 if cand < best:
                     best = cand
-        for key in ((u, v), (v, u)):
-            heap = self.adj_heap.get(key)
+        for a, b in ((u, v), (v, u)):
+            heap = self.adj_heap[a].get(b)
             if heap is not None:
                 cand = heap.min_key()
                 if cand < best:
@@ -224,7 +222,7 @@ class MultiplicativeAPSP:
             "bunch_rebuilds_total": sum(self.engine.rebuilds),
             "nbr_min_changes_max": max(changes.values(), default=0),
             "nbr_min_changes_total": sum(changes.values()),
-            "nbr_pairs_live": len(self.nbr_min),
-            "adj_pairs_live": len(self.adj_heap),
+            "nbr_pairs_live": sum(map(len, self.nbr_min)),
+            "adj_pairs_live": sum(map(len, self.adj_heap)),
             "tree_level_increases": sum(t.level_increases for t in self.engine.trees.values()),
         }

@@ -31,6 +31,10 @@ from .apsp_mult import MultiplicativeAPSP
 from .graph import (
     ConfigError,
     DELETE,
+    DomainError,
+    EdgeNotFound,
+    MonotonicityViolation,
+    ParseError,
     QueryCheckpoint,
     UpdateEvent,
     dump_graph,
@@ -337,8 +341,11 @@ def main(argv=None):
         if args.command == "verify":
             return cmd_verify(_config_from(args), args.alpha, args.beta)
         return cmd_bench(args)
-    except ConfigError as exc:
+    except (ConfigError, DomainError, ParseError, MonotonicityViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except EdgeNotFound as exc:  # a KeyError, whose str() is the quoted message
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 
 

@@ -7,10 +7,11 @@ are (key, id) pairs ordered lexicographically, so equal keys break ties
 toward the smaller id and iteration order never depends on insertion
 history.
 
-The certificate heaps live in dicts keyed by node pair.  heap_insert and
-heap_delete own their lifecycle: a pair's heap is made by its first insert
-and dropped with its last entry, so no map ever holds an empty heap and a
-missing pair means no entry.
+The certificate heaps live in dicts: mixed's overlap heaps in one keyed by
+node pair, mult's nbr and adj heaps in one per first node, keyed by the
+second.  heap_insert and heap_delete own their lifecycle: a key's heap is
+made by its first insert and dropped with its last entry, so no map ever
+holds an empty heap and a missing key means no entry.
 """
 
 from __future__ import annotations
@@ -147,17 +148,17 @@ class IndexedHeap:
         pos[ident] = i
 
 
-def heap_insert(heaps, pair, ident, key):
-    """Insert ident into heaps[pair], making the heap if pair has none."""
-    heap = heaps.get(pair)
+def heap_insert(heaps, at, ident, key):
+    """Insert ident into heaps[at], making the heap if the map has none."""
+    heap = heaps.get(at)
     if heap is None:
-        heap = heaps[pair] = IndexedHeap()
+        heap = heaps[at] = IndexedHeap()
     heap.insert(ident, key)
 
 
-def heap_delete(heaps, pair, ident):
-    """Delete ident from heaps[pair], dropping the heap once it is empty."""
-    heap = heaps[pair]
+def heap_delete(heaps, at, ident):
+    """Delete ident from heaps[at], dropping the heap once it is empty."""
+    heap = heaps[at]
     heap.delete(ident)
     if not heap:
-        del heaps[pair]
+        del heaps[at]

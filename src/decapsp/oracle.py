@@ -286,11 +286,16 @@ class StretchReport:
         return [v for c in self.checkpoints for v in c.violations]
 
     def to_dict(self):
+        """The report as JSON; max_ratio and max_slack are the worst seen
+        over the checkpoints (max_slack None when no pair had one)."""
+        slack = max((c.max_slack for c in self.checkpoints), default=-INF)
         return {
             "schema": 1,
             "bound": self.bound.to_dict(),
             "ok": self.ok,
             "pairs_checked": self.pairs_checked,
+            "max_ratio": max((c.max_ratio for c in self.checkpoints), default=0.0),
+            "max_slack": None if slack == -INF else slack,
             "checkpoints": [c.to_dict() for c in self.checkpoints],
         }
 

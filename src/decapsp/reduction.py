@@ -20,7 +20,6 @@ from .graph import (
     DynamicGraph,
     EdgeNotFound,
     UpdateEvent,
-    apply_update,
 )
 
 INF = math.inf
@@ -81,7 +80,8 @@ class UnweightedAPSP:
     """
 
     def __init__(self, graph, p, eps, tau, seed, k=1):
-        self.g = graph
+        """Reads graph once, to build the subdivision; deletions go to the
+        expanded graph only, so graph itself is left as given."""
         self.sub = SubdividedGraph(graph, k)
         self.k = k
         self.inner = MixedAPSP(self.sub.expanded, p, eps, tau, seed)
@@ -89,7 +89,6 @@ class UnweightedAPSP:
 
     def delete(self, u, v):
         events = self.sub.translate_update(UpdateEvent(DELETE, u, v))
-        apply_update(self.g, UpdateEvent(DELETE, u, v))
         for ev in events:
             self.inner.delete(ev.u, ev.v)
         self.updates_applied += 1

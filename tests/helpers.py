@@ -74,15 +74,6 @@ def minplus_hop_limited(graph, hops):
     return out
 
 
-def rand_gnp(rng, n, density, max_weight=1):
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < density:
-                edges.append((u, v, rng.randint(1, max_weight)))
-    return DynamicGraph(n, edges)
-
-
 def rand_connected(rng, n, extra_density=0.2, max_weight=1):
     """Random spanning tree plus extra edges; always connected at the start."""
     edges = []

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from decapsp.additive import AdditiveAPSP, level_thresholds, sample_partition
 from decapsp.estree import NO_OFFERS, MonotoneESTree
-from decapsp.graph import DomainError, DuplicateEdge, DynamicGraph, EdgeNotFound
+from decapsp.graph import DomainError, DynamicGraph, EdgeNotFound
 
 from helpers import rand_connected, ref_apsp, deletion_order
 
@@ -68,18 +68,18 @@ def structural_audit(algo, prev_levels):
             for b, w in row.items():
                 assert b in g.adj[a] and w == 1 and view[b][a] == 1
 
-    # level-1 trees read the graph and own no offers; the roots of a higher
-    # level share its view, and each owns an offer at every lower node its
-    # tree reaches, priced at that tree's level of the root
-    assert len({id(view) for view in algo.view.values()}) == k - 1
+    # level 1's view is the graph; the roots of a level share its view, and
+    # each owns an offer at every lower node its tree reaches, priced at that
+    # tree's level of the root (so level-1 trees own none)
+    assert algo.view[1] is g.adj and sorted(algo.view) == list(range(1, k + 1))
+    assert len({id(view) for view in algo.view.values()}) == k
     for u in range(g.n):
         tree = algo.tree[u]
         i = algo.level[u]
+        assert tree.adj is algo.view[i]
         if i == 1:
-            assert tree.adj is g.adj
             assert tree.offers is NO_OFFERS
             continue
-        assert tree.adj is algo.view[i]
         for w in range(g.n):
             if algo.level[w] < i and algo.tree[w].level_of[u] < INF:
                 assert tree.offers[w] == algo.tree[w].level_of[u]
@@ -208,31 +208,15 @@ def view_owner():
     return algo
 
 
-def snapshot(algo):
-    trees = algo.tree.values()
-    return ({x: dict(nb) for x, nb in algo.view[2].items()},
-            [(dict(t.level_of), dict(t.offers), t.level_increases) for t in trees])
-
-
-def test_view_refuses_missing_and_duplicate_edges_before_writing():
-    algo = view_owner()
-    view = algo.view[2]
-    before = snapshot(algo)
-    assert 5 not in view[1] and 6 not in view[0] and view[1][2] == 1
-    pend = {0: {2}}
-    with pytest.raises(DuplicateEdge):
-        algo._advance_level(2, [(0, 6), (2, 1)], pend, None)
-    with pytest.raises(EdgeNotFound):
-        algo._advance_level(2, [(0, 6)], pend, (1, 5))
-    with pytest.raises(EdgeNotFound):
-        algo._advance_level(2, [], pend, (5, 1))
-    assert snapshot(algo) == before and pend == {0: {2}}
+def tree_states(algo):
+    return [(dict(t.level_of), dict(t.offers), t.level_increases) for t in algo.tree.values()]
 
 
 def test_level_write_adds_new_pairs_without_a_tree_call(monkeypatch):
     """A new pair goes into the view at weight 1, also where a root holds an
-    offer at the other endpoint; levels never drop on an insertion, so no
-    tree is called and every offer stays as it was."""
+    offer at the other endpoint; levels never drop on an insertion, so a
+    level with new pairs, no exported offer and no dying pair calls no tree
+    and every offer stays as it was."""
     calls = []
     for op in ("insert_edge", "relax_edge", "increase_weight", "delete_edge", "absorb"):
         def record(tree, *args, op=op, orig=getattr(MonotoneESTree, op)):
@@ -241,21 +225,23 @@ def test_level_write_adds_new_pairs_without_a_tree_call(monkeypatch):
         monkeypatch.setattr(MonotoneESTree, op, record)
     algo = view_owner()
     view = algo.view[2]
-    _, trees = snapshot(algo)
+    trees = tree_states(algo)
     assert 6 not in view[0] and 2 not in view[0] and algo.tree[0].offers[2] == 2
-    algo._advance_level(2, [(0, 6), (2, 0), (1, 5)], {}, None)
+    for x, y in ((0, 6), (2, 0), (1, 5)):
+        view[x][y] = view[y][x] = 1
+    algo._advance_level(2, {}, None)
     assert calls == []
-    assert view[0][6] == view[6][0] == view[0][2] == view[2][0] == view[1][5] == view[5][1] == 1
-    assert snapshot(algo)[1] == trees
+    assert tree_states(algo) == trees
 
 
 def test_deletion_absorbs_offers_and_the_dying_edge_in_one_repair(monkeypatch):
     """Deleting {1, 2} moves root 1's escape edge to {0, 1}; both enter and
-    leave the level-2 view before any level-2 tree is called.  Then each
-    level-2 root whose offers the level-1 trees exported, or whose tree the
-    dying edge supported at an endpoint, absorbs all of them and the
-    deletion at its weight 1 in one call, in node order; the levels, offers
-    and level increases are those of raising each offer, then deleting."""
+    leave the level-2 view before any level-2 tree is called.  Then, in node
+    order, each level-2 root whose offers the level-1 trees exported absorbs
+    all of them and the deletion at its weight 1 in one call, and each other
+    root whose tree the dying edge supported at an endpoint calls
+    delete_edge; the levels, offers and level increases are those of raising
+    each offer, then deleting."""
     calls, active = [], []
     for op in ("insert_edge", "relax_edge", "increase_weight", "delete_edge", "absorb"):
         def record(tree, *args, op=op, orig=getattr(MonotoneESTree, op)):
@@ -275,7 +261,7 @@ def test_deletion_absorbs_offers_and_the_dying_edge_in_one_repair(monkeypatch):
     algo.delete(1, 2)
     assert calls == [("absorb", 0, {2: 3}, (1, 2, 1), False, True),
                      ("absorb", 1, {2: 4, 3: 3, 7: 5}, (1, 2, 1), False, True),
-                     ("absorb", 6, {}, (1, 2, 1), False, True)]
+                     ("delete_edge", 6, 1, 2, 1, False, True)]
     assert algo.escape[1] == 0 and algo.exports_applied == 4
     assert dict(algo.tree[1].offers) == {2: 4, 3: 3, 4: 2, 5: 3, 7: 5}
     assert [[algo.tree[r].level_of[x] for x in range(8)] for r in (0, 1, 6)] == [

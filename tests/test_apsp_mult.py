@@ -48,18 +48,15 @@ def audit(algo):
         got_w[(a, b)] = got_w[(b, a)] = val
     assert got_w == wv
 
-    assert {xv: heap_entries(h) for xv, h in algo.nbr_heap.items()} == nbr
-    assert algo.nbr_min == nbr_min
-    assert {uv: heap_entries(h) for uv, h in algo.adj_heap.items()} == adj
+    assert len(algo.nbr_heap) == len(algo.nbr_min) == len(algo.adj_heap) == algo.g.n
+    assert by_pair(algo.nbr_heap, heap_entries) == nbr
+    assert by_pair(algo.nbr_min) == nbr_min
+    assert by_pair(algo.adj_heap, heap_entries) == adj
 
-    assert {x: s for x, s in algo.nbr_live.items() if s} == group_by_first(nbr_min)
 
-
-def group_by_first(pairs):
-    out = {}
-    for x, v in pairs:
-        out.setdefault(x, set()).add(v)
-    return out
+def by_pair(rows, value=lambda v: v):
+    """Flatten a per-node list of dicts into a dict keyed by node pair."""
+    return {(x, v): value(val) for x, row in enumerate(rows) for v, val in row.items()}
 
 
 def check_stretch(algo, limit):

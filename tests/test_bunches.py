@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decapsp import DELETE, INCREASE, UpdateEvent, apply_update
+from decapsp import DELETE, INCREASE, UpdateEvent, apply_update, gnp_graph
 from decapsp.bunches import (
     JOIN,
     LEAVE,
@@ -14,7 +14,7 @@ from decapsp.bunches import (
     BunchEngine,
     sample_pivots,
 )
-from helpers import rand_connected, rand_gnp, ref_apsp, ref_dijkstra
+from helpers import rand_connected, ref_apsp, ref_dijkstra
 
 INF = math.inf
 
@@ -103,7 +103,7 @@ def _check_against_truth(eng, g, prev_est):
 def test_full_deletion_run_keeps_all_contracts(seed, p, W):
     rng = random.Random(seed)
     n = rng.randint(6, 13)
-    g = rand_gnp(rng, n, 0.45, W)
+    g = gnp_graph(n, 0.45, W, rng)
     eng = BunchEngine(g, p=p, eps=0.9, seed=seed ^ 0xABC)
     prev_est = list(eng.trees.nearest_level)
     _check_against_truth(eng, g, prev_est)

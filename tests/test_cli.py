@@ -67,10 +67,41 @@ def test_generate_without_checkpoint_queries(tmp_path):
     assert events and not any(isinstance(e, QueryCheckpoint) for e in events)
 
 
-def test_run_refuses_a_nan_tau(tmp_path):
+def assert_one_error_line(capsys, rc, message):
+    """A refused input ends the command with exit status 2 and one line on
+    stderr, "error: " and the refusal's message, with nothing on stdout."""
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert err == f"error: {message}\n" and not out
+
+
+def test_run_refuses_a_nan_tau(tmp_path, capsys):
     gp, up = generate(tmp_path)
-    with pytest.raises(DomainError):
-        cli.main(["run", "--graph", gp, "--updates", up, "--algorithm", "mixed", "--tau", "nan"])
+    capsys.readouterr()
+    rc = cli.main(["run", "--graph", gp, "--updates", up, "--algorithm", "mixed", "--tau", "nan"])
+    assert_one_error_line(capsys, rc, "tau must be a threshold of at least 1, got nan")
+
+
+PATH_GRAPH = "4 3\n0 1 1\n1 2 1\n2 3 1\n"
+
+
+@pytest.mark.parametrize("graph, updates, flags, message", [
+    (PATH_GRAPH, "d 0 1\n", ["--eps", "0"], "eps must be positive, got 0.0"),
+    ("4 1\n0 1 x\n", "d 0 1\n", [], "line 2: non-integer fields in '0 1 x'"),
+    (PATH_GRAPH, "d 0 1\nd 0 2\n", [], "edge {0, 2} not in graph"),
+    (PATH_GRAPH, "i 0 1 1\n", [],
+     "weight of {0, 1} must strictly increase: 1 -> 1"),
+    (None, "d 0 1\n", [], "[Errno 2] No such file or directory: 'GRAPH'"),
+], ids=["zero-eps", "bad-graph-line", "missing-edge", "weight-not-rising", "missing-file"])
+def test_run_refuses_bad_input_with_one_error_line(tmp_path, capsys, graph, updates, flags,
+                                                   message):
+    gp, up = tmp_path / "w.graph", tmp_path / "w.updates"
+    if graph is not None:
+        gp.write_text(graph)
+    up.write_text(updates)
+    rc = cli.main(["run", "--graph", str(gp), "--updates", str(up), "--algorithm", "mult",
+                   *flags])
+    assert_one_error_line(capsys, rc, message.replace("GRAPH", str(gp)))
 
 
 def run_report(tmp_path, gp, up, name, argv):
@@ -134,6 +165,28 @@ def test_verify_passes_within_guarantee(tmp_path):
     assert rep["ok"] is True
     assert rep["pairs_checked"] > 0
     assert rep["bound"]["alpha"] == 2.9
+
+
+@pytest.mark.parametrize("algorithm, W, flags", [
+    ("mult", 10, []), ("mixed", 10, ["--tau", "4"]), ("additive", 1, ["--k", "2", "--d", "4"]),
+], ids=["mult", "mixed", "additive"])
+def test_verify_seed_loop_reports_worst_stretch(tmp_path, algorithm, W, flags):
+    """The README's seed loop: generate, then verify --dense.  Each report
+    checks the start and every deletion, and its max_ratio and max_slack are
+    the worst over its checkpoints."""
+    for seed in range(2):
+        gp, up = generate(tmp_path, prefix=f"s{seed}", n=12, W=W, seed=seed)
+        rp = str(tmp_path / f"s{seed}.json")
+        rc = cli.main(["verify", "--graph", gp, "--updates", up, "--dense",
+                       "--algorithm", algorithm, *flags, "--seed", str(seed + 1000),
+                       "--report", rp])
+        rep = json.load(open(rp))
+        assert rc == 0 and rep["ok"] is True
+        checkpoints = rep["checkpoints"]
+        assert len(checkpoints) == 1 + sum(1 for line in open(up) if line[0] == "d")
+        assert rep["max_ratio"] == max(c["max_ratio"] for c in checkpoints) >= 1
+        slacks = [c["max_slack"] for c in checkpoints if c["max_slack"] is not None]
+        assert rep["max_slack"] == max(slacks) >= 0
 
 
 def test_verify_flags_probe_violation(tmp_path):

@@ -15,10 +15,11 @@ from decapsp import (
     MonotonicityViolation,
     UpdateEvent,
     apply_update,
+    gnp_graph,
 )
 from decapsp.estree import NO_OFFERS, TreeFamily, UnwrittenChange
 from decapsp.graph import ChangeRecord
-from helpers import ReferenceESTree, deletion_order, rand_connected, rand_gnp, ref_dijkstra
+from helpers import ReferenceESTree, deletion_order, rand_connected, ref_dijkstra
 
 INF = math.inf
 
@@ -96,7 +97,7 @@ def test_edge_errors():
 def test_pure_decremental_levels_stay_exact(seed, n, w):
     """With deletions/increases only, levels equal distances (inf past cap)."""
     rng = random.Random(seed)
-    g = rand_gnp(rng, n, 0.5, w)
+    g = gnp_graph(n, 0.5, w, rng)
     cap = 3 * n
     t = MonotoneESTree(g.adj, 0, cap)
     edges = [(u, v) for u, v, _ in g.edges()]
@@ -127,7 +128,7 @@ def test_mixed_ops_keep_monotone_lower_bounded_witnessed(seed):
     distance, and each settled increase is witnessed by an incident edge."""
     rng = random.Random(seed)
     n = rng.randint(4, 14)
-    g = rand_gnp(rng, n, 0.5, 3)
+    g = gnp_graph(n, 0.5, 3, rng)
     cap = rng.randint(2, 2 * n)
     t = MonotoneESTree(g.adj, 0, cap)
     pool = [
@@ -211,7 +212,7 @@ def test_tree_reads_its_owners_adjacency_and_never_writes_it(seed):
     included, as the neighbor-heap reference trees on the same adjacency do."""
     rng = random.Random(seed)
     n = rng.randint(4, 12)
-    g = rand_gnp(rng, n, 0.5, 3)
+    g = gnp_graph(n, 0.5, 3, rng)
     adj = g.adj
     cap = rng.choice((0, 1, 4 * n))
     trees = [MonotoneESTree(adj, 0, cap), MonotoneESTree(adj, n - 1, cap)]
@@ -252,7 +253,7 @@ def test_region_repair_matches_the_level_by_level_reference(seed, n, max_w, cap)
     same levels and raises the same nodes as the tree that lifts one level
     at a time, and counts one level increase per raised node."""
     rng = random.Random(seed)
-    g = rand_gnp(rng, n, rng.choice((0.1, 0.3, 0.6)), max_w)
+    g = gnp_graph(n, rng.choice((0.1, 0.3, 0.6)), max_w, rng)
     adj = g.adj
     root = rng.randrange(n)
     t, ref = MonotoneESTree(adj, root, cap), ReferenceESTree(adj, root, cap)
@@ -290,7 +291,7 @@ def test_draining_every_edge_matches_the_reference_on_a_shared_adjacency(cap, de
     for seed in range(2):
         rng = random.Random(f"{cap}/{density}/{max_w}/{seed}")
         n = rng.randint(20, 48)
-        g = rand_gnp(rng, n, density, max_w)
+        g = gnp_graph(n, density, max_w, rng)
         depth = 4 * n if cap == "4n" else cap
         pairs = [(MonotoneESTree(g.adj, r, depth), ReferenceESTree(g.adj, r, depth))
                  for r in rng.sample(range(n), 3)]
@@ -454,7 +455,7 @@ def test_offers_match_the_reference_with_root_edges(density, max_w):
     for seed in range(4):
         rng = random.Random(f"offers/{density}/{max_w}/{seed}")
         n = rng.randint(6, 30)
-        g = rand_gnp(rng, n, density, max_w)
+        g = gnp_graph(n, density, max_w, rng)
         adj = g.adj
         root = rng.randrange(n)
         cap = rng.choice((2 * max_w, 4 * n * max_w))
@@ -570,7 +571,7 @@ def test_one_batched_absorb_equals_sequential_changes(seed):
     sets and counts no more level increases."""
     rng = random.Random(seed)
     n = rng.randint(3, 16)
-    g = rand_gnp(rng, n, rng.choice((0.2, 0.5)), rng.choice((1, 4)))
+    g = gnp_graph(n, rng.choice((0.2, 0.5)), rng.choice((1, 4)), rng)
     twin_adj = {x: dict(nb) for x, nb in g.adj.items()}
     root = rng.randrange(n)
     cap = rng.choice((2, 6, 4 * n * 4))
@@ -655,7 +656,7 @@ def test_tree_family_keeps_each_nodes_nearest_root(seed):
     per-tree calls on a twin adjacency raise."""
     rng = random.Random(seed)
     n = rng.randint(2, 14)
-    g = rand_gnp(rng, n, rng.choice((0.2, 0.5)), 3)
+    g = gnp_graph(n, rng.choice((0.2, 0.5)), 3, rng)
     twin = {x: dict(nb) for x, nb in g.adj.items()}
     cap = rng.choice((0, 1, 3, 4 * n))
     roots = rng.sample(range(n), rng.randint(0, min(3, n)))

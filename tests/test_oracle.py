@@ -13,18 +13,20 @@ from decapsp import (
     DynamicGraph,
     UpdateEvent,
     apply_update,
+    gnp_graph,
     parse_updates,
 )
 from decapsp.oracle import (
     ORACLE_CAP_ENV,
     BoundSpec,
     StaticTwoAPSP,
+    StretchReport,
     bottleneck_weights,
     exact_apsp,
     static_two_apsp,
     sweep,
 )
-from helpers import minplus_hop_limited, rand_connected, rand_gnp, ref_apsp
+from helpers import minplus_hop_limited, rand_connected, ref_apsp
 
 INF = math.inf
 
@@ -40,7 +42,7 @@ def test_exact_apsp_triangle_plus_isolate():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**30), st.integers(2, 12))
 def test_exact_apsp_matches_independent_dijkstra(seed, n):
-    g = rand_gnp(random.Random(seed), n, 0.4, 6)
+    g = gnp_graph(n, 0.4, 6, random.Random(seed))
     d = exact_apsp(g)
     ref = ref_apsp(g)
     for u in range(n):
@@ -52,7 +54,7 @@ def test_exact_apsp_matches_independent_dijkstra(seed, n):
 @given(st.integers(0, 2**30), st.integers(2, 10))
 def test_exact_apsp_agrees_with_minplus_up_to_four_hops(seed, n):
     """Unit weights: distances at most 4 must match 4-step min-plus powers."""
-    g = rand_gnp(random.Random(seed), n, 0.35, 1)
+    g = gnp_graph(n, 0.35, 1, random.Random(seed))
     d = exact_apsp(g)
     mp = minplus_hop_limited(g, 4)
     for u in range(n):
@@ -107,7 +109,7 @@ def _bottleneck_reference(g, d, u):
 @given(st.integers(0, 2**30), st.integers(2, 12))
 def test_bottleneck_sandwiched_by_path_weights(seed, n):
     rng = random.Random(seed)
-    g = rand_gnp(rng, n, 0.4, 7)
+    g = gnp_graph(n, 0.4, 7, rng)
     d = exact_apsp(g)
     w = bottleneck_weights(g, d)
     for u in range(n):
@@ -137,7 +139,7 @@ def test_static_two_apsp_without_pivots_is_exact_via_bunches():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**30), st.integers(3, 14), st.sampled_from([0.2, 0.4, 0.7]))
 def test_static_two_apsp_factor_two(seed, n, p):
-    g = rand_gnp(random.Random(seed), n, 0.4, 5)
+    g = gnp_graph(n, 0.4, 5, random.Random(seed))
     d = exact_apsp(g)
     est = static_two_apsp(g, p, seed=seed ^ 0x5EED)
     for u in range(n):
@@ -196,8 +198,12 @@ def test_sweep_accepts_exact_algorithm():
     # initial check + one per q group
     assert len(report.checkpoints) == 4
     assert report.pairs_checked == 4 * 6
-    payload = json.dumps(report.to_dict(), sort_keys=True)
-    assert json.loads(payload)["ok"] is True
+    payload = json.loads(json.dumps(report.to_dict(), sort_keys=True))
+    assert payload["ok"] is True
+    # an exact answer has ratio 1 and slack 0 at every connected pair
+    assert (payload["max_ratio"], payload["max_slack"]) == (1.0, 0)
+    empty = StretchReport(bound=BoundSpec(alpha=1.0)).to_dict()
+    assert (empty["max_ratio"], empty["max_slack"]) == (0.0, None)
 
 
 def test_sweep_dense_checks_after_every_update():

@@ -147,6 +147,23 @@ def test_composed_wrapper_stretch():
             algo.query(u, v)
 
 
+def test_deletions_leave_the_given_graph_untouched():
+    """The wrapper keeps one graph, the expanded one: the graph it was built
+    from is never written, and a deleted edge is refused there too."""
+    g = unit_graph(random.Random(5), 10, 0.4)
+    before = (g.copy().adj, g.version)
+    algo = UnweightedAPSP(g, p=0.5, eps=0.1, tau=4, seed=2)
+    order = deletion_order(random.Random(6), g.copy())
+    for u, v in order:
+        algo.delete(u, v)
+    assert (g.adj, g.version) == before
+    assert algo.sub.expanded.m == 0 and algo.updates_applied == len(order)
+    u, v = order[0]
+    with pytest.raises(EdgeNotFound):
+        algo.delete(u, v)
+    assert (g.adj, g.version) == before and algo.updates_applied == len(order)
+
+
 @settings(max_examples=6, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(2, 4))
 def test_property_identity(seed, k):

@@ -1,6 +1,6 @@
-"""Smoke runs of the experiment wrappers in scripts/ on tiny instances.
+"""Smoke runs of scripts/bench_ladder.py on tiny instances.
 
-Each script is launched in a fresh process with the package under test on
+The script is launched in a fresh process with the package under test on
 PYTHONPATH, as the README shows; it must exit 0 and print its CSV header.
 """
 
@@ -53,28 +53,17 @@ def test_bench_ladder(algorithm):
     assert [row.split(",")[0] for row in lines[1:]] == ["12", "16"]
 
 
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-def test_stretch_sweep(algorithm):
-    flags, _ = ALGORITHMS[algorithm]
-    lines = run_script("stretch_sweep.py", "--algorithm", algorithm,
-                       "--n", "12", "--seeds", "2", *flags)
-    assert lines[0] == "seed,pairs,ok,max_ratio,max_slack,bound_alpha,bound_beta"
-    rows = [row.split(",") for row in lines[1:]]
-    assert [r[0] for r in rows] == ["0", "1"]
-    assert all(r[2] == "True" for r in rows)
-
-
-@pytest.mark.parametrize("script", ["bench_ladder.py", "stretch_sweep.py"])
+@pytest.mark.parametrize("script", ["bench_ladder.py"])
 @pytest.mark.parametrize("algorithm", ["additive", "unweighted-mult"])
 def test_unit_weight_algorithm_without_w1_is_a_usage_error(script, algorithm):
-    # both scripts default to --W 10, which these algorithms refuse
+    # the script defaults to --W 10, which these algorithms refuse
     proc = launch(script, "--algorithm", algorithm, "--k", "2", "--d", "4")
     assert proc.returncode == 2
     assert "--W 1" in proc.stderr.splitlines()[-1]
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("script", ["bench_ladder.py", "stretch_sweep.py"])
+@pytest.mark.parametrize("script", ["bench_ladder.py"])
 @pytest.mark.parametrize("flags, missing", [
     (["--algorithm", "mixed"], "--tau"),
     (["--algorithm", "additive", "--W", "1"], "--k and --d"),
