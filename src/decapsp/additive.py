@@ -176,7 +176,7 @@ class AdditiveAPSP:
     def _add_edge_level(self, pair, i, additions, star=False):
         """Queue pair for level i's view unless the view or the queue holds
         it; additions maps a level to its queued pairs, in order."""
-        if i < 2 or pair[1] in self.view[i][pair[0]]:
+        if pair[1] in self.view[i][pair[0]]:
             return
         pending = additions.setdefault(i, {})
         if pair not in pending:

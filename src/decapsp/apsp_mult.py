@@ -17,9 +17,13 @@ are the keys of nbr_min[x].  Bunches and clusters are read from the
 BunchEngine, which owns them; the structure keeps no copy of them and no
 reverse index.  Rounded edge weights (w_round), bunch estimates and minima
 (nbr_min) are all ladder values of the GeometricRounder, so a key is a
-plain sum and a change is detected by comparing floats.  Neither heap layer
-holds an empty heap (heaps.heap_insert/heap_delete): a pair without entries
-is absent from its node's dict.
+plain sum and a change is detected by comparing floats.  w_round is a list
+of n dicts holding edge {x, y} as w_round[x][y] and w_round[y][x]; row x
+keeps graph.adj[x]'s key order (a deletion drops the edge from both, an
+increase re-keys it in place), so walking row x visits x's neighbours as
+the graph does.  Neither heap layer holds an empty heap
+(heaps.heap_insert/heap_delete): a pair without entries is absent from its
+node's dict.
 
 An update is absorbed in four steps, each reaching its entries through the
 graph's adjacency, engine.cluster and the keys of nbr_min:
@@ -63,10 +67,10 @@ class MultiplicativeAPSP:
         self.rounder = self.engine.rounder
         n = graph.n
 
-        # rounded edge weights, keyed by unordered pair
-        self.w_round = {}
+        # rounded edge weights: x -> y -> ladder value, rows in adjacency order
+        self.w_round = [dict.fromkeys(graph.adj[x]) for x in range(n)]
         for a, b, w in graph.edges():
-            self.w_round[(a, b) if a < b else (b, a)] = self.rounder.round(w)
+            self.w_round[a][b] = self.w_round[b][a] = self.rounder.round(w)
 
         # neighborhood layer: x -> v -> IndexedHeap of y, and its rounded minimum
         self.nbr_heap = [{} for _ in range(n)]
@@ -80,9 +84,8 @@ class MultiplicativeAPSP:
 
         for v in range(n):
             for y, yval in self.engine.bunch[v].items():
-                for x in graph.adj[y]:
-                    key = self.w_round[(x, y) if x < y else (y, x)] + yval
-                    heap_insert(self.nbr_heap[x], v, y, key)
+                for x, wval in self.w_round[y].items():
+                    heap_insert(self.nbr_heap[x], v, y, wval + yval)
         for x in range(n):
             for v, heap in self.nbr_heap[x].items():
                 self.nbr_min[x][v] = self.rounder.round(heap.min_key())
@@ -111,20 +114,20 @@ class MultiplicativeAPSP:
         """Re-key or drop the changed edge's neighborhood entries; runs before
         the refresh, while engine.cluster still holds the owners they list."""
         a, b = rec.u, rec.v
-        pair = (a, b) if a < b else (b, a)
+        w_round = self.w_round
         touched = set()
         cluster = self.engine.cluster
         if rec.new_weight == INF:
-            self.w_round.pop(pair, None)
+            del w_round[a][b], w_round[b][a]
             for x, y in ((a, b), (b, a)):
                 for v in cluster[y]:
                     heap_delete(self.nbr_heap[x], v, y)
                     touched.add((x, v))
             return touched
         new_val = self.rounder.round(rec.new_weight)
-        if new_val == self.w_round[pair]:
+        if new_val == w_round[a][b]:
             return touched
-        self.w_round[pair] = new_val
+        w_round[a][b] = w_round[b][a] = new_val
         bunch = self.engine.bunch
         for x, y in ((a, b), (b, a)):
             for v in cluster[y]:
@@ -138,23 +141,21 @@ class MultiplicativeAPSP:
         entries (v, t) through w against the minima as they stand, which
         only _flush_minima writes."""
         w, v = bev.member, bev.owner
-        adj_v, mins = self.adj_heap[v], self.nbr_min[w]
+        adj_v, mins, row = self.adj_heap[v], self.nbr_min[w], self.w_round[w]
         if bev.case == JOIN:
-            for x in self.g.adj[w]:
-                pair = (x, w) if x < w else (w, x)
-                heap_insert(self.nbr_heap[x], v, w, self.w_round[pair] + bev.value)
+            for x, wval in row.items():
+                heap_insert(self.nbr_heap[x], v, w, wval + bev.value)
                 touched.add((x, v))
             for t, val in mins.items():
                 heap_insert(adj_v, t, w, bev.value + val)
         elif bev.case == INCREASE:
-            for x in self.g.adj[w]:
-                pair = (x, w) if x < w else (w, x)
-                self.nbr_heap[x][v].update(w, self.w_round[pair] + bev.value)
+            for x, wval in row.items():
+                self.nbr_heap[x][v].update(w, wval + bev.value)
                 touched.add((x, v))
             for t, val in mins.items():
                 adj_v[t].update(w, bev.value + val)
         else:  # LEAVE
-            for x in self.g.adj[w]:
+            for x in row:
                 heap_delete(self.nbr_heap[x], v, w)
                 touched.add((x, v))
             for t in mins:

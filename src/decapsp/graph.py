@@ -38,7 +38,7 @@ class MonotonicityViolation(ValueError):
 
 
 class DomainError(ValueError):
-    """Argument outside the documented domain (e.g. rounding of delta <= 0)."""
+    """Argument outside the documented domain (e.g. rounding a value below 1)."""
 
 
 class ConfigError(ValueError):

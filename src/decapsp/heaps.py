@@ -2,10 +2,9 @@
 
 The per-pair certificate heaps need decrease/increase-key and
 delete-by-id in O(log n), which heapq does not offer; the shortest-path
-trees and their families keep no heap between calls.  Entries
-are (key, id) pairs ordered lexicographically, so equal keys break ties
-toward the smaller id and iteration order never depends on insertion
-history.
+trees and their families keep no heap between calls.  Entries are ordered
+by key alone, because every structure reads only min_key: among entries of
+equal key, pop returns some minimum entry, not a fixed one.
 
 The certificate heaps live in dicts: mixed's overlap heaps in one keyed by
 node pair, mult's nbr and adj heaps in one per first node, keyed by the
@@ -20,8 +19,8 @@ from __future__ import annotations
 class IndexedHeap:
     """Min-heap over hashable ids with updatable keys.
 
-    Keys may be ints or floats (math.inf is fine).  Ids must be mutually
-    comparable because they are used as tie-breakers.
+    Keys may be ints or floats (math.inf is fine).  Ids need only be
+    hashable; they are never compared.
     """
 
     __slots__ = ("_keys", "_ids", "_pos")
@@ -79,7 +78,7 @@ class IndexedHeap:
             self._sift_down(i)
 
     def pop(self):
-        """Remove and return (id, key) of the minimum.
+        """Remove and return (id, key) of an entry of minimum key.
 
         Unused in the package; kept because perfbench's HeapCounter patches
         it by name and the reference ES-tree in tests/helpers.py pops its
@@ -113,7 +112,7 @@ class IndexedHeap:
         while i > 0:
             parent = (i - 1) >> 1
             pk = keys[parent]
-            if pk < key or (pk == key and ids[parent] < ident):
+            if pk <= key:
                 break
             keys[i] = pk
             ids[i] = ids[parent]
@@ -133,11 +132,10 @@ class IndexedHeap:
                 break
             right = child + 1
             if right < n:
-                ck, rk = keys[child], keys[right]
-                if rk < ck or (rk == ck and ids[right] < ids[child]):
+                if keys[right] < keys[child]:
                     child = right
             ck = keys[child]
-            if key < ck or (key == ck and ident < ids[child]):
+            if key <= ck:
                 break
             keys[i] = ck
             ids[i] = ids[child]

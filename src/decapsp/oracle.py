@@ -300,7 +300,7 @@ class StretchReport:
         }
 
 
-def _run_checkpoint(algo, graph, bound, fault):
+def _run_checkpoint(algo, graph, bound):
     n = graph.n
     dist = exact_apsp(graph)
     wmat = bottleneck_weights(graph, dist) if bound.per_pair_bottleneck else None
@@ -310,8 +310,6 @@ def _run_checkpoint(algo, graph, bound, fault):
         for v in range(u + 1, n):
             d = du[v]
             dhat = algo.query(u, v)
-            if fault is not None:
-                dhat = fault(graph.version, u, v, dhat)
             res.pairs_checked += 1
             if d == INF:
                 if dhat != INF:
@@ -337,7 +335,7 @@ def _run_checkpoint(algo, graph, bound, fault):
     return res
 
 
-def sweep(algo, graph, updates, bound, *, dense=False, fault=None, initial_check=True):
+def sweep(algo, graph, updates, bound, *, dense=False):
     """Replay updates into algo and a private exact copy, checking stretch.
 
     algo must expose delete(u, v), increase(u, v, delta) and query(u, v) and
@@ -346,13 +344,12 @@ def sweep(algo, graph, updates, bound, *, dense=False, fault=None, initial_check
     QueryCheckpoint in the log, or after every update when dense=True.
     """
     report = StretchReport(bound=bound)
-    if initial_check:
-        report.checkpoints.append(_run_checkpoint(algo, graph, bound, fault))
+    report.checkpoints.append(_run_checkpoint(algo, graph, bound))
     pending = False
     for ev in updates:
         if isinstance(ev, QueryCheckpoint):
             if not dense and pending:
-                report.checkpoints.append(_run_checkpoint(algo, graph, bound, fault))
+                report.checkpoints.append(_run_checkpoint(algo, graph, bound))
                 pending = False
             continue
         if ev.kind == DELETE or ev.delta == INF:
@@ -362,6 +359,6 @@ def sweep(algo, graph, updates, bound, *, dense=False, fault=None, initial_check
         apply_update(graph, ev)
         pending = True
         if dense:
-            report.checkpoints.append(_run_checkpoint(algo, graph, bound, fault))
+            report.checkpoints.append(_run_checkpoint(algo, graph, bound))
             pending = False
     return report

@@ -5,66 +5,48 @@ Rounding every estimate up to the next power of (1 + eps) costs a factor
 only O(log_(1+eps) of their range) times over a monotone stream, which is
 what bounds the update work of the certificate heaps.
 
-A rounded value is the ladder float of its exponent: round() computes the
-exponent and returns the cached power for it, so equal exponents give the
-same float and different exponents different floats.  Comparing rounded
-values is therefore exactly as exact as comparing exponents, float drift
-cannot split or merge buckets, and the structures keep only the value.
+Each rounder owns one ladder [1, b, b^2, ...] with b = 1 + eps, built by
+repeated multiplication and grown on demand.  The exponent of a value is its
+bisect position on the ladder and its rounded value is the ladder float
+there, so equal exponents give the same float and different exponents
+different floats.  Comparing rounded values is therefore exactly as exact as
+comparing exponents, float drift cannot split or merge buckets, and the
+structures keep only the value.
+
+The domain is [1, inf): every value the package rounds is an integer weight,
+a distance, or a ladder value plus a weight, so none is below 1.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 from .graph import DomainError
 
-# power tables shared by all rounders with the same base
-_POW_CACHE: dict = {}
-
-
-def _powers(eps):
-    table = _POW_CACHE.get(eps)
-    if table is None:
-        table = [1.0]
-        _POW_CACHE[eps] = table
-    return table
-
-
-def _power(eps, e):
-    if e < 0:
-        return (1.0 + eps) ** e
-    table = _powers(eps)
-    base = 1.0 + eps
-    while len(table) <= e:
-        table.append(table[-1] * base)
-    return table[e]
-
 
 class GeometricRounder:
-    """Rounds positive values up to powers of (1 + eps)."""
+    """Rounds finite values >= 1 up to powers of (1 + eps)."""
 
-    __slots__ = ("eps",)
+    __slots__ = ("eps", "_ladder")
 
     def __init__(self, eps):
         if not (eps > 0) or not math.isfinite(eps):
             raise DomainError(f"eps must be positive and finite, got {eps!r}")
         self.eps = eps
+        self._ladder = [1.0]
 
     def exponent(self, delta):
         """Smallest integer e with (1+eps)^e >= delta (the ceil of the log)."""
-        if not (delta > 0):
-            raise DomainError(f"can only round positive values, got {delta!r}")
-        if not math.isfinite(delta):
-            raise DomainError("cannot round an infinite value")
-        eps = self.eps
-        e = math.ceil(math.log(delta, 1.0 + eps))
-        # float log can land one off on either side; fix against the table
-        while _power(eps, e - 1) >= delta:
-            e -= 1
-        while _power(eps, e) < delta:
-            e += 1
-        return e
+        ladder = self._ladder
+        if not (1.0 <= delta <= ladder[-1]):
+            if not (1.0 <= delta < math.inf):
+                raise DomainError(f"can only round finite values >= 1, got {delta!r}")
+            base = 1.0 + self.eps
+            while ladder[-1] < delta:
+                ladder.append(ladder[-1] * base)
+        return bisect_left(ladder, delta)
 
     def round(self, delta):
         """The ladder value (1+eps)^exponent(delta); a fixed point of round."""
-        return _power(self.eps, self.exponent(delta))
+        return self._ladder[self.exponent(delta)]

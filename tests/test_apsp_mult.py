@@ -41,14 +41,13 @@ def rebuilt_layers(algo):
 
 
 def audit(algo):
+    g = algo.g
     wv, nbr, nbr_min, adj = rebuilt_layers(algo)
 
-    got_w = {}
-    for (a, b), val in algo.w_round.items():
-        got_w[(a, b)] = got_w[(b, a)] = val
-    assert got_w == wv
+    assert by_pair(algo.w_round) == wv
+    assert [list(row) for row in algo.w_round] == [list(g.adj[x]) for x in range(g.n)]
 
-    assert len(algo.nbr_heap) == len(algo.nbr_min) == len(algo.adj_heap) == algo.g.n
+    assert len(algo.nbr_heap) == len(algo.nbr_min) == len(algo.adj_heap) == g.n
     assert by_pair(algo.nbr_heap, heap_entries) == nbr
     assert by_pair(algo.nbr_min) == nbr_min
     assert by_pair(algo.adj_heap, heap_entries) == adj

@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 from decapsp import IndexedHeap
 
 
-def test_pop_order_with_ties_prefers_smaller_id():
+def test_pop_drains_in_key_order():
     h = IndexedHeap()
     h.insert(5, 2.0)
     h.insert(1, 2.0)
     h.insert(9, 1.0)
     h.insert(3, 2.0)
-    assert [h.pop() for _ in range(4)] == [(9, 1.0), (1, 2.0), (3, 2.0), (5, 2.0)]
+    drained = [h.pop() for _ in range(4)]
+    assert [key for _, key in drained] == [1.0, 2.0, 2.0, 2.0]
+    assert sorted(drained) == [(1, 2.0), (3, 2.0), (5, 2.0), (9, 1.0)]
 
 
 def test_update_both_directions():
@@ -49,7 +51,9 @@ def test_build_matches_incremental():
         inc.insert(ident, key)
     drained_a = [built.pop() for _ in range(len(items))]
     drained_b = [inc.pop() for _ in range(len(items))]
-    assert drained_a == drained_b == sorted(drained_b, key=lambda t: (t[1], t[0]))
+    keys = sorted(key for _, key in items)
+    assert [key for _, key in drained_a] == [key for _, key in drained_b] == keys
+    assert sorted(drained_a) == sorted(drained_b) == items
 
 
 @settings(max_examples=60, deadline=None)
@@ -70,22 +74,22 @@ def test_against_reference_model(ops, seed):
             victim = rng.choice(sorted(model))
             h.delete(victim)
             del model[victim]
-        elif op == 2 and model:  # pop-min
+        elif op == 2 and model:  # pop-min: some id holding the minimum key
             ident2, key2 = h.pop()
-            best = min(model.items(), key=lambda kv: (kv[1], kv[0]))
-            assert (ident2, key2) == (best[0], best[1])
+            assert model[ident2] == key2 == min(model.values())
             del model[ident2]
         elif op == 3:
             assert (ident in h) == (ident in model)
-        elif op == 4 and model:  # the minimum, id included, left in place
-            mn = min(model.items(), key=lambda kv: (kv[1], kv[0]))
-            assert h.min_key() == mn[1]
-            assert h.pop() == mn
-            h.insert(*mn)
+        elif op == 4 and model:  # the minimum, left in place
+            assert h.min_key() == min(model.values())
+            ident2, key2 = h.pop()
+            assert model[ident2] == key2 == min(model.values())
+            h.insert(ident2, key2)
         elif op == 5 and ident in model:
             assert h.key_of(ident) == model[ident]
     assert len(h) == len(model)
     drained = []
     while h:
         drained.append(h.pop())
-    assert drained == sorted(model.items(), key=lambda kv: (kv[1], kv[0]))
+    assert [key for _, key in drained] == sorted(model.values())
+    assert dict(drained) == model

@@ -216,14 +216,16 @@ def test_sweep_dense_checks_after_every_update():
 
 def test_sweep_fault_injection_detected_exactly_once():
     g = _graph()
-    algo = ExactAlgo(g.copy())
 
-    def fault(version, u, v, value):
-        if version == 1 and (u, v) == (0, 2):
-            return value * 100 if value != INF else 123.0
-        return value
+    class Faulty(ExactAlgo):
+        # exact except for (0, 2) at graph version 1
+        def query(self, u, v):
+            value = super().query(u, v)
+            if self.graph.version == 1 and (u, v) == (0, 2):
+                return value * 100 if value != INF else 123.0
+            return value
 
-    report = sweep(algo, g, parse_updates(_updates_text()), BoundSpec(alpha=1.0), fault=fault)
+    report = sweep(Faulty(g.copy()), g, parse_updates(_updates_text()), BoundSpec(alpha=1.0))
     assert not report.ok
     assert len(report.violations) == 1
     bad = report.violations[0]

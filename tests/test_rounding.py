@@ -12,11 +12,6 @@ def ceil_power_reference(delta, eps):
     base = 1.0 + eps
     e = 0
     val = 1.0
-    if delta <= 1.0:
-        while val / base >= delta:
-            val /= base
-            e -= 1
-        return e, val
     while val < delta:
         val *= base
         e += 1
@@ -40,7 +35,7 @@ def test_exact_powers_round_to_themselves():
 
 
 def test_rounding_domain_errors():
-    for bad in (0, -1, -0.5, math.inf, math.nan):
+    for bad in (0, -1, -0.5, 0.5, 1 - 1e-9, math.inf, math.nan):
         with pytest.raises(DomainError):
             GeometricRounder(0.3).round(bad)
     for bad_eps in (0, -0.1, math.inf):
@@ -49,7 +44,7 @@ def test_rounding_domain_errors():
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.floats(0.001, 1e6), st.sampled_from([0.05, 0.3, 0.5, 0.9, 2.0]))
+@given(st.floats(1, 1e6), st.sampled_from([0.05, 0.3, 0.5, 0.9, 2.0]))
 def test_sandwich_and_idempotence(delta, eps):
     r = GeometricRounder(eps)
     val = r.round(delta)
@@ -77,7 +72,7 @@ def test_distinct_values_bounded_on_a_range(top, eps):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.floats(1e-6, 1e12), st.floats(1e-6, 1e12), st.sampled_from([0.1, 0.2, 0.3, 1 / 3]))
+@given(st.floats(1, 1e12), st.floats(1, 1e12), st.sampled_from([0.1, 0.2, 0.3, 1 / 3]))
 def test_values_identify_exponents(a, b, eps):
     """The structures store and compare rounded values instead of exponents:
     equal values exactly when equal exponents, and a value rounds to itself."""
