@@ -9,8 +9,9 @@ Subcommands:
              with wall time, operation counters and checkpoint answers
   verify     replay the workload against the exact oracle and report any
              stretch violations; exit status 1 if one is found
-  bench      run a size ladder, print a CSV row per size, and hard-assert
-             the laziness counter bounds
+  bench      run a full deletion sequence per size for any algorithm and
+             print a CSV row per size with wall time and the structure's
+             counters; for mult, hard-assert the laziness counter bounds
 
 All non-timing output is a pure function of the flags and seeds.
 """
@@ -18,12 +19,14 @@ All non-timing output is a pure function of the flags and seeds.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from .additive import AdditiveAPSP
 from .apsp_mixed import MixedAPSP
@@ -55,8 +58,8 @@ REQUIRED_FLAGS = {"mixed": ("tau",), "additive": ("k", "d")}
 @dataclass
 class RunConfig:
     algorithm: str
-    graph_path: str
-    updates_path: str
+    graph_path: str = None
+    updates_path: str = None
     p: float = None
     tau: float = None
     eps: float = 0.9
@@ -68,17 +71,11 @@ class RunConfig:
     report_path: str = None
 
 
-def missing_flags(algorithm, values):
-    """The REQUIRED_FLAGS of algorithm, as --name, that values (a RunConfig
-    or parsed arguments) leaves unset."""
-    return [f"--{flag}" for flag in REQUIRED_FLAGS.get(algorithm, ())
-            if getattr(values, flag) is None]
-
-
 def make_algorithm(cfg, graph):
     """Instantiate the configured algorithm; enforce per-tag required flags."""
     tag = cfg.algorithm
-    missing = missing_flags(tag, cfg)
+    missing = [f"--{flag}" for flag in REQUIRED_FLAGS.get(tag, ())
+               if getattr(cfg, flag) is None]
     if missing:
         raise ConfigError(f"algorithm {tag!r} requires {' and '.join(missing)}")
     n, m = graph.n, max(graph.m, 1)
@@ -130,8 +127,6 @@ def _emit(payload, path):
 
 
 def cmd_generate(args):
-    if not (0 < args.density <= 1):
-        raise ConfigError("density must be in (0, 1]")
     if not (0 < args.fraction <= 1):
         raise ConfigError("deletion fraction must be in (0, 1]")
     if args.checkpoint_every < 1:
@@ -183,7 +178,6 @@ def cmd_run(cfg):
             algo.increase(ev.u, ev.v, ev.delta)
             applied += 1
     wall_ms = (time.perf_counter() - t0) * 1000.0
-    counters = algo.counters() if hasattr(algo, "counters") else {}
     report = {
         "schema": 1,
         "algorithm": cfg.algorithm,
@@ -194,7 +188,7 @@ def cmd_run(cfg):
         "updates_applied": applied,
         "checkpoints": len(answers),
         "wall_ms": round(wall_ms, 3),
-        "counters": counters,
+        "counters": algo.counters(),
         "answers": answers,
     }
     _emit(report, cfg.report_path)
@@ -204,66 +198,69 @@ def cmd_run(cfg):
 def cmd_verify(cfg, alpha=None, beta=None):
     graph, updates = _load(cfg)
     algo = make_algorithm(cfg, graph.copy())
-    bound = bound_for(cfg)
-    if alpha is not None or beta is not None:
-        # probe a custom target instead of the guaranteed one
-        bound = BoundSpec(
-            alpha=bound.alpha if alpha is None else alpha,
-            beta=bound.beta if beta is None else beta,
-            per_pair_bottleneck=bound.per_pair_bottleneck,
-            radius=bound.radius,
-        )
+    # --alpha/--beta probe a custom target instead of the guaranteed one
+    probe = {name: x for name, x in (("alpha", alpha), ("beta", beta)) if x is not None}
+    bound = replace(bound_for(cfg), **probe)
     report = sweep(algo, graph, updates, bound, dense=cfg.dense)
     _emit(report.to_dict(), cfg.report_path)
     return 0 if report.ok else 1
 
 
-def cmd_bench(args):
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    if not sizes:
-        raise ConfigError("empty size ladder")
-    writer = open(args.out, "w") if args.out else sys.stdout
-    try:
-        print("n,m,updates,wall_ms,rebuilds_total,rebuilds_max,rebuild_bound,"
-              "nbr_min_changes_max,nbr_change_bound,searches,level_increases", file=writer)
-        for n in sizes:
-            g, edges = gnp_workload(n, args.density, args.W, random.Random(args.seed))
-            m0 = g.m
-            p = min(1.0, math.sqrt(g.n / max(g.m, 1)))
-            algo = MultiplicativeAPSP(g, p, args.eps, args.seed + 1)
-            t0 = time.perf_counter()
-            for u, v in edges:
-                algo.delete(u, v)
-            wall_ms = (time.perf_counter() - t0) * 1000.0
-            c = algo.counters()
+def _ladder(cfg, sizes, density, max_weight):
+    """Per size, a full deletion run of cfg's structure on a G(n, density)
+    instance drawn from seed cfg.seed, the structure sampled with seed
+    cfg.seed + 1; yields the CSV row as a dict of column -> value."""
+    structure = replace(cfg, seed=cfg.seed + 1)
+    for n in sizes:
+        g, edges = gnp_workload(n, density, max_weight, random.Random(cfg.seed))
+        m0 = g.m
+        algo = make_algorithm(structure, g)
+        t0 = time.perf_counter()
+        for u, v in edges:
+            algo.delete(u, v)
+        wall_ms = (time.perf_counter() - t0) * 1000.0
+        row = {"n": n, "m": m0, "wall_ms": round(wall_ms, 3)}
+        row.update((k, x) for k, x in algo.counters().items() if isinstance(x, (int, float)))
+        if cfg.algorithm == "mult":
             rebuild_bound = algo.engine.rebuild_bound()
             change_bound = (rebuild_bound - 1) ** 2
-            if c["bunch_rebuilds_max"] > rebuild_bound:
+            if row["bunch_rebuilds_max"] > rebuild_bound:
                 raise SystemExit(
                     f"rebuild bound violated at n={n}: "
-                    f"{c['bunch_rebuilds_max']} > {rebuild_bound}")
-            if c["nbr_min_changes_max"] > change_bound:
+                    f"{row['bunch_rebuilds_max']} > {rebuild_bound}")
+            if row["nbr_min_changes_max"] > change_bound:
                 raise SystemExit(
                     f"neighborhood-minimum change bound violated at n={n}: "
-                    f"{c['nbr_min_changes_max']} > {change_bound}")
-            row = [n, m0, len(edges), round(wall_ms, 3),
-                   c["bunch_rebuilds_total"], c["bunch_rebuilds_max"], rebuild_bound,
-                   c["nbr_min_changes_max"], change_bound,
-                   c["searches"], c["tree_level_increases"]]
-            print(",".join(str(x) for x in row), file=writer)
-    finally:
-        if args.out:
-            writer.close()
+                    f"{row['nbr_min_changes_max']} > {change_bound}")
+            row.update(rebuild_bound=rebuild_bound, nbr_change_bound=change_bound)
+        yield row
+
+
+def cmd_bench(cfg, sizes, density, max_weight, out):
+    try:
+        ladder = [int(s) for s in sizes.split(",") if s]
+    except ValueError:
+        ladder = []
+    if not ladder or min(ladder) < 1:
+        raise ConfigError(f"--sizes takes comma separated positive node counts, got {sizes!r}")
+    rows = _ladder(cfg, ladder, density, max_weight)
+    # a refused configuration or workload surfaces here, before any output
+    first = next(rows)
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as writer:
+        print(",".join(first), file=writer)
+        for row in itertools.chain([first], rows):
+            print(",".join(str(x) for x in row.values()), file=writer)
     return 0
 
 
 # -- argument parsing ----------------------------------------------------------
 
 
-def _add_config_flags(sp):
-    sp.add_argument("--graph", required=True, dest="graph_path")
-    sp.add_argument("--updates", required=True, dest="updates_path")
-    sp.add_argument("--algorithm", required=True, choices=ALGORITHMS)
+def _add_algorithm_flags(sp, algorithm=None):
+    """The flags a RunConfig takes from every subcommand that builds a
+    structure; --algorithm is required unless a default is given."""
+    sp.add_argument("--algorithm", required=algorithm is None, default=algorithm,
+                    choices=ALGORITHMS)
     sp.add_argument("--p", type=float, default=None)
     sp.add_argument("--tau", type=float, default=None)
     sp.add_argument("--eps", type=float, default=0.9)
@@ -271,24 +268,18 @@ def _add_config_flags(sp):
     sp.add_argument("--d", type=int, default=None)
     sp.add_argument("--c", type=float, default=2.0)
     sp.add_argument("--seed", type=int, default=0)
+
+
+def _add_workload_flags(sp):
+    _add_algorithm_flags(sp)
+    sp.add_argument("--graph", required=True, dest="graph_path")
+    sp.add_argument("--updates", required=True, dest="updates_path")
     sp.add_argument("--report", dest="report_path", default=None)
 
 
 def _config_from(args):
-    return RunConfig(
-        algorithm=args.algorithm,
-        graph_path=args.graph_path,
-        updates_path=args.updates_path,
-        p=args.p,
-        tau=args.tau,
-        eps=args.eps,
-        k=args.k,
-        d=args.d,
-        c=args.c,
-        seed=args.seed,
-        dense=getattr(args, "dense", False),
-        report_path=args.report_path,
-    )
+    names = {f.name for f in fields(RunConfig)}
+    return RunConfig(**{k: x for k, x in vars(args).items() if k in names})
 
 
 def build_parser():
@@ -310,10 +301,10 @@ def build_parser():
     gen.add_argument("--updates", required=True)
 
     run = sub.add_parser("run", help="execute one algorithm over a workload")
-    _add_config_flags(run)
+    _add_workload_flags(run)
 
     ver = sub.add_parser("verify", help="check stretch against the exact oracle")
-    _add_config_flags(ver)
+    _add_workload_flags(ver)
     ver.add_argument("--dense", action="store_true",
                      help="check every update, not only checkpoints")
     ver.add_argument("--alpha", type=float, default=None,
@@ -321,12 +312,11 @@ def build_parser():
     ver.add_argument("--beta", type=float, default=None,
                      help="probe a custom additive term")
 
-    ben = sub.add_parser("bench", help="size ladder with counter bound assertions")
+    ben = sub.add_parser("bench", help="size ladder of full deletion runs")
+    _add_algorithm_flags(ben, algorithm="mult")
     ben.add_argument("--sizes", required=True, help="comma separated node counts")
     ben.add_argument("--density", type=float, default=0.25)
     ben.add_argument("--W", type=int, default=10)
-    ben.add_argument("--eps", type=float, default=0.9)
-    ben.add_argument("--seed", type=int, default=0)
     ben.add_argument("--out", default=None)
     return ap
 
@@ -340,7 +330,7 @@ def main(argv=None):
             return cmd_run(_config_from(args))
         if args.command == "verify":
             return cmd_verify(_config_from(args), args.alpha, args.beta)
-        return cmd_bench(args)
+        return cmd_bench(_config_from(args), args.sizes, args.density, args.W, args.out)
     except (ConfigError, DomainError, ParseError, MonotonicityViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -265,7 +265,12 @@ def dump_updates(events):
 
 def gnp_graph(n, density, max_weight, rng):
     """Erdos-Renyi style instance: each pair kept with probability density,
-    weights uniform on [1, max_weight].  Deterministic given the rng state."""
+    weights uniform on [1, max_weight].  Deterministic given the rng state.
+    A density outside (0, 1] or a max_weight below 1 is a DomainError."""
+    if not (0 < density <= 1):
+        raise DomainError(f"density must be in (0, 1], got {density}")
+    if max_weight < 1:
+        raise DomainError(f"max weight must be at least 1, got {max_weight}")
     edges = []
     for u in range(n):
         for v in range(u + 1, n):

@@ -221,6 +221,10 @@ class StaticTwoAPSP:
             self._est = static_two_apsp(self.graph, self.p, self.seed)
         return self._est[u][v]
 
+    def counters(self):
+        """No operation counters: every query after a change recomputes."""
+        return {}
+
 
 @dataclass(frozen=True)
 class BoundSpec:

@@ -207,20 +207,90 @@ def test_bench_csv_and_counter_assertions(tmp_path):
                    "--W", "6", "--seed", "4", "--out", out])
     assert rc == 0
     lines = open(out).read().strip().splitlines()
-    assert lines[0].startswith("n,m,updates,wall_ms")
+    assert lines[0].startswith("n,m,wall_ms,updates")
     assert len(lines) == 3
     header = lines[0].split(",")
     for line, n in zip(lines[1:], (12, 16)):
         fields = line.split(",")
         assert len(fields) == len(header)
-        assert int(fields[0]) == n
-        assert int(fields[1]) == int(fields[2])
+        row = dict(zip(header, fields))
+        assert int(row["n"]) == n
+        assert int(row["m"]) == int(row["updates"])
         # the budgets are the engine's own, for the instance the row ran
         g, _ = gnp_workload(n, 0.4, 6, random.Random(4))
         bound = decapsp.BunchEngine(g, 0.5, 0.9, 5).rebuild_bound()
-        row = dict(zip(header, fields))
         assert int(row["rebuild_bound"]) == bound
         assert int(row["nbr_change_bound"]) == (bound - 1) ** 2
+
+
+# algorithm -> (extra flags, counter columns of its bench rows)
+BENCH_COLUMNS = {
+    "mult": ([], ["updates", "searches", "bunch_rebuilds_max", "bunch_rebuilds_total",
+                  "nbr_min_changes_max", "nbr_min_changes_total", "nbr_pairs_live",
+                  "adj_pairs_live", "tree_level_increases",
+                  "rebuild_bound", "nbr_change_bound"]),
+    "mixed": (["--tau", "4"], ["updates", "searches", "bunch_rebuilds_max",
+                               "bunch_rebuilds_total", "promotions", "heavy_count",
+                               "overlap_touches", "overlap_pairs_live",
+                               "tree_level_increases"]),
+    "additive": (["--k", "2", "--d", "4", "--W", "1"],
+                 ["updates", "estar_added", "neighbor_scans", "exports_applied",
+                  "tree_level_increases"]),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(BENCH_COLUMNS))
+def test_bench_header(capsys, algorithm):
+    flags, columns = BENCH_COLUMNS[algorithm]
+    rc = cli.main(["bench", "--algorithm", algorithm, "--sizes", "12,16", *flags])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ",".join(["n", "m", "wall_ms", *columns])
+    assert [row.split(",")[0] for row in lines[1:]] == ["12", "16"]
+
+
+@pytest.mark.parametrize("algorithm, flags, missing", [
+    ("mixed", [], "--tau"),
+    ("additive", ["--W", "1"], "--k and --d"),
+    ("additive", ["--W", "1", "--k", "2"], "--d"),
+    ("additive", ["--W", "1", "--d", "4"], "--k"),
+], ids=["tau", "k-and-d", "d", "k"])
+def test_bench_refuses_a_missing_required_flag(tmp_path, capsys, algorithm, flags, missing):
+    out = tmp_path / "bench.csv"
+    rc = cli.main(["bench", "--algorithm", algorithm, "--sizes", "12", "--out", str(out),
+                   *flags])
+    assert_one_error_line(capsys, rc, f"algorithm {algorithm!r} requires {missing}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algorithm", ["additive", "unweighted-mult"])
+def test_bench_refuses_weighted_input_for_a_unit_weight_algorithm(tmp_path, capsys, algorithm):
+    out = tmp_path / "bench.csv"
+    rc = cli.main(["bench", "--algorithm", algorithm, "--k", "2", "--d", "4",
+                   "--W", "10", "--sizes", "12", "--out", str(out)])
+    # the first edge of the seed-0 instance whose weight is not 1
+    assert_one_error_line(capsys, rc, "edge {2, 7} has weight 7; expected unweighted input")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--sizes", "12", "--W", "0"], "max weight must be at least 1, got 0"),
+    (["--sizes", "x"], "--sizes takes comma separated positive node counts, got 'x'"),
+    (["--sizes", "12", "--density", "1.5"], "density must be in (0, 1], got 1.5"),
+], ids=["zero-W", "sizes-not-integers", "density-above-1"])
+def test_bench_refuses_a_bad_workload_flag(tmp_path, capsys, flags, message):
+    out = tmp_path / "bench.csv"
+    rc = cli.main(["bench", "--out", str(out), *flags])
+    assert_one_error_line(capsys, rc, message)
+    assert not out.exists()
+
+
+def test_generate_refuses_a_zero_max_weight(tmp_path, capsys):
+    gp, up = tmp_path / "g.graph", tmp_path / "g.updates"
+    rc = cli.main(["generate", "--n", "8", "--density", "0.5", "--W", "0",
+                   "--graph", str(gp), "--updates", str(up)])
+    assert_one_error_line(capsys, rc, "max weight must be at least 1, got 0")
+    assert not gp.exists() and not up.exists()
 
 
 def _declared_entry_point():

@@ -112,6 +112,12 @@ def test_gnp_is_deterministic_under_seed():
     assert sorted(a.edges()) != sorted(c.edges())
 
 
+@pytest.mark.parametrize("density, max_weight", [(0, 5), (1.5, 5), (math.nan, 5), (0.4, 0)])
+def test_gnp_refuses_a_density_outside_0_1_or_a_weight_below_1(density, max_weight):
+    with pytest.raises(DomainError):
+        gnp_graph(12, density, max_weight, random.Random(7))
+
+
 edge_lists = st.integers(2, 10).flatmap(
     lambda n: st.tuples(
         st.just(n),
