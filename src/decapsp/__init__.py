@@ -34,7 +34,7 @@ from .estree import MonotoneESTree
 from .bunches import BunchChangeEvent, BunchEngine, sample_pivots
 from .apsp_mult import MultiplicativeAPSP
 from .apsp_mixed import MixedAPSP
-from .reduction import SubdividedGraph, UnweightedAPSP, translate_query
+from .reduction import UnweightedAPSP, subdivide
 from .additive import AdditiveAPSP, level_thresholds, sample_partition
 from .oracle import (
     BoundSpec,
@@ -84,7 +84,6 @@ __all__ = [
     "RunConfig",
     "StaticTwoAPSP",
     "StretchReport",
-    "SubdividedGraph",
     "UnweightedAPSP",
     "UpdateEvent",
     "apply_update",
@@ -100,6 +99,6 @@ __all__ = [
     "sample_partition",
     "sample_pivots",
     "static_two_apsp",
+    "subdivide",
     "sweep",
-    "translate_query",
 ]

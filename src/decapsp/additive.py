@@ -12,10 +12,11 @@ offers (see estree) and the view stays the same for every root of the
 level.
 
 A deletion is absorbed level by level, every level the same way.  The
-graph loses the edge first; each higher view gains its replacement escape
-edges and newly qualifying sparse edges (levels never drop on an insertion,
-so no tree is called) and loses the dying edge where it holds it, once per
-level.  Then each root of the level whose offers lower levels exported
+graph loses the edge first; the escape-edge redesignation then writes each
+higher view's new pairs through its one writer, _add_edge_level (levels
+never drop on an insertion, and only level i's trees read view i, so no
+tree is called), and each higher view loses the dying edge where it holds
+it.  Then each root of the level whose offers lower levels exported
 absorbs all of its raised offers and the deletion in one repair
 (MonotoneESTree.absorb), and each other root calls delete_edge only where
 the edge supported an endpoint (the O(1) phase-0 test of estree).  The
@@ -49,6 +50,8 @@ def level_thresholds(n, m, k):
 
 def sample_partition(n, m, k, c, seed):
     """Assign each node its level: lowest sampled index, else k."""
+    if not 0 < c < INF:
+        raise DomainError(f"sampling constant c must be a positive finite number, got {c!r}")
     thresholds = level_thresholds(n, m, k)
     rng = random.Random(seed)
     level = [k] * n
@@ -102,15 +105,13 @@ class AdditiveAPSP:
         self.view = {i: {u: {} for u in range(n)} for i in range(2, k + 1)}
         self.view[1] = graph.adj
         for u, v, _ in graph.edges():
-            top = max(self.idx[u], self.idx[v])
-            for i in range(2, min(top, k) + 1):
-                self.view[i][u][v] = self.view[i][v][u] = 1
-                self.ei_added[i] += 1
+            for i in range(2, max(self.idx[u], self.idx[v]) + 1):
+                self._add_edge_level((u, v), i)
         for v in range(n):
             x = self.escape[v]
             if x is not None:
                 for i in range(2, k + 1):
-                    self.view[i][v][x] = self.view[i][x][v] = 1
+                    self._add_edge_level(self._pair(v, x), i, star=True)
 
         # trees, built level by level so the offers' estimates already exist;
         # the roots of a level share its view
@@ -147,7 +148,7 @@ class AdditiveAPSP:
                 return x
         return None
 
-    def _redesignate(self, v, additions):
+    def _redesignate(self, v):
         """v lost its escape edge; find a replacement, promoting idx if needed."""
         x = self._scan(v)
         if x is None:
@@ -155,7 +156,6 @@ class AdditiveAPSP:
             old = self.idx[v]
             if not live:
                 self.idx[v] = self.k
-                self.escape[v] = None
             else:
                 self.idx[v] = min(self.level[z] for z in live)
                 self.ptr[v] = 0
@@ -164,25 +164,26 @@ class AdditiveAPSP:
                 for z in self.g.adj[v]:
                     lo = max(old, self.idx[z])
                     hi = max(self.idx[v], self.idx[z])
-                    for i in range(lo + 1, min(hi, self.k) + 1):
-                        self._add_edge_level(self._pair(v, z), i, additions)
+                    for i in range(lo + 1, hi + 1):
+                        self._add_edge_level(self._pair(v, z), i)
         self.escape[v] = x
         if x is not None:
             self.estar_added += 1
             pair = self._pair(v, x)
             for i in range(2, self.k + 1):
-                self._add_edge_level(pair, i, additions, star=True)
+                self._add_edge_level(pair, i, star=True)
 
-    def _add_edge_level(self, pair, i, additions, star=False):
-        """Queue pair for level i's view unless the view or the queue holds
-        it; additions maps a level to its queued pairs, in order."""
-        if pair[1] in self.view[i][pair[0]]:
+    def _add_edge_level(self, pair, i, star=False):
+        """Write pair into level i's view at weight 1 unless the view holds
+        it, counting it in ei_added[i] unless it is an escape edge (star);
+        the one writer of the views above level 1."""
+        a, b = pair
+        view = self.view[i]
+        if b in view[a]:
             return
-        pending = additions.setdefault(i, {})
-        if pair not in pending:
-            pending[pair] = None
-            if not star:
-                self.ei_added[i] += 1
+        view[a][b] = view[b][a] = 1
+        if not star:
+            self.ei_added[i] += 1
 
     # -- updates ------------------------------------------------------------
 
@@ -227,21 +228,18 @@ class AdditiveAPSP:
         self.updates_applied += 1
         a, b = rec.u, rec.v
 
-        additions = {}
         for x, y in ((a, b), (b, a)):
             if self.escape[x] == y:
-                self._redesignate(x, additions)
+                self._redesignate(x)
 
         # pend[root]: lower nodes whose estimate the root re-reads as an
         # offer; trees export upward only, so entries precede their root.
-        # The graph is level 1's view; each higher view gains its queued
-        # pairs at weight 1 and loses the dying pair where it holds it.
+        # The graph is level 1's view; each higher view loses the dying
+        # pair where it holds it.
         pend = {}
         self._advance_level(1, pend, (a, b, 1))
         for i in range(2, self.k + 1):
             view = self.view[i]
-            for x, y in additions.get(i, ()):
-                view[x][y] = view[y][x] = 1
             edge = None
             if b in view[a]:
                 del view[a][b], view[b][a]

@@ -49,14 +49,13 @@ class MixedAPSP:
         self.engine = BunchEngine(graph, p, eps, seed)
         bunch, cluster = self.engine.bunch, self.engine.cluster
 
-        self.heavy_trees = TreeFamily(graph.adj, self.engine.depth_cap)
+        self.heavy_trees = TreeFamily(
+            graph.adj, self.engine.depth_cap,
+            [w for w in range(graph.n) if len(cluster[w]) >= tau])
 
         self.overlap_heap = {}  # unordered (u, v) -> IndexedHeap of light w
         self.overlap_touches = 0  # overlap entries re-keyed by INCREASE events
 
-        for w in range(graph.n):
-            if len(cluster[w]) >= tau:
-                self.heavy_trees.add_root(w)
         for w in range(graph.n):
             if w in self.heavy_trees:
                 continue

@@ -9,9 +9,10 @@ Subcommands:
              with wall time, operation counters and checkpoint answers
   verify     replay the workload against the exact oracle and report any
              stretch violations; exit status 1 if one is found
-  bench      run a full deletion sequence per size for any algorithm and
-             print a CSV row per size with wall time and the structure's
-             counters; for mult, hard-assert the laziness counter bounds
+  bench      run a full deletion sequence per size for any algorithm but
+             static-2 and print a CSV row per size with wall time and the
+             structure's counters; for mult, hard-assert the laziness
+             counter bounds
 
 All non-timing output is a pure function of the flags and seeds.
 """
@@ -89,7 +90,7 @@ def make_algorithm(cfg, graph):
         n2, m2 = n + m, 2 * m
         p = cfg.p if cfg.p is not None else math.sqrt(n2 / m2)
         tau = cfg.tau if cfg.tau is not None else max(1, int(math.sqrt(m2)))
-        return UnweightedAPSP(graph, min(p, 1.0), cfg.eps, tau, cfg.seed, k=1)
+        return UnweightedAPSP(graph, min(p, 1.0), cfg.eps, tau, cfg.seed)
     if tag == "additive":
         return AdditiveAPSP(graph, cfg.k, cfg.d, cfg.c, cfg.seed)
     if tag == "static-2":
@@ -237,6 +238,9 @@ def _ladder(cfg, sizes, density, max_weight):
 
 
 def cmd_bench(cfg, sizes, density, max_weight, out):
+    if cfg.algorithm == "static-2":
+        raise ConfigError("bench cannot time 'static-2': it recomputes only at a query, "
+                          "and bench issues none")
     try:
         ladder = [int(s) for s in sizes.split(",") if s]
     except ValueError:

@@ -52,8 +52,8 @@ def _check_cap(n):
         )
 
 
-def dijkstra(adj, source, cap=INF):
-    """dict node -> distance from source, restricted to distances <= cap."""
+def dijkstra(adj, source):
+    """dict node -> distance from source."""
     dist = dict.fromkeys(adj, INF)
     dist[source] = 0
     heap = [(0, source)]
@@ -63,7 +63,7 @@ def dijkstra(adj, source, cap=INF):
             continue
         for v, w in adj[u].items():
             nd = d + w
-            if nd <= cap and nd < dist[v]:
+            if nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     return dist
@@ -198,7 +198,7 @@ class StaticTwoAPSP:
     """Replayable wrapper over static_two_apsp: recomputes estimates lazily
     after updates so it can serve as a baseline inside the sweep driver."""
 
-    def __init__(self, graph, p=0.3, seed=0):
+    def __init__(self, graph, p, seed):
         self.graph = graph
         self.p = p
         self.seed = seed

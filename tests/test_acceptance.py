@@ -19,7 +19,7 @@ from decapsp.bunches import BunchEngine
 from decapsp.estree import MonotoneESTree
 from decapsp.graph import DELETE, UpdateEvent, QueryCheckpoint, gnp_graph, gnp_workload
 from decapsp.oracle import BoundSpec, exact_apsp, static_two_apsp, sweep
-from decapsp.reduction import SubdividedGraph, UnweightedAPSP
+from decapsp.reduction import UnweightedAPSP, subdivide
 
 from helpers import ref_dijkstra
 
@@ -85,16 +85,16 @@ def test_criterion_2_mixed_stretch():
     )
 
 
-def _identity_pairs(g, k, rng, count=100):
-    """d in the subdivided graph must be exactly (k+1) times d in g."""
-    sub = SubdividedGraph(g.copy(), k)
+def _identity_pairs(g, rng, count=100):
+    """d in the subdivided graph must be exactly twice d in g."""
+    expanded, _ = subdivide(g)
     bad = 0
     for _ in range(count):
         u = rng.randrange(g.n)
         v = rng.randrange(g.n)
         du = ref_dijkstra(g.adj, u).get(v, INF)
-        dsub = ref_dijkstra(sub.expanded.adj, u).get(v, INF)
-        want = INF if du == INF else (k + 1) * du
+        dsub = ref_dijkstra(expanded.adj, u).get(v, INF)
+        want = INF if du == INF else 2 * du
         if dsub != want:
             bad += 1
     return bad
@@ -106,11 +106,11 @@ def test_criterion_3_unweighted_reduction():
         g, updates = workload(n, 0.25, 1, seed, every=5)
         g0 = g.copy()
         rng = random.Random(seed + 41)
-        identity_bad += _identity_pairs(g, 1, rng)
+        identity_bad += _identity_pairs(g, rng)
         n2, m2 = g.n + g.m, 2 * g.m
         p = 1.0 / math.sqrt(n2)
         tau = max(1, int(math.sqrt(m2)))
-        algo = UnweightedAPSP(g.copy(), p, 0.1, tau, seed + 29, k=1)
+        algo = UnweightedAPSP(g.copy(), p, 0.1, tau, seed + 29)
         rep = sweep(algo, g, updates, BoundSpec(alpha=2.3), dense=False)
         pairs += rep.pairs_checked
         violations += len(rep.violations)
@@ -120,9 +120,9 @@ def test_criterion_3_unweighted_reduction():
             if isinstance(ev, UpdateEvent):
                 del half.adj[ev.u][ev.v]
                 del half.adj[ev.v][ev.u]
-        identity_bad += _identity_pairs(half, 1, rng)
+        identity_bad += _identity_pairs(half, rng)
     report(
-        "3 subdivision composition <= 2.3d and exact (k+1)-scaling",
+        "3 subdivision composition <= 2.3d and exact doubling",
         violations == 0 and identity_bad == 0,
         f"{pairs} pair checks, {violations} violations, "
         f"{identity_bad} identity mismatches on 600 sampled pairs",

@@ -35,6 +35,17 @@ def test_partition_shape_and_determinism():
     assert set(sample_partition(40, 200, 2, 50.0, seed=1)) == {1}
 
 
+@pytest.mark.parametrize("c", [0, -1.0, math.nan, math.inf])
+def test_refuses_a_sampling_constant_that_is_not_positive_and_finite(c):
+    """A c outside (0, inf) makes every level probability degenerate; it is
+    refused before any level is drawn."""
+    with pytest.raises(DomainError, match="sampling constant c"):
+        sample_partition(40, 200, 3, c, seed=5)
+    g = DynamicGraph(8, [(0, 1, 1), (1, 2, 1)])
+    with pytest.raises(DomainError, match="sampling constant c"):
+        AdditiveAPSP(g, k=2, d=3, c=c, seed=0)
+
+
 def structural_audit(algo, prev_levels):
     g, k = algo.g, algo.k
 

@@ -277,7 +277,14 @@ def test_bench_refuses_weighted_input_for_a_unit_weight_algorithm(tmp_path, caps
     (["--sizes", "12", "--W", "0"], "max weight must be at least 1, got 0"),
     (["--sizes", "x"], "--sizes takes comma separated positive node counts, got 'x'"),
     (["--sizes", "12", "--density", "1.5"], "density must be in (0, 1], got 1.5"),
-], ids=["zero-W", "sizes-not-integers", "density-above-1"])
+    (["--algorithm", "additive", "--W", "1", "--k", "2", "--d", "4", "--c", "-1",
+      "--sizes", "12"], "sampling constant c must be a positive finite number, got -1.0"),
+    (["--algorithm", "additive", "--W", "1", "--k", "2", "--d", "4", "--c", "nan",
+      "--sizes", "12"], "sampling constant c must be a positive finite number, got nan"),
+    (["--algorithm", "static-2", "--sizes", "12"],
+     "bench cannot time 'static-2': it recomputes only at a query, and bench issues none"),
+], ids=["zero-W", "sizes-not-integers", "density-above-1", "negative-c", "nan-c",
+        "static-2"])
 def test_bench_refuses_a_bad_workload_flag(tmp_path, capsys, flags, message):
     out = tmp_path / "bench.csv"
     rc = cli.main(["bench", "--out", str(out), *flags])

@@ -4,16 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decapsp.graph import (
-    DELETE,
-    DomainError,
-    DynamicGraph,
-    EdgeNotFound,
-    UpdateEvent,
-    apply_update,
-    gnp_graph,
-)
-from decapsp.reduction import SubdividedGraph, UnweightedAPSP, translate_query
+from decapsp.graph import DomainError, DynamicGraph, EdgeNotFound, gnp_graph
+from decapsp.reduction import UnweightedAPSP, subdivide
 
 from helpers import rand_connected, ref_apsp, deletion_order
 
@@ -26,92 +18,107 @@ def unit_graph(rng, n, density):
     return g
 
 
+def assert_doubled(g, expanded):
+    """Every distance between original nodes is exactly twice g's."""
+    d0 = ref_apsp(g)
+    d1 = ref_apsp(expanded)
+    for u in range(g.n):
+        for v in range(g.n):
+            want = INF if d0[u][v] == INF else 2 * d0[u][v]
+            assert d1[u][v] == want
+
+
 def test_single_edge_chain():
-    g = DynamicGraph(2, [(0, 1, 1)])
-    sub = SubdividedGraph(g, 2)
-    assert sub.expanded.n == 4
-    assert sub.expanded.m == 3
-    d = ref_apsp(sub.expanded)
-    assert d[0][1] == 3
-    assert sub.chains[(0, 1)] == [(0, 2), (2, 3), (3, 1)]
+    expanded, mid = subdivide(DynamicGraph(2, [(0, 1, 1)]))
+    assert (expanded.n, expanded.m) == (3, 2)
+    assert mid == {(0, 1): 2}
+    assert ref_apsp(expanded)[0][1] == 2
 
 
 def test_path_counts():
-    g = DynamicGraph(3, [(0, 1, 1), (1, 2, 1)])
-    sub = SubdividedGraph(g, 1)
-    assert sub.expanded.n == 5
-    assert sub.expanded.m == 4
+    expanded, mid = subdivide(DynamicGraph(3, [(0, 2, 1), (0, 1, 1)]))
+    assert (expanded.n, expanded.m) == (5, 4)
+    # edge i in sorted order, not adjacency order, gets midpoint n + i, and
+    # each edge's halves are added as (u, c) then (c, v)
+    assert mid == {(0, 1): 3, (0, 2): 4}
+    assert {u: list(nbrs) for u, nbrs in expanded.adj.items()} == {
+        0: [3, 4], 1: [3], 2: [4], 3: [0, 1], 4: [0, 2]}
+    assert all(w == 1 for _, _, w in expanded.edges())
 
 
 def test_distance_identity_random_pairs():
     rng = random.Random(17)
     g = unit_graph(rng, 18, 0.25)
-    for k in (1, 2, 3):
-        sub = SubdividedGraph(g, k)
-        assert sub.expanded.n == g.n + k * g.m
-        assert sub.expanded.m == (k + 1) * g.m
-        d0 = ref_apsp(g)
-        d1 = ref_apsp(sub.expanded)
-        for _ in range(100):
-            u = rng.randrange(g.n)
-            v = rng.randrange(g.n)
-            if d0[u][v] == INF:
-                assert d1[u][v] == INF
-            else:
-                assert d1[u][v] == (k + 1) * d0[u][v]
-
-
-def test_translate_update_chain_and_replay_guard():
-    g = DynamicGraph(3, [(0, 1, 1), (1, 2, 1)])
-    sub = SubdividedGraph(g, 2)
-    events = sub.translate_update(UpdateEvent(DELETE, 1, 0))
-    assert [(e.u, e.v) for e in events] == sub.chains[(0, 1)]
-    # the expanded graph is what says an edge is gone: until its chain is
-    # applied there, the edge translates again
-    assert sub.translate_update(UpdateEvent(DELETE, 0, 1)) == events
-    for ev in events:
-        apply_update(sub.expanded, ev)
-    with pytest.raises(EdgeNotFound):
-        sub.translate_update(UpdateEvent(DELETE, 0, 1))
-    with pytest.raises(EdgeNotFound):
-        sub.translate_update(UpdateEvent(DELETE, 0, 2))
+    expanded, mid = subdivide(g)
+    assert expanded.n == g.n + g.m and expanded.m == 2 * g.m
+    assert sorted(mid.values()) == list(range(g.n, g.n + g.m))
+    d0 = ref_apsp(g)
+    d1 = ref_apsp(expanded)
+    for _ in range(100):
+        u = rng.randrange(g.n)
+        v = rng.randrange(g.n)
+        if d0[u][v] == INF:
+            assert d1[u][v] == INF
+        else:
+            assert d1[u][v] == 2 * d0[u][v]
 
 
 def test_identity_survives_deletions():
     rng = random.Random(29)
     g = unit_graph(rng, 14, 0.3)
-    k = 1
-    sub = SubdividedGraph(g, k)
-    gp = sub.expanded
+    gp, mid = subdivide(g)
     for u, v in deletion_order(rng, g.copy()):
-        for ev in sub.translate_update(UpdateEvent(DELETE, u, v)):
-            del gp.adj[ev.u][ev.v]
-            del gp.adj[ev.v][ev.u]
+        c = mid[(min(u, v), max(u, v))]
+        for x in (u, v):
+            del gp.adj[x][c]
+            del gp.adj[c][x]
         del g.adj[u][v]
         del g.adj[v][u]
-        d0 = ref_apsp(g)
-        d1 = ref_apsp(gp)
-        for x in range(g.n):
-            for y in range(x + 1, g.n):
-                want = INF if d0[x][y] == INF else (k + 1) * d0[x][y]
-                assert d1[x][y] == want
+        assert_doubled(g, gp)
 
 
-def test_rejects_weighted_input_and_bad_k():
-    g = DynamicGraph(2, [(0, 1, 3)])
+def test_rejects_weighted_input():
     with pytest.raises(DomainError):
-        SubdividedGraph(g, 1)
+        subdivide(DynamicGraph(2, [(0, 1, 3)]))
     with pytest.raises(DomainError):
-        SubdividedGraph(DynamicGraph(2, [(0, 1, 1)]), 0)
+        UnweightedAPSP(DynamicGraph(3, [(0, 1, 1), (1, 2, 2)]), 0.5, 0.1, 4, 0)
 
 
-def test_translate_query_floor():
-    assert translate_query(7, 2) == 2
-    assert translate_query(6, 2) == 2
-    assert translate_query(6.9, 1) == 3
-    assert translate_query(INF, 3) == INF
-    for d in range(1, 9):
-        assert translate_query((d + 1) * d, d) == d  # k chosen = d here
+def snapshot(algo):
+    return ({u: dict(nbrs) for u, nbrs in algo.inner.g.adj.items()},
+            algo.inner.g.version, algo.counters())
+
+
+def test_delete_refuses_a_non_edge_and_a_double_delete_before_any_change():
+    g = DynamicGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    algo = UnweightedAPSP(g, p=0.5, eps=0.1, tau=2, seed=3)
+    assert algo.mid == {(0, 1): 4, (1, 2): 5, (2, 3): 6}
+    calls = []
+    inner_delete = algo.inner.delete
+    algo.inner.delete = lambda u, v: (calls.append((u, v)), inner_delete(u, v))
+    # a deletion takes out (a, c) then (c, b), with a < b
+    algo.delete(2, 1)
+    assert calls == [(1, 5), (5, 2)]
+    assert algo.updates_applied == 1 and algo.inner.updates_applied == 2
+    before = snapshot(algo)
+    # a non-edge, a half-edge of the expansion and a node out of range, then
+    # an edge deleted already: each refused, nothing written
+    for (u, v), message in (((0, 2), "not in the original graph"),
+                            ((0, 4), "not in the original graph"),
+                            ((3, 9), "not in the original graph"),
+                            ((1, 2), "already deleted"), ((2, 1), "already deleted")):
+        with pytest.raises(EdgeNotFound, match=message):
+            algo.delete(u, v)
+        assert snapshot(algo) == before and calls == [(1, 5), (5, 2)]
+    assert algo.query(1, 2) == INF
+
+
+def test_query_halves_and_floors():
+    algo = UnweightedAPSP(DynamicGraph(2, [(0, 1, 1)]), 0.5, 0.1, 4, 0)
+    for estimate, answer in ((2, 1), (3, 1), (3.9, 1), (4, 2), (6.99, 3), (7, 3),
+                             (0, 0), (INF, INF)):
+        algo.inner.query = lambda u, v: estimate
+        assert algo.query(0, 1) == answer
 
 
 def test_composed_wrapper_stretch():
@@ -157,24 +164,20 @@ def test_deletions_leave_the_given_graph_untouched():
     for u, v in order:
         algo.delete(u, v)
     assert (g.adj, g.version) == before
-    assert algo.sub.expanded.m == 0 and algo.updates_applied == len(order)
+    assert algo.inner.g.m == 0 and algo.updates_applied == len(order)
     u, v = order[0]
     with pytest.raises(EdgeNotFound):
         algo.delete(u, v)
     assert (g.adj, g.version) == before and algo.updates_applied == len(order)
 
 
-@settings(max_examples=6, deadline=None)
-@given(st.integers(0, 10 ** 6), st.integers(2, 4))
-def test_property_identity(seed, k):
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_property_identity(seed):
     rng = random.Random(seed)
     g = gnp_graph(rng.randrange(4, 12), 0.4, 1, rng)
-    sub = SubdividedGraph(g, k)
-    assert sub.expanded.n == g.n + k * g.m
-    assert sub.expanded.m == (k + 1) * g.m
-    d0 = ref_apsp(g)
-    d1 = ref_apsp(sub.expanded)
-    for u in range(g.n):
-        for v in range(g.n):
-            want = INF if d0[u][v] == INF else (k + 1) * d0[u][v]
-            assert d1[u][v] == want
+    expanded, mid = subdivide(g)
+    assert expanded.n == g.n + g.m and expanded.m == 2 * g.m
+    for (u, v), c in mid.items():
+        assert u < v and expanded.adj[c] == {u: 1, v: 1}
+    assert_doubled(g, expanded)
