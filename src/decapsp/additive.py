@@ -65,6 +65,8 @@ def sample_partition(n, m, k, c, seed):
 
 class AdditiveAPSP:
     def __init__(self, graph, k, d, c=2, seed=0):
+        if graph.n < 2:
+            raise DomainError("need at least two nodes")
         if k < 2 or k > max(2, int(math.log2(graph.n))):
             raise DomainError(f"k={k} outside [2, log2(n)]")
         if d < 1:
@@ -252,12 +254,12 @@ class AdditiveAPSP:
     # -- queries -------------------------------------------------------------
 
     def query(self, u, v):
-        if u == v:
-            return 0
         rank = self.rank
         n = len(rank)
         if not (0 <= u < n and 0 <= v < n):
             raise DomainError(f"query ({u}, {v}) outside the nodes [0, {n})")
+        if u == v:
+            return 0
         root, other = (u, v) if rank[u] < rank[v] else (v, u)
         return self.tree[root].level_of[other]
 

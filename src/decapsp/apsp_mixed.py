@@ -6,8 +6,9 @@ bounded-depth trees, so any pair can route through its nearest heavy node
 at exact tree distances.  Light intermediates are covered pairwise: for
 every unordered pair {u, v} an overlap heap stores each light w lying in
 both bunches, keyed rounded_bunch(u, w) + rounded_bunch(v, w): the sum of
-the two ladder values engine.bunch holds.  A pair's heap exists only while
-it holds an entry (heaps.heap_insert/heap_delete).  The heaps holding w are
+the two ladder values engine.bunch holds.  Every entry is written by
+heaps.heap_set at its final key, inf once w has left either bunch, and a
+pair's heap exists only while it holds an entry.  The heaps holding w are
 exactly the pairs of its cluster, so bunches and clusters are read from the
 BunchEngine, which owns them, and no copy or reverse index is kept.
 
@@ -31,7 +32,7 @@ from itertools import combinations
 from .bunches import INCREASE, JOIN, LEAVE, BunchEngine
 from .estree import TreeFamily
 from .graph import DELETE, INCREASE as W_INCREASE, DomainError, UpdateEvent, apply_update
-from .heaps import heap_delete, heap_insert
+from .heaps import heap_set
 
 INF = math.inf
 
@@ -60,7 +61,7 @@ class MixedAPSP:
             if w in self.heavy_trees:
                 continue
             for u, v in combinations(cluster[w], 2):
-                heap_insert(self.overlap_heap, _pair(u, v), w, bunch[u][w] + bunch[v][w])
+                heap_set(self.overlap_heap, _pair(u, v), w, bunch[u][w] + bunch[v][w])
 
         self.updates_applied = 0
 
@@ -83,7 +84,7 @@ class MixedAPSP:
             if len(final) >= self.tau:
                 self.heavy_trees.add_root(w)
                 for u, v in combinations(old, 2):
-                    heap_delete(heaps, _pair(u, v), w)
+                    heap_set(heaps, _pair(u, v), w, INF)
                 continue
             # an INCREASE on (v, w) re-keys {u, v} for each other owner u kept
             # through the update, even where u's own INCREASE re-keys it too
@@ -94,14 +95,11 @@ class MixedAPSP:
                 for u in owners:
                     if u == v or (u in cases and u > v):
                         continue  # {u, v} is done once, from its larger changed owner
-                    if u in final and v in final:
-                        key = bunch[u][w] + bunch[v][w]
-                        if u in old and v in old:
-                            heaps[_pair(u, v)].update(w, key)
-                        else:
-                            heap_insert(heaps, _pair(u, v), w, key)
-                    elif u in old and v in old:
-                        heap_delete(heaps, _pair(u, v), w)
+                    # {u, v} holds w before the update iff both owners are
+                    # old, and after it iff the final key is finite
+                    key = bunch[u].get(w, INF) + bunch[v].get(w, INF)
+                    if key < INF or (u in old and v in old):
+                        heap_set(heaps, _pair(u, v), w, key)
 
     # -- updates ---------------------------------------------------------------
 
@@ -121,11 +119,11 @@ class MixedAPSP:
     # -- queries ---------------------------------------------------------------
 
     def query(self, u, v):
-        if u == v:
-            return 0
         n = self.g.n
         if not (0 <= u < n and 0 <= v < n):
             raise DomainError(f"query ({u}, {v}) outside the nodes [0, {n})")
+        if u == v:
+            return 0
         best = INF
         for trees in (self.engine.trees, self.heavy_trees):
             nearest, nearest_level = trees.nearest, trees.nearest_level

@@ -21,29 +21,31 @@ plain sum and a change is detected by comparing floats.  w_round is a list
 of n dicts holding edge {x, y} as w_round[x][y] and w_round[y][x]; row x
 keeps graph.adj[x]'s key order (a deletion drops the edge from both, an
 increase re-keys it in place), so walking row x visits x's neighbours as
-the graph does.  Neither heap layer holds an empty heap
-(heaps.heap_insert/heap_delete): a pair without entries is absent from its
-node's dict.
+the graph does.  Every entry of both heap layers is written by
+heaps.heap_set at its new key, inf meaning absent: a deleted edge, a member
+that left a bunch (its event value is inf) and an emptied neighborhood heap
+(its minimum reads inf) all give inf, so each step is one loop whatever
+the case.  Neither layer holds an empty heap: a pair without entries is
+absent from its node's dict.
 
 An update is absorbed in four steps, each reaching its entries through the
 graph's adjacency, engine.cluster and the keys of nbr_min:
 
-  1. the changed edge {x, y} is re-keyed or dropped in the neighborhood
-     heaps (x, v) for every owner v of y, and symmetrically.  This runs
-     before engine.refresh: only then does engine.cluster[y] still list the
-     owners those heaps hold, and a deleted edge is already gone from the
-     adjacency, so no later step could find it;
+  1. the changed edge {x, y} is written at its new rounded weight in the
+     neighborhood heaps (x, v) for every owner v of y, and symmetrically.
+     This runs before engine.refresh: only then does engine.cluster[y]
+     still list the owners those heaps hold, and a deleted edge is already
+     gone from the adjacency, so no later step could find it;
   2. engine.refresh brings bunches and clusters to their final state and
      returns the events, at most one per (owner v, member w);
-  3. each event, in one pass, re-keys, inserts or drops w in the
-     neighborhood heaps (x, v) for x adjacent to w, keyed by the event's
-     rounded estimate, and brings w's entries in the adjacency heaps (v, t),
-     for t in nbr_min[w], to that estimate against the minima as they
-     stand (step 3 never writes nbr_min, so no event sees another's);
+  3. each event, in one pass, writes w in the neighborhood heaps (x, v)
+     for x adjacent to w at the event's rounded estimate, and w's entries
+     in the adjacency heaps (v, t), for t in nbr_min[w], at that estimate
+     against the minima as they stand (step 3 never writes nbr_min, so no
+     event sees another's);
   4. every neighborhood minimum touched by steps 1 and 3 is re-rounded
-     once (an emptied heap is already gone, so its minimum is dropped); a
-     changed one reaches the adjacency heaps (u, v) for every final owner u
-     in engine.cluster[x].
+     once (inf once its heap is gone); a changed one is written to the
+     adjacency heaps (u, v) for every final owner u in engine.cluster[x].
 
 Geometric rounding keeps the propagated minima from changing more than
 polylogarithmically often per pair.
@@ -53,9 +55,9 @@ from __future__ import annotations
 
 import math
 
-from .bunches import INCREASE, JOIN, BunchEngine
+from .bunches import BunchEngine
 from .graph import DELETE, INCREASE as W_INCREASE, DomainError, UpdateEvent, apply_update
-from .heaps import heap_delete, heap_insert
+from .heaps import heap_set
 
 INF = math.inf
 
@@ -85,14 +87,14 @@ class MultiplicativeAPSP:
         for v in range(n):
             for y, yval in self.engine.bunch[v].items():
                 for x, wval in self.w_round[y].items():
-                    heap_insert(self.nbr_heap[x], v, y, wval + yval)
+                    heap_set(self.nbr_heap[x], v, y, wval + yval)
         for x in range(n):
             for v, heap in self.nbr_heap[x].items():
                 self.nbr_min[x][v] = self.rounder.round(heap.min_key())
         for u in range(n):
             for x, uval in self.engine.bunch[u].items():
                 for v, val in self.nbr_min[x].items():
-                    heap_insert(self.adj_heap[u], v, x, uval + val)
+                    heap_set(self.adj_heap[u], v, x, uval + val)
 
     # -- updates -----------------------------------------------------------
 
@@ -111,92 +113,70 @@ class MultiplicativeAPSP:
         self._flush_minima(touched)
 
     def _edge_stage(self, rec):
-        """Re-key or drop the changed edge's neighborhood entries; runs before
-        the refresh, while engine.cluster still holds the owners they list."""
+        """Write the changed edge's neighborhood entries at its new rounded
+        weight (inf: dropped); runs before the refresh, while
+        engine.cluster still holds the owners they list."""
         a, b = rec.u, rec.v
-        w_round = self.w_round
-        touched = set()
-        cluster = self.engine.cluster
+        row_a, row_b = self.w_round[a], self.w_round[b]
         if rec.new_weight == INF:
-            del w_round[a][b], w_round[b][a]
-            for x, y in ((a, b), (b, a)):
-                for v in cluster[y]:
-                    heap_delete(self.nbr_heap[x], v, y)
-                    touched.add((x, v))
-            return touched
-        new_val = self.rounder.round(rec.new_weight)
-        if new_val == w_round[a][b]:
-            return touched
-        w_round[a][b] = w_round[b][a] = new_val
-        bunch = self.engine.bunch
+            new_val = INF
+            del row_a[b], row_b[a]
+        else:
+            new_val = self.rounder.round(rec.new_weight)
+            if new_val == row_a[b]:
+                return set()
+            row_a[b] = row_b[a] = new_val
+        touched = set()
+        bunch, cluster = self.engine.bunch, self.engine.cluster
         for x, y in ((a, b), (b, a)):
             for v in cluster[y]:
-                self.nbr_heap[x][v].update(y, new_val + bunch[v][y])
+                heap_set(self.nbr_heap[x], v, y, new_val + bunch[v][y])
                 touched.add((x, v))
         return touched
 
     def _bunch_change(self, bev, touched):
-        """Bring member w's entries for owner v to the event: the
-        neighborhood entries (x, v) for x adjacent to w, then v's adjacency
-        entries (v, t) through w against the minima as they stand, which
-        only _flush_minima writes."""
-        w, v = bev.member, bev.owner
-        adj_v, mins, row = self.adj_heap[v], self.nbr_min[w], self.w_round[w]
-        if bev.case == JOIN:
-            for x, wval in row.items():
-                heap_insert(self.nbr_heap[x], v, w, wval + bev.value)
-                touched.add((x, v))
-            for t, val in mins.items():
-                heap_insert(adj_v, t, w, bev.value + val)
-        elif bev.case == INCREASE:
-            for x, wval in row.items():
-                self.nbr_heap[x][v].update(w, wval + bev.value)
-                touched.add((x, v))
-            for t, val in mins.items():
-                adj_v[t].update(w, bev.value + val)
-        else:  # LEAVE
-            for x in row:
-                heap_delete(self.nbr_heap[x], v, w)
-                touched.add((x, v))
-            for t in mins:
-                heap_delete(adj_v, t, w)
+        """Write member w's entries for owner v at the event's value (inf for
+        a LEAVE): the neighborhood entries (x, v) for x adjacent to w, then
+        v's adjacency entries (v, t) through w against the minima as they
+        stand, which only _flush_minima writes."""
+        w, v, value = bev.member, bev.owner, bev.value
+        adj_v, nbr_heap = self.adj_heap[v], self.nbr_heap
+        for x, wval in self.w_round[w].items():
+            heap_set(nbr_heap[x], v, w, wval + value)
+            touched.add((x, v))
+        for t, val in self.nbr_min[w].items():
+            heap_set(adj_v, t, w, value + val)
 
     def _flush_minima(self, touched):
-        """Re-round each touched neighborhood minimum once and patch the
-        adjacency entries of x's final owners where it changed."""
+        """Re-round each touched neighborhood minimum once (inf once its
+        heap is gone) and write the adjacency entries of x's final owners
+        where it changed."""
         rounder = self.rounder
         bunch, cluster = self.engine.bunch, self.engine.cluster
         adj_heap = self.adj_heap
         for xv in touched:
             x, v = xv
             heap = self.nbr_heap[x].get(v)
-            new_val = rounder.round(heap.min_key()) if heap is not None else None
+            new_val = rounder.round(heap.min_key()) if heap is not None else INF
             mins = self.nbr_min[x]
-            old_val = mins.get(v)
-            if new_val == old_val:
+            if new_val == mins.get(v, INF):
                 continue
             self.nbr_min_changes[xv] = self.nbr_min_changes.get(xv, 0) + 1
-            if old_val is None:
-                mins[v] = new_val
-                for u in cluster[x]:
-                    heap_insert(adj_heap[u], v, x, bunch[u][x] + new_val)
-            elif new_val is None:
+            if new_val == INF:
                 del mins[v]
-                for u in cluster[x]:
-                    heap_delete(adj_heap[u], v, x)
             else:
                 mins[v] = new_val
-                for u in cluster[x]:
-                    adj_heap[u][v].update(x, bunch[u][x] + new_val)
+            for u in cluster[x]:
+                heap_set(adj_heap[u], v, x, bunch[u][x] + new_val)
 
     # -- queries -----------------------------------------------------------
 
     def query(self, u, v):
-        if u == v:
-            return 0
         n = self.g.n
         if not (0 <= u < n and 0 <= v < n):
             raise DomainError(f"query ({u}, {v}) outside the nodes [0, {n})")
+        if u == v:
+            return 0
         trees = self.engine.trees
         nearest, nearest_level = trees.nearest, trees.nearest_level
         best = INF

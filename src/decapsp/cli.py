@@ -262,16 +262,14 @@ def cmd_bench(cfg, sizes, density, max_weight, out):
 
 def _add_algorithm_flags(sp, algorithm=None):
     """The flags a RunConfig takes from every subcommand that builds a
-    structure; --algorithm is required unless a default is given."""
+    structure; --algorithm is required unless a default is given.  RunConfig
+    owns the other defaults: an absent flag leaves no attribute, so
+    _config_from keeps the field's default."""
     sp.add_argument("--algorithm", required=algorithm is None, default=algorithm,
                     choices=ALGORITHMS)
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--tau", type=float, default=None)
-    sp.add_argument("--eps", type=float, default=0.9)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--c", type=float, default=2.0)
-    sp.add_argument("--seed", type=int, default=0)
+    for flag, kind in (("p", float), ("tau", float), ("eps", float), ("k", int),
+                       ("d", int), ("c", float), ("seed", int)):
+        sp.add_argument(f"--{flag}", type=kind, default=argparse.SUPPRESS)
 
 
 def _add_workload_flags(sp):

@@ -67,8 +67,8 @@ inline and call only the trees it flags; a skipped tree would have returned
 an empty set.  TreeFamily keeps trees of one cap on one adjacency, keyed by
 root, and each node's nearest root (the pivots of BunchEngine and the heavy
 nodes of MixedAPSP are two families); it checks a change once, screens
-every tree, and calls increase_weight or delete_edge only on the flagged
-ones.
+every tree, and calls increase_weight (new weight inf for a deletion) only
+on the flagged ones.
 """
 
 from __future__ import annotations
@@ -160,6 +160,7 @@ class MonotoneESTree:
         _require_written(self.adj, u, v, min(self.adj[u].get(v, INF), w))
 
     def delete_edge(self, u, v, old):
+        """The deletion of {u, v}: increase_weight(u, v, inf, old)."""
         return self.increase_weight(u, v, INF, old)
 
     def increase_weight(self, u, v, w, old):
@@ -366,10 +367,7 @@ class TreeFamily(dict):
             level_of = tree.level_of
             lu, lv = level_of[u], level_of[v]
             if lv + old <= lu < INF or lu + old <= lv < INF:
-                if new == INF:
-                    moved = tree.delete_edge(u, v, old)
-                else:
-                    moved = tree.increase_weight(u, v, new, old)
+                moved = tree.increase_weight(u, v, new, old)
                 if moved:
                     raised |= moved
                     stale += [x for x in moved if nearest[x] == r]

@@ -8,12 +8,18 @@ equal key, pop returns some minimum entry, not a fixed one.
 
 The certificate heaps live in dicts: mixed's overlap heaps in one keyed by
 node pair, mult's nbr and adj heaps in one per first node, keyed by the
-second.  heap_insert and heap_delete own their lifecycle: a key's heap is
-made by its first insert and dropped with its last entry, so no map ever
-holds an empty heap and a missing key means no entry.
+second.  heap_set is the only writer of these maps: it inserts, re-keys or,
+for key inf, deletes one entry, so a caller states what the entry must be
+and never which case it is in.  A key's heap is made by its first entry and
+dropped with its last, so no map ever holds an empty heap and a missing key
+means no entry.
 """
 
 from __future__ import annotations
+
+import math
+
+INF = math.inf
 
 
 class IndexedHeap:
@@ -25,20 +31,10 @@ class IndexedHeap:
 
     __slots__ = ("_keys", "_ids", "_pos")
 
-    def __init__(self, items=None):
-        # items: iterable of (id, key); built in O(len) via sift-down passes
+    def __init__(self):
         self._keys = []
         self._ids = []
         self._pos = {}
-        if items:
-            for ident, key in items:
-                if ident in self._pos:
-                    raise KeyError(f"duplicate heap id {ident!r}")
-                self._pos[ident] = len(self._ids)
-                self._keys.append(key)
-                self._ids.append(ident)
-            for i in range(len(self._ids) // 2 - 1, -1, -1):
-                self._sift_down(i)
 
     def __len__(self):
         return len(self._ids)
@@ -48,11 +44,6 @@ class IndexedHeap:
 
     def __bool__(self):
         return bool(self._ids)
-
-    def key_of(self, ident):
-        """Key of ident.  Unused in the package; kept for the reference
-        ES-tree in tests/helpers.py, which reads its queue through it."""
-        return self._keys[self._pos[ident]]
 
     def min_key(self):
         if not self._ids:
@@ -146,17 +137,22 @@ class IndexedHeap:
         pos[ident] = i
 
 
-def heap_insert(heaps, at, ident, key):
-    """Insert ident into heaps[at], making the heap if the map has none."""
+def heap_set(heaps, at, ident, key):
+    """Make ident's entry in heaps[at] read key: insert it, re-key it, or,
+    for key inf, delete it.  The heap is made by its first entry and dropped
+    with its last.  Deleting an entry the map does not hold raises KeyError
+    before anything changes."""
+    if key == INF:
+        heap = heaps[at]
+        heap.delete(ident)
+        if not heap:
+            del heaps[at]
+        return
     heap = heaps.get(at)
     if heap is None:
         heap = heaps[at] = IndexedHeap()
-    heap.insert(ident, key)
-
-
-def heap_delete(heaps, at, ident):
-    """Delete ident from heaps[at], dropping the heap once it is empty."""
-    heap = heaps[at]
-    heap.delete(ident)
-    if not heap:
-        del heaps[at]
+        heap.insert(ident, key)
+    elif ident in heap:
+        heap.update(ident, key)
+    else:
+        heap.insert(ident, key)

@@ -111,10 +111,10 @@ class ReferenceESTree(MonotoneESTree):
 
     def __init__(self, adj, root, cap):
         super().__init__(adj, root, cap)
-        self._nbr = {
-            u: IndexedHeap((v, self.level_of[v] + w) for v, w in nbrs.items())
-            for u, nbrs in adj.items()
-        }
+        self._nbr = {u: IndexedHeap() for u in adj}
+        for u, nbrs in adj.items():
+            for v, w in nbrs.items():
+                self._nbr[u].insert(v, self.level_of[v] + w)
         self._queue = IndexedHeap()
 
     def insert_edge(self, u, v, w):
@@ -133,7 +133,7 @@ class ReferenceESTree(MonotoneESTree):
         _require_written(self.adj, u, v, min(cur, w))
         lv = self.level_of
         nu, nv = self._nbr[u], self._nbr[v]
-        if lv[v] + cur < nu.key_of(v) or lv[u] + cur < nv.key_of(u):
+        if lv[v] + cur < heap_entries(nu)[v] or lv[u] + cur < heap_entries(nv)[u]:
             nu.update(v, lv[v] + cur)
             nv.update(u, lv[u] + cur)
 

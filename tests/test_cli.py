@@ -92,7 +92,9 @@ PATH_GRAPH = "4 3\n0 1 1\n1 2 1\n2 3 1\n"
     (PATH_GRAPH, "i 0 1 1\n", [],
      "weight of {0, 1} must strictly increase: 1 -> 1"),
     (None, "d 0 1\n", [], "[Errno 2] No such file or directory: 'GRAPH'"),
-], ids=["zero-eps", "bad-graph-line", "missing-edge", "weight-not-rising", "missing-file"])
+    (PATH_GRAPH, "q 9 9\n", [], "query (9, 9) outside the nodes [0, 4)"),
+], ids=["zero-eps", "bad-graph-line", "missing-edge", "weight-not-rising", "missing-file",
+        "query-node-out-of-range"])
 def test_run_refuses_bad_input_with_one_error_line(tmp_path, capsys, graph, updates, flags,
                                                    message):
     gp, up = tmp_path / "w.graph", tmp_path / "w.updates"
@@ -102,6 +104,15 @@ def test_run_refuses_bad_input_with_one_error_line(tmp_path, capsys, graph, upda
     rc = cli.main(["run", "--graph", str(gp), "--updates", str(up), "--algorithm", "mult",
                    *flags])
     assert_one_error_line(capsys, rc, message.replace("GRAPH", str(gp)))
+
+
+def test_run_refuses_additive_on_an_empty_graph(tmp_path, capsys):
+    gp, up = tmp_path / "w.graph", tmp_path / "w.updates"
+    gp.write_text("0 0\n")
+    up.write_text("")
+    rc = cli.main(["run", "--graph", str(gp), "--updates", str(up), "--algorithm", "additive",
+                   "--k", "2", "--d", "3"])
+    assert_one_error_line(capsys, rc, "need at least two nodes")
 
 
 def run_report(tmp_path, gp, up, name, argv):
@@ -361,13 +372,14 @@ def test_installed_console_script(tmp_path):
 @pytest.mark.parametrize("tag", cli.ALGORITHMS)
 def test_out_of_range_queries_raise_domain_error(tag):
     """Every structure refuses a node outside [0, n) with DomainError, a
-    negative one included, instead of reading another node's entry."""
+    negative one and a pair of equal ones included, instead of reading
+    another node's entry or answering 0."""
     n = 24
     graph, _ = gnp_workload(n, 0.3, 1 if tag in ("additive", "unweighted-mult") else 10,
                             random.Random(5))
     cfg = cli.RunConfig(tag, "", "", tau=6, k=3, d=4, c=0.3, seed=1)
     algo = cli.make_algorithm(cfg, graph)
-    for u, v in ((-1, 3), (3, -1), (-n, 3), (n, 3)):
+    for u, v in ((-1, 3), (3, -1), (-n, 3), (n, 3), (-1, -1), (n, n), (99, 99)):
         with pytest.raises(DomainError):
             algo.query(u, v)
     assert algo.query(3, 3) == 0

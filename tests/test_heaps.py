@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,6 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decapsp import IndexedHeap
+from decapsp.heaps import heap_set
+from helpers import heap_entries
+
+INF = math.inf
+
+
+def heap_of(items):
+    h = IndexedHeap()
+    for ident, key in items:
+        h.insert(ident, key)
+    return h
 
 
 def test_pop_drains_in_key_order():
@@ -19,23 +31,23 @@ def test_pop_drains_in_key_order():
 
 
 def test_update_both_directions():
-    h = IndexedHeap([(0, 10), (1, 20), (2, 30)])
+    h = heap_of([(0, 10), (1, 20), (2, 30)])
     h.update(2, 5)
     assert h.min_key() == 5
     h.update(2, 50)
     assert h.min_key() == 10
-    assert h.key_of(2) == 50
+    assert heap_entries(h) == {0: 10, 1: 20, 2: 50}
     assert [h.pop() for _ in range(3)] == [(0, 10), (1, 20), (2, 50)]
 
 
 def test_insert_duplicate_raises():
-    h = IndexedHeap([(0, 1)])
+    h = heap_of([(0, 1)])
     with pytest.raises(KeyError):
         h.insert(0, 2)
 
 
 def test_delete():
-    h = IndexedHeap([(i, i) for i in range(5)])
+    h = heap_of([(i, i) for i in range(5)])
     h.delete(0)
     with pytest.raises(KeyError):
         h.delete(99)
@@ -43,17 +55,30 @@ def test_delete():
     assert [h.pop() for _ in range(4)] == [(i, i) for i in range(1, 5)]
 
 
-def test_build_matches_incremental():
-    items = [(i, (i * 7919) % 31) for i in range(40)]
-    built = IndexedHeap(items)
-    inc = IndexedHeap()
-    for ident, key in items:
-        inc.insert(ident, key)
-    drained_a = [built.pop() for _ in range(len(items))]
-    drained_b = [inc.pop() for _ in range(len(items))]
-    keys = sorted(key for _, key in items)
-    assert [key for _, key in drained_a] == [key for _, key in drained_b] == keys
-    assert sorted(drained_a) == sorted(drained_b) == items
+def snapshot(heaps):
+    return {at: heap_entries(h) for at, h in heaps.items()}
+
+
+def test_heap_set_lifecycle():
+    """The first entry makes a key's heap, a finite key re-keys either way,
+    inf deletes and drops the emptied heap; inf for an absent entry or map
+    key raises KeyError and leaves the map as it was."""
+    heaps = {}
+    heap_set(heaps, "a", 1, 5)
+    assert snapshot(heaps) == {"a": {1: 5}}
+    heap_set(heaps, "a", 2, 7)
+    heap_set(heaps, "a", 1, 9)  # up
+    assert heaps["a"].min_key() == 7
+    heap_set(heaps, "a", 1, 3)  # down
+    assert heaps["a"].min_key() == 3 and snapshot(heaps) == {"a": {1: 3, 2: 7}}
+    heap_set(heaps, "a", 1, INF)
+    assert snapshot(heaps) == {"a": {2: 7}}
+    for at, ident in (("a", 1), ("b", 2)):
+        with pytest.raises(KeyError):
+            heap_set(heaps, at, ident, INF)
+        assert snapshot(heaps) == {"a": {2: 7}}
+    heap_set(heaps, "a", 2, INF)
+    assert heaps == {}
 
 
 @settings(max_examples=60, deadline=None)
@@ -85,8 +110,8 @@ def test_against_reference_model(ops, seed):
             ident2, key2 = h.pop()
             assert model[ident2] == key2 == min(model.values())
             h.insert(ident2, key2)
-        elif op == 5 and ident in model:
-            assert h.key_of(ident) == model[ident]
+        elif op == 5:
+            assert heap_entries(h) == model
     assert len(h) == len(model)
     drained = []
     while h:
