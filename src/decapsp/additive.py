@@ -202,10 +202,10 @@ class AdditiveAPSP:
 
     def _advance_level(self, i, pend, edge):
         """Bring level i's trees through one deletion, its view written: each
-        root whose offers were exported absorbs them and edge = (a, b, 1),
-        the pair taken out of the view (None if the view lacked it), in one
-        repair; any other root calls delete_edge where the edge supported
-        an endpoint."""
+        root whose offers were exported absorbs them and edge = (a, b, inf,
+        1), the pair taken out of the view (None if the view lacked it), in
+        one repair; any other root calls delete_edge where the edge
+        supported an endpoint."""
         tree = self.tree
         for r in self.roots[i]:
             t = tree[r]
@@ -217,7 +217,7 @@ class AdditiveAPSP:
             elif edge is None:
                 continue
             else:
-                a, b, _ = edge
+                a, b, _, _ = edge
                 la, lb = t.level_of[a], t.level_of[b]
                 if not (lb + 1 <= la < INF or la + 1 <= lb < INF):
                     continue  # phase 0: the pair supported neither endpoint
@@ -239,13 +239,13 @@ class AdditiveAPSP:
         # The graph is level 1's view; each higher view loses the dying
         # pair where it holds it.
         pend = {}
-        self._advance_level(1, pend, (a, b, 1))
+        self._advance_level(1, pend, (a, b, INF, 1))
         for i in range(2, self.k + 1):
             view = self.view[i]
             edge = None
             if b in view[a]:
                 del view[a][b], view[b][a]
-                edge = (a, b, 1)
+                edge = (a, b, INF, 1)
             self._advance_level(i, pend, edge)
 
     def increase(self, u, v, delta):

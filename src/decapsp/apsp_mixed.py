@@ -20,8 +20,10 @@ least tau owners is promoted: its tree is built on the current graph and
 joins the heavy TreeFamily, where it competes for every node's nearest
 heavy root, and its entry leaves the heap of every pair of its old owners.
 Otherwise each pair with a changed owner is brought to its final state
-once.  Queries take the best of pivot routes, routes through the nearest
-heavy node of either endpoint, and the pair's overlap minimum.
+once.  The build goes through the same _absorb, as an update in which
+every owner joins: it starts from no heavy tree and no overlap entry.
+Queries take the best of pivot routes, routes through the nearest heavy
+node of either endpoint, and the pair's overlap minimum.
 """
 
 from __future__ import annotations
@@ -48,34 +50,23 @@ class MixedAPSP:
         self.g = graph
         self.tau = tau
         self.engine = BunchEngine(graph, p, eps, seed)
-        bunch, cluster = self.engine.bunch, self.engine.cluster
-
-        self.heavy_trees = TreeFamily(
-            graph.adj, self.engine.depth_cap,
-            [w for w in range(graph.n) if len(cluster[w]) >= tau])
-
+        self.heavy_trees = TreeFamily(graph.adj, self.engine.depth_cap)
         self.overlap_heap = {}  # unordered (u, v) -> IndexedHeap of light w
         self.overlap_touches = 0  # overlap entries re-keyed by INCREASE events
-
-        for w in range(graph.n):
-            if w in self.heavy_trees:
-                continue
-            for u, v in combinations(cluster[w], 2):
-                heap_set(self.overlap_heap, _pair(u, v), w, bunch[u][w] + bunch[v][w])
-
         self.updates_applied = 0
+        # the build is an update in which w joins the bunch of every owner
+        cluster = self.engine.cluster
+        self._absorb((w, dict.fromkeys(cluster[w], JOIN)) for w in range(graph.n))
 
     # -- overlap layer -------------------------------------------------------
 
-    def _absorb(self, events):
-        """Bring the overlap entries of each member named by the events to the
-        engine's final bunches and clusters, promoting it if it reached tau."""
-        changed = {}  # member -> {owner: case}
-        for bev in events:
-            changed.setdefault(bev.member, {})[bev.owner] = bev.case
+    def _absorb(self, changed):
+        """Bring the overlap entries of each member w of the (w, {owner:
+        case}) pairs in changed to the engine's final bunches and clusters,
+        promoting w if it reached tau."""
         bunch, cluster = self.engine.bunch, self.engine.cluster
         heaps = self.overlap_heap
-        for w, cases in changed.items():
+        for w, cases in changed:
             if w in self.heavy_trees:
                 continue
             final = cluster[w]
@@ -112,9 +103,11 @@ class MixedAPSP:
     def _apply(self, ev):
         rec = apply_update(self.g, ev)
         self.updates_applied += 1
-        events = self.engine.refresh(rec)
+        changed = {}  # member -> {owner: case}
+        for bev in self.engine.refresh(rec):
+            changed.setdefault(bev.member, {})[bev.owner] = bev.case
         self.heavy_trees.apply(rec)
-        self._absorb(events)
+        self._absorb(changed.items())
 
     # -- queries ---------------------------------------------------------------
 

@@ -78,15 +78,13 @@ class BunchEngine:
         if not (eps > 0):
             raise DomainError(f"eps must be positive, got {eps!r}")
         self.g = graph
-        self.e3 = eps / 3.0
         self.rounder = GeometricRounder(eps / 3.0)
         n = graph.n
-        self.A = sample_pivots(n, p, seed)
         self.depth_cap = max(1, math.ceil((2 + eps) * max(n - 1, 1) * graph.W))
-        self.trees = TreeFamily(graph.adj, self.depth_cap, self.A)
+        self.trees = TreeFamily(graph.adj, self.depth_cap, sample_pivots(n, p, seed))
 
         self._size_cap = None
-        if not self.A:
+        if not self.trees:
             if p > 0:
                 self._size_cap = max(1, math.ceil(4 * math.log(max(n, 2)) / p))
             logger.warning(
@@ -119,7 +117,7 @@ class BunchEngine:
     def rebuild_bound(self):
         """Per-node rebuild budget for a run on this instance."""
         span = max(self.g.n * self.g.W, 2)
-        return math.ceil(math.log(span, 1 + self.e3)) + 1
+        return math.ceil(math.log(span, 1 + self.rounder.eps)) + 1
 
     # -- internals ---------------------------------------------------------
 
@@ -180,7 +178,7 @@ class BunchEngine:
 
     def refresh(self, change):
         """Absorb one already-applied graph change; returns ordered events."""
-        est, radius, grow = self.trees.nearest_level, self.radius, 1 + self.e3
+        est, radius, grow = self.trees.nearest_level, self.radius, 1 + self.rounder.eps
         # Only a raised node can outgrow its radius: its estimate never drops
         # and stays within (1 + eps/3) * radius between rebuilds.
         outgrown = {x for x in self.trees.apply(change) if est[x] > grow * radius[x]}

@@ -12,21 +12,24 @@ MonotoneESTree keeps a level l(v) per node with the contract:
 
 Ownership: the tree reads the adjacency it is built on (node -> {neighbor:
 weight}) by reference and never copies or writes it, so any number of trees
-can share one graph.  The owner writes each change first, then calls the
-tree method of the same kind, passing the weight the edge had before a rise;
-a call the adjacency does not show yet raises UnwrittenChange, and an old
-weight that is not finite or not below the new one raises
-MonotonicityViolation.  The tree keeps no edge set, so the owner refuses a
-missing or duplicate edge.
+can share one graph.  The owner writes each change first, then passes it
+to the tree with the weight the edge had before a rise; a change the
+adjacency does not show yet raises UnwrittenChange, and an old weight that
+is not finite or not below the new one raises MonotonicityViolation.  The
+tree keeps no edge set, so the owner refuses a missing or duplicate edge.
 
 Offers: a tree may also own offers (node -> weight), edges of its own from
 the root that no other tree sees, so trees whose root edges differ can still
 share one adjacency.  An offer w at x is the constraint l(x) <= w: like an
 edge from the root it supports x whenever w <= l(x), and it is only ever
 raised or dropped.  A tree without offers holds the shared read-only
-NO_OFFERS.  absorb is the one entry for offers: it raises any number of
-them, together with at most one deletion the owner has written, in a
-single repair.
+NO_OFFERS.
+
+absorb is the one entry that checks, seeds and repairs: it raises any
+number of offers, together with at most one edge rise (u, v, w, old) the
+owner has written, w = inf for a deletion, in a single repair.
+increase_weight(u, v, w, old) is absorb(NO_OFFERS, (u, v, w, old)), and
+delete_edge(u, v, old) is increase_weight(u, v, inf, old).
 
 Repair.  With f sending values above the cap to infinity, a weight rise
 moves the levels to the least vector l >= l_old with l(v) >= f(min over
@@ -40,9 +43,9 @@ included.  Bounded-region repair (Ramalingam & Reps, 1996) finds it:
      A node the edge did not support keeps its own support; should that
      support join the region, phase 1 rechecks its neighbors then.  With no
      such endpoint nothing rises and the call returns at once.  A raised
-     offer seeds its node x the same way when old <= l(x) < inf; absorb
-     seeds the region with every flagged node of its batch at once, so
-     each tree runs at most one repair per batch.
+     offer seeds its node x the same way when old <= l(x) < inf, and
+     every flagged node of a batch seeds the region at once, so each tree
+     runs at most one repair per batch.
   1. Collect the nodes left without support, a support of x being a
      neighbor y outside the set with l(y) + w <= l(x), or an offer at x no
      larger than l(x) (the root never joins the set): check the endpoints
@@ -66,9 +69,10 @@ Screening.  Phase 0 reads two levels, so an owner of many trees can run it
 inline and call only the trees it flags; a skipped tree would have returned
 an empty set.  TreeFamily keeps trees of one cap on one adjacency, keyed by
 root, and each node's nearest root (the pivots of BunchEngine and the heavy
-nodes of MixedAPSP are two families); it checks a change once, screens
-every tree, and calls increase_weight (new weight inf for a deletion) only
-on the flagged ones.
+nodes of MixedAPSP are two families).  Every tree joins through add_root,
+at the build as mid-stream; apply checks a change once, screens every
+tree, and calls increase_weight (new weight inf for a deletion) only on
+the flagged ones.
 """
 
 from __future__ import annotations
@@ -164,64 +168,48 @@ class MonotoneESTree:
         return self.increase_weight(u, v, INF, old)
 
     def increase_weight(self, u, v, w, old):
-        """Absorb the rise of {u, v} from weight old to w (inf: the edge is
-        gone).  Returns the set of nodes whose level increased as a
-        consequence."""
-        adj = self.adj
-        if adj[u].get(v, INF) != w or adj[v].get(u, INF) != w:
-            _require_written(adj, u, v, w)
-        if not -INF < old < w:
-            _require_rise(u, v, old, w)
-        level_of = self.level_of
-        lu, lv = level_of[u], level_of[v]
-        seeds = []
-        if lv + old <= lu < INF:
-            seeds.append(u)
-        if lu + old <= lv < INF:
-            seeds.append(v)
-        if not seeds:
-            return set()
-        return self._repair(seeds)
+        """The rise of {u, v} from weight old to w (inf: the edge is gone):
+        absorb(NO_OFFERS, (u, v, w, old))."""
+        return self.absorb(NO_OFFERS, (u, v, w, old))
 
-    def absorb(self, rises, dying=None):
+    def absorb(self, rises, change=None):
         """Raise the offers in rises (node -> new weight, inf drops the
-        offer) and, given dying = (u, v, old), absorb the deletion of edge
-        {u, v} of weight old, which the owner has taken out of the
-        adjacency: all in one repair.  Returns the set of nodes whose level
-        increased.  An offer that does not rise (a node holding none
-        included), an edge the adjacency still shows or an old weight that
-        is not finite raises before anything changes."""
-        offers = self.offers
-        for x, w in rises.items():
-            old = offers.get(x, INF)
-            if not old < w:
-                raise MonotonicityViolation(
-                    f"offer at {x!r} must rise from a finite weight: {old!r} -> {w!r}")
-        if dying is not None:
-            u, v, old = dying
-            _require_written(self.adj, u, v, INF)
-            if not -INF < old < INF:
-                raise MonotonicityViolation(
-                    f"deleted edge {{{u}, {v}}} must have had a finite weight: {old!r}")
+        offer) and, given change = (u, v, w, old), absorb the rise of edge
+        {u, v} from weight old to w (inf: the edge is gone), which the
+        owner has written: all in one repair.  Returns the set of nodes
+        whose level increased.  An offer that does not rise (a node holding
+        none included), a change the adjacency does not show or a weight
+        that does not rise from a finite one raises before anything
+        changes."""
         level_of = self.level_of
         seeds = []
-        for x, w in rises.items():
-            if offers[x] <= level_of[x] < INF:
-                seeds.append(x)
-            if w == INF:
-                del offers[x]
-            else:
-                offers[x] = w
-        if dying is not None:
+        if change is not None:
+            u, v, new, old = change
+            adj = self.adj
+            if adj[u].get(v, INF) != new or adj[v].get(u, INF) != new:
+                _require_written(adj, u, v, new)
+            if not -INF < old < new:
+                _require_rise(u, v, old, new)
             lu, lv = level_of[u], level_of[v]
             if lv + old <= lu < INF:
                 seeds.append(u)
             if lu + old <= lv < INF:
                 seeds.append(v)
-        return self._repair(seeds) if seeds else set()
-
-    def _repair(self, seeds):
-        region = self._unsupported(seeds)
+        if rises:
+            offers = self.offers
+            for x, w in rises.items():
+                held = offers.get(x, INF)
+                if not held < w:
+                    raise MonotonicityViolation(
+                        f"offer at {x!r} must rise from a finite weight: {held!r} -> {w!r}")
+            for x, w in rises.items():
+                if offers[x] <= level_of[x] < INF:
+                    seeds.append(x)
+                if w == INF:
+                    del offers[x]
+                else:
+                    offers[x] = w
+        region = self._unsupported(seeds) if seeds else None
         if not region:
             return set()
         raised = self._reroute(region)
@@ -317,13 +305,13 @@ class TreeFamily(dict):
     __slots__ = ("adj", "cap", "nearest", "nearest_level")
 
     def __init__(self, adj, cap, roots=()):
-        super().__init__((r, MonotoneESTree(adj, r, cap)) for r in roots)
         self.adj = adj
         self.cap = cap
         n = len(adj)
         self.nearest = [None] * n
         self.nearest_level = [INF] * n
-        self._read_min(range(n))
+        for r in roots:
+            self.add_root(r)
 
     def _read_min(self, nodes):
         """Re-read the nearest root of each node in nodes over every tree."""

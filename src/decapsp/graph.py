@@ -211,7 +211,7 @@ def load_graph(text):
             raise ParseError(lineno, str(exc)) from None
         count += 1
     if count != m:
-        raise ParseError(lineno if count else 1, f"header promised {m} edges, found {count}")
+        raise ParseError(lineno, f"header promised {m} edges, found {count}")
     return g
 
 

@@ -270,8 +270,8 @@ def test_deletion_absorbs_offers_and_the_dying_edge_in_one_repair(monkeypatch):
     # root 6's tree: l(2) + 1 <= l(1), so the dying edge supported node 1
     assert algo.tree[6].level_of[2] + 1 <= algo.tree[6].level_of[1] < INF
     algo.delete(1, 2)
-    assert calls == [("absorb", 0, {2: 3}, (1, 2, 1), False, True),
-                     ("absorb", 1, {2: 4, 3: 3, 7: 5}, (1, 2, 1), False, True),
+    assert calls == [("absorb", 0, {2: 3}, (1, 2, INF, 1), False, True),
+                     ("absorb", 1, {2: 4, 3: 3, 7: 5}, (1, 2, INF, 1), False, True),
                      ("delete_edge", 6, 1, 2, 1, False, True)]
     assert algo.escape[1] == 0 and algo.exports_applied == 4
     assert dict(algo.tree[1].offers) == {2: 4, 3: 3, 4: 2, 5: 3, 7: 5}

@@ -30,7 +30,7 @@ def test_sample_pivots_deterministic_and_extreme_p():
 def test_all_pivots_means_empty_bunches():
     g = rand_connected(random.Random(0), 10, 0.3, 3)
     eng = BunchEngine(g, p=1.0, eps=0.9, seed=1)
-    assert eng.A == list(range(10))
+    assert list(eng.trees) == list(range(10))
     assert all(eng.trees.nearest_level[v] == 0 and eng.trees.nearest[v] == v for v in range(10))
     assert all(not eng.bunch[v] for v in range(10))
 
@@ -50,8 +50,8 @@ def test_empty_pivot_set_degenerates_with_warning(caplog):
 def test_empty_pivot_set_respects_size_cap(caplog):
     g = rand_connected(random.Random(2), 30, 0.6, 1)
     with caplog.at_level(logging.WARNING, logger="decapsp.bunches"):
-        eng = BunchEngine(g, p=0.001, eps=0.9, seed=7)  # seed gives empty A
-    assert eng.A == []
+        eng = BunchEngine(g, p=0.001, eps=0.9, seed=7)  # seed samples no pivot
+    assert not eng.trees
     cap = math.ceil(4 * math.log(30) / 0.001)
     assert all(len(b) <= min(30, cap) for b in eng.bunch)
 
@@ -59,16 +59,16 @@ def test_empty_pivot_set_respects_size_cap(caplog):
 def _check_against_truth(eng, g, prev_est):
     n = g.n
     dist = ref_apsp(g)
-    e3 = eng.e3
+    e3 = eng.rounder.eps
     for v in range(n):
         # pivot estimate: exact nearest-pivot distance, monotone, right argmin
         est = eng.trees.nearest_level[v]
-        true_est = min((dist[v][s] for s in eng.A), default=INF)
+        true_est = min((dist[v][s] for s in eng.trees), default=INF)
         assert est == true_est
         assert est >= prev_est[v]
         prev_est[v] = est
         if true_est < INF:
-            best = min(eng.A, key=lambda s: (dist[v][s], s))
+            best = min(eng.trees, key=lambda s: (dist[v][s], s))
             assert eng.trees.nearest[v] == best
         else:
             assert eng.trees.nearest[v] is None
@@ -154,7 +154,7 @@ def test_events_replay_to_state_diff():
     assert saw_leave  # a full teardown must evict everybody else
     # isolated non-pivot nodes keep themselves: d(v, v) = 0 < inf estimate
     for v, b in enumerate(mirror):
-        if v in eng.A:
+        if v in eng.trees:
             assert b == {}
         else:
             assert b == {v: 0.0}
@@ -169,7 +169,7 @@ def test_pivot_tree_levels_match_exact_distances():
     for u, v in edges[: len(edges) // 2]:
         rec = apply_update(g, UpdateEvent(DELETE, u, v))
         eng.refresh(rec)
-    for s in eng.A:
+    for s in eng.trees:
         assert eng.trees[s].adj is g.adj
         truth = ref_dijkstra(g.adj, s)
         for v in range(g.n):

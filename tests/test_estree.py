@@ -552,23 +552,24 @@ def test_absorb_refuses_a_bad_batch_before_anything_changes():
     with pytest.raises(MonotonicityViolation):
         t.absorb({2: INF, 3: 5})
     with pytest.raises(UnwrittenChange):
-        t.absorb({2: INF}, (1, 2, 1))
+        t.absorb({2: INF}, (1, 2, INF, 1))
     del g.adj[1][2], g.adj[2][1]
     for old in (INF, -INF, math.nan):
         with pytest.raises(MonotonicityViolation):
-            t.absorb({2: INF}, (1, 2, old))
+            t.absorb({2: INF}, (1, 2, INF, old))
     assert (t.level_of, t.offers, t.level_increases) == before
-    assert t.absorb({2: INF}, (1, 2, 1)) == {2, 3, 4}
+    assert t.absorb({2: INF}, (1, 2, INF, 1)) == {2, 3, 4}
     assert [t.level_of[x] for x in range(5)] == [0, 1, 6, 5, 6] and t.offers == {3: 5}
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**30))
 def test_one_batched_absorb_equals_sequential_changes(seed):
-    """absorb of several offer rises and a deletion ends at the levels and
-    offers that absorbing each offer and then the deletion one by one, on a
-    twin tree and adjacency, reaches; it raises the union of their raised
-    sets and counts no more level increases."""
+    """absorb of several offer rises and an edge change (a deletion or a
+    finite weight rise) ends at the levels and offers that absorbing each
+    offer and then the edge change one by one, on a twin tree and
+    adjacency, reaches; it raises the union of their raised sets and counts
+    no more level increases."""
     rng = random.Random(seed)
     n = rng.randint(3, 16)
     g = gnp_graph(n, rng.choice((0.2, 0.5)), rng.choice((1, 4)), rng)
@@ -584,20 +585,27 @@ def test_one_batched_absorb_equals_sequential_changes(seed):
         rises = {x: INF if rng.random() < 0.3 else batched.offers[x] + rng.randint(1, 4)
                  for x in rng.sample(held, rng.randint(0, len(held)))}
         edges = [(u, v) for u, v, _ in g.edges()]
-        dying = None
+        change = None
         if edges and rng.random() < 0.8:
             u, v = rng.choice(edges)
-            rec = apply_update(g, UpdateEvent(DELETE, u, v))
-            dying = (u, v, rec.old_weight)
-        if not rises and dying is None:
+            if rng.random() < 0.5:
+                rec = apply_update(g, UpdateEvent(DELETE, u, v))
+            else:
+                rec = apply_update(g, UpdateEvent(INCREASE, u, v,
+                                                  g.weight(u, v) + rng.randint(1, 4)))
+            change = (u, v, rec.new_weight, rec.old_weight)
+        if not rises and change is None:
             continue
-        got = batched.absorb(rises, dying)
+        got = batched.absorb(rises, change)
         want = set()
         for x, w in rises.items():
             want |= twin.absorb({x: w})
-        if dying is not None:
+        if change is not None and rec.new_weight == INF:
             del twin_adj[u][v], twin_adj[v][u]
-            want |= twin.delete_edge(u, v, dying[2])
+            want |= twin.delete_edge(u, v, rec.old_weight)
+        elif change is not None:
+            twin_adj[u][v] = twin_adj[v][u] = rec.new_weight
+            want |= twin.increase_weight(u, v, rec.new_weight, rec.old_weight)
         assert got == want
         assert batched.level_of == twin.level_of and batched.offers == twin.offers
         assert batched.level_increases <= twin.level_increases
@@ -664,6 +672,9 @@ def test_tree_family_keeps_each_nodes_nearest_root(seed):
     twins = {r: MonotoneESTree(twin, r, cap) for r in roots}
     assert list(fam) == roots and all(t.adj is g.adj for t in fam.values())
     check_nearest(fam)
+    r = roots[0] if roots else 0
+    with pytest.raises(KeyError):
+        TreeFamily(g.adj, cap, [r, r])
     for _ in range(30):
         spare = [r for r in range(n) if r not in fam]
         if spare and rng.random() < 0.2:

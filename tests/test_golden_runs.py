@@ -1,4 +1,5 @@
-"""Golden `decapsp run` reports on fixed `decapsp generate` workloads.
+"""Golden `decapsp run` reports on fixed `decapsp generate` workloads, and
+the determinism digests of the benchmark's instances.
 
 golden_runs.json holds, for each case below, the run report without its
 one timing field, wall_ms.  The churn cases replace the generated deletion
@@ -10,12 +11,16 @@ on purpose updates its entry and says which values moved.
 
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
 from decapsp import cli
 from decapsp.graph import DELETE, INCREASE, QueryCheckpoint, UpdateEvent, dump_updates, load_graph
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402  (perfbench's, only read)
 
 GOLDEN = Path(__file__).with_name("golden_runs.json")
 
@@ -91,3 +96,24 @@ def run_case(name, tmp_path):
 def test_run_reproduces_golden_report(name, tmp_path):
     want = json.loads(GOLDEN.read_text())[name]
     assert run_case(name, tmp_path) == want
+
+
+# workload -> the first 12 hex digits of Replay.digest() for each instance of
+# its panel, replayed at seed 1 as `perfbench/run.py --seed 1` prints them
+DIGESTS = {
+    "mult-drain": ["8eccc4ad359c", "1c6f12fc5b32", "402049fa943b", "4a51751cbb54",
+                   "df7fa113ef8c", "2f51096f1e44", "4511e7c7cd89"],
+    "mixed-churn": ["d5d6cae65390", "748d166ff5bf"],
+    "additive-drain": ["3c548d489ab2", "9137d057a670"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_benchmark_instances_reproduce_recorded_digests(name):
+    """Each benchmark instance's answers and final counters hash to the
+    recorded digest.  Re-record an entry only with a change that alters a
+    counter or an answer on purpose and says so in CHANGES.md."""
+    insts = workloads.build_instances(workloads.WORKLOADS[name], 1)
+    got = [workloads.replay(inst, workloads.make_structure(inst)).digest()[:12]
+           for inst in insts]
+    assert got == DIGESTS[name]

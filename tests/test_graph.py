@@ -89,6 +89,9 @@ def test_parse_errors_carry_line_numbers():
         load_graph("3 5\n0 1 1\n")
     assert exc.value.lineno == 2
     with pytest.raises(ParseError) as exc:
+        load_graph("# c\n# c\n3 2\n")
+    assert exc.value.lineno == 3
+    with pytest.raises(ParseError) as exc:
         parse_updates("d 0 1\nq 1\n")
     assert exc.value.lineno == 2
 

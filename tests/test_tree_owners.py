@@ -162,9 +162,9 @@ def test_every_deletion_calls_exactly_the_level_one_additive_trees_it_flags(monk
     """AdditiveAPSP calls delete_edge on exactly the level-1 trees whose
     phase-0 test flags an endpoint, each once; a twin of each level-1 tree,
     called on every deletion, raises nothing in each tree that was skipped.
-    A tree above level 1 gets at most one absorb call per deletion, which
-    the tracer does not wrap, and only when it has offers to raise or the
-    dying edge is flagged in it."""
+    A tree gets at most one absorb call per deletion, which the tracer
+    does not wrap (delete_edge reaches it too), and only when it has offers
+    to raise or the dying edge is flagged in it."""
     g, order = gnp_workload(24, 0.3, 1, random.Random(3))
     algo = AdditiveAPSP(g, k=3, d=4, c=0.3, seed=4)
     level_one = [algo.tree[r] for r in algo.roots[1]]
@@ -174,10 +174,11 @@ def test_every_deletion_calls_exactly_the_level_one_additive_trees_it_flags(monk
     calls = count_rise_calls(monkeypatch)
     absorbed = []
 
-    def absorb(tree, rises, dying=None, _fn=MonotoneESTree.absorb):
-        edge_flagged = dying is not None and bool(flagged([tree], *dying))
+    def absorb(tree, rises, change=None, _fn=MonotoneESTree.absorb):
+        edge_flagged = change is not None and bool(
+            flagged([tree], change[0], change[1], change[3]))
         absorbed.append((tree, bool(rises) or edge_flagged))
-        return _fn(tree, rises, dying)
+        return _fn(tree, rises, change)
 
     monkeypatch.setattr(MonotoneESTree, "absorb", absorb)
     skipped = 0
@@ -187,9 +188,9 @@ def test_every_deletion_calls_exactly_the_level_one_additive_trees_it_flags(monk
         calls.clear()
         absorbed.clear()
         algo.delete(u, v)
+        assert all(needed for _, needed in absorbed)
+        assert len({id(t) for t, _ in absorbed}) == len(absorbed)
         called = [t for t in calls if any(t is s for s in level_one)]
         assert same_trees(called, want)
         check_twins(twins, twin_adj, level_one, called, u, v, 1, INF)
-        assert all(needed for _, needed in absorbed)
-        assert len({id(t) for t, _ in absorbed}) == len(absorbed)
     assert skipped
