@@ -197,10 +197,14 @@ def cmd_run(cfg):
 
 
 def cmd_verify(cfg, alpha=None, beta=None):
+    # --alpha/--beta probe a custom target instead of the guaranteed one; a
+    # non-finite one would make every bound test false and pass anything
+    probe = {name: x for name, x in (("alpha", alpha), ("beta", beta)) if x is not None}
+    for name, x in probe.items():
+        if not math.isfinite(x):
+            raise ConfigError(f"--{name} must be finite, got {x}")
     graph, updates = _load(cfg)
     algo = make_algorithm(cfg, graph.copy())
-    # --alpha/--beta probe a custom target instead of the guaranteed one
-    probe = {name: x for name, x in (("alpha", alpha), ("beta", beta)) if x is not None}
     bound = replace(bound_for(cfg), **probe)
     report = sweep(algo, graph, updates, bound, dense=cfg.dense)
     _emit(report.to_dict(), cfg.report_path)

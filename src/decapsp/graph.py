@@ -139,6 +139,8 @@ class DynamicGraph:
 
 def apply_update(graph, event):
     """Apply one UpdateEvent, bump the version, return a ChangeRecord."""
+    if event.kind not in (DELETE, INCREASE):
+        raise DomainError(f"unknown update kind {event.kind!r}")
     u, v = event.u, event.v
     if not graph.has_edge(u, v):
         raise EdgeNotFound(f"edge {{{u}, {v}}} not in graph")
@@ -147,7 +149,7 @@ def apply_update(graph, event):
         del graph.adj[u][v]
         del graph.adj[v][u]
         new = INF
-    elif event.kind == INCREASE:
+    else:
         new = event.delta
         if not isinstance(new, int) or new <= old:
             raise MonotonicityViolation(
@@ -155,8 +157,6 @@ def apply_update(graph, event):
             )
         graph.adj[u][v] = new
         graph.adj[v][u] = new
-    else:
-        raise DomainError(f"unknown update kind {event.kind!r}")
     graph.version += 1
     return ChangeRecord(u, v, old, new, graph.version)
 

@@ -15,9 +15,13 @@ INF = math.inf
 
 
 def heap_entries(heap):
-    """id -> key of every entry of an IndexedHeap, read off its arrays: the
-    heap's users only ever ask for the minimum, so it offers no snapshot."""
-    return dict(zip(heap._ids, heap._keys))
+    """id -> key of every entry of an IndexedHeap, copied off its dict (the
+    heap's users only ever ask for the minimum, so it offers no snapshot),
+    after checking that the cached minimum is the least of those keys."""
+    entries = dict(heap._keys)
+    if entries:
+        assert heap.min_key() == min(entries.values())
+    return entries
 
 
 def ref_dijkstra(adj, source):

@@ -212,6 +212,23 @@ def test_verify_flags_probe_violation(tmp_path):
     assert any(c["violations"] for c in rep["checkpoints"])
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--alpha", "nan"], "--alpha must be finite, got nan"),
+    (["--alpha", "0.5", "--beta", "nan"], "--beta must be finite, got nan"),
+    (["--alpha", "inf"], "--alpha must be finite, got inf"),
+    (["--alpha", "0.5", "--beta", "inf"], "--beta must be finite, got inf"),
+], ids=["nan-alpha", "nan-beta", "inf-alpha", "inf-beta"])
+def test_verify_refuses_a_probe_that_is_not_finite(tmp_path, capsys, flags, message):
+    """Every `dhat > alpha * d + beta` test is false for a nan or inf target,
+    so such a probe would pass any answer; with alpha 0.5 this workload
+    has violations."""
+    gp, up = generate(tmp_path, n=6, density=1.0, W=4, seed=1)
+    capsys.readouterr()
+    rc = cli.main(["verify", "--graph", gp, "--updates", up, "--algorithm", "static-2",
+                   *flags])
+    assert_one_error_line(capsys, rc, message)
+
+
 def test_bench_csv_and_counter_assertions(tmp_path):
     out = str(tmp_path / "bench.csv")
     rc = cli.main(["bench", "--sizes", "12,16", "--density", "0.4",

@@ -20,6 +20,7 @@ from decapsp import cli
 from decapsp.graph import DELETE, INCREASE, QueryCheckpoint, UpdateEvent, dump_updates, load_graph
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import tracer  # noqa: E402  (perfbench's, only read)
 import workloads  # noqa: E402  (perfbench's, only read)
 
 GOLDEN = Path(__file__).with_name("golden_runs.json")
@@ -107,13 +108,23 @@ DIGESTS = {
     "additive-drain": ["3c548d489ab2", "9137d057a670"],
 }
 
+# workload -> IndexedHeap insert/update/delete/pop calls over the build and
+# replay of every instance of its panel at seed 1, the heaps.ops that
+# `perfbench/run.py --seed 1 --trace 1` prints
+HEAP_OPS = {"mult-drain": 20881, "mixed-churn": 4863, "additive-drain": 0}
+
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_benchmark_instances_reproduce_recorded_digests(name):
     """Each benchmark instance's answers and final counters hash to the
-    recorded digest.  Re-record an entry only with a change that alters a
-    counter or an answer on purpose and says so in CHANGES.md."""
+    recorded digest, and the panel makes the recorded number of heap
+    operations.  Re-record an entry only with a change that alters a
+    counter, an answer or the heap traffic on purpose and says so in
+    CHANGES.md."""
     insts = workloads.build_instances(workloads.WORKLOADS[name], 1)
-    got = [workloads.replay(inst, workloads.make_structure(inst)).digest()[:12]
-           for inst in insts]
+    heaps = tracer.HeapCounter()
+    with heaps:
+        got = [workloads.replay(inst, workloads.make_structure(inst)).digest()[:12]
+               for inst in insts]
     assert got == DIGESTS[name]
+    assert heaps.ops == HEAP_OPS[name]

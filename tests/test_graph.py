@@ -64,6 +64,16 @@ def test_increase_must_strictly_increase():
     assert g.version == 0
 
 
+@pytest.mark.parametrize("event", [UpdateEvent("bogus", 0, 1), UpdateEvent("bogus", 0, 1, 7)],
+                         ids=["default-delta", "finite-delta"])
+def test_unknown_kind_is_refused_before_any_change(event):
+    g = small_graph()
+    before = {u: dict(nbrs) for u, nbrs in g.adj.items()}
+    with pytest.raises(DomainError):
+        apply_update(g, event)
+    assert g.adj == before and g.version == 0
+
+
 def test_construction_rejects_bad_edges():
     with pytest.raises(DomainError):
         DynamicGraph(3, [(0, 0, 1)])

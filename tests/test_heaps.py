@@ -84,7 +84,8 @@ def test_heap_set_lifecycle():
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 20), st.integers(0, 100)), max_size=120), st.integers(0, 2**30))
 def test_against_reference_model(ops, seed):
-    """Random op soup vs a plain dict model; drain at the end must be sorted."""
+    """Random op soup vs a plain dict model: min_key matches the model after
+    every operation, and the drain at the end is sorted."""
     rng = random.Random(seed)
     h = IndexedHeap()
     model = {}
@@ -112,6 +113,8 @@ def test_against_reference_model(ops, seed):
             h.insert(ident2, key2)
         elif op == 5:
             assert heap_entries(h) == model
+        if model:  # the cached minimum, after every operation
+            assert h.min_key() == min(model.values())
     assert len(h) == len(model)
     drained = []
     while h:
