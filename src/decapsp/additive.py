@@ -104,7 +104,7 @@ class AdditiveAPSP:
 
         # per-level views: level 1 reads the whole graph, each higher level a
         # sparse view at weight 1
-        self.view = {i: {u: {} for u in range(n)} for i in range(2, k + 1)}
+        self.view = {i: [{} for _ in range(n)] for i in range(2, k + 1)}
         self.view[1] = graph.adj
         for u, v, _ in graph.edges():
             for i in range(2, max(self.idx[u], self.idx[v]) + 1):

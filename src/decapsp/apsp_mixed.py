@@ -117,16 +117,21 @@ class MixedAPSP:
             raise DomainError(f"query ({u}, {v}) outside the nodes [0, {n})")
         if u == v:
             return 0
-        best = INF
-        for trees in (self.engine.trees, self.heavy_trees):
-            nearest, nearest_level = trees.nearest, trees.nearest_level
-            for a, b in ((u, v), (v, u)):
-                r = nearest[a]
-                if r is not None:
-                    cand = nearest_level[a] + trees[r].level_of[b]
-                    if cand < best:
-                        best = cand
-        heap = self.overlap_heap.get(_pair(u, v))
+        trees = self.engine.trees
+        level, row = trees.nearest_level, trees.nearest_row
+        best = level[u] + row[u][v]
+        cand = level[v] + row[v][u]
+        if cand < best:
+            best = cand
+        trees = self.heavy_trees
+        level, row = trees.nearest_level, trees.nearest_row
+        cand = level[u] + row[u][v]
+        if cand < best:
+            best = cand
+        cand = level[v] + row[v][u]
+        if cand < best:
+            best = cand
+        heap = self.overlap_heap.get((u, v) if u < v else (v, u))
         if heap is not None:
             cand = heap.min_key()
             if cand < best:

@@ -178,20 +178,21 @@ class MultiplicativeAPSP:
         if u == v:
             return 0
         trees = self.engine.trees
-        nearest, nearest_level = trees.nearest, trees.nearest_level
-        best = INF
-        for a, b in ((u, v), (v, u)):
-            s = nearest[a]
-            if s is not None:
-                cand = nearest_level[a] + trees[s].level_of[b]
-                if cand < best:
-                    best = cand
-        for a, b in ((u, v), (v, u)):
-            heap = self.adj_heap[a].get(b)
-            if heap is not None:
-                cand = heap.min_key()
-                if cand < best:
-                    best = cand
+        level, row = trees.nearest_level, trees.nearest_row
+        best = level[u] + row[u][v]
+        cand = level[v] + row[v][u]
+        if cand < best:
+            best = cand
+        heap = self.adj_heap[u].get(v)
+        if heap is not None:
+            cand = heap.min_key()
+            if cand < best:
+                best = cand
+        heap = self.adj_heap[v].get(u)
+        if heap is not None:
+            cand = heap.min_key()
+            if cand < best:
+                best = cand
         return best
 
     def counters(self):

@@ -10,13 +10,16 @@ MonotoneESTree keeps a level l(v) per node with the contract:
     the current neighbors, so every finite level is witnessed by an incident
     edge even when insertions made the true distance smaller.
 
-Ownership: the tree reads the adjacency it is built on (node -> {neighbor:
-weight}) by reference and never copies or writes it, so any number of trees
-can share one graph.  The owner writes each change first, then passes it
-to the tree with the weight the edge had before a rise; a change the
-adjacency does not show yet raises UnwrittenChange, and an old weight that
-is not finite or not below the new one raises MonotonicityViolation.  The
-tree keeps no edge set, so the owner refuses a missing or duplicate edge.
+Ownership: the tree reads the adjacency it is built on, a list of n dicts
+(adj[u] maps each neighbor of u to the edge's weight), by reference and
+never copies or writes it, so any number of trees can share one graph.
+Nodes are 0..n-1 and level_of is a list of n levels, written in place.
+The owner writes each change first, then passes it to the tree with the
+weight the edge had before a rise; a change the adjacency does not show
+yet raises UnwrittenChange, an endpoint outside 0..n-1 raises KeyError,
+and an old weight that is not finite or not below the new one raises
+MonotonicityViolation.  The tree keeps no edge set, so the owner refuses a
+missing or duplicate edge.
 
 Offers: a tree may also own offers (node -> weight), edges of its own from
 the root that no other tree sees, so trees whose root edges differ can still
@@ -68,11 +71,12 @@ batch's changes it felt.
 Screening.  Phase 0 reads two levels, so an owner of many trees can run it
 inline and call only the trees it flags; a skipped tree would have returned
 an empty set.  TreeFamily keeps trees of one cap on one adjacency, keyed by
-root, and each node's nearest root (the pivots of BunchEngine and the heavy
-nodes of MixedAPSP are two families).  Every tree joins through add_root,
-at the build as mid-stream; apply checks a change once, screens every
-tree, and calls increase_weight (new weight inf for a deletion) only on
-the flagged ones.
+root, and each node's nearest root and that root's level_of list (the
+pivots of BunchEngine and the heavy nodes of MixedAPSP are two families),
+so a route through v's nearest root to any node is two list reads.  Every
+tree joins through add_root, at the build as mid-stream; apply checks a
+change once, screens every tree, and calls increase_weight (new weight inf
+for a deletion) only on the flagged ones.
 """
 
 from __future__ import annotations
@@ -91,9 +95,17 @@ class UnwrittenChange(RuntimeError):
     """A tree call for an edge change its owner has not written yet."""
 
 
+def _is_node(x, adj):
+    return isinstance(x, int) and 0 <= x < len(adj)
+
+
 def _require_written(adj, u, v, w):
     """Refuse a change to {u, v} that adj does not show at weight w both
-    ways (inf: the edge is gone)."""
+    ways (inf: the edge is gone) with UnwrittenChange, or one whose
+    endpoints are not both nodes with KeyError, the error of a lookup of a
+    missing node."""
+    if not (_is_node(u, adj) and _is_node(v, adj)):
+        raise KeyError(f"edge {{{u!r}, {v!r}}}: endpoints must be nodes of the graph")
     if adj[u].get(v, INF) != w or adj[v].get(u, INF) != w:
         raise UnwrittenChange(
             f"edge {{{u}, {v}}} should read weight {w} in the adjacency: "
@@ -110,19 +122,21 @@ class MonotoneESTree:
     __slots__ = ("root", "cap", "adj", "offers", "level_of", "level_increases")
 
     def __init__(self, adj, root, cap, offers=None):
-        """adj: mapping node -> {neighbor: weight}; read, never copied.
-        offers: node -> finite positive weight, or None; the tree takes the
-        dict over and is its only writer from then on."""
+        """adj: a list of n dicts, adj[u] mapping each neighbor of u to the
+        edge's weight; read, never copied.  offers: node -> finite positive
+        weight, or None; the tree takes the dict over and is its only writer
+        from then on.  A root or offer node outside 0..n-1 raises before
+        anything is built."""
         if cap < 0:
             raise ValueError("depth cap must be nonnegative")
         self.root = root
         self.cap = cap
         self.adj = adj
-        if root not in adj:
+        if not _is_node(root, adj):
             raise KeyError(f"root {root!r} not a node of the graph")
         if offers:
             for x, w in offers.items():
-                if x == root or x not in adj or not 0 < w < INF:
+                if x == root or not _is_node(x, adj) or not 0 < w < INF:
                     raise ValueError(f"offer {w!r} at {x!r}: need a non-root node "
                                      "and a finite positive weight")
         self.offers = offers or NO_OFFERS
@@ -130,7 +144,7 @@ class MonotoneESTree:
         self.level_increases = 0
 
     def _dijkstra(self):
-        dist = dict.fromkeys(self.adj, INF)
+        dist = [INF] * len(self.adj)
         dist[self.root] = 0
         heap = [(0, self.root)]
         adj = self.adj
@@ -178,15 +192,17 @@ class MonotoneESTree:
         {u, v} from weight old to w (inf: the edge is gone), which the
         owner has written: all in one repair.  Returns the set of nodes
         whose level increased.  An offer that does not rise (a node holding
-        none included), a change the adjacency does not show or a weight
-        that does not rise from a finite one raises before anything
-        changes."""
+        none included), a change the adjacency does not show or whose
+        endpoints are not nodes, or a weight that does not rise from a
+        finite one raises before anything changes."""
         level_of = self.level_of
         seeds = []
         if change is not None:
             u, v, new, old = change
             adj = self.adj
-            if adj[u].get(v, INF) != new or adj[v].get(u, INF) != new:
+            n = len(adj)
+            if (not (0 <= u < n and 0 <= v < n)
+                    or adj[u].get(v, INF) != new or adj[v].get(u, INF) != new):
                 _require_written(adj, u, v, new)
             if not -INF < old < new:
                 _require_rise(u, v, old, new)
@@ -297,12 +313,16 @@ class TreeFamily(dict):
 
     nearest[v] is the root whose tree gives v the least level, ties going
     to the smaller root, and nearest_level[v] that level; None and inf when
-    every level at v is infinite.  There is no heap per node: levels only
-    rise, so nearest[v] can move only when v's nearest tree raised v, and
-    apply re-reads the roots at exactly those nodes.
+    every level at v is infinite.  nearest_row[v] is the level_of list of
+    v's nearest tree, or the family's one inf_row, a tuple of n infs, when
+    nearest[v] is None; so the route from u through its nearest root to v
+    is nearest_level[u] + nearest_row[u][v], inf when u has no root.  There
+    is no heap per node: levels only rise, so nearest[v] can move only when
+    v's nearest tree raised v, and apply re-reads the roots at exactly
+    those nodes.
     """
 
-    __slots__ = ("adj", "cap", "nearest", "nearest_level")
+    __slots__ = ("adj", "cap", "nearest", "nearest_level", "nearest_row", "inf_row")
 
     def __init__(self, adj, cap, roots=()):
         self.adj = adj
@@ -310,34 +330,39 @@ class TreeFamily(dict):
         n = len(adj)
         self.nearest = [None] * n
         self.nearest_level = [INF] * n
+        self.inf_row = (INF,) * n
+        self.nearest_row = [self.inf_row] * n
         for r in roots:
             self.add_root(r)
 
     def _read_min(self, nodes):
         """Re-read the nearest root of each node in nodes over every tree."""
-        nearest, nearest_level = self.nearest, self.nearest_level
+        nearest, nearest_level, nearest_row = self.nearest, self.nearest_level, self.nearest_row
         for v in nodes:
-            best, arg = INF, None
+            best, arg, row = INF, None, self.inf_row
             for r, tree in self.items():
                 level = tree.level_of[v]
                 if level < best or (level == best < INF and r < arg):
-                    best, arg = level, r
+                    best, arg, row = level, r, tree.level_of
             nearest[v] = arg
             nearest_level[v] = best
+            nearest_row[v] = row
 
     def add_root(self, r):
         """Build r's tree on the current graph and let it compete for every
-        node's nearest root; a root already present raises KeyError before
-        anything changes."""
+        node's nearest root; a root already present, or outside 0..n-1,
+        raises KeyError before anything changes."""
         if r in self:
             raise KeyError(f"root {r!r} already has a tree in the family")
         tree = MonotoneESTree(self.adj, r, self.cap)
-        nearest, nearest_level = self.nearest, self.nearest_level
-        for v, level in tree.level_of.items():
+        nearest, nearest_level, nearest_row = self.nearest, self.nearest_level, self.nearest_row
+        level_of = tree.level_of
+        for v, level in enumerate(level_of):
             best = nearest_level[v]
             if level < best or (level == best < INF and r < nearest[v]):
                 nearest[v] = r
                 nearest_level[v] = level
+                nearest_row[v] = level_of
         self[r] = tree
 
     def apply(self, change):

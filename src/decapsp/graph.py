@@ -73,9 +73,12 @@ class ChangeRecord:
 class DynamicGraph:
     """Undirected graph with positive integer weights, deletions only.
 
-    adj maps node -> {neighbor: weight}; both directions are stored.  W is
-    the maximum weight seen at construction and is treated as the weight
-    bound of the instance for the lifetime of the run.
+    Nodes are 0..n-1, and adj is a list of n dicts: adj[u] maps each
+    neighbor of u to the edge's weight, and both directions are stored.
+    add_edge, has_edge, weight and apply_update refuse a node id outside
+    0..n-1 rather than let a list index such as -1 read another node's row.
+    W is the maximum weight seen at construction and is treated as the
+    weight bound of the instance for the lifetime of the run.
     """
 
     __slots__ = ("n", "adj", "W", "version")
@@ -85,7 +88,7 @@ class DynamicGraph:
         if n < 0:
             raise DomainError("node count must be nonnegative")
         self.n = n
-        self.adj = {u: {} for u in range(n)}
+        self.adj = [{} for _ in range(n)]
         self.W = 1
         self.version = 0
         for u, v, w in edges:
@@ -111,27 +114,26 @@ class DynamicGraph:
             raise DomainError(f"node {u!r} out of range [0, {self.n})")
 
     def has_edge(self, u, v):
-        return u in self.adj and v in self.adj[u]
+        return isinstance(u, int) and 0 <= u < self.n and v in self.adj[u]
 
     def weight(self, u, v):
-        try:
-            return self.adj[u][v]
-        except KeyError:
-            raise EdgeNotFound(f"edge {{{u}, {v}}} not in graph") from None
+        if not self.has_edge(u, v):
+            raise EdgeNotFound(f"edge {{{u}, {v}}} not in graph")
+        return self.adj[u][v]
 
     @property
     def m(self):
-        return sum(len(nbrs) for nbrs in self.adj.values()) // 2
+        return sum(map(len, self.adj)) // 2
 
     def edges(self):
-        for u, nbrs in self.adj.items():
+        for u, nbrs in enumerate(self.adj):
             for v, w in nbrs.items():
                 if u < v:
                     yield u, v, w
 
     def copy(self):
         g = DynamicGraph(self.n)
-        g.adj = {u: dict(nbrs) for u, nbrs in self.adj.items()}
+        g.adj = [dict(nbrs) for nbrs in self.adj]
         g.W = self.W
         g.version = self.version
         return g

@@ -53,8 +53,9 @@ def _check_cap(n):
 
 
 def dijkstra(adj, source):
-    """dict node -> distance from source."""
-    dist = dict.fromkeys(adj, INF)
+    """List of the distances from source to nodes 0..n-1 over adj, a list
+    of n dicts (adj[u] maps each neighbor of u to the edge's weight)."""
+    dist = [INF] * len(adj)
     dist[source] = 0
     heap = [(0, source)]
     while heap:
@@ -93,8 +94,7 @@ def exact_apsp(graph):
                 frontier = nxt
             out.append(dist)
         else:
-            dd = dijkstra(adj, s)
-            out.append([dd[v] for v in range(n)])
+            out.append(dijkstra(adj, s))
     return out
 
 

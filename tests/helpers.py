@@ -1,6 +1,6 @@
 """Shared test utilities: tiny independent reference implementations.
 
-These are deliberately naive (dict-based Dijkstra, matrix min-plus) so that
+These are deliberately naive (heapq Dijkstra, matrix min-plus) so that
 package code is always judged against something written separately.
 """
 
@@ -24,8 +24,17 @@ def heap_entries(heap):
     return entries
 
 
+def check_nearest_rows(fam):
+    """Each node's nearest_row in a TreeFamily is its nearest tree's own
+    level_of list, or the family's inf_row when it has no nearest root, and
+    inf_row holds inf for every node."""
+    assert fam.inf_row == (INF,) * len(fam.adj)
+    for v, r in enumerate(fam.nearest):
+        assert fam.nearest_row[v] is (fam.inf_row if r is None else fam[r].level_of)
+
+
 def ref_dijkstra(adj, source):
-    dist = {u: INF for u in adj}
+    dist = [INF] * len(adj)
     dist[source] = 0
     heap = [(0, source)]
     while heap:
@@ -40,7 +49,7 @@ def ref_dijkstra(adj, source):
 
 
 def ref_apsp(graph):
-    return {s: ref_dijkstra(graph.adj, s) for s in graph.adj}
+    return [ref_dijkstra(graph.adj, s) for s in range(graph.n)]
 
 
 def minplus_product(a, b):
@@ -115,8 +124,8 @@ class ReferenceESTree(MonotoneESTree):
 
     def __init__(self, adj, root, cap):
         super().__init__(adj, root, cap)
-        self._nbr = {u: IndexedHeap() for u in adj}
-        for u, nbrs in adj.items():
+        self._nbr = [IndexedHeap() for _ in adj]
+        for u, nbrs in enumerate(adj):
             for v, w in nbrs.items():
                 self._nbr[u].insert(v, self.level_of[v] + w)
         self._queue = IndexedHeap()

@@ -92,8 +92,8 @@ def _identity_pairs(g, rng, count=100):
     for _ in range(count):
         u = rng.randrange(g.n)
         v = rng.randrange(g.n)
-        du = ref_dijkstra(g.adj, u).get(v, INF)
-        dsub = ref_dijkstra(expanded.adj, u).get(v, INF)
+        du = ref_dijkstra(g.adj, u)[v]
+        dsub = ref_dijkstra(expanded.adj, u)[v]
         want = INF if du == INF else 2 * du
         if dsub != want:
             bad += 1
@@ -156,7 +156,7 @@ def _estree_trial(rng, allow_growth):
     tree = MonotoneESTree(g.adj, root, cap)
     bad = 0
     for _ in range(10):
-        prev = dict(tree.level_of)
+        prev = list(tree.level_of)
         edges = [(u, v, w) for u, v, w in g.edges()]
         op = rng.random()
         if allow_growth and op < 0.3:
@@ -181,7 +181,7 @@ def _estree_trial(rng, allow_growth):
         exact = ref_dijkstra(g.adj, root)
         for x in range(n):
             lv = tree.level_of[x]
-            d = exact.get(x, INF)
+            d = exact[x]
             if lv < prev[x]:
                 bad += 1
             if lv != INF and lv < d - 1e-9:

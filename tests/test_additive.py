@@ -74,8 +74,8 @@ def structural_audit(algo, prev_levels):
     # held both ways at weight 1
     for i in range(2, k + 1):
         view = algo.view[i]
-        assert view is not g.adj and sorted(view) == list(range(g.n))
-        for a, row in view.items():
+        assert view is not g.adj and len(view) == g.n
+        for a, row in enumerate(view):
             for b, w in row.items():
                 assert b in g.adj[a] and w == 1 and view[b][a] == 1
 
@@ -220,7 +220,7 @@ def view_owner():
 
 
 def tree_states(algo):
-    return [(dict(t.level_of), dict(t.offers), t.level_increases) for t in algo.tree.values()]
+    return [(list(t.level_of), dict(t.offers), t.level_increases) for t in algo.tree.values()]
 
 
 def test_level_write_adds_new_pairs_without_a_tree_call(monkeypatch):

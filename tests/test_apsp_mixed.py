@@ -8,7 +8,14 @@ from decapsp.apsp_mixed import MixedAPSP
 from decapsp.graph import DomainError, DynamicGraph, gnp_graph
 from decapsp.oracle import bottleneck_weights
 
-from helpers import deletion_order, heap_entries, rand_connected, ref_apsp, ref_dijkstra
+from helpers import (
+    check_nearest_rows,
+    deletion_order,
+    heap_entries,
+    rand_connected,
+    ref_apsp,
+    ref_dijkstra,
+)
 
 INF = math.inf
 
@@ -40,6 +47,8 @@ def audit(algo, prev_heavy):
                        default=(INF, None))
         assert algo.heavy_trees.nearest_level[v] == level
         assert algo.heavy_trees.nearest[v] == (w if level < INF else None)
+    check_nearest_rows(eng.trees)
+    check_nearest_rows(algo.heavy_trees)
 
     # overlap: exactly the light pairwise-cluster entries, exact keys
     want_heaps = {}
@@ -53,6 +62,22 @@ def audit(algo, prev_heavy):
                 want_heaps.setdefault((u, v), {})[w] = key
     assert {uv: heap_entries(h) for uv, h in algo.overlap_heap.items()} == want_heaps
     return heavy
+
+
+def certificate_minimum(algo, u, v):
+    """The query answer recomputed from the certificates: the routes
+    through each endpoint's nearest pivot and nearest heavy tree, looked up
+    by root, and the least entry of the pair's overlap heap."""
+    best = INF
+    for trees in (algo.engine.trees, algo.heavy_trees):
+        for a, b in ((u, v), (v, u)):
+            r = trees.nearest[a]
+            if r is not None:
+                best = min(best, trees.nearest_level[a] + trees[r].level_of[b])
+    heap = algo.overlap_heap.get((min(u, v), max(u, v)))
+    if heap is not None:
+        best = min(best, min(heap_entries(heap).values()))
+    return best
 
 
 def check_stretch(algo, limit):
@@ -194,3 +219,36 @@ def test_bunch_increases_update_every_other_owners_overlap_entry():
         prev = audit(algo, prev)
         check_stretch(algo, 2.6)
     assert algo.overlap_touches >= 10
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_property_query_is_the_certificate_minimum(data):
+    """After the build and every deletion or rise, heavy nodes promoted
+    mid-stream included, each query(u, v) equals the certificate minimum
+    recomputed through the trees and the overlap heap.  tau runs from 2 to
+    4 on 6 to 14 nodes, where many runs reach a pair that only the heavy
+    route from one endpoint answers; with tau 1 every clustered node is
+    heavy, and no such pair was seen."""
+    n = data.draw(st.integers(6, 14), label="n")
+    seed = data.draw(st.integers(0, 10 ** 6), label="seed")
+    p = data.draw(st.sampled_from([0.1, 0.3, 0.6]), label="p")
+    tau = data.draw(st.integers(2, 4), label="tau")
+    rng = random.Random(seed)
+    g = gnp_graph(n, rng.choice((0.2, 0.4)), rng.choice((1, 6)), rng)
+    algo = MixedAPSP(g, p=p, eps=0.5, tau=tau, seed=seed)
+    while True:
+        for u in range(n):
+            for v in range(n):
+                want = 0 if u == v else certificate_minimum(algo, u, v)
+                assert algo.query(u, v) == want
+        check_nearest_rows(algo.engine.trees)
+        check_nearest_rows(algo.heavy_trees)
+        live = [(u, v) for u, v, _ in g.edges()]
+        if not live:
+            break
+        u, v = rng.choice(live)
+        if rng.random() < 0.3:
+            algo.increase(u, v, g.weight(u, v) + rng.randint(1, 4))
+        else:
+            algo.delete(u, v)

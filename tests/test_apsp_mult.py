@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from decapsp.apsp_mult import MultiplicativeAPSP
 from decapsp.graph import DynamicGraph, gnp_graph
 
-from helpers import deletion_order, heap_entries, rand_connected, ref_apsp
+from helpers import check_nearest_rows, deletion_order, heap_entries, rand_connected, ref_apsp
 
 INF = math.inf
 
@@ -51,6 +51,23 @@ def audit(algo):
     assert by_pair(algo.nbr_heap, heap_entries) == nbr
     assert by_pair(algo.nbr_min) == nbr_min
     assert by_pair(algo.adj_heap, heap_entries) == adj
+    check_nearest_rows(algo.engine.trees)
+
+
+def certificate_minimum(algo, u, v):
+    """The query answer recomputed from the certificates: both pivot routes
+    through each endpoint's nearest pivot tree, looked up by root, and the
+    least entry of both adjacency heaps."""
+    trees = algo.engine.trees
+    best = INF
+    for a, b in ((u, v), (v, u)):
+        s = trees.nearest[a]
+        if s is not None:
+            best = min(best, trees.nearest_level[a] + trees[s].level_of[b])
+        heap = algo.adj_heap[a].get(b)
+        if heap is not None:
+            best = min(best, min(heap_entries(heap).values()))
+    return best
 
 
 def by_pair(rows, value=lambda v: v):
@@ -192,3 +209,30 @@ def test_each_neighborhood_minimum_changes_at_most_once_per_update():
             assert count - before.get(xv, 0) <= 1, (xv, u, v)
         audit(algo)
     assert increases >= 10
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_property_query_is_the_certificate_minimum(data):
+    """After the build and every deletion or rise, each query(u, v) equals
+    the certificate minimum recomputed through the trees and heaps."""
+    n = data.draw(st.integers(2, 12), label="n")
+    seed = data.draw(st.integers(0, 10 ** 6), label="seed")
+    p = data.draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]), label="p")
+    rng = random.Random(seed)
+    g = gnp_graph(n, rng.choice((0.2, 0.4)), rng.choice((1, 6)), rng)
+    algo = MultiplicativeAPSP(g, p=p, eps=0.5, seed=seed)
+    while True:
+        for u in range(n):
+            for v in range(n):
+                want = 0 if u == v else certificate_minimum(algo, u, v)
+                assert algo.query(u, v) == want
+        check_nearest_rows(algo.engine.trees)
+        live = [(u, v) for u, v, _ in g.edges()]
+        if not live:
+            break
+        u, v = rng.choice(live)
+        if rng.random() < 0.3:
+            algo.increase(u, v, g.weight(u, v) + rng.randint(1, 4))
+        else:
+            algo.delete(u, v)

@@ -19,7 +19,13 @@ from decapsp import (
 )
 from decapsp.estree import NO_OFFERS, TreeFamily, UnwrittenChange
 from decapsp.graph import ChangeRecord
-from helpers import ReferenceESTree, deletion_order, rand_connected, ref_dijkstra
+from helpers import (
+    ReferenceESTree,
+    check_nearest_rows,
+    deletion_order,
+    rand_connected,
+    ref_dijkstra,
+)
 
 INF = math.inf
 
@@ -78,7 +84,7 @@ def test_edge_errors():
     edge, or a weight that does not rise, before it writes anything."""
     g = DynamicGraph(3, [(0, 1, 1)])
     t = MonotoneESTree(g.adj, 0, cap=5)
-    levels = dict(t.level_of)
+    levels = list(t.level_of)
     with pytest.raises(EdgeNotFound):
         apply_update(g, UpdateEvent(DELETE, 0, 2))
     with pytest.raises(DuplicateEdge):
@@ -89,7 +95,7 @@ def test_edge_errors():
     with pytest.raises(UnwrittenChange):
         t.insert_edge(1, 0, 4)
     assert t.level_of == levels and t.level_increases == 0
-    assert g.adj == {0: {1: 1}, 1: {0: 1}, 2: {}}
+    assert g.adj == [{1: 1}, {0: 1}, {}]
 
 
 @settings(max_examples=50, deadline=None)
@@ -195,13 +201,13 @@ def pick_pair(rng, adj, tree):
     kind = rng.choice(("any", "tie", "inf", "root"))
     lv = tree.level_of
     if kind != "any":
-        pool = [(x, y) for x in adj for y, w in adj[x].items()
+        pool = [(x, y) for x, nbrs in enumerate(adj) for y, w in nbrs.items()
                 if (lv[x] + w == lv[y] < INF if kind == "tie" else
                     INF in (lv[x], lv[y]) if kind == "inf" else tree.root in (x, y))]
         if pool:
             x, y = rng.choice(pool)
             return (x, y) if rng.random() < 0.5 else (y, x)
-    return rng.sample(sorted(adj), 2)
+    return rng.sample(range(len(adj)), 2)
 
 
 @settings(max_examples=30, deadline=None)
@@ -234,7 +240,7 @@ def test_tree_reads_its_owners_adjacency_and_never_writes_it(seed):
         else:
             del adj[u][v], adj[v][u]
             op, args = "delete_edge", (u, v, cur)
-        written = {x: dict(nb) for x, nb in adj.items()}
+        written = [dict(nb) for nb in adj]
         for t, ref in zip(trees, refs):
             got = getattr(t, op)(*args)
             assert adj == written
@@ -304,7 +310,7 @@ def test_draining_every_edge_matches_the_reference_on_a_shared_adjacency(cap, de
                 assert t.level_of == ref.level_of
                 raised_total[i] += len(got)
                 assert t.level_increases == raised_total[i]
-        assert all(t.level_of == {x: INF if x != t.root else 0 for x in g.adj}
+        assert all(t.level_of == [INF if x != t.root else 0 for x in range(g.n)]
                    for t, _ in pairs)
 
 
@@ -319,9 +325,9 @@ def test_a_bad_old_weight_is_refused_before_any_level_changes():
     raised = [{2, 3}, {1}]
     for (kind, u, v, *w), olds, want in zip(rises, bad_olds, raised):
         rec = apply_update(g, UpdateEvent(kind, u, v, *w))
-        levels = dict(t.level_of)
+        levels = list(t.level_of)
         counted = t.level_increases
-        written = {x: dict(nb) for x, nb in g.adj.items()}
+        written = [dict(nb) for nb in g.adj]
         for old in olds:
             with pytest.raises(MonotonicityViolation):
                 if kind == DELETE:
@@ -410,7 +416,7 @@ def test_slack_left_by_inserts_survives_a_repair():
 def test_call_before_the_owner_writes_raises():
     g = DynamicGraph(4, [(0, 1, 1), (1, 2, 2), (0, 2, 5)])
     t = MonotoneESTree(g.adj, 0, cap=20)
-    levels = dict(t.level_of)
+    levels = list(t.level_of)
     with pytest.raises(UnwrittenChange):
         t.delete_edge(0, 1, 1)
     with pytest.raises(UnwrittenChange):
@@ -461,7 +467,7 @@ def test_offers_match_the_reference_with_root_edges(density, max_w):
         cap = rng.choice((2 * max_w, 4 * n * max_w))
         others = [x for x in range(n) if x != root]
         offers = {x: rng.randint(1, 3 * max_w) for x in rng.sample(others, rng.randint(1, n - 1))}
-        with_edges = {x: dict(nb) for x, nb in adj.items()}
+        with_edges = [dict(nb) for nb in adj]
 
         def root_edge(x):
             return min(adj[root].get(x, INF), offers.get(x, INF))
@@ -489,7 +495,7 @@ def test_offers_match_the_reference_with_root_edges(density, max_w):
             else:
                 old = adj[x][y]
                 del adj[x][y], adj[y][x]
-                written = {z: dict(nb) for z, nb in adj.items()}
+                written = [dict(nb) for nb in adj]
                 got = t.delete_edge(x, y, old)
                 assert adj == written
             after = root_edge(v) if u == root else INF
@@ -515,7 +521,7 @@ def test_a_non_rising_offer_or_an_unknown_node_is_refused():
     g = DynamicGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
     t = MonotoneESTree(g.adj, 0, cap=10, offers={2: 1, 3: 5})
     assert [t.level_of[x] for x in range(4)] == [0, 1, 1, 2]
-    before = (dict(t.level_of), dict(t.offers), t.level_increases)
+    before = (list(t.level_of), dict(t.offers), t.level_increases)
     for x, w in [(2, 1), (2, 0), (2, math.nan), (3, 4), (0, 3), (1, 3), (9, 3), (-1, INF)]:
         with pytest.raises(MonotonicityViolation):
             t.absorb({x: w})
@@ -542,13 +548,45 @@ def test_a_non_rising_offer_or_an_unknown_node_is_refused():
             MonotoneESTree(g.adj, 0, cap=10, offers=offers)
 
 
+def test_a_node_outside_the_graph_is_refused():
+    """Levels and adjacency are lists, where index -1 would read the last
+    node: a root or an offer node at -1 or n is refused with the error a
+    lookup of a missing node gives; so is a change with such an endpoint, to
+    a tree or a family, and TreeFamily.add_root of such a root, before any
+    level, tree, nearest root or nearest row changes.  Node 3 is not
+    adjacent to 1, so {-1, 1} would read as an edge already gone."""
+    g = DynamicGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
+    for root in (-1, 4):
+        with pytest.raises(KeyError):
+            MonotoneESTree(g.adj, root, cap=10)
+    for x in (-1, 4):
+        with pytest.raises(ValueError):
+            MonotoneESTree(g.adj, 0, cap=10, offers={x: 1})
+    fam = TreeFamily(g.adj, 10, [1])
+    t = fam[1]
+    before = (dict(fam), list(fam.nearest), list(fam.nearest_level), list(fam.nearest_row),
+              list(t.level_of), t.level_increases)
+    for x in (-1, 4):
+        with pytest.raises(KeyError):
+            fam.add_root(x)
+        with pytest.raises(KeyError):
+            t.delete_edge(x, 1, 1)
+        with pytest.raises(KeyError):
+            t.absorb(NO_OFFERS, (1, x, INF, 1))
+        with pytest.raises(KeyError):
+            fam.apply(ChangeRecord(x, 1, 1, INF, 1))
+        assert (dict(fam), fam.nearest, fam.nearest_level, fam.nearest_row,
+                t.level_of, t.level_increases) == before
+    check_nearest(fam)
+
+
 def test_absorb_refuses_a_bad_batch_before_anything_changes():
     """absorb checks every offer and the deletion before it writes any:
     one offer that does not rise, an edge the adjacency still shows, or an
     old weight that is not finite refuses the whole batch."""
     g = DynamicGraph(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)])
     t = MonotoneESTree(g.adj, 0, cap=10, offers={2: 1, 3: 5})
-    before = (dict(t.level_of), dict(t.offers), t.level_increases)
+    before = (list(t.level_of), dict(t.offers), t.level_increases)
     with pytest.raises(MonotonicityViolation):
         t.absorb({2: INF, 3: 5})
     with pytest.raises(UnwrittenChange):
@@ -573,7 +611,7 @@ def test_one_batched_absorb_equals_sequential_changes(seed):
     rng = random.Random(seed)
     n = rng.randint(3, 16)
     g = gnp_graph(n, rng.choice((0.2, 0.5)), rng.choice((1, 4)), rng)
-    twin_adj = {x: dict(nb) for x, nb in g.adj.items()}
+    twin_adj = [dict(nb) for nb in g.adj]
     root = rng.randrange(n)
     cap = rng.choice((2, 6, 4 * n * 4))
     others = [x for x in range(n) if x != root]
@@ -612,11 +650,13 @@ def test_one_batched_absorb_equals_sequential_changes(seed):
 
 
 def check_nearest(fam):
-    """nearest/nearest_level against the brute-force argmin over the family."""
-    for v in fam.adj:
+    """nearest/nearest_level against the brute-force argmin over the family,
+    and nearest_row against the nearest tree's level_of."""
+    for v in range(len(fam.adj)):
         level, r = min(((t.level_of[v], r) for r, t in fam.items()), default=(INF, None))
         assert fam.nearest_level[v] == level
         assert fam.nearest[v] == (r if level < INF else None)
+    check_nearest_rows(fam)
 
 
 def test_tree_family_refuses_an_unwritten_or_non_rising_change():
@@ -628,7 +668,7 @@ def test_tree_family_refuses_an_unwritten_or_non_rising_change():
     fam = TreeFamily(g.adj, 20, [0, 3])
 
     def state():
-        return ({r: (dict(t.level_of), t.level_increases) for r, t in fam.items()},
+        return ({r: (list(t.level_of), t.level_increases) for r, t in fam.items()},
                 list(fam.nearest), list(fam.nearest_level))
 
     before = state()
@@ -665,7 +705,7 @@ def test_tree_family_keeps_each_nodes_nearest_root(seed):
     rng = random.Random(seed)
     n = rng.randint(2, 14)
     g = gnp_graph(n, rng.choice((0.2, 0.5)), 3, rng)
-    twin = {x: dict(nb) for x, nb in g.adj.items()}
+    twin = [dict(nb) for nb in g.adj]
     cap = rng.choice((0, 1, 3, 4 * n))
     roots = rng.sample(range(n), rng.randint(0, min(3, n)))
     fam = TreeFamily(g.adj, cap, roots)

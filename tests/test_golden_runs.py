@@ -9,9 +9,11 @@ counter reproduces these reports exactly; a change that alters a counter
 on purpose updates its entry and says which values moved.
 """
 
+import gc
 import json
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -128,3 +130,24 @@ def test_benchmark_instances_reproduce_recorded_digests(name):
                for inst in insts]
     assert got == DIGESTS[name]
     assert heaps.ops == HEAP_OPS[name]
+
+
+# the peak that tracemalloc traces over the build and replay of additive-drain
+# instance 0, the same pass that gives `perfbench/run.py` its peak_mem_mb.
+# List-backed tree levels and adjacency read 0.545 MB; one dict per tree's
+# levels read 0.909 MB.
+ADDITIVE_PEAK_MB = 0.75
+
+
+def test_additive_drain_peak_memory_stays_list_backed():
+    """Every additive root owns a tree whose levels span all n nodes, so a
+    return to per-tree dicts fails here, not only in the benchmark."""
+    inst = workloads.build_instances(workloads.WORKLOADS["additive-drain"], 1)[0]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        workloads.replay(inst, workloads.make_structure(inst))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 < ADDITIVE_PEAK_MB

@@ -68,9 +68,25 @@ def test_increase_must_strictly_increase():
                          ids=["default-delta", "finite-delta"])
 def test_unknown_kind_is_refused_before_any_change(event):
     g = small_graph()
-    before = {u: dict(nbrs) for u, nbrs in g.adj.items()}
+    before = [dict(nbrs) for nbrs in g.adj]
     with pytest.raises(DomainError):
         apply_update(g, event)
+    assert g.adj == before and g.version == 0
+
+
+def test_a_node_outside_the_graph_has_no_edge():
+    """adj is a list, where index -1 would read the last node's row (node 3
+    neighbors 0 here): has_edge answers False for -1 and n, and weight and
+    apply_update raise EdgeNotFound before any change."""
+    g = small_graph()
+    before = [dict(nbrs) for nbrs in g.adj]
+    for u, v in ((-1, 0), (0, -1), (4, 0), (0, 4), (-4, 1)):
+        assert not g.has_edge(u, v)
+        with pytest.raises(EdgeNotFound):
+            g.weight(u, v)
+        for event in (UpdateEvent(DELETE, u, v), UpdateEvent(INCREASE, u, v, 20)):
+            with pytest.raises(EdgeNotFound):
+                apply_update(g, event)
     assert g.adj == before and g.version == 0
 
 

@@ -41,8 +41,7 @@ def test_path_counts():
     # edge i in sorted order, not adjacency order, gets midpoint n + i, and
     # each edge's halves are added as (u, c) then (c, v)
     assert mid == {(0, 1): 3, (0, 2): 4}
-    assert {u: list(nbrs) for u, nbrs in expanded.adj.items()} == {
-        0: [3, 4], 1: [3], 2: [4], 3: [0, 1], 4: [0, 2]}
+    assert [list(nbrs) for nbrs in expanded.adj] == [[3, 4], [3], [4], [0, 1], [0, 2]]
     assert all(w == 1 for _, _, w in expanded.edges())
 
 
@@ -85,7 +84,7 @@ def test_rejects_weighted_input():
 
 
 def snapshot(algo):
-    return ({u: dict(nbrs) for u, nbrs in algo.inner.g.adj.items()},
+    return ([dict(nbrs) for nbrs in algo.inner.g.adj],
             algo.inner.g.version, algo.counters())
 
 

@@ -132,7 +132,7 @@ def test_every_change_calls_exactly_the_family_trees_it_flags(monkeypatch):
     rng = random.Random(9)
     g = rand_connected(rng, 12, 0.4, 6)
     algo = MixedAPSP(g, p=0.3, eps=0.9, tau=3, seed=2)
-    twin_adj = {x: dict(nb) for x, nb in g.adj.items()}
+    twin_adj = [dict(nb) for nb in g.adj]
     twins = {}
     calls = count_rise_calls(monkeypatch)
     heavy_seen = skipped = 0
@@ -169,7 +169,7 @@ def test_every_deletion_calls_exactly_the_level_one_additive_trees_it_flags(monk
     algo = AdditiveAPSP(g, k=3, d=4, c=0.3, seed=4)
     level_one = [algo.tree[r] for r in algo.roots[1]]
     assert level_one
-    twin_adj = {x: dict(nb) for x, nb in g.adj.items()}
+    twin_adj = [dict(nb) for nb in g.adj]
     twins = {id(t): MonotoneESTree(twin_adj, t.root, t.cap) for t in level_one}
     calls = count_rise_calls(monkeypatch)
     absorbed = []
