@@ -2,7 +2,7 @@
 
 Splits intermediate nodes by cluster size.  A node is heavy once at least
 tau bunches contain it; heaviness is permanent.  Heavy nodes root their own
-bounded-depth trees, so any pair can route through its nearest heavy node
+shortest-path trees, so any pair can route through its nearest heavy node
 at exact tree distances.  Light intermediates are covered pairwise: for
 every unordered pair {u, v} an overlap heap stores each light w lying in
 both bunches, keyed rounded_bunch(u, w) + rounded_bunch(v, w): the sum of
@@ -50,7 +50,7 @@ class MixedAPSP:
         self.g = graph
         self.tau = tau
         self.engine = BunchEngine(graph, p, eps, seed)
-        self.heavy_trees = TreeFamily(graph.adj, self.engine.depth_cap)
+        self.heavy_trees = TreeFamily(graph.adj, INF)
         self.overlap_heap = {}  # unordered (u, v) -> IndexedHeap of light w
         self.overlap_touches = 0  # overlap entries re-keyed by INCREASE events
         self.updates_applied = 0
@@ -117,18 +117,18 @@ class MixedAPSP:
             raise DomainError(f"query ({u}, {v}) outside the nodes [0, {n})")
         if u == v:
             return 0
-        trees = self.engine.trees
-        level, row = trees.nearest_level, trees.nearest_row
-        best = level[u] + row[u][v]
-        cand = level[v] + row[v][u]
+        rows = self.engine.trees.nearest_row
+        ru, rv = rows[u], rows[v]
+        best = ru[u] + ru[v]
+        cand = rv[v] + rv[u]
         if cand < best:
             best = cand
-        trees = self.heavy_trees
-        level, row = trees.nearest_level, trees.nearest_row
-        cand = level[u] + row[u][v]
+        rows = self.heavy_trees.nearest_row
+        ru, rv = rows[u], rows[v]
+        cand = ru[u] + ru[v]
         if cand < best:
             best = cand
-        cand = level[v] + row[v][u]
+        cand = rv[v] + rv[u]
         if cand < best:
             best = cand
         heap = self.overlap_heap.get((u, v) if u < v else (v, u))

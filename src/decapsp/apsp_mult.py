@@ -15,18 +15,17 @@ bunch holds x.  Each layer is a list of n dicts keyed by the second node:
 nbr_heap[x][v], nbr_min[x][v] and adj_heap[u][v], so the live minima of x
 are the keys of nbr_min[x].  Bunches and clusters are read from the
 BunchEngine, which owns them; the structure keeps no copy of them and no
-reverse index.  Rounded edge weights (w_round), bunch estimates and minima
-(nbr_min) are all ladder values of the GeometricRounder, so a key is a
-plain sum and a change is detected by comparing floats.  w_round is a list
-of n dicts holding edge {x, y} as w_round[x][y] and w_round[y][x]; row x
-keeps graph.adj[x]'s key order (a deletion drops the edge from both, an
-increase re-keys it in place), so walking row x visits x's neighbours as
-the graph does.  Every entry of both heap layers is written by
-heaps.heap_set at its new key, inf meaning absent: a deleted edge, a member
-that left a bunch (its event value is inf) and an emptied neighborhood heap
-(its minimum reads inf) all give inf, so each step is one loop whatever
-the case.  Neither layer holds an empty heap: a pair without entries is
-absent from its node's dict.
+reverse index.  Rounded edge weights, bunch estimates and minima (nbr_min)
+are all ladder values of the GeometricRounder, so a key is a plain sum and
+a change is detected by comparing floats.  Edges are read off graph.adj
+itself, so entries are written in the graph's neighbour order; w_round is
+one dict from each weight the graph has held to its ladder value, and the
+rounded weight of edge {x, y} is w_round[graph.adj[x][y]].  Every entry of
+both heap layers is written by heaps.heap_set at its new key, inf meaning
+absent: a deleted edge, a member that left a bunch (its event value is inf)
+and an emptied neighborhood heap (its minimum reads inf) all give inf, so
+each step is one loop whatever the case.  Neither layer holds an empty
+heap: a pair without entries is absent from its node's dict.
 
 An update is absorbed in four steps, each reaching its entries through the
 graph's adjacency, engine.cluster and the keys of nbr_min:
@@ -69,10 +68,10 @@ class MultiplicativeAPSP:
         self.rounder = self.engine.rounder
         n = graph.n
 
-        # rounded edge weights: x -> y -> ladder value, rows in adjacency order
-        self.w_round = [dict.fromkeys(graph.adj[x]) for x in range(n)]
-        for a, b, w in graph.edges():
-            self.w_round[a][b] = self.w_round[b][a] = self.rounder.round(w)
+        # rounded edge weights: weight -> ladder value, one round() per edge
+        w_round = self.w_round = {}
+        for _, _, w in graph.edges():
+            w_round[w] = self.rounder.round(w)
 
         # neighborhood layer: x -> v -> IndexedHeap of y, and its rounded minimum
         self.nbr_heap = [{} for _ in range(n)]
@@ -86,8 +85,8 @@ class MultiplicativeAPSP:
 
         for v in range(n):
             for y, yval in self.engine.bunch[v].items():
-                for x, wval in self.w_round[y].items():
-                    heap_set(self.nbr_heap[x], v, y, wval + yval)
+                for x, w in graph.adj[y].items():
+                    heap_set(self.nbr_heap[x], v, y, w_round[w] + yval)
         for x in range(n):
             for v, heap in self.nbr_heap[x].items():
                 self.nbr_min[x][v] = self.rounder.round(heap.min_key())
@@ -116,16 +115,13 @@ class MultiplicativeAPSP:
         """Write the changed edge's neighborhood entries at its new rounded
         weight (inf: dropped); runs before the refresh, while
         engine.cluster still holds the owners they list."""
-        a, b = rec.u, rec.v
-        row_a, row_b = self.w_round[a], self.w_round[b]
-        if rec.new_weight == INF:
+        a, b, new = rec.u, rec.v, rec.new_weight
+        if new == INF:
             new_val = INF
-            del row_a[b], row_b[a]
         else:
-            new_val = self.rounder.round(rec.new_weight)
-            if new_val == row_a[b]:
+            new_val = self.w_round[new] = self.rounder.round(new)
+            if new_val == self.w_round[rec.old_weight]:
                 return set()
-            row_a[b] = row_b[a] = new_val
         touched = set()
         bunch, cluster = self.engine.bunch, self.engine.cluster
         for x, y in ((a, b), (b, a)):
@@ -140,9 +136,9 @@ class MultiplicativeAPSP:
         v's adjacency entries (v, t) through w against the minima as they
         stand, which only _flush_minima writes."""
         w, v, value = bev.member, bev.owner, bev.value
-        adj_v, nbr_heap = self.adj_heap[v], self.nbr_heap
-        for x, wval in self.w_round[w].items():
-            heap_set(nbr_heap[x], v, w, wval + value)
+        adj_v, nbr_heap, w_round = self.adj_heap[v], self.nbr_heap, self.w_round
+        for x, wt in self.g.adj[w].items():
+            heap_set(nbr_heap[x], v, w, w_round[wt] + value)
             touched.add((x, v))
         for t, val in self.nbr_min[w].items():
             heap_set(adj_v, t, w, value + val)
@@ -177,10 +173,10 @@ class MultiplicativeAPSP:
             raise DomainError(f"query ({u}, {v}) outside the nodes [0, {n})")
         if u == v:
             return 0
-        trees = self.engine.trees
-        level, row = trees.nearest_level, trees.nearest_row
-        best = level[u] + row[u][v]
-        cand = level[v] + row[v][u]
+        rows = self.engine.trees.nearest_row
+        ru, rv = rows[u], rows[v]
+        best = ru[u] + ru[v]
+        cand = rv[v] + rv[u]
         if cand < best:
             best = cand
         heap = self.adj_heap[u].get(v)

@@ -1,9 +1,9 @@
 """Pivot and bunch maintenance under deletions.
 
 Each node v tracks its nearest sampled pivot through a TreeFamily, one
-shortest-path tree per pivot, and keeps a bunch: the set of nodes strictly
-closer than the pivot.  Bunch membership is maintained lazily around a
-cached radius:
+uncapped shortest-path tree per pivot, whose nearest_row[v][v] is v's pivot
+estimate, and keeps a bunch: the set of nodes strictly closer than the
+pivot.  Bunch membership is maintained lazily around a cached radius:
 
   * the radius starts at the pivot distance;
   * members may leave at any time (their distance reached the current pivot
@@ -18,7 +18,9 @@ certificate heaps downstream.
 
 In-bunch distance estimates are exact truncated searches here (the contract
 only needs (1 + eps/3)-accurate ones); the slack is deliberately unused so
-that non-membership certifies d(v, w) >= radius with no extra factor.
+that non-membership certifies d(v, w) >= radius with no extra factor.  The
+settled dict of v's last search is kept as v's region: a change {u, v}
+re-searches the owners whose regions hold both endpoints.
 """
 
 from __future__ import annotations
@@ -80,8 +82,7 @@ class BunchEngine:
         self.g = graph
         self.rounder = GeometricRounder(eps / 3.0)
         n = graph.n
-        self.depth_cap = max(1, math.ceil((2 + eps) * max(n - 1, 1) * graph.W))
-        self.trees = TreeFamily(graph.adj, self.depth_cap, sample_pivots(n, p, seed))
+        self.trees = TreeFamily(graph.adj, INF, sample_pivots(n, p, seed))
 
         self._size_cap = None
         if not self.trees:
@@ -95,27 +96,28 @@ class BunchEngine:
                 self._size_cap,
             )
 
-        self.radius = list(self.trees.nearest_level)
+        self.radius = [row[v] for v, row in enumerate(self.trees.nearest_row)]
         self.rebuilds = [0] * n
         # bunch[v][w]: the rounded estimate round(d(v, w)), 0.0 for w == v
         self.bunch = [{} for _ in range(n)]
         self.cluster = [set() for _ in range(n)]
-        self._region = [set() for _ in range(n)]
+        self._region = [{} for _ in range(n)]
         self._region_rev = [set() for _ in range(n)]
         self.searches = 0
         for v in range(n):
-            settled = self._search(v, self.trees.nearest_level[v])
+            settled = self._search(v, self.radius[v])
             b = {}
             for w, dist in settled.items():
                 b[w] = 0.0 if dist == 0 else self.rounder.round(dist)
                 self.cluster[w].add(v)
             self.bunch[v] = b
-            self._set_region(v, set(settled))
+            self._set_region(v, settled)
 
     # -- accessors ---------------------------------------------------------
 
     def rebuild_bound(self):
-        """Per-node rebuild budget for a run on this instance."""
+        """Per-node rebuild budget for a run on this instance, from the
+        graph's W; a run that raises weights above W may exceed it."""
         span = max(self.g.n * self.g.W, 2)
         return math.ceil(math.log(span, 1 + self.rounder.eps)) + 1
 
@@ -147,17 +149,17 @@ class BunchEngine:
                     heapq.heappush(heap, (nd, v))
         return settled
 
-    def _set_region(self, x, settled_set):
-        old = self._region[x]
-        for w in old - settled_set:
+    def _set_region(self, x, settled):
+        old, new = self._region[x].keys(), settled.keys()
+        for w in old - new:
             self._region_rev[w].discard(x)
-        for w in settled_set - old:
+        for w in new - old:
             self._region_rev[w].add(x)
-        self._region[x] = settled_set
+        self._region[x] = settled
 
     def _rebuild_owner(self, x, rebuild, events):
         """Re-search around x and emit membership/estimate events."""
-        settled = self._search(x, self.trees.nearest_level[x])
+        settled = self._search(x, self.trees.nearest_row[x][x])
         old_b = self.bunch[x]
         new_b = {}
         rounder = self.rounder
@@ -174,20 +176,20 @@ class BunchEngine:
             elif new_b[w] != old_b[w]:
                 events.append(BunchChangeEvent(x, w, INCREASE, new_b[w]))
         self.bunch[x] = new_b
-        self._set_region(x, set(settled))
+        self._set_region(x, settled)
 
     def refresh(self, change):
         """Absorb one already-applied graph change; returns ordered events."""
-        est, radius, grow = self.trees.nearest_level, self.radius, 1 + self.rounder.eps
+        rows, radius, grow = self.trees.nearest_row, self.radius, 1 + self.rounder.eps
         # Only a raised node can outgrow its radius: its estimate never drops
         # and stays within (1 + eps/3) * radius between rebuilds.
-        outgrown = {x for x in self.trees.apply(change) if est[x] > grow * radius[x]}
+        outgrown = {x for x in self.trees.apply(change) if rows[x][x] > grow * radius[x]}
         nearby = self._region_rev[change.u] & self._region_rev[change.v]
         events = []
         for x in sorted(nearby | outgrown):
             rebuild = x in outgrown
             if rebuild:
-                radius[x] = est[x]
+                radius[x] = rows[x][x]
                 self.rebuilds[x] += 1
             self._rebuild_owner(x, rebuild, events)
         return events

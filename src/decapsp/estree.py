@@ -59,8 +59,8 @@ included.  Bounded-region repair (Ramalingam & Reps, 1996) finds it:
      already in the set is dropped when it is popped.
   2. Run Dijkstra over that set only.  One pass over each member's row
      finds its best offer from outside the set, starting from its own offer
-     from the root if it has one; that best exceeds its old level and, up
-     to the cap, seeds the heap; a settled node x offers each
+     from the root if it has one; that best exceeds its old level and, if
+     finite and up to the cap, seeds the heap; a settled node x offers each
      neighbor y still in the set the key max(l_old(y), f(l(x) + w)).
      Nodes it does not reach go to infinity at once.
 
@@ -160,7 +160,7 @@ class MonotoneESTree:
                 continue
             for v, w in adj[u].items():
                 nd = d + w
-                if nd <= cap and nd < dist[v]:
+                if nd < dist[v] and nd <= cap:  # cap last: int vs inf is slow
                     dist[v] = nd
                     heapq.heappush(heap, (nd, v))
         return dist
@@ -278,7 +278,7 @@ class MonotoneESTree:
                     d = level_of[y] + w
                     if d < best:
                         best = d
-            if best <= cap:  # and best > level_of[x]: no support outside
+            if best < INF and best <= cap:  # and > level_of[x]: no support outside
                 key[x] = best
                 heap.append((best, x))
         heapq.heapify(heap)
@@ -312,24 +312,23 @@ class TreeFamily(dict):
     """MonotoneESTrees of one depth cap on one adjacency, keyed by root.
 
     nearest[v] is the root whose tree gives v the least level, ties going
-    to the smaller root, and nearest_level[v] that level; None and inf when
-    every level at v is infinite.  nearest_row[v] is the level_of list of
-    v's nearest tree, or the family's one inf_row, a tuple of n infs, when
-    nearest[v] is None; so the route from u through its nearest root to v
-    is nearest_level[u] + nearest_row[u][v], inf when u has no root.  There
-    is no heap per node: levels only rise, so nearest[v] can move only when
-    v's nearest tree raised v, and apply re-reads the roots at exactly
-    those nodes.
+    to the smaller root, or None when every level at v is infinite.
+    nearest_row[v] is the level_of list of v's nearest tree, or the
+    family's one inf_row, a tuple of n infs, when nearest[v] is None; so
+    v's nearest level is nearest_row[v][v], and with ru = nearest_row[u]
+    the route from u through its nearest root to v is ru[u] + ru[v], inf
+    when u has no root.  There is no heap per node: levels only rise, so
+    nearest[v] can move only when v's nearest tree raised v, and apply
+    re-reads the roots at exactly those nodes.
     """
 
-    __slots__ = ("adj", "cap", "nearest", "nearest_level", "nearest_row", "inf_row")
+    __slots__ = ("adj", "cap", "nearest", "nearest_row", "inf_row")
 
     def __init__(self, adj, cap, roots=()):
         self.adj = adj
         self.cap = cap
         n = len(adj)
         self.nearest = [None] * n
-        self.nearest_level = [INF] * n
         self.inf_row = (INF,) * n
         self.nearest_row = [self.inf_row] * n
         for r in roots:
@@ -337,7 +336,7 @@ class TreeFamily(dict):
 
     def _read_min(self, nodes):
         """Re-read the nearest root of each node in nodes over every tree."""
-        nearest, nearest_level, nearest_row = self.nearest, self.nearest_level, self.nearest_row
+        nearest, nearest_row = self.nearest, self.nearest_row
         for v in nodes:
             best, arg, row = INF, None, self.inf_row
             for r, tree in self.items():
@@ -345,7 +344,6 @@ class TreeFamily(dict):
                 if level < best or (level == best < INF and r < arg):
                     best, arg, row = level, r, tree.level_of
             nearest[v] = arg
-            nearest_level[v] = best
             nearest_row[v] = row
 
     def add_root(self, r):
@@ -355,13 +353,12 @@ class TreeFamily(dict):
         if r in self:
             raise KeyError(f"root {r!r} already has a tree in the family")
         tree = MonotoneESTree(self.adj, r, self.cap)
-        nearest, nearest_level, nearest_row = self.nearest, self.nearest_level, self.nearest_row
+        nearest, nearest_row = self.nearest, self.nearest_row
         level_of = tree.level_of
         for v, level in enumerate(level_of):
-            best = nearest_level[v]
+            best = nearest_row[v][v]
             if level < best or (level == best < INF and r < nearest[v]):
                 nearest[v] = r
-                nearest_level[v] = level
                 nearest_row[v] = level_of
         self[r] = tree
 

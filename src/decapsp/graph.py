@@ -77,8 +77,8 @@ class DynamicGraph:
     neighbor of u to the edge's weight, and both directions are stored.
     add_edge, has_edge, weight and apply_update refuse a node id outside
     0..n-1 rather than let a list index such as -1 read another node's row.
-    W is the maximum weight seen at construction and is treated as the
-    weight bound of the instance for the lifetime of the run.
+    W is the maximum weight seen at construction; it bounds only the bunch
+    rebuild budget (BunchEngine.rebuild_bound), not later rises.
     """
 
     __slots__ = ("n", "adj", "W", "version")

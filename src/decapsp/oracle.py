@@ -153,13 +153,11 @@ def static_two_apsp(graph, p, seed):
                 pivot_dist[v] = d
                 pivot_of[v] = s
 
-    bunch = [set() for _ in range(n)]
     cluster = [set() for _ in range(n)]
     for v in range(n):
         pd = pivot_dist[v]
         for w in range(n):
             if dist[v][w] < pd:
-                bunch[v].add(w)
                 cluster[w].add(v)
 
     est = [[INF] * n for _ in range(n)]

@@ -24,6 +24,12 @@ def heap_entries(heap):
     return entries
 
 
+def nearest_levels(fam):
+    """Each node's level in its nearest tree of a TreeFamily, read off its
+    nearest_row (inf when it has no nearest root)."""
+    return [row[v] for v, row in enumerate(fam.nearest_row)]
+
+
 def check_nearest_rows(fam):
     """Each node's nearest_row in a TreeFamily is its nearest tree's own
     level_of list, or the family's inf_row when it has no nearest root, and

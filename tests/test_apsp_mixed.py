@@ -45,7 +45,7 @@ def audit(algo, prev_heavy):
     for v in range(g.n):
         level, w = min(((t.level_of[v], w) for w, t in algo.heavy_trees.items()),
                        default=(INF, None))
-        assert algo.heavy_trees.nearest_level[v] == level
+        assert algo.heavy_trees.nearest_row[v][v] == level
         assert algo.heavy_trees.nearest[v] == (w if level < INF else None)
     check_nearest_rows(eng.trees)
     check_nearest_rows(algo.heavy_trees)
@@ -73,7 +73,7 @@ def certificate_minimum(algo, u, v):
         for a, b in ((u, v), (v, u)):
             r = trees.nearest[a]
             if r is not None:
-                best = min(best, trees.nearest_level[a] + trees[r].level_of[b])
+                best = min(best, trees.nearest_row[a][a] + trees[r].level_of[b])
     heap = algo.overlap_heap.get((min(u, v), max(u, v)))
     if heap is not None:
         best = min(best, min(heap_entries(heap).values()))

@@ -42,10 +42,9 @@ def rebuilt_layers(algo):
 
 def audit(algo):
     g = algo.g
-    wv, nbr, nbr_min, adj = rebuilt_layers(algo)
+    _, nbr, nbr_min, adj = rebuilt_layers(algo)
 
-    assert by_pair(algo.w_round) == wv
-    assert [list(row) for row in algo.w_round] == [list(g.adj[x]) for x in range(g.n)]
+    assert all(algo.w_round[w] == algo.rounder.round(w) for _, _, w in g.edges())
 
     assert len(algo.nbr_heap) == len(algo.nbr_min) == len(algo.adj_heap) == g.n
     assert by_pair(algo.nbr_heap, heap_entries) == nbr
@@ -63,7 +62,7 @@ def certificate_minimum(algo, u, v):
     for a, b in ((u, v), (v, u)):
         s = trees.nearest[a]
         if s is not None:
-            best = min(best, trees.nearest_level[a] + trees[s].level_of[b])
+            best = min(best, trees.nearest_row[a][a] + trees[s].level_of[b])
         heap = algo.adj_heap[a].get(b)
         if heap is not None:
             best = min(best, min(heap_entries(heap).values()))

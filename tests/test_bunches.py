@@ -14,7 +14,7 @@ from decapsp.bunches import (
     BunchEngine,
     sample_pivots,
 )
-from helpers import rand_connected, ref_apsp, ref_dijkstra
+from helpers import nearest_levels, rand_connected, ref_apsp, ref_dijkstra
 
 INF = math.inf
 
@@ -31,7 +31,7 @@ def test_all_pivots_means_empty_bunches():
     g = rand_connected(random.Random(0), 10, 0.3, 3)
     eng = BunchEngine(g, p=1.0, eps=0.9, seed=1)
     assert list(eng.trees) == list(range(10))
-    assert all(eng.trees.nearest_level[v] == 0 and eng.trees.nearest[v] == v for v in range(10))
+    assert all(eng.trees.nearest_row[v][v] == 0 and eng.trees.nearest[v] == v for v in range(10))
     assert all(not eng.bunch[v] for v in range(10))
 
 
@@ -40,7 +40,7 @@ def test_empty_pivot_set_degenerates_with_warning(caplog):
     with caplog.at_level(logging.WARNING, logger="decapsp.bunches"):
         eng = BunchEngine(g, p=0.0, eps=0.9, seed=1)
     assert any("no pivots" in r.message for r in caplog.records)
-    assert all(eng.trees.nearest_level[v] == INF for v in range(8))
+    assert all(eng.trees.nearest_row[v][v] == INF for v in range(8))
     # every bunch covers its whole component here (n below any cap)
     dist = ref_apsp(g)
     for v in range(8):
@@ -62,7 +62,7 @@ def _check_against_truth(eng, g, prev_est):
     e3 = eng.rounder.eps
     for v in range(n):
         # pivot estimate: exact nearest-pivot distance, monotone, right argmin
-        est = eng.trees.nearest_level[v]
+        est = eng.trees.nearest_row[v][v]
         true_est = min((dist[v][s] for s in eng.trees), default=INF)
         assert est == true_est
         assert est >= prev_est[v]
@@ -105,7 +105,7 @@ def test_full_deletion_run_keeps_all_contracts(seed, p, W):
     n = rng.randint(6, 13)
     g = gnp_graph(n, 0.45, W, rng)
     eng = BunchEngine(g, p=p, eps=0.9, seed=seed ^ 0xABC)
-    prev_est = list(eng.trees.nearest_level)
+    prev_est = nearest_levels(eng.trees)
     _check_against_truth(eng, g, prev_est)
     edges = [(u, v) for u, v, _ in g.edges()]
     rng.shuffle(edges)
@@ -173,8 +173,7 @@ def test_pivot_tree_levels_match_exact_distances():
         assert eng.trees[s].adj is g.adj
         truth = ref_dijkstra(g.adj, s)
         for v in range(g.n):
-            expected = truth[v] if truth[v] <= eng.depth_cap else INF
-            assert eng.trees[s].level_of[v] == expected
+            assert eng.trees[s].level_of[v] == truth[v]
 
 
 def test_isolating_a_node_evicts_its_bunch():

@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import os
 import random
 import shutil
@@ -12,7 +13,8 @@ import pytest
 import decapsp
 from decapsp import cli
 from decapsp.graph import (
-    DELETE, DomainError, QueryCheckpoint, UpdateEvent, gnp_workload, load_graph, parse_updates)
+    DELETE, INCREASE, DomainError, QueryCheckpoint, UpdateEvent, dump_updates, gnp_workload,
+    load_graph, parse_updates)
 
 
 def generate(tmp_path, prefix="w", n=12, density=0.5, W=10, seed=3, extra=()):
@@ -198,6 +200,37 @@ def test_verify_seed_loop_reports_worst_stretch(tmp_path, algorithm, W, flags):
         assert rep["max_ratio"] == max(c["max_ratio"] for c in checkpoints) >= 1
         slacks = [c["max_slack"] for c in checkpoints if c["max_slack"] is not None]
         assert rep["max_slack"] == max(slacks) >= 0
+
+
+@pytest.mark.parametrize("algorithm, flags", [("mult", []), ("mixed", ["--tau", "3"])],
+                         ids=["mult", "mixed"])
+def test_verify_passes_after_weights_rise_far_above_W(tmp_path, algorithm, flags):
+    """W bounds the weights at construction only: with 8 edges of a W = 5
+    instance raised to 940 before its deletions, every connected pair still
+    gets a finite answer within the bound.  Pivot and heavy trees capped at
+    (2 + eps)(n - 1)W answered inf for pairs whose distance rose past it."""
+    gp, up = generate(tmp_path, n=12, density=0.4, W=5, seed=1)
+    rises = [UpdateEvent(INCREASE, u, v, 940)
+             for u, v, _ in sorted(load_graph(open(gp).read()).edges())[:8]]
+    stream = rises + [QueryCheckpoint(0, 1)] + parse_updates(open(up).read())
+    Path(up).write_text(dump_updates(stream))
+    rp = str(tmp_path / "above.json")
+    rc = cli.main(["verify", "--graph", gp, "--updates", up, "--algorithm", algorithm,
+                   *flags, "--report", rp])
+    rep = json.load(open(rp))
+    assert rc == 0 and rep["ok"] is True
+    assert rep["pairs_checked"] > 0
+
+
+@pytest.mark.parametrize("algorithm, flags", [("mult", []), ("mixed", ["--tau", "3"])],
+                         ids=["mult", "mixed"])
+def test_verify_passes_with_an_eps_near_the_float_limit(tmp_path, algorithm, flags):
+    """No tree depth is derived from eps, so eps = 1e308 builds, replays and
+    verifies instead of overflowing in a cap formula."""
+    gp, up = generate(tmp_path, n=12, density=0.4, W=5, seed=1)
+    rc = cli.main(["verify", "--graph", gp, "--updates", up, "--algorithm", algorithm,
+                   *flags, "--eps", "1e308", "--report", str(tmp_path / "eps.json")])
+    assert rc == 0
 
 
 def test_verify_flags_probe_violation(tmp_path):
@@ -400,3 +433,36 @@ def test_out_of_range_queries_raise_domain_error(tag):
         with pytest.raises(DomainError):
             algo.query(u, v)
     assert algo.query(3, 3) == 0
+
+
+@pytest.mark.parametrize("tag", cli.ALGORITHMS)
+def test_an_invalid_update_is_refused_before_any_change(tag):
+    """Every structure refuses a non-edge, a node outside [0, n), and a
+    rise to the same, a lower, a non-integer or a nan weight; additive and
+    unweighted-mult refuse any rise.  Each refusal raises and leaves the
+    counters, every answer and the graph as they were."""
+    n = 24
+    unit = tag in ("additive", "unweighted-mult")
+    graph, _ = gnp_workload(n, 0.3, 1 if unit else 10, random.Random(5))
+    cfg = cli.RunConfig(tag, "", "", tau=6, k=3, d=4, c=0.3, seed=1)
+    algo = cli.make_algorithm(cfg, graph)
+    owned = algo.inner.g if tag == "unweighted-mult" else graph  # the graph it updates
+    u, v, w = next(graph.edges())
+    a = next(x for x in range(1, n) if not graph.has_edge(0, x))
+    bad = [("delete", (0, a)), ("increase", (0, a, 5)),
+           ("delete", (-1, u)), ("delete", (u, n)), ("increase", (-1, u, 5)),
+           ("increase", (u, n, 5)),
+           ("increase", (u, v, w)), ("increase", (u, v, w - 1)),
+           ("increase", (u, v, w + 0.5)), ("increase", (u, v, math.nan))]
+    if unit:
+        bad.append(("increase", (u, v, w + 1)))
+
+    def state():
+        return ([dict(nb) for nb in graph.adj], [dict(nb) for nb in owned.adj], owned.version,
+                algo.counters(), [[algo.query(x, y) for y in range(n)] for x in range(n)])
+
+    before = state()
+    for op, args in bad:
+        with pytest.raises((KeyError, ValueError)):
+            getattr(algo, op)(*args)
+        assert state() == before, (op, args)

@@ -23,6 +23,7 @@ from helpers import (
     ReferenceESTree,
     check_nearest_rows,
     deletion_order,
+    nearest_levels,
     rand_connected,
     ref_dijkstra,
 )
@@ -564,7 +565,7 @@ def test_a_node_outside_the_graph_is_refused():
             MonotoneESTree(g.adj, 0, cap=10, offers={x: 1})
     fam = TreeFamily(g.adj, 10, [1])
     t = fam[1]
-    before = (dict(fam), list(fam.nearest), list(fam.nearest_level), list(fam.nearest_row),
+    before = (dict(fam), list(fam.nearest), nearest_levels(fam), list(fam.nearest_row),
               list(t.level_of), t.level_increases)
     for x in (-1, 4):
         with pytest.raises(KeyError):
@@ -575,7 +576,7 @@ def test_a_node_outside_the_graph_is_refused():
             t.absorb(NO_OFFERS, (1, x, INF, 1))
         with pytest.raises(KeyError):
             fam.apply(ChangeRecord(x, 1, 1, INF, 1))
-        assert (dict(fam), fam.nearest, fam.nearest_level, fam.nearest_row,
+        assert (dict(fam), fam.nearest, nearest_levels(fam), fam.nearest_row,
                 t.level_of, t.level_increases) == before
     check_nearest(fam)
 
@@ -650,11 +651,12 @@ def test_one_batched_absorb_equals_sequential_changes(seed):
 
 
 def check_nearest(fam):
-    """nearest/nearest_level against the brute-force argmin over the family,
-    and nearest_row against the nearest tree's level_of."""
+    """nearest and each node's nearest level, nearest_row[v][v], against the
+    brute-force argmin over the family, and nearest_row against the nearest
+    tree's level_of."""
     for v in range(len(fam.adj)):
         level, r = min(((t.level_of[v], r) for r, t in fam.items()), default=(INF, None))
-        assert fam.nearest_level[v] == level
+        assert fam.nearest_row[v][v] == level
         assert fam.nearest[v] == (r if level < INF else None)
     check_nearest_rows(fam)
 
@@ -669,7 +671,7 @@ def test_tree_family_refuses_an_unwritten_or_non_rising_change():
 
     def state():
         return ({r: (list(t.level_of), t.level_increases) for r, t in fam.items()},
-                list(fam.nearest), list(fam.nearest_level))
+                list(fam.nearest), nearest_levels(fam))
 
     before = state()
     bad = [(UnwrittenChange, ChangeRecord(0, 1, 1, INF, 1)),      # deletion not written
@@ -691,7 +693,7 @@ def test_tree_family_refuses_an_unwritten_or_non_rising_change():
     assert fam.apply(ChangeRecord(1, 2, 2, 5, 1)) == {0, 1, 2, 3}
     assert [fam[0].level_of[x] for x in range(5)] == [0, 1, 6, 7, 6]
     assert [fam[3].level_of[x] for x in range(5)] == [7, 6, 1, 0, 3]
-    assert fam.nearest == [0, 0, 3, 3, 3] and fam.nearest_level == [0, 1, 1, 0, 3]
+    assert fam.nearest == [0, 0, 3, 3, 3] and nearest_levels(fam) == [0, 1, 1, 0, 3]
     check_nearest(fam)
 
 
@@ -722,10 +724,10 @@ def test_tree_family_keeps_each_nodes_nearest_root(seed):
             fam.add_root(r)
             twins[r] = MonotoneESTree(twin, r, cap)
             check_nearest(fam)
-            before = (dict(fam), list(fam.nearest), list(fam.nearest_level))
+            before = (dict(fam), list(fam.nearest), nearest_levels(fam))
             with pytest.raises(KeyError):
                 fam.add_root(r)
-            assert (dict(fam), fam.nearest, fam.nearest_level) == before
+            assert (dict(fam), fam.nearest, nearest_levels(fam)) == before
         live = [(u, v) for u, v, _ in g.edges()]
         if not live:
             break

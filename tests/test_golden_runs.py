@@ -9,6 +9,7 @@ counter reproduces these reports exactly; a change that alters a counter
 on purpose updates its entry and says which values moved.
 """
 
+import contextlib
 import gc
 import json
 import random
@@ -20,6 +21,7 @@ import pytest
 
 from decapsp import cli
 from decapsp.graph import DELETE, INCREASE, QueryCheckpoint, UpdateEvent, dump_updates, load_graph
+from decapsp.rounding import GeometricRounder
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import tracer  # noqa: E402  (perfbench's, only read)
@@ -115,21 +117,46 @@ DIGESTS = {
 # `perfbench/run.py --seed 1 --trace 1` prints
 HEAP_OPS = {"mult-drain": 20881, "mixed-churn": 4863, "additive-drain": 0}
 
+# workload -> GeometricRounder.exponent calls over the same build and replay,
+# the rounding.exponent.calls that `perfbench/run.py --seed 1 --trace 1`
+# prints: one per weight, distance or minimum rounded, none per read of a
+# rounded value
+EXPONENT_CALLS = {"mult-drain": 6404, "mixed-churn": 11175, "additive-drain": 0}
+
+
+@contextlib.contextmanager
+def counted_exponent_calls():
+    """Count GeometricRounder.exponent calls while the block runs, through a
+    wrapper put on the class for the block only; yields a one-item list."""
+    calls = [0]
+    exponent = GeometricRounder.exponent
+
+    def counted(self, delta):
+        calls[0] += 1
+        return exponent(self, delta)
+
+    GeometricRounder.exponent = counted
+    try:
+        yield calls
+    finally:
+        GeometricRounder.exponent = exponent
+
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_benchmark_instances_reproduce_recorded_digests(name):
     """Each benchmark instance's answers and final counters hash to the
     recorded digest, and the panel makes the recorded number of heap
-    operations.  Re-record an entry only with a change that alters a
-    counter, an answer or the heap traffic on purpose and says so in
-    CHANGES.md."""
+    operations and of rounding calls.  Re-record an entry only with a
+    change that alters a counter, an answer, the heap traffic or the
+    rounding traffic on purpose and says so in CHANGES.md."""
     insts = workloads.build_instances(workloads.WORKLOADS[name], 1)
     heaps = tracer.HeapCounter()
-    with heaps:
+    with heaps, counted_exponent_calls() as rounded:
         got = [workloads.replay(inst, workloads.make_structure(inst)).digest()[:12]
                for inst in insts]
     assert got == DIGESTS[name]
     assert heaps.ops == HEAP_OPS[name]
+    assert rounded[0] == EXPONENT_CALLS[name]
 
 
 # the peak that tracemalloc traces over the build and replay of additive-drain
