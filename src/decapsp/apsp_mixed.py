@@ -50,7 +50,7 @@ class MixedAPSP:
         self.g = graph
         self.tau = tau
         self.engine = BunchEngine(graph, p, eps, seed)
-        self.heavy_trees = TreeFamily(graph.adj, INF)
+        self.heavy_trees = TreeFamily(graph.adj)
         self.overlap_heap = {}  # unordered (u, v) -> IndexedHeap of light w
         self.overlap_touches = 0  # overlap entries re-keyed by INCREASE events
         self.updates_applied = 0

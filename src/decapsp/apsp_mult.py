@@ -20,7 +20,10 @@ are all ladder values of the GeometricRounder, so a key is a plain sum and
 a change is detected by comparing floats.  Edges are read off graph.adj
 itself, so entries are written in the graph's neighbour order; w_round is
 one dict from each weight the graph has held to its ladder value, and the
-rounded weight of edge {x, y} is w_round[graph.adj[x][y]].  Every entry of
+rounded weight of edge {x, y} is w_round[graph.adj[x][y]].  No entry is
+ever removed: weights are positive integers, so it holds at most
+min(m + rises, largest weight held) entries, and a stream whose every rise
+lands on a fresh weight grows it by one entry per rise.  Every entry of
 both heap layers is written by heaps.heap_set at its new key, inf meaning
 absent: a deleted edge, a member that left a bunch (its event value is inf)
 and an emptied neighborhood heap (its minimum reads inf) all give inf, so

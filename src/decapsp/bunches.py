@@ -82,7 +82,7 @@ class BunchEngine:
         self.g = graph
         self.rounder = GeometricRounder(eps / 3.0)
         n = graph.n
-        self.trees = TreeFamily(graph.adj, INF, sample_pivots(n, p, seed))
+        self.trees = TreeFamily(graph.adj, sample_pivots(n, p, seed))
 
         self._size_cap = None
         if not self.trees:

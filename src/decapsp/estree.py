@@ -70,7 +70,7 @@ batch's changes it felt.
 
 Screening.  Phase 0 reads two levels, so an owner of many trees can run it
 inline and call only the trees it flags; a skipped tree would have returned
-an empty set.  TreeFamily keeps trees of one cap on one adjacency, keyed by
+an empty set.  TreeFamily keeps uncapped trees on one adjacency, keyed by
 root, and each node's nearest root and that root's level_of list (the
 pivots of BunchEngine and the heavy nodes of MixedAPSP are two families),
 so a route through v's nearest root to any node is two list reads.  Every
@@ -295,13 +295,12 @@ class MonotoneESTree:
             for y, w in adj[x].items():
                 if y in region:
                     nd = d + w
-                    if nd <= cap:
-                        ly = level_of[y]
-                        if nd < ly:
-                            nd = ly
-                        if nd < key.get(y, INF):
-                            key[y] = nd
-                            heappush(heap, (nd, y))
+                    ly = level_of[y]
+                    if nd < ly:
+                        nd = ly
+                    if nd < key.get(y, INF) and nd <= cap:  # cap last, as in _dijkstra
+                        key[y] = nd
+                        heappush(heap, (nd, y))
         for x in region:
             level_of[x] = INF
         raised.update(region)
@@ -309,7 +308,7 @@ class MonotoneESTree:
 
 
 class TreeFamily(dict):
-    """MonotoneESTrees of one depth cap on one adjacency, keyed by root.
+    """Uncapped MonotoneESTrees (cap inf) on one adjacency, keyed by root.
 
     nearest[v] is the root whose tree gives v the least level, ties going
     to the smaller root, or None when every level at v is infinite.
@@ -322,11 +321,10 @@ class TreeFamily(dict):
     re-reads the roots at exactly those nodes.
     """
 
-    __slots__ = ("adj", "cap", "nearest", "nearest_row", "inf_row")
+    __slots__ = ("adj", "nearest", "nearest_row", "inf_row")
 
-    def __init__(self, adj, cap, roots=()):
+    def __init__(self, adj, roots=()):
         self.adj = adj
-        self.cap = cap
         n = len(adj)
         self.nearest = [None] * n
         self.inf_row = (INF,) * n
@@ -352,7 +350,7 @@ class TreeFamily(dict):
         raises KeyError before anything changes."""
         if r in self:
             raise KeyError(f"root {r!r} already has a tree in the family")
-        tree = MonotoneESTree(self.adj, r, self.cap)
+        tree = MonotoneESTree(self.adj, r, INF)
         nearest, nearest_row = self.nearest, self.nearest_row
         level_of = tree.level_of
         for v, level in enumerate(level_of):

@@ -538,7 +538,7 @@ def test_a_non_rising_offer_or_an_unknown_node_is_refused():
     assert [short.level_of[x] for x in range(4)] == [0, 4, 5, INF]
 
     bare = MonotoneESTree(g.adj, 0, cap=10)
-    fam = TreeFamily(g.adj, 10, [0, 3])
+    fam = TreeFamily(g.adj, [0, 3])
     assert bare.offers is NO_OFFERS and all(tr.offers is NO_OFFERS for tr in fam.values())
     assert MonotoneESTree(g.adj, 0, cap=10, offers={}).offers is NO_OFFERS
     with pytest.raises(MonotonicityViolation):
@@ -563,7 +563,7 @@ def test_a_node_outside_the_graph_is_refused():
     for x in (-1, 4):
         with pytest.raises(ValueError):
             MonotoneESTree(g.adj, 0, cap=10, offers={x: 1})
-    fam = TreeFamily(g.adj, 10, [1])
+    fam = TreeFamily(g.adj, [1])
     t = fam[1]
     before = (dict(fam), list(fam.nearest), nearest_levels(fam), list(fam.nearest_row),
               list(t.level_of), t.level_increases)
@@ -667,7 +667,7 @@ def test_tree_family_refuses_an_unwritten_or_non_rising_change():
     does not rise, raises and leaves every level and nearest root as it
     was, also when no tree's phase-0 test would flag the edge ({1, 4})."""
     g = DynamicGraph(5, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 4, 3), (0, 4, 6), (1, 4, 9)])
-    fam = TreeFamily(g.adj, 20, [0, 3])
+    fam = TreeFamily(g.adj, [0, 3])
 
     def state():
         return ({r: (list(t.level_of), t.level_increases) for r, t in fam.items()},
@@ -708,21 +708,20 @@ def test_tree_family_keeps_each_nodes_nearest_root(seed):
     n = rng.randint(2, 14)
     g = gnp_graph(n, rng.choice((0.2, 0.5)), 3, rng)
     twin = [dict(nb) for nb in g.adj]
-    cap = rng.choice((0, 1, 3, 4 * n))
     roots = rng.sample(range(n), rng.randint(0, min(3, n)))
-    fam = TreeFamily(g.adj, cap, roots)
-    twins = {r: MonotoneESTree(twin, r, cap) for r in roots}
+    fam = TreeFamily(g.adj, roots)
+    twins = {r: MonotoneESTree(twin, r, INF) for r in roots}
     assert list(fam) == roots and all(t.adj is g.adj for t in fam.values())
     check_nearest(fam)
     r = roots[0] if roots else 0
     with pytest.raises(KeyError):
-        TreeFamily(g.adj, cap, [r, r])
+        TreeFamily(g.adj, [r, r])
     for _ in range(30):
         spare = [r for r in range(n) if r not in fam]
         if spare and rng.random() < 0.2:
             r = rng.choice(spare)
             fam.add_root(r)
-            twins[r] = MonotoneESTree(twin, r, cap)
+            twins[r] = MonotoneESTree(twin, r, INF)
             check_nearest(fam)
             before = (dict(fam), list(fam.nearest), nearest_levels(fam))
             with pytest.raises(KeyError):
