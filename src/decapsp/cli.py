@@ -10,9 +10,9 @@ Subcommands:
   verify     replay the workload against the exact oracle and report any
              stretch violations; exit status 1 if one is found
   bench      run a full deletion sequence per size for any algorithm but
-             static-2 and print a CSV row per size with wall time and the
-             structure's counters; for mult, hard-assert the laziness
-             counter bounds
+             static-2 and print a CSV row per size with wall time, build
+             time and the structure's counters; for mult, hard-assert the
+             laziness counter bounds
 
 All non-timing output is a pure function of the flags and seeds.
 """
@@ -214,17 +214,20 @@ def cmd_verify(cfg, alpha=None, beta=None):
 def _ladder(cfg, sizes, density, max_weight):
     """Per size, a full deletion run of cfg's structure on a G(n, density)
     instance drawn from seed cfg.seed, the structure sampled with seed
-    cfg.seed + 1; yields the CSV row as a dict of column -> value."""
+    cfg.seed + 1; yields the CSV row as a dict of column -> value, where
+    wall_ms times the deletions and build_ms the structure's build."""
     structure = replace(cfg, seed=cfg.seed + 1)
     for n in sizes:
         g, edges = gnp_workload(n, density, max_weight, random.Random(cfg.seed))
         m0 = g.m
-        algo = make_algorithm(structure, g)
         t0 = time.perf_counter()
+        algo = make_algorithm(structure, g)
+        t1 = time.perf_counter()
         for u, v in edges:
             algo.delete(u, v)
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        row = {"n": n, "m": m0, "wall_ms": round(wall_ms, 3)}
+        wall_ms = (time.perf_counter() - t1) * 1000.0
+        build_ms = (t1 - t0) * 1000.0
+        row = {"n": n, "m": m0, "wall_ms": round(wall_ms, 3), "build_ms": round(build_ms, 3)}
         row.update((k, x) for k, x in algo.counters().items() if isinstance(x, (int, float)))
         if cfg.algorithm == "mult":
             rebuild_bound = algo.engine.rebuild_bound()

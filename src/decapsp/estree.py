@@ -28,6 +28,18 @@ edge from the root it supports x whenever w <= l(x), and it is only ever
 raised or dropped.  A tree without offers holds the shared read-only
 NO_OFFERS.
 
+Build.  The constructor runs Dijkstra from the root at 0 and from each
+offer no larger than the cap; a level above the cap is infinite.  Its
+queue holds each distinct distance once: a dict maps a distance to the
+list of nodes filed at it, and a heapq heap holds the distances.  Weights
+are positive integers, so distances repeat heavily (an additive tree with
+cap 13 has at most 14 levels) and one heap operation serves a whole level.
+A list leaves the dict before it is drained, and a node filed again lower
+is skipped when its old entry comes up.  Nothing bounds the keys, so huge
+weights need no other path.  The repair below keeps a (key, node) heap:
+half of all repairs have a one-node region, where buckets cost more than
+they save.
+
 absorb is the one entry that checks, seeds and repairs: it raises any
 number of offers, together with at most one edge rise (u, v, w, old) the
 owner has written, w = inf for a deletion, in a single repair.
@@ -144,25 +156,35 @@ class MonotoneESTree:
         self.level_increases = 0
 
     def _dijkstra(self):
+        """The build: Dijkstra from the root and the offers, with one heap
+        entry per distinct distance (see the module docstring)."""
         dist = [INF] * len(self.adj)
         dist[self.root] = 0
-        heap = [(0, self.root)]
+        bucket = {0: [self.root]}
         adj = self.adj
         cap = self.cap
         for x, w in self.offers.items():
             if w <= cap:
                 dist[x] = w
-                heap.append((w, x))
-        heapq.heapify(heap)
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            for v, w in adj[u].items():
-                nd = d + w
-                if nd < dist[v] and nd <= cap:  # cap last: int vs inf is slow
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
+                bucket.setdefault(w, []).append(x)
+        keys = list(bucket)
+        heapq.heapify(keys)
+        heappop, heappush = heapq.heappop, heapq.heappush
+        while keys:
+            d = heappop(keys)
+            for u in bucket.pop(d):
+                if d > dist[u]:  # stale: u was filed again, lower
+                    continue
+                for v, w in adj[u].items():
+                    nd = d + w
+                    if nd < dist[v] and nd <= cap:  # cap last: int vs inf is slow
+                        dist[v] = nd
+                        filed = bucket.get(nd)
+                        if filed is None:
+                            bucket[nd] = [v]
+                            heappush(keys, nd)
+                        else:
+                            filed.append(v)
         return dist
 
     def insert_edge(self, u, v, w):
@@ -292,6 +314,8 @@ class MonotoneESTree:
             if d > level_of[x]:
                 level_of[x] = d
                 raised.add(x)
+            if not region:  # what is left on the heap is stale
+                break
             for y, w in adj[x].items():
                 if y in region:
                     nd = d + w

@@ -57,16 +57,26 @@ def dijkstra(adj, source):
     of n dicts (adj[u] maps each neighbor of u to the edge's weight)."""
     dist = [INF] * len(adj)
     dist[source] = 0
-    heap = [(0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        for v, w in adj[u].items():
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
+    # one heap entry per distinct distance, bucket[d] listing the nodes
+    # filed at d; weights are >= 1, so draining d never files a node at d
+    bucket = {0: [source]}
+    keys = [0]
+    heappop, heappush = heapq.heappop, heapq.heappush
+    while keys:
+        d = heappop(keys)
+        for u in bucket.pop(d):
+            if d > dist[u]:  # stale: u was filed again, lower
+                continue
+            for v, w in adj[u].items():
+                nd = d + w
+                if nd < dist[v]:
+                    dist[v] = nd
+                    filed = bucket.get(nd)
+                    if filed is None:
+                        bucket[nd] = [v]
+                        heappush(keys, nd)
+                    else:
+                        filed.append(v)
     return dist
 
 
@@ -113,8 +123,9 @@ def bottleneck_weights(graph, dist=None):
     for s in range(n):
         ds = dist[s]
         wmax = [0] * n
-        for v in sorted(range(n), key=lambda x: (ds[x], x)):
-            if v == s or ds[v] == INF:
+        # only reached nodes; the sort is stable, so ties keep node order
+        for v in sorted([x for x in range(n) if ds[x] < INF], key=ds.__getitem__):
+            if v == s:
                 continue
             best = 0
             dv = ds[v]

@@ -6,7 +6,9 @@ only O(log_(1+eps) of their range) times over a monotone stream, which is
 what bounds the update work of the certificate heaps.
 
 Each rounder owns one ladder [1, b, b^2, ...] with b = 1 + eps, built by
-repeated multiplication and grown on demand.  The exponent of a value is its
+repeated multiplication and grown on demand; a rung that would overflow to
+inf is the largest float instead, so every finite value >= 1 rounds to a
+finite rung at most (1 + eps) times it.  The exponent of a value is its
 bisect position on the ladder and its rounded value is the ladder float
 there, so equal exponents give the same float and different exponents
 different floats.  Comparing rounded values is therefore exactly as exact as
@@ -20,6 +22,7 @@ a distance, or a ladder value plus a weight, so none is below 1.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 
 from .graph import DomainError
@@ -44,7 +47,9 @@ class GeometricRounder:
                 raise DomainError(f"can only round finite values >= 1, got {delta!r}")
             base = 1.0 + self.eps
             while ladder[-1] < delta:
-                ladder.append(ladder[-1] * base)
+                # a rung past the float range is the largest float instead,
+                # still within a factor 1 + eps of every value above the last
+                ladder.append(min(ladder[-1] * base, sys.float_info.max))
         return bisect_left(ladder, delta)
 
     def round(self, delta):

@@ -268,7 +268,7 @@ def test_bench_csv_and_counter_assertions(tmp_path):
                    "--W", "6", "--seed", "4", "--out", out])
     assert rc == 0
     lines = open(out).read().strip().splitlines()
-    assert lines[0].startswith("n,m,wall_ms,updates")
+    assert lines[0].startswith("n,m,wall_ms,build_ms,updates")
     assert len(lines) == 3
     header = lines[0].split(",")
     for line, n in zip(lines[1:], (12, 16)):
@@ -306,7 +306,7 @@ def test_bench_header(capsys, algorithm):
     rc = cli.main(["bench", "--algorithm", algorithm, "--sizes", "12,16", *flags])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == ",".join(["n", "m", "wall_ms", *columns])
+    assert lines[0] == ",".join(["n", "m", "wall_ms", "build_ms", *columns])
     assert [row.split(",")[0] for row in lines[1:]] == ["12", "16"]
 
 

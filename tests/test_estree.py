@@ -514,6 +514,32 @@ def test_offers_match_the_reference_with_root_edges(density, max_w):
             assert t.level_increases == raised_total
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**30), st.integers(1, 30), st.sampled_from([1, 10**12]),
+       st.sampled_from(["on", "between", "none"]))
+def test_a_build_with_offers_and_a_cap_matches_dijkstra(seed, n, max_w, cut):
+    """The build gives the reference Dijkstra's distances over the adjacency
+    plus the offers as edges from the root, infinite above the cap; max_w 1
+    ties most distances and 10**12 almost none.  The cap is one of the
+    distances, falls between two of them, or is infinite."""
+    rng = random.Random(seed)
+    g = gnp_graph(n, rng.choice((0.1, 0.3)), max_w, rng)
+    adj = g.adj
+    root = rng.randrange(n)
+    others = [x for x in range(n) if x != root]
+    offers = {x: rng.randint(1, 3 * max_w) for x in rng.sample(others, rng.randint(0, n - 1))}
+    with_edges = [dict(nb) for nb in adj]
+    for x, w in offers.items():
+        with_edges[root][x] = with_edges[x][root] = min(adj[root].get(x, INF), w)
+    exact = ref_dijkstra(with_edges, root)
+    levels = sorted({d for d in exact if d < INF}) + [INF]
+    i = rng.randrange(len(levels) - 1)
+    cap = {"on": levels[i], "between": (levels[i] + min(levels[i + 1], levels[i] + 2)) / 2,
+           "none": INF}[cut]
+    t = MonotoneESTree(adj, root, cap, dict(offers))
+    assert t.level_of == [d if d <= cap else INF for d in exact]
+
+
 def test_a_non_rising_offer_or_an_unknown_node_is_refused():
     """absorb refuses an offer that does not rise, at a node holding
     none (the root, a node outside the graph) too, before anything

@@ -22,11 +22,12 @@ from decapsp.oracle import (
     StaticTwoAPSP,
     StretchReport,
     bottleneck_weights,
+    dijkstra,
     exact_apsp,
     static_two_apsp,
     sweep,
 )
-from helpers import minplus_hop_limited, rand_connected, ref_apsp
+from helpers import minplus_hop_limited, rand_connected, ref_apsp, ref_dijkstra
 
 INF = math.inf
 
@@ -120,6 +121,29 @@ def test_bottleneck_sandwiched_by_path_weights(seed, n):
                 continue
             assert 1 <= w[u][v] <= d[u][v]
             assert w[u][v] == ref[v]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**30), st.integers(1, 30), st.sampled_from([1, 10**12]))
+def test_dijkstra_and_padded_bottleneck_rows_match_the_references(seed, n, max_w):
+    """dijkstra gives the reference Dijkstra's rows, and bottleneck_weights
+    over a matrix holding only some of them, the others padded with inf as
+    the benchmark's answer check passes them, gives each held row the
+    reference's weights and each padded row zeros; max_w 1 ties most
+    distances and 10**12 almost none."""
+    rng = random.Random(seed)
+    g = gnp_graph(n, rng.choice((0.1, 0.3)), max_w, rng)
+    sources = set(rng.sample(range(n), rng.randint(1, n)))
+    d = [ref_dijkstra(g.adj, s) if s in sources else [INF] * n for s in range(n)]
+    for s in sources:
+        assert dijkstra(g.adj, s) == d[s]
+    w = bottleneck_weights(g, d)
+    for u in range(n):
+        if u in sources:
+            ref = _bottleneck_reference(g, d, u)
+            assert w[u] == [ref.get(v, 0) for v in range(n)]
+        else:
+            assert w[u] == [0] * n
 
 
 def test_static_two_apsp_with_all_pivots_is_exact():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -79,3 +80,19 @@ def test_values_identify_exponents(a, b, eps):
     r = GeometricRounder(eps)
     assert (r.round(a) == r.round(b)) == (r.exponent(a) == r.exponent(b))
     assert r.round(r.round(a)) == r.round(a)
+
+
+@pytest.mark.parametrize("eps, delta", [
+    (1e308 / 3, 7e307),
+    (1e308 / 3, sys.float_info.max),
+    (0.9, 1.7e308),
+    (0.9, sys.float_info.max),
+])
+def test_a_value_past_the_last_finite_power_rounds_to_a_finite_rung(eps, delta):
+    """A rung past the float range would be inf; it is the largest float
+    instead, which still sandwiches every value above the rung before it."""
+    r = GeometricRounder(eps)
+    val = r.round(delta)
+    assert math.isfinite(val)
+    assert delta <= val <= (1 + eps) * delta
+    assert r.round(val) == val
