@@ -46,20 +46,6 @@ from .oracle import (
     sweep,
 )
 
-_CLI_NAMES = ("RunConfig", "main")
-
-
-def __getattr__(name):
-    # The CLI is imported on first use, not here: an eager import puts
-    # decapsp.cli in sys.modules before `python -m decapsp.cli` runs it,
-    # and runpy then warns that the module may behave unpredictably.
-    if name in _CLI_NAMES:
-        from . import cli
-
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "AdditiveAPSP",
     "BoundSpec",
@@ -81,7 +67,6 @@ __all__ = [
     "MultiplicativeAPSP",
     "ParseError",
     "QueryCheckpoint",
-    "RunConfig",
     "StaticTwoAPSP",
     "StretchReport",
     "UnweightedAPSP",
@@ -94,7 +79,6 @@ __all__ = [
     "gnp_graph",
     "level_thresholds",
     "load_graph",
-    "main",
     "parse_updates",
     "sample_partition",
     "sample_pivots",

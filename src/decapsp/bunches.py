@@ -3,7 +3,9 @@
 Each node v tracks its nearest sampled pivot through a TreeFamily, one
 uncapped shortest-path tree per pivot, whose nearest_row[v][v] is v's pivot
 estimate, and keeps a bunch: the set of nodes strictly closer than the
-pivot.  Bunch membership is maintained lazily around a cached radius:
+pivot.  A node with no pivot in reach has pivot distance inf, so its bunch
+is its whole component.  Bunch membership is maintained lazily around a
+cached radius:
 
   * the radius starts at the pivot distance;
   * members may leave at any time (their distance reached the current pivot
@@ -83,17 +85,9 @@ class BunchEngine:
         self.rounder = GeometricRounder(eps / 3.0)
         n = graph.n
         self.trees = TreeFamily(graph.adj, sample_pivots(n, p, seed))
-
-        self._size_cap = None
         if not self.trees:
-            if p > 0:
-                self._size_cap = max(1, math.ceil(4 * math.log(max(n, 2)) / p))
             logger.warning(
-                "no pivots sampled (n=%d, p=%g): bunches degenerate to whole "
-                "components, capped at %s members",
-                n,
-                p,
-                self._size_cap,
+                "no pivots sampled (n=%d, p=%g): every bunch is its whole component", n, p
             )
 
         self.radius = [row[v] for v, row in enumerate(self.trees.nearest_row)]
@@ -132,7 +126,6 @@ class BunchEngine:
         dist = {source: 0}
         settled = {}
         heap = [(0, source)]
-        cap = self._size_cap
         while heap:
             d, u = heapq.heappop(heap)
             if d >= threshold:
@@ -140,8 +133,6 @@ class BunchEngine:
             if d > dist[u]:
                 continue
             settled[u] = d
-            if cap is not None and len(settled) >= cap:
-                break
             for v, w in adj[u].items():
                 nd = d + w
                 if nd < threshold and nd < dist.get(v, INF):

@@ -47,12 +47,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class UpdateEvent:
-    """One decremental operation.  Delete is Increase with delta = inf."""
+    """One decremental operation: a DELETE, or an INCREASE to the new,
+    strictly larger integer weight delta.  A DELETE ignores delta."""
 
     kind: str  # DELETE or INCREASE
     u: int
     v: int
-    delta: float = INF  # new weight for INCREASE; inf for DELETE
+    delta: float = INF  # new weight for INCREASE
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,7 @@ class DynamicGraph:
         self._check_node(v)
         if u == v:
             raise DomainError(f"self-loop at node {u}")
-        if not isinstance(w, int) or w < 1:
+        if type(w) is not int or w < 1:  # bool is an int subclass
             raise DomainError(f"edge weight must be a positive integer, got {w!r}")
         if v in self.adj[u]:
             raise DuplicateEdge(f"edge {{{u}, {v}}} already present")
@@ -110,7 +111,7 @@ class DynamicGraph:
             self.W = w
 
     def _check_node(self, u):
-        if not isinstance(u, int) or not (0 <= u < self.n):
+        if type(u) is not int or not (0 <= u < self.n):  # bool is an int subclass
             raise DomainError(f"node {u!r} out of range [0, {self.n})")
 
     def has_edge(self, u, v):
@@ -147,13 +148,17 @@ def apply_update(graph, event):
     if not graph.has_edge(u, v):
         raise EdgeNotFound(f"edge {{{u}, {v}}} not in graph")
     old = graph.adj[u][v]
-    if event.kind == DELETE or event.delta == INF:
+    if event.kind == DELETE:
         del graph.adj[u][v]
         del graph.adj[v][u]
         new = INF
     else:
         new = event.delta
-        if not isinstance(new, int) or new <= old:
+        if not isinstance(new, int):
+            raise MonotonicityViolation(
+                f"weight of {{{u}, {v}}} must rise to a finite integer above {old}, got {new!r}"
+            )
+        if new <= old:
             raise MonotonicityViolation(
                 f"weight of {{{u}, {v}}} must strictly increase: {old} -> {new!r}"
             )
@@ -258,7 +263,7 @@ def dump_updates(events):
     for ev in events:
         if isinstance(ev, QueryCheckpoint):
             out.append(f"q {ev.u} {ev.v}")
-        elif ev.kind == DELETE or ev.delta == INF:
+        elif ev.kind == DELETE:
             out.append(f"d {ev.u} {ev.v}")
         else:
             out.append(f"i {ev.u} {ev.v} {ev.delta}")

@@ -82,30 +82,8 @@ def dijkstra(adj, source):
 
 def exact_apsp(graph):
     """n x n matrix of exact distances (math.inf where disconnected)."""
-    n = graph.n
-    _check_cap(n)
-    adj = graph.adj
-    unit = all(w == 1 for _, _, w in graph.edges())
-    out = []
-    for s in range(n):
-        if unit:
-            dist = [INF] * n
-            dist[s] = 0
-            frontier = [s]
-            d = 0
-            while frontier:
-                d += 1
-                nxt = []
-                for u in frontier:
-                    for v in adj[u]:
-                        if dist[v] == INF:
-                            dist[v] = d
-                            nxt.append(v)
-                frontier = nxt
-            out.append(dist)
-        else:
-            out.append(dijkstra(adj, s))
-    return out
+    _check_cap(graph.n)
+    return [dijkstra(graph.adj, s) for s in range(graph.n)]
 
 
 def bottleneck_weights(graph, dist=None):
@@ -186,20 +164,14 @@ def static_two_apsp(graph, p, seed):
                 row[v] = cand
                 est[v][u] = cand
     for x, y, w in graph.edges():
-        for u in cluster[x]:
-            dux = dist[u][x]
-            for v in cluster[y]:
-                cand = dux + w + dist[y][v]
-                if cand < est[u][v]:
-                    est[u][v] = cand
-                    est[v][u] = cand
-        for u in cluster[y]:
-            duy = dist[u][y]
-            for v in cluster[x]:
-                cand = duy + w + dist[x][v]
-                if cand < est[u][v]:
-                    est[u][v] = cand
-                    est[v][u] = cand
+        for a, b in ((x, y), (y, x)):
+            for u in cluster[a]:
+                dua = dist[u][a] + w
+                for v in cluster[b]:
+                    cand = dua + dist[b][v]
+                    if cand < est[u][v]:
+                        est[u][v] = cand
+                        est[v][u] = cand
     return est
 
 
@@ -365,7 +337,7 @@ def sweep(algo, graph, updates, bound, *, dense=False):
                 report.checkpoints.append(_run_checkpoint(algo, graph, bound))
                 pending = False
             continue
-        if ev.kind == DELETE or ev.delta == INF:
+        if ev.kind == DELETE:
             algo.delete(ev.u, ev.v)
         else:
             algo.increase(ev.u, ev.v, ev.delta)

@@ -29,13 +29,18 @@ from .graph import DomainError
 
 
 class GeometricRounder:
-    """Rounds finite values >= 1 up to powers of (1 + eps)."""
+    """Rounds finite values >= 1 up to powers of (1 + eps).
+
+    An eps with 1.0 + eps == 1.0 is refused: its ladder could never climb
+    past 1.  Any larger eps climbs, but a tiny one still needs about
+    ln(x) / eps rungs to reach x.
+    """
 
     __slots__ = ("eps", "_ladder")
 
     def __init__(self, eps):
-        if not (eps > 0) or not math.isfinite(eps):
-            raise DomainError(f"eps must be positive and finite, got {eps!r}")
+        if not (1.0 + eps > 1.0) or not math.isfinite(eps):
+            raise DomainError(f"eps must be finite with 1 + eps > 1, got {eps!r}")
         self.eps = eps
         self._ladder = [1.0]
 

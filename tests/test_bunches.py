@@ -41,19 +41,25 @@ def test_empty_pivot_set_degenerates_with_warning(caplog):
         eng = BunchEngine(g, p=0.0, eps=0.9, seed=1)
     assert any("no pivots" in r.message for r in caplog.records)
     assert all(eng.trees.nearest_row[v][v] == INF for v in range(8))
-    # every bunch covers its whole component here (n below any cap)
+    # with no pivot every bunch is its whole component
     dist = ref_apsp(g)
     for v in range(8):
         assert set(eng.bunch[v]) == {w for w in range(8) if dist[v][w] < INF}
 
 
-def test_empty_pivot_set_respects_size_cap(caplog):
+def test_a_pivotless_sample_at_positive_p_gives_whole_component_bunches(caplog):
+    """p > 0 drew no pivot: a bunch is every node strictly closer than the
+    nearest pivot, so with none in reach it is the whole component, as at
+    p = 0 and as for a component that lost its last pivot."""
     g = rand_connected(random.Random(2), 30, 0.6, 1)
     with caplog.at_level(logging.WARNING, logger="decapsp.bunches"):
         eng = BunchEngine(g, p=0.001, eps=0.9, seed=7)  # seed samples no pivot
     assert not eng.trees
-    cap = math.ceil(4 * math.log(30) / 0.001)
-    assert all(len(b) <= min(30, cap) for b in eng.bunch)
+    assert any("no pivots" in r.message for r in caplog.records)
+    assert all(len(b) <= 30 for b in eng.bunch)
+    dist = ref_apsp(g)
+    for v in range(30):
+        assert set(eng.bunch[v]) == {w for w in range(30) if dist[v][w] < INF}
 
 
 def _check_against_truth(eng, g, prev_est):

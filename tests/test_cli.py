@@ -376,16 +376,22 @@ def _declared_entry_point():
     return module, func
 
 
+def _child_env():
+    """The environment for a child process that must import the decapsp
+    under test, not another copy."""
+    src = str(Path(decapsp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_console_script(tmp_path):
     # Launch the declared entry point in a fresh process the way the wrapper
     # pip generates for [project.scripts] does, so no install is needed.
     module, func = _declared_entry_point()
     exe = [sys.executable, "-c",
            f"import sys; from {module} import {func}; sys.exit({func}())"]
-    # the child process must import the decapsp under test, not another copy
-    src = str(Path(decapsp.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env = _child_env()
     gp = str(tmp_path / "s.graph")
     up = str(tmp_path / "s.updates")
     subprocess.run([*exe, "generate", "--n", "6", "--density", "1.0",
@@ -402,6 +408,25 @@ def test_console_script(tmp_path):
          "--updates", str(tmp_path / "m.updates")],
         check=True, capture_output=True, text=True, env=env)
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_run_refuses_an_eps_too_small_to_round_with(tmp_path):
+    """eps = 3e-16 gives the bunches eps / 3, and 1.0 + 1e-16 == 1.0, so no
+    rounding ladder could climb: the run ends with exit status 2 and one
+    error line.  The child runs under a time and an address-space limit, so
+    a ladder that grew without end fails the test instead of hanging it."""
+    resource = pytest.importorskip("resource")
+    gp, up = generate(tmp_path)
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "decapsp.cli", "run", "--graph", gp, "--updates", up,
+         "--algorithm", "mult", "--eps", "3e-16"],
+        capture_output=True, text=True, env=_child_env(), timeout=60, preexec_fn=limit_memory)
+    assert proc.returncode == 2 and not proc.stdout
+    assert proc.stderr == "error: eps must be finite with 1 + eps > 1, got 1e-16\n"
 
 
 @pytest.mark.skipif(shutil.which("decapsp") is None,
@@ -438,9 +463,10 @@ def test_out_of_range_queries_raise_domain_error(tag):
 @pytest.mark.parametrize("tag", cli.ALGORITHMS)
 def test_an_invalid_update_is_refused_before_any_change(tag):
     """Every structure refuses a non-edge, a node outside [0, n), and a
-    rise to the same, a lower, a non-integer or a nan weight; additive and
-    unweighted-mult refuse any rise.  Each refusal raises and leaves the
-    counters, every answer and the graph as they were."""
+    rise to the same, a lower, a non-integer, a nan or an inf weight (a rise
+    to inf is not a deletion); additive and unweighted-mult refuse any rise.
+    Each refusal raises and leaves the counters, every answer and the graph
+    as they were."""
     n = 24
     unit = tag in ("additive", "unweighted-mult")
     graph, _ = gnp_workload(n, 0.3, 1 if unit else 10, random.Random(5))
@@ -453,7 +479,8 @@ def test_an_invalid_update_is_refused_before_any_change(tag):
            ("delete", (-1, u)), ("delete", (u, n)), ("increase", (-1, u, 5)),
            ("increase", (u, n, 5)),
            ("increase", (u, v, w)), ("increase", (u, v, w - 1)),
-           ("increase", (u, v, w + 0.5)), ("increase", (u, v, math.nan))]
+           ("increase", (u, v, w + 0.5)), ("increase", (u, v, math.nan)),
+           ("increase", (u, v, math.inf))]
     if unit:
         bad.append(("increase", (u, v, w + 1)))
 

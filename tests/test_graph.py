@@ -57,11 +57,17 @@ def test_delete_missing_edge():
 
 
 def test_increase_must_strictly_increase():
+    """A rise to inf is refused too, with no delta as well: only a DELETE
+    removes an edge."""
     g = small_graph()
-    for bad in (3, 2, 1, 0, -4):
+    before = [dict(nbrs) for nbrs in g.adj]
+    for bad in (3, 2, 1, 0, -4, INF):
         with pytest.raises(MonotonicityViolation):
             apply_update(g, UpdateEvent(INCREASE, 1, 2, bad))
-    assert g.version == 0
+    with pytest.raises(MonotonicityViolation) as exc:
+        apply_update(g, UpdateEvent(INCREASE, 1, 2))
+    assert str(exc.value) == "weight of {1, 2} must rise to a finite integer above 3, got inf"
+    assert g.version == 0 and g.adj == before
 
 
 @pytest.mark.parametrize("event", [UpdateEvent("bogus", 0, 1), UpdateEvent("bogus", 0, 1, 7)],
@@ -99,6 +105,18 @@ def test_construction_rejects_bad_edges():
         DynamicGraph(3, [(0, 5, 1)])
     with pytest.raises(DuplicateEdge):
         DynamicGraph(3, [(0, 1, 1), (1, 0, 2)])
+
+
+@pytest.mark.parametrize("edge", [(0, 2, True), (True, 2, 1), (2, False, 4)],
+                         ids=["bool-weight", "bool-node", "bool-other-node"])
+def test_a_bool_weight_or_node_is_refused_so_the_file_round_trips(edge):
+    """bool is an int subclass: an accepted True made dump_graph write
+    '0 2 True', which load_graph refuses as a non-integer field."""
+    g = DynamicGraph(3, [(0, 1, 2)])
+    with pytest.raises(DomainError):
+        g.add_edge(*edge)
+    back = load_graph(dump_graph(g))
+    assert back.adj == g.adj and back.W == g.W
 
 
 def test_parse_errors_carry_line_numbers():

@@ -41,9 +41,9 @@ def test_exact_apsp_triangle_plus_isolate():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**30), st.integers(2, 12))
-def test_exact_apsp_matches_independent_dijkstra(seed, n):
-    g = gnp_graph(n, 0.4, 6, random.Random(seed))
+@given(st.integers(0, 2**30), st.integers(2, 12), st.sampled_from([1, 6]))
+def test_exact_apsp_matches_independent_dijkstra(seed, n, max_weight):
+    g = gnp_graph(n, 0.4, max_weight, random.Random(seed))
     d = exact_apsp(g)
     ref = ref_apsp(g)
     for u in range(n):

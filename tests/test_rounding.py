@@ -39,9 +39,12 @@ def test_rounding_domain_errors():
     for bad in (0, -1, -0.5, 0.5, 1 - 1e-9, math.inf, math.nan):
         with pytest.raises(DomainError):
             GeometricRounder(0.3).round(bad)
-    for bad_eps in (0, -0.1, math.inf):
+    # with 1.0 + eps == 1.0 every rung would stay 1.0 and the ladder would
+    # grow forever; the smallest eps that moves 1.0 is accepted
+    for bad_eps in (0, -0.1, math.inf, 1e-16, 1e-17, 2.0**-54, 5e-324):
         with pytest.raises(DomainError):
             GeometricRounder(bad_eps)
+    assert GeometricRounder(2.0**-52).round(1 + 2.0**-52) == 1 + 2.0**-52
 
 
 @settings(max_examples=150, deadline=None)
