@@ -21,8 +21,13 @@ certificate heaps downstream.
 In-bunch distance estimates are exact truncated searches here (the contract
 only needs (1 + eps/3)-accurate ones); the slack is deliberately unused so
 that non-membership certifies d(v, w) >= radius with no extra factor.  The
-settled dict of v's last search is kept as v's region: a change {u, v}
-re-searches the owners whose regions hold both endpoints.
+settled dict of v's last search is kept as v's region: a change to edge
+{u, v} of old weight w re-searches only the owners x in whose region the
+edge is tight, region[x][u] + w == region[x][v] or the reverse.  Every edge
+on a shortest path to a settled node joins two settled nodes and is tight,
+so a change that is not tight in x's region leaves every settled distance,
+and so x's bunch and estimates, as they were (Ramalingam & Reps, 1996);
+the region keeps its stored distances, which stay exact.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .estree import TreeFamily
 from .graph import DomainError
@@ -55,8 +60,7 @@ def sample_pivots(n, p, seed):
     return [v for v in range(n) if rng.random() < p]
 
 
-@dataclass(frozen=True)
-class BunchChangeEvent:
+class BunchChangeEvent(NamedTuple):
     """One membership or estimate change of bunch(owner) w.r.t. member.
 
     case is LEAVE (value = inf), INCREASE (rounded estimate grew) or JOIN
@@ -81,8 +85,12 @@ class BunchEngine:
     def __init__(self, graph, p, eps, seed):
         if not (eps > 0):
             raise DomainError(f"eps must be positive, got {eps!r}")
+        try:
+            self.rounder = GeometricRounder(eps / 3.0)
+        except DomainError:  # name the eps the caller gave, not eps / 3
+            raise DomainError(
+                f"eps must be finite with 1 + eps / 3 > 1, got {eps!r}") from None
         self.g = graph
-        self.rounder = GeometricRounder(eps / 3.0)
         n = graph.n
         self.trees = TreeFamily(graph.adj, sample_pivots(n, p, seed))
         if not self.trees:
@@ -175,7 +183,10 @@ class BunchEngine:
         # Only a raised node can outgrow its radius: its estimate never drops
         # and stays within (1 + eps/3) * radius between rebuilds.
         outgrown = {x for x in self.trees.apply(change) if rows[x][x] > grow * radius[x]}
-        nearby = self._region_rev[change.u] & self._region_rev[change.v]
+        # old >= 1, so |d(x, u) - d(x, v)| == old is the tightness test
+        u, v, old, region = change.u, change.v, change.old_weight, self._region
+        nearby = {x for x in self._region_rev[u] & self._region_rev[v]
+                  if abs(region[x][u] - region[x][v]) == old}
         events = []
         for x in sorted(nearby | outgrown):
             rebuild = x in outgrown

@@ -16,10 +16,10 @@ never copies or writes it, so any number of trees can share one graph.
 Nodes are 0..n-1 and level_of is a list of n levels, written in place.
 The owner writes each change first, then passes it to the tree with the
 weight the edge had before a rise; a change the adjacency does not show
-yet raises UnwrittenChange, an endpoint outside 0..n-1 raises KeyError,
-and an old weight that is not finite or not below the new one raises
-MonotonicityViolation.  The tree keeps no edge set, so the owner refuses a
-missing or duplicate edge.
+yet raises UnwrittenChange, an endpoint that is not an int in 0..n-1
+raises KeyError, and an old weight that is not finite or not below the new
+one raises MonotonicityViolation.  The tree keeps no edge set, so the owner
+refuses a missing or duplicate edge.
 
 Offers: a tree may also own offers (node -> weight), edges of its own from
 the root that no other tree sees, so trees whose root edges differ can still
@@ -223,7 +223,7 @@ class MonotoneESTree:
             u, v, new, old = change
             adj = self.adj
             n = len(adj)
-            if (not (0 <= u < n and 0 <= v < n)
+            if (not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n)
                     or adj[u].get(v, INF) != new or adj[v].get(u, INF) != new):
                 _require_written(adj, u, v, new)
             if not -INF < old < new:
@@ -390,8 +390,13 @@ class TreeFamily(dict):
         raised in any of them.  A change the adjacency does not show, or a
         weight that does not rise, raises before any tree changes."""
         u, v, old, new = change.u, change.v, change.old_weight, change.new_weight
-        _require_written(self.adj, u, v, new)
-        _require_rise(u, v, old, new)
+        adj = self.adj
+        n = len(adj)
+        if (not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n)
+                or adj[u].get(v, INF) != new or adj[v].get(u, INF) != new):
+            _require_written(adj, u, v, new)
+        if not -INF < old < new:
+            _require_rise(u, v, old, new)
         nearest = self.nearest
         raised = set()
         stale = []

@@ -4,12 +4,18 @@ A graph instance only ever shrinks: edges are deleted or their weights are
 increased, never the reverse.  Every mutation goes through apply_update so
 that a single version counter orders all changes and downstream structures
 can reason about "the graph at time t".
+
+UpdateEvent and ChangeRecord are NamedTuples: immutable records with the
+repr of a dataclass, built once per update at a fraction of a frozen
+dataclass's cost.  Like any tuple they compare equal to a plain tuple of
+the same fields.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 INF = math.inf
 
@@ -45,8 +51,7 @@ class ConfigError(ValueError):
     """Invalid or incomplete run configuration."""
 
 
-@dataclass(frozen=True)
-class UpdateEvent:
+class UpdateEvent(NamedTuple):
     """One decremental operation: a DELETE, or an INCREASE to the new,
     strictly larger integer weight delta.  A DELETE ignores delta."""
 
@@ -62,8 +67,9 @@ class QueryCheckpoint:
     v: int
 
 
-@dataclass(frozen=True)
-class ChangeRecord:
+class ChangeRecord(NamedTuple):
+    """What apply_update did to edge {u, v}, the graph's version-th change."""
+
     u: int
     v: int
     old_weight: float
@@ -77,7 +83,8 @@ class DynamicGraph:
     Nodes are 0..n-1, and adj is a list of n dicts: adj[u] maps each
     neighbor of u to the edge's weight, and both directions are stored.
     add_edge, has_edge, weight and apply_update refuse a node id outside
-    0..n-1 rather than let a list index such as -1 read another node's row.
+    0..n-1, or one that is not an int (a bool included), rather than let a
+    list index such as -1 read another node's row or True stand for node 1.
     W is the maximum weight seen at construction; it bounds only the bunch
     rebuild budget (BunchEngine.rebuild_bound), not later rises.
     """
@@ -115,7 +122,9 @@ class DynamicGraph:
             raise DomainError(f"node {u!r} out of range [0, {self.n})")
 
     def has_edge(self, u, v):
-        return isinstance(u, int) and 0 <= u < self.n and v in self.adj[u]
+        # type(...) is int, as in _check_node: True in adj[0] would find node 1
+        return (type(u) is int and type(v) is int and 0 <= u < self.n
+                and v in self.adj[u])
 
     def weight(self, u, v):
         if not self.has_edge(u, v):

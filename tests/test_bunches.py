@@ -1,3 +1,4 @@
+import functools
 import logging
 import math
 import random
@@ -6,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decapsp import DELETE, INCREASE, UpdateEvent, apply_update, gnp_graph
+from decapsp import DELETE, INCREASE, DynamicGraph, UpdateEvent, apply_update, gnp_graph
+from decapsp.apsp_mixed import MixedAPSP
+from decapsp.apsp_mult import MultiplicativeAPSP
 from decapsp.bunches import (
+    INCREASE as GREW,
     JOIN,
     LEAVE,
     BunchChangeEvent,
@@ -191,3 +195,108 @@ def test_isolating_a_node_evicts_its_bunch():
         eng.refresh(rec)
     assert set(eng.bunch[victim]) <= {victim}
     assert all(victim not in eng.bunch[w] or w == victim for w in range(8))
+
+
+def refresh_every_nearby(eng, change):
+    """BunchEngine.refresh without the tightness test: every owner whose
+    region holds both endpoints is re-searched."""
+    rows, radius, grow = eng.trees.nearest_row, eng.radius, 1 + eng.rounder.eps
+    outgrown = {x for x in eng.trees.apply(change) if rows[x][x] > grow * radius[x]}
+    nearby = eng._region_rev[change.u] & eng._region_rev[change.v]
+    events = []
+    for x in sorted(nearby | outgrown):
+        rebuild = x in outgrown
+        if rebuild:
+            radius[x] = rows[x][x]
+            eng.rebuilds[x] += 1
+        eng._rebuild_owner(x, rebuild, events)
+    return events
+
+
+def recording(refresh, log):
+    def wrapped(change):
+        events = refresh(change)
+        log.append(list(events))
+        return events
+    return wrapped
+
+
+def engine_state(eng):
+    return eng.bunch, eng.cluster, eng.radius, eng.rebuilds, nearest_levels(eng.trees)
+
+
+@pytest.mark.parametrize("algorithm", ["mult", "mixed"])
+def test_skipping_non_tight_owners_changes_only_the_search_count(algorithm):
+    """On random streams of rises and deletions, a structure whose engine
+    re-searches only the owners in whose region the edge is tight emits the
+    same bunch events, ends every update with the same bunches, clusters,
+    radii and rebuilds, answers every query alike and keeps every counter
+    but searches equal to a twin that re-searches every owner whose region
+    holds both endpoints; it never searches more, and over the streams
+    searches less."""
+    fewer = 0
+    for seed in range(6):
+        rng = random.Random(seed)
+        g = gnp_graph(16, 0.35, 8, rng)
+
+        def build(graph):
+            if algorithm == "mult":
+                return MultiplicativeAPSP(graph, p=0.25, eps=0.6, seed=seed)
+            return MixedAPSP(graph, p=0.25, eps=0.6, tau=4, seed=seed)
+
+        fast, full = build(g.copy()), build(g.copy())
+        fast_log, full_log = [], []
+        fast.engine.refresh = recording(fast.engine.refresh, fast_log)
+        full.engine.refresh = recording(functools.partial(refresh_every_nearby, full.engine),
+                                        full_log)
+        live = sorted((u, v) for u, v, _ in g.edges())
+        while live:
+            i = rng.randrange(len(live))
+            u, v = live[i]
+            if rng.random() < 0.5:
+                delta = fast.g.weight(u, v) + rng.randint(1, 4)
+                fast.increase(u, v, delta)
+                full.increase(u, v, delta)
+            else:
+                live[i] = live[-1]
+                live.pop()
+                fast.delete(u, v)
+                full.delete(u, v)
+            assert fast_log[-1] == full_log[-1]
+            assert engine_state(fast.engine) == engine_state(full.engine)
+            assert fast.engine.searches <= full.engine.searches
+            if rng.random() < 0.2:
+                assert ([fast.query(a, b) for a in range(16) for b in range(16)]
+                        == [full.query(a, b) for a in range(16) for b in range(16)])
+        counts, want = fast.counters(), full.counters()
+        fewer += want.pop("searches") - counts.pop("searches")
+        assert counts == want
+    assert fewer > 0
+
+
+def test_a_change_tight_in_no_region_runs_no_search():
+    """With no pivot every region is its owner's whole component.  Edge
+    {1, 2} of weight 3 is longer than the route 1-0-2 of length 2, so it is
+    tight in no region: raising it and then deleting it re-searches no
+    owner, emits no event and leaves every bunch as it was.  Raising {0, 1}
+    then re-searches the owners in whose regions it is tight: all four."""
+    g = DynamicGraph(4, [(0, 1, 1), (0, 2, 1), (1, 2, 3), (2, 3, 2)])
+    eng = BunchEngine(g, p=0.0, eps=0.9, seed=1)
+    assert all(set(eng._region[x]) == {0, 1, 2, 3} for x in range(4))
+    bunches, searches = [dict(b) for b in eng.bunch], eng.searches
+    for event in (UpdateEvent(INCREASE, 1, 2, 5), UpdateEvent(DELETE, 1, 2)):
+        assert eng.refresh(apply_update(g, event)) == []
+        assert eng.searches == searches and eng.bunch == bunches
+    events = eng.refresh(apply_update(g, UpdateEvent(INCREASE, 0, 1, 4)))
+    assert eng.searches == searches + 4  # from 3 too: d(3, 1) = d(3, 0) + 1 = 4
+    assert events == [BunchChangeEvent(x, y, GREW, eng.bunch[x][y])
+                      for x, y in ((0, 1), (1, 0), (1, 2), (1, 3), (2, 1), (3, 1))]
+
+
+def test_bunch_change_events_refuse_attribute_assignment():
+    event = BunchChangeEvent(0, 1, LEAVE, INF)
+    assert repr(event) == "BunchChangeEvent(owner=0, member=1, case='leave', value=inf)"
+    for field in ("owner", "member", "case", "value"):
+        with pytest.raises(AttributeError):
+            setattr(event, field, 2)
+    assert event == BunchChangeEvent(0, 1, LEAVE, INF)

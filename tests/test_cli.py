@@ -413,7 +413,7 @@ def test_console_script(tmp_path):
 def test_run_refuses_an_eps_too_small_to_round_with(tmp_path):
     """eps = 3e-16 gives the bunches eps / 3, and 1.0 + 1e-16 == 1.0, so no
     rounding ladder could climb: the run ends with exit status 2 and one
-    error line.  The child runs under a time and an address-space limit, so
+    error line, which names the eps given on the command line.  The child runs under a time and an address-space limit, so
     a ladder that grew without end fails the test instead of hanging it."""
     resource = pytest.importorskip("resource")
     gp, up = generate(tmp_path)
@@ -426,7 +426,7 @@ def test_run_refuses_an_eps_too_small_to_round_with(tmp_path):
          "--algorithm", "mult", "--eps", "3e-16"],
         capture_output=True, text=True, env=_child_env(), timeout=60, preexec_fn=limit_memory)
     assert proc.returncode == 2 and not proc.stdout
-    assert proc.stderr == "error: eps must be finite with 1 + eps > 1, got 1e-16\n"
+    assert proc.stderr == "error: eps must be finite with 1 + eps / 3 > 1, got 3e-16\n"
 
 
 @pytest.mark.skipif(shutil.which("decapsp") is None,

@@ -723,6 +723,28 @@ def test_tree_family_refuses_an_unwritten_or_non_rising_change():
     check_nearest(fam)
 
 
+def test_tree_family_and_absorb_refuse_a_non_node_endpoint_with_key_error():
+    """The inline check of apply and absorb sends anything but an int in
+    0..n-1 to _require_written, so a str, float or None endpoint gets the
+    KeyError of a missing node, not the TypeError of comparing or indexing
+    with it, and a non-rise still gets MonotonicityViolation, before any
+    level or nearest root changes."""
+    g = DynamicGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
+    fam = TreeFamily(g.adj, [1])
+    t = fam[1]
+    before = (list(fam.nearest), nearest_levels(fam), list(t.level_of), t.level_increases)
+    for x in ("a", 1.0, 2.5, None, -1, 4):
+        for u, v in ((x, 2), (2, x)):
+            with pytest.raises(KeyError):
+                fam.apply(ChangeRecord(u, v, 1, INF, 1))
+            with pytest.raises(KeyError):
+                t.absorb(NO_OFFERS, (u, v, INF, 1))
+    for old, new in ((1, 1), (2, 1), (INF, 1), (math.nan, 1)):
+        with pytest.raises(MonotonicityViolation):
+            fam.apply(ChangeRecord(1, 2, old, new, 1))
+    assert (fam.nearest, nearest_levels(fam), t.level_of, t.level_increases) == before
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**30))
 def test_tree_family_keeps_each_nodes_nearest_root(seed):

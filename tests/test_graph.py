@@ -96,6 +96,34 @@ def test_a_node_outside_the_graph_has_no_edge():
     assert g.adj == before and g.version == 0
 
 
+@pytest.mark.parametrize("u, v", [(0, True), (True, 0), (False, 1), (1, False), (0, 1.0)],
+                         ids=["bool-v", "bool-u", "false-u", "false-v", "float-v"])
+def test_a_node_that_is_not_an_int_has_no_edge(u, v):
+    """True == 1 and hash(1.0) == hash(1), so `v in adj[u]` would find node
+    1 for either: has_edge answers False, and weight and apply_update raise
+    EdgeNotFound before any change, as add_edge refuses such a node."""
+    g = DynamicGraph(3, [(0, 1, 2)])
+    before = [dict(nbrs) for nbrs in g.adj]
+    assert not g.has_edge(u, v)
+    with pytest.raises(EdgeNotFound):
+        g.weight(u, v)
+    for event in (UpdateEvent(DELETE, u, v), UpdateEvent(INCREASE, u, v, 5)):
+        with pytest.raises(EdgeNotFound):
+            apply_update(g, event)
+    assert g.adj == before and g.version == 0
+
+
+def test_update_records_refuse_attribute_assignment():
+    event = UpdateEvent(DELETE, 0, 1)
+    rec = apply_update(small_graph(), event)
+    assert repr(event) == "UpdateEvent(kind='delete', u=0, v=1, delta=inf)"
+    assert repr(rec) == "ChangeRecord(u=0, v=1, old_weight=2, new_weight=inf, version=1)"
+    for record, field in ((event, "kind"), (event, "delta"), (rec, "u"), (rec, "new_weight")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 3)
+    assert event == UpdateEvent(DELETE, 0, 1) and rec.version == 1
+
+
 def test_construction_rejects_bad_edges():
     with pytest.raises(DomainError):
         DynamicGraph(3, [(0, 0, 1)])
