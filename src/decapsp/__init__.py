@@ -4,7 +4,8 @@ The package maintains approximate distance oracles for undirected graphs
 under edge deletions and weight increases: a (2+eps)-multiplicative scheme,
 a mixed scheme whose additive term is the largest weight on a shortest path,
 an unweighted variant obtained by edge subdivision, and a near-additive
-scheme for bounded distances.  An exact recomputation harness and a CLI for
+scheme for bounded distances, beside an exact baseline that keeps one
+shortest-path tree per node.  An exact recomputation harness and a CLI for
 workload generation, replay, verification and benchmarking sit alongside.
 """
 
@@ -30,7 +31,7 @@ from .graph import (
 )
 from .heaps import IndexedHeap
 from .rounding import GeometricRounder
-from .estree import MonotoneESTree
+from .estree import ExactAPSP, MonotoneESTree
 from .bunches import BunchChangeEvent, BunchEngine, sample_pivots
 from .apsp_mult import MultiplicativeAPSP
 from .apsp_mixed import MixedAPSP
@@ -38,11 +39,9 @@ from .reduction import UnweightedAPSP, subdivide
 from .additive import AdditiveAPSP, level_thresholds, sample_partition
 from .oracle import (
     BoundSpec,
-    StaticTwoAPSP,
     StretchReport,
     bottleneck_weights,
     exact_apsp,
-    static_two_apsp,
     sweep,
 )
 
@@ -58,6 +57,7 @@ __all__ = [
     "DuplicateEdge",
     "DynamicGraph",
     "EdgeNotFound",
+    "ExactAPSP",
     "GeometricRounder",
     "INCREASE",
     "IndexedHeap",
@@ -67,7 +67,6 @@ __all__ = [
     "MultiplicativeAPSP",
     "ParseError",
     "QueryCheckpoint",
-    "StaticTwoAPSP",
     "StretchReport",
     "UnweightedAPSP",
     "UpdateEvent",
@@ -82,7 +81,6 @@ __all__ = [
     "parse_updates",
     "sample_partition",
     "sample_pivots",
-    "static_two_apsp",
     "subdivide",
     "sweep",
 ]

@@ -9,10 +9,10 @@ Subcommands:
              with wall time, operation counters and checkpoint answers
   verify     replay the workload against the exact oracle and report any
              stretch violations; exit status 1 if one is found
-  bench      run a full deletion sequence per size for any algorithm but
-             static-2 and print a CSV row per size with wall time, build
-             time and the structure's counters; for mult, hard-assert the
-             laziness counter bounds
+  bench      run a full deletion sequence per size for any algorithm and
+             print a CSV row per size with wall time, build time and the
+             structure's counters; for mult, hard-assert the laziness
+             counter bounds
 
 All non-timing output is a pure function of the flags and seeds.
 """
@@ -32,6 +32,7 @@ from dataclasses import dataclass, fields, replace
 from .additive import AdditiveAPSP
 from .apsp_mixed import MixedAPSP
 from .apsp_mult import MultiplicativeAPSP
+from .estree import ExactAPSP
 from .graph import (
     ConfigError,
     DELETE,
@@ -47,11 +48,11 @@ from .graph import (
     load_graph,
     parse_updates,
 )
-from .oracle import BoundSpec, StaticTwoAPSP, sweep
+from .oracle import BoundSpec, sweep
 from .reduction import UnweightedAPSP
 
 INF = math.inf
-ALGORITHMS = ("mult", "mixed", "unweighted-mult", "additive", "static-2")
+ALGORITHMS = ("mult", "mixed", "unweighted-mult", "additive", "exact")
 # the flags an algorithm cannot run without
 REQUIRED_FLAGS = {"mixed": ("tau",), "additive": ("k", "d")}
 
@@ -93,9 +94,8 @@ def make_algorithm(cfg, graph):
         return UnweightedAPSP(graph, min(p, 1.0), cfg.eps, tau, cfg.seed)
     if tag == "additive":
         return AdditiveAPSP(graph, cfg.k, cfg.d, cfg.c, cfg.seed)
-    if tag == "static-2":
-        p = cfg.p if cfg.p is not None else math.sqrt(n / m)
-        return StaticTwoAPSP(graph, min(p, 1.0), cfg.seed)
+    if tag == "exact":
+        return ExactAPSP(graph)
     raise ConfigError(f"unknown algorithm {tag!r}; choose from {', '.join(ALGORITHMS)}")
 
 
@@ -108,7 +108,7 @@ def bound_for(cfg):
         return BoundSpec(alpha=2 + 3 * cfg.eps)
     if cfg.algorithm == "additive":
         return BoundSpec(alpha=1.0, beta=2 * (cfg.k - 1), radius=cfg.d)
-    return BoundSpec(alpha=2.0)
+    return BoundSpec(alpha=1.0)  # exact
 
 
 def _jsonable(x):
@@ -245,9 +245,6 @@ def _ladder(cfg, sizes, density, max_weight):
 
 
 def cmd_bench(cfg, sizes, density, max_weight, out):
-    if cfg.algorithm == "static-2":
-        raise ConfigError("bench cannot time 'static-2': it recomputes only at a query, "
-                          "and bench issues none")
     try:
         ladder = [int(s) for s in sizes.split(",") if s]
     except ValueError:

@@ -16,10 +16,10 @@ never copies or writes it, so any number of trees can share one graph.
 Nodes are 0..n-1 and level_of is a list of n levels, written in place.
 The owner writes each change first, then passes it to the tree with the
 weight the edge had before a rise; a change the adjacency does not show
-yet raises UnwrittenChange, an endpoint that is not an int in 0..n-1
-raises KeyError, and an old weight that is not finite or not below the new
-one raises MonotonicityViolation.  The tree keeps no edge set, so the owner
-refuses a missing or duplicate edge.
+yet raises UnwrittenChange, an endpoint that is not an int in 0..n-1 (a
+bool is not) raises KeyError, and an old weight that is not finite or not
+below the new one raises MonotonicityViolation.  The tree keeps no edge
+set, so the owner refuses a missing or duplicate edge.
 
 Offers: a tree may also own offers (node -> weight), edges of its own from
 the root that no other tree sees, so trees whose root edges differ can still
@@ -88,7 +88,8 @@ pivots of BunchEngine and the heavy nodes of MixedAPSP are two families),
 so a route through v's nearest root to any node is two list reads.  Every
 tree joins through add_root, at the build as mid-stream; apply checks a
 change once, screens every tree, and calls increase_weight (new weight inf
-for a deletion) only on the flagged ones.
+for a deletion) only on the flagged ones.  ExactAPSP is the family rooted
+at every node: the classic exact decremental baseline (Even & Shiloach).
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ import heapq
 import math
 from types import MappingProxyType
 
-from .graph import MonotonicityViolation
+from .graph import DELETE, INCREASE, MonotonicityViolation, UpdateEvent, apply_update
 
 INF = math.inf
 NO_OFFERS = MappingProxyType({})  # the offers of every tree that has none
@@ -108,7 +109,7 @@ class UnwrittenChange(RuntimeError):
 
 
 def _is_node(x, adj):
-    return isinstance(x, int) and 0 <= x < len(adj)
+    return type(x) is int and 0 <= x < len(adj)  # bool is an int subclass
 
 
 def _require_written(adj, u, v, w):
@@ -411,3 +412,31 @@ class TreeFamily(dict):
         if stale:
             self._read_min(stale)
         return raised
+
+
+class ExactAPSP:
+    """Exact distances under deletions and weight rises: a TreeFamily with a
+    tree rooted at every node, so query(u, v) reads u's tree at v.  A
+    purely decremental history keeps every uncapped level exact."""
+
+    def __init__(self, graph):
+        self.g = graph
+        self.trees = TreeFamily(graph.adj, range(graph.n))
+        self.updates = 0
+
+    def delete(self, u, v):
+        self.trees.apply(apply_update(self.g, UpdateEvent(DELETE, u, v)))
+        self.updates += 1
+
+    def increase(self, u, v, delta):
+        self.trees.apply(apply_update(self.g, UpdateEvent(INCREASE, u, v, delta)))
+        self.updates += 1
+
+    def query(self, u, v):
+        self.g._check_node(u)
+        self.g._check_node(v)
+        return self.trees[u].level_of[v]
+
+    def counters(self):
+        return {"updates": self.updates,
+                "tree_level_increases": sum(t.level_increases for t in self.trees.values())}

@@ -12,17 +12,9 @@ from __future__ import annotations
 import heapq
 import math
 import os
-import random
 from dataclasses import dataclass, field
 
-from .graph import (
-    DELETE,
-    INCREASE,
-    DomainError,
-    QueryCheckpoint,
-    UpdateEvent,
-    apply_update,
-)
+from .graph import DELETE, DomainError, QueryCheckpoint, apply_update
 
 INF = math.inf
 
@@ -115,96 +107,6 @@ def bottleneck_weights(graph, dist=None):
             wmax[v] = best
         out.append(wmax)
     return out
-
-
-def static_two_apsp(graph, p, seed):
-    """Static factor-2 estimates from sampled pivots and exact bunches.
-
-    Every node joins the pivot set independently with probability p; each
-    node routes through its nearest pivot or, when the two bunches touch an
-    edge, through that edge with exact in-bunch distances.  Estimates d_hat
-    satisfy d <= d_hat <= 2 d for connected pairs.
-    """
-    if not (0 <= p <= 1):
-        raise DomainError(f"sampling probability must be in [0, 1], got {p!r}")
-    n = graph.n
-    _check_cap(n)
-    dist = exact_apsp(graph)
-    rng = random.Random(seed)
-    pivots = [v for v in range(n) if rng.random() < p]
-
-    pivot_of = [None] * n
-    pivot_dist = [INF] * n
-    for v in range(n):
-        for s in pivots:
-            d = dist[v][s]
-            if d < pivot_dist[v]:
-                pivot_dist[v] = d
-                pivot_of[v] = s
-
-    cluster = [set() for _ in range(n)]
-    for v in range(n):
-        pd = pivot_dist[v]
-        for w in range(n):
-            if dist[v][w] < pd:
-                cluster[w].add(v)
-
-    est = [[INF] * n for _ in range(n)]
-    for u in range(n):
-        est[u][u] = 0
-        pu = pivot_of[u]
-        if pu is None:
-            continue
-        du = pivot_dist[u]
-        dp = dist[pu]
-        row = est[u]
-        for v in range(n):
-            cand = du + dp[v]
-            if cand < row[v]:
-                row[v] = cand
-                est[v][u] = cand
-    for x, y, w in graph.edges():
-        for a, b in ((x, y), (y, x)):
-            for u in cluster[a]:
-                dua = dist[u][a] + w
-                for v in cluster[b]:
-                    cand = dua + dist[b][v]
-                    if cand < est[u][v]:
-                        est[u][v] = cand
-                        est[v][u] = cand
-    return est
-
-
-class StaticTwoAPSP:
-    """Replayable wrapper over static_two_apsp: recomputes estimates lazily
-    after updates so it can serve as a baseline inside the sweep driver."""
-
-    def __init__(self, graph, p, seed):
-        self.graph = graph
-        self.p = p
-        self.seed = seed
-        self._est = None
-
-    def delete(self, u, v):
-        apply_update(self.graph, UpdateEvent(DELETE, u, v))
-        self._est = None
-
-    def increase(self, u, v, delta):
-        apply_update(self.graph, UpdateEvent(INCREASE, u, v, delta))
-        self._est = None
-
-    def query(self, u, v):
-        self.graph._check_node(u)
-        self.graph._check_node(v)
-        if u == v:
-            return 0
-        if self._est is None:
-            self._est = static_two_apsp(self.graph, self.p, self.seed)
-        return self._est[u][v]
-
-    def counters(self):
-        """No operation counters: every query after a change recomputes."""
-        return {}
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,9 @@ from decapsp.additive import AdditiveAPSP, level_thresholds
 from decapsp.apsp_mixed import MixedAPSP
 from decapsp.apsp_mult import MultiplicativeAPSP
 from decapsp.bunches import BunchEngine
-from decapsp.estree import MonotoneESTree
-from decapsp.graph import DELETE, UpdateEvent, QueryCheckpoint, gnp_graph, gnp_workload
-from decapsp.oracle import BoundSpec, exact_apsp, static_two_apsp, sweep
+from decapsp.estree import ExactAPSP, MonotoneESTree
+from decapsp.graph import DELETE, INCREASE, UpdateEvent, QueryCheckpoint, gnp_graph, gnp_workload
+from decapsp.oracle import BoundSpec, exact_apsp, sweep
 from decapsp.reduction import UnweightedAPSP, subdivide
 
 from helpers import ref_dijkstra
@@ -284,27 +284,42 @@ def test_criterion_7_size_bounds():
     )
 
 
-def test_criterion_8_static_baseline():
-    violations = pairs = 0
+def rise_and_delete_stream(g, rng, every=5):
+    """Rises and deletions about 1:1 until half the edges are gone, a rise
+    adding 1 to W to the weight, and a checkpoint after every fifth update
+    and the last one."""
+    weight = {(u, v): w for u, v, w in g.edges()}
+    live = sorted(weight)
+    target = len(live) - len(live) // 2
+    updates = []
+    while len(live) > target:
+        i = rng.randrange(len(live))
+        u, v = live[i]
+        if rng.random() < 0.5:
+            weight[(u, v)] += rng.randint(1, g.W)
+            updates.append(UpdateEvent(INCREASE, u, v, weight[(u, v)]))
+        else:
+            live[i] = live[-1]
+            live.pop()
+            updates.append(UpdateEvent(DELETE, u, v))
+        if len(updates) % every == 0 or len(live) == target:
+            updates.append(QueryCheckpoint(0, 0))
+    return updates
+
+
+def test_criterion_8_exact_dynamic_baseline():
+    pairs = violations = 0
     for seed in range(20):
         n = (24, 32, 48, 64)[seed % 4]
         W = 1 if seed % 2 == 0 else 10
         rng = random.Random(seed)
         g = gnp_graph(n, 0.25, W, rng)
-        p = min(1.0, math.sqrt(g.n / max(g.m, 1)))
-        est = static_two_apsp(g, p, seed + 31)
-        dist = exact_apsp(g)
-        for u in range(n):
-            for v in range(u + 1, n):
-                d = dist[u][v]
-                e = est[u][v]
-                pairs += 1
-                if d == INF:
-                    violations += e != INF
-                elif not (d <= e <= 2 * d):
-                    violations += 1
+        updates = rise_and_delete_stream(g, rng)
+        rep = sweep(ExactAPSP(g.copy()), g, updates, BoundSpec(alpha=1.0))
+        pairs += rep.pairs_checked
+        violations += len(rep.violations)
     report(
-        "8 static baseline within factor 2 on 20 graphs",
+        "8 exact dynamic baseline matches exact recomputation",
         violations == 0,
         f"{pairs} pairs, {violations} violations",
     )

@@ -148,7 +148,7 @@ def test_run_every_algorithm(tmp_path):
     cases = [
         (weighted, ["--algorithm", "mult"]),
         (weighted, ["--algorithm", "mixed", "--tau", "3"]),
-        (weighted, ["--algorithm", "static-2"]),
+        (weighted, ["--algorithm", "exact"]),
         (unit, ["--algorithm", "unweighted-mult", "--eps", "0.5"]),
         (unit, ["--algorithm", "additive", "--k", "2", "--d", "4"]),
     ]
@@ -238,7 +238,7 @@ def test_verify_flags_probe_violation(tmp_path):
     gp, up = generate(tmp_path, n=6, density=1.0, W=4, seed=1)
     rp = str(tmp_path / "bad.json")
     rc = cli.main(["verify", "--graph", gp, "--updates", up,
-                   "--algorithm", "static-2", "--alpha", "0.5", "--report", rp])
+                   "--algorithm", "exact", "--alpha", "0.5", "--report", rp])
     assert rc == 1
     rep = json.load(open(rp))
     assert rep["ok"] is False
@@ -257,7 +257,7 @@ def test_verify_refuses_a_probe_that_is_not_finite(tmp_path, capsys, flags, mess
     has violations."""
     gp, up = generate(tmp_path, n=6, density=1.0, W=4, seed=1)
     capsys.readouterr()
-    rc = cli.main(["verify", "--graph", gp, "--updates", up, "--algorithm", "static-2",
+    rc = cli.main(["verify", "--graph", gp, "--updates", up, "--algorithm", "exact",
                    *flags])
     assert_one_error_line(capsys, rc, message)
 
@@ -297,6 +297,7 @@ BENCH_COLUMNS = {
     "additive": (["--k", "2", "--d", "4", "--W", "1"],
                  ["updates", "estar_added", "neighbor_scans", "exports_applied",
                   "tree_level_increases"]),
+    "exact": ([], ["updates", "tree_level_increases"]),
 }
 
 
@@ -307,7 +308,10 @@ def test_bench_header(capsys, algorithm):
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == ",".join(["n", "m", "wall_ms", "build_ms", *columns])
-    assert [row.split(",")[0] for row in lines[1:]] == ["12", "16"]
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert [row["n"] for row in rows] == ["12", "16"]
+    # every structure, the exact baseline included, applies all m deletions
+    assert all(row["updates"] == row["m"] for row in rows)
 
 
 @pytest.mark.parametrize("algorithm, flags, missing", [
@@ -342,10 +346,7 @@ def test_bench_refuses_weighted_input_for_a_unit_weight_algorithm(tmp_path, caps
       "--sizes", "12"], "sampling constant c must be a positive finite number, got -1.0"),
     (["--algorithm", "additive", "--W", "1", "--k", "2", "--d", "4", "--c", "nan",
       "--sizes", "12"], "sampling constant c must be a positive finite number, got nan"),
-    (["--algorithm", "static-2", "--sizes", "12"],
-     "bench cannot time 'static-2': it recomputes only at a query, and bench issues none"),
-], ids=["zero-W", "sizes-not-integers", "density-above-1", "negative-c", "nan-c",
-        "static-2"])
+], ids=["zero-W", "sizes-not-integers", "density-above-1", "negative-c", "nan-c"])
 def test_bench_refuses_a_bad_workload_flag(tmp_path, capsys, flags, message):
     out = tmp_path / "bench.csv"
     rc = cli.main(["bench", "--out", str(out), *flags])
@@ -397,7 +398,7 @@ def test_console_script(tmp_path):
     subprocess.run([*exe, "generate", "--n", "6", "--density", "1.0",
                     "--graph", gp, "--updates", up], check=True, env=env)
     proc = subprocess.run([*exe, "run", "--graph", gp, "--updates", up,
-                           "--algorithm", "static-2"],
+                           "--algorithm", "exact"],
                           check=True, capture_output=True, env=env)
     rep = json.loads(proc.stdout)
     assert rep["schema"] == 1
@@ -439,7 +440,7 @@ def test_installed_console_script(tmp_path):
     subprocess.run([exe, "generate", "--n", "6", "--density", "1.0",
                     "--graph", gp, "--updates", up], check=True)
     proc = subprocess.run([exe, "run", "--graph", gp, "--updates", up,
-                           "--algorithm", "static-2"], check=True, capture_output=True)
+                           "--algorithm", "exact"], check=True, capture_output=True)
     rep = json.loads(proc.stdout)
     assert rep["schema"] == 1
 

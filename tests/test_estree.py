@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 from decapsp import (
     DELETE,
     INCREASE,
+    DomainError,
     DuplicateEdge,
     DynamicGraph,
     EdgeNotFound,
+    ExactAPSP,
     MonotoneESTree,
     MonotonicityViolation,
     UpdateEvent,
     apply_update,
+    exact_apsp,
     gnp_graph,
 )
 from decapsp.estree import NO_OFFERS, TreeFamily, UnwrittenChange
@@ -605,6 +608,57 @@ def test_a_node_outside_the_graph_is_refused():
         assert (dict(fam), fam.nearest, nearest_levels(fam), fam.nearest_row,
                 t.level_of, t.level_increases) == before
     check_nearest(fam)
+
+
+def test_a_bool_is_not_a_node():
+    """bool is an int subclass and True == 1, so True would pass for node 1:
+    a bool root is refused with KeyError, a bool offer node with
+    ValueError, and a change with a bool endpoint, to a tree or a family,
+    with KeyError before any level or nearest root changes, even once the
+    adjacency shows the change at node 1."""
+    g = DynamicGraph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 3)])
+    for root in (True, False):
+        with pytest.raises(KeyError):
+            MonotoneESTree(g.adj, root, INF)
+        with pytest.raises(KeyError):
+            TreeFamily(g.adj, [root])
+    with pytest.raises(ValueError):
+        MonotoneESTree(g.adj, 0, INF, offers={True: 2})
+    fam = TreeFamily(g.adj, [0])
+    t = fam[0]
+    before = (list(fam.nearest), nearest_levels(fam), list(t.level_of), t.level_increases)
+    del g.adj[1][2], g.adj[2][1]
+    for u, v in ((True, 2), (2, True)):
+        with pytest.raises(KeyError):
+            fam.apply(ChangeRecord(u, v, 1, INF, 1))
+        with pytest.raises(KeyError):
+            t.absorb(NO_OFFERS, (u, v, INF, 1))
+    assert (fam.nearest, nearest_levels(fam), t.level_of, t.level_increases) == before
+    assert fam.apply(ChangeRecord(1, 2, 1, INF, 1)) == {2}
+    assert t.level_of == [0, 1, 3]
+
+
+def test_exact_apsp_answers_every_pair_under_rises_and_deletions():
+    """ExactAPSP reads d(u, v) off u's tree after each rise and deletion,
+    and refuses a query node outside 0..n-1, a float or a bool with
+    DomainError."""
+    rng = random.Random(6)
+    g = rand_connected(rng, 10, 0.4, 5)
+    algo = ExactAPSP(g.copy())
+    assert [[algo.query(u, v) for v in range(10)] for u in range(10)] == exact_apsp(g)
+    for u, v, w in sorted(g.edges()):
+        if rng.random() < 0.5:
+            ev = UpdateEvent(INCREASE, u, v, w + rng.randint(1, 5))
+            algo.increase(u, v, ev.delta)
+        else:
+            ev = UpdateEvent(DELETE, u, v)
+            algo.delete(u, v)
+        apply_update(g, ev)
+        assert [[algo.query(x, y) for y in range(10)] for x in range(10)] == exact_apsp(g)
+    assert algo.counters()["updates"] == algo.g.version == g.version
+    for u, v in ((-1, 3), (3, -1), (10, 3), (3, 10), (2.0, 3), (True, 3), (3, False)):
+        with pytest.raises(DomainError):
+            algo.query(u, v)
 
 
 def test_absorb_refuses_a_bad_batch_before_anything_changes():

@@ -35,8 +35,8 @@ CASES = {
              ["--algorithm", "mult", "--eps", "0.9", "--seed", "1"]),
     "mixed": (["--n", "24", "--density", "0.5", "--W", "10", "--seed", "6"],
               ["--algorithm", "mixed", "--tau", "6", "--seed", "2"]),
-    "static-2": (["--n", "24", "--density", "0.3", "--W", "10", "--seed", "7"],
-                 ["--algorithm", "static-2"]),
+    "exact": (["--n", "24", "--density", "0.3", "--W", "10", "--seed", "7"],
+              ["--algorithm", "exact"]),
     "additive": (["--n", "24", "--density", "0.25", "--W", "1", "--seed", "8"],
                  ["--algorithm", "additive", "--k", "3", "--d", "4", "--c", "0.3",
                   "--seed", "3"]),
@@ -101,6 +101,19 @@ def run_case(name, tmp_path):
 def test_run_reproduces_golden_report(name, tmp_path):
     want = json.loads(GOLDEN.read_text())[name]
     assert run_case(name, tmp_path) == want
+
+
+def test_exact_case_verifies_against_the_oracle(tmp_path):
+    """The exact entry's answers are checked, not only recorded: verify
+    --dense passes at alpha 1 on its workload, and on a churn stream of
+    rises and deletions over the same graph."""
+    gen, run = CASES["exact"]
+    gp, up, churn = (str(tmp_path / name) for name in ("e.graph", "e.updates", "c.updates"))
+    assert cli.main(["generate", *gen, "--graph", gp, "--updates", up]) == 0
+    Path(churn).write_text(dump_updates(churn_updates(load_graph(Path(gp).read_text()), 14)))
+    for updates in (up, churn):
+        assert cli.main(["verify", "--graph", gp, "--updates", updates, "--dense", *run,
+                         "--report", str(tmp_path / "verify.json")]) == 0
 
 
 # workload -> the first 12 hex digits of Replay.digest() for each instance of

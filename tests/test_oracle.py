@@ -19,15 +19,13 @@ from decapsp import (
 from decapsp.oracle import (
     ORACLE_CAP_ENV,
     BoundSpec,
-    StaticTwoAPSP,
     StretchReport,
     bottleneck_weights,
     dijkstra,
     exact_apsp,
-    static_two_apsp,
     sweep,
 )
-from helpers import minplus_hop_limited, rand_connected, ref_apsp, ref_dijkstra
+from helpers import minplus_hop_limited, ref_apsp, ref_dijkstra
 
 INF = math.inf
 
@@ -144,45 +142,6 @@ def test_dijkstra_and_padded_bottleneck_rows_match_the_references(seed, n, max_w
             assert w[u] == [ref.get(v, 0) for v in range(n)]
         else:
             assert w[u] == [0] * n
-
-
-def test_static_two_apsp_with_all_pivots_is_exact():
-    g = rand_connected(random.Random(3), 12, 0.3, 5)
-    d = exact_apsp(g)
-    est = static_two_apsp(g, 1.0, seed=0)
-    assert est == d
-
-
-def test_static_two_apsp_without_pivots_is_exact_via_bunches():
-    g = rand_connected(random.Random(4), 10, 0.3, 4)
-    d = exact_apsp(g)
-    est = static_two_apsp(g, 0.0, seed=0)
-    assert est == d
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**30), st.integers(3, 14), st.sampled_from([0.2, 0.4, 0.7]))
-def test_static_two_apsp_factor_two(seed, n, p):
-    g = gnp_graph(n, 0.4, 5, random.Random(seed))
-    d = exact_apsp(g)
-    est = static_two_apsp(g, p, seed=seed ^ 0x5EED)
-    for u in range(n):
-        for v in range(n):
-            if d[u][v] == INF:
-                assert est[u][v] == INF
-            else:
-                assert d[u][v] <= est[u][v] <= 2 * d[u][v]
-
-
-def test_static_two_wrapper_rejects_out_of_range_nodes():
-    g = rand_connected(random.Random(5), 8, 0.4, 3)
-    algo = StaticTwoAPSP(g, 0.5, seed=1)
-    for u, v in ((-1, 3), (3, -1), (8, 3), (3, 8), (8, 8), (-1, -1), (2.0, 3)):
-        with pytest.raises(DomainError):
-            algo.query(u, v)
-    d = exact_apsp(g)
-    assert algo.query(7, 3) == static_two_apsp(g, 0.5, seed=1)[7][3] >= d[7][3]
-    assert algo.query(7, 7) == 0
 
 
 class ExactAlgo:
