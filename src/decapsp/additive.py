@@ -34,7 +34,7 @@ import math
 import random
 
 from .estree import MonotoneESTree
-from .graph import DELETE, DomainError, UpdateEvent, apply_update
+from .graph import DELETE, Decremental, DomainError, apply_update
 
 INF = math.inf
 
@@ -63,7 +63,7 @@ def sample_partition(n, m, k, c, seed):
     return level
 
 
-class AdditiveAPSP:
+class AdditiveAPSP(Decremental):
     def __init__(self, graph, k, d, c=2, seed=0):
         if graph.n < 2:
             raise DomainError("need at least two nodes")
@@ -225,8 +225,10 @@ class AdditiveAPSP:
             if raised:
                 self._export(pend, t, raised)
 
-    def delete(self, u, v):
-        rec = apply_update(self.g, UpdateEvent(DELETE, u, v))
+    def apply(self, ev):
+        if ev.kind != DELETE:
+            raise DomainError("additive structure supports deletions only")
+        rec = apply_update(self.g, ev)
         self.updates_applied += 1
         a, b = rec.u, rec.v
 
@@ -247,9 +249,6 @@ class AdditiveAPSP:
                 del view[a][b], view[b][a]
                 edge = (a, b, INF, 1)
             self._advance_level(i, pend, edge)
-
-    def increase(self, u, v, delta):
-        raise DomainError("additive structure supports deletions only")
 
     # -- queries -------------------------------------------------------------
 

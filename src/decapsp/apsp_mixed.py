@@ -33,7 +33,7 @@ from itertools import combinations
 
 from .bunches import INCREASE, JOIN, LEAVE, BunchEngine
 from .estree import TreeFamily
-from .graph import DELETE, INCREASE as W_INCREASE, DomainError, UpdateEvent, apply_update
+from .graph import Decremental, DomainError, apply_update
 from .heaps import heap_set
 
 INF = math.inf
@@ -43,7 +43,7 @@ def _pair(a, b):
     return (a, b) if a < b else (b, a)
 
 
-class MixedAPSP:
+class MixedAPSP(Decremental):
     def __init__(self, graph, p, eps, tau, seed):
         if not tau >= 1:
             raise DomainError(f"tau must be a threshold of at least 1, got {tau!r}")
@@ -94,13 +94,7 @@ class MixedAPSP:
 
     # -- updates ---------------------------------------------------------------
 
-    def delete(self, u, v):
-        self._apply(UpdateEvent(DELETE, u, v))
-
-    def increase(self, u, v, delta):
-        self._apply(UpdateEvent(W_INCREASE, u, v, delta))
-
-    def _apply(self, ev):
+    def apply(self, ev):
         rec = apply_update(self.g, ev)
         self.updates_applied += 1
         changed = {}  # member -> {owner: case}

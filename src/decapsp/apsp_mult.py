@@ -58,13 +58,13 @@ from __future__ import annotations
 import math
 
 from .bunches import BunchEngine
-from .graph import DELETE, INCREASE as W_INCREASE, DomainError, UpdateEvent, apply_update
+from .graph import Decremental, DomainError, apply_update
 from .heaps import heap_set
 
 INF = math.inf
 
 
-class MultiplicativeAPSP:
+class MultiplicativeAPSP(Decremental):
     def __init__(self, graph, p, eps, seed):
         self.g = graph
         self.engine = BunchEngine(graph, p, eps, seed)
@@ -100,13 +100,7 @@ class MultiplicativeAPSP:
 
     # -- updates -----------------------------------------------------------
 
-    def delete(self, u, v):
-        self._apply(UpdateEvent(DELETE, u, v))
-
-    def increase(self, u, v, delta):
-        self._apply(UpdateEvent(W_INCREASE, u, v, delta))
-
-    def _apply(self, ev):
+    def apply(self, ev):
         rec = apply_update(self.g, ev)
         self.updates_applied += 1
         touched = self._edge_stage(rec)

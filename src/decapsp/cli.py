@@ -172,11 +172,8 @@ def cmd_run(cfg):
     for ev in updates:
         if isinstance(ev, QueryCheckpoint):
             answers.append([ev.u, ev.v, _jsonable(algo.query(ev.u, ev.v))])
-        elif ev.kind == DELETE:
-            algo.delete(ev.u, ev.v)
-            applied += 1
         else:
-            algo.increase(ev.u, ev.v, ev.delta)
+            algo.apply(ev)
             applied += 1
     wall_ms = (time.perf_counter() - t0) * 1000.0
     report = {

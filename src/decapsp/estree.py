@@ -89,7 +89,9 @@ so a route through v's nearest root to any node is two list reads.  Every
 tree joins through add_root, at the build as mid-stream; apply checks a
 change once, screens every tree, and calls increase_weight (new weight inf
 for a deletion) only on the flagged ones.  ExactAPSP is the family rooted
-at every node: the classic exact decremental baseline (Even & Shiloach).
+at every node, the classic exact decremental baseline (Even & Shiloach):
+its one update entry, apply(ev), writes the change to the graph and hands
+the record to the family's apply.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ import heapq
 import math
 from types import MappingProxyType
 
-from .graph import DELETE, INCREASE, MonotonicityViolation, UpdateEvent, apply_update
+from .graph import Decremental, MonotonicityViolation, apply_update
 
 INF = math.inf
 NO_OFFERS = MappingProxyType({})  # the offers of every tree that has none
@@ -414,7 +416,7 @@ class TreeFamily(dict):
         return raised
 
 
-class ExactAPSP:
+class ExactAPSP(Decremental):
     """Exact distances under deletions and weight rises: a TreeFamily with a
     tree rooted at every node, so query(u, v) reads u's tree at v.  A
     purely decremental history keeps every uncapped level exact."""
@@ -424,12 +426,8 @@ class ExactAPSP:
         self.trees = TreeFamily(graph.adj, range(graph.n))
         self.updates = 0
 
-    def delete(self, u, v):
-        self.trees.apply(apply_update(self.g, UpdateEvent(DELETE, u, v)))
-        self.updates += 1
-
-    def increase(self, u, v, delta):
-        self.trees.apply(apply_update(self.g, UpdateEvent(INCREASE, u, v, delta)))
+    def apply(self, ev):
+        self.trees.apply(apply_update(self.g, ev))
         self.updates += 1
 
     def query(self, u, v):

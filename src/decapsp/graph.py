@@ -61,6 +61,17 @@ class UpdateEvent(NamedTuple):
     delta: float = INF  # new weight for INCREASE
 
 
+class Decremental:
+    """Base of every structure: apply(ev) is its one update entry, and
+    delete and increase only build the UpdateEvent and pass it on."""
+
+    def delete(self, u, v):
+        self.apply(UpdateEvent(DELETE, u, v))
+
+    def increase(self, u, v, delta):
+        self.apply(UpdateEvent(INCREASE, u, v, delta))
+
+
 @dataclass(frozen=True)
 class QueryCheckpoint:
     u: int

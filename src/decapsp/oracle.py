@@ -14,7 +14,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .graph import DELETE, DomainError, QueryCheckpoint, apply_update
+from .graph import DomainError, QueryCheckpoint, apply_update
 
 INF = math.inf
 
@@ -225,10 +225,10 @@ def _run_checkpoint(algo, graph, bound):
 def sweep(algo, graph, updates, bound, *, dense=False):
     """Replay updates into algo and a private exact copy, checking stretch.
 
-    algo must expose delete(u, v), increase(u, v, delta) and query(u, v) and
-    must have been built on an identical copy of `graph`; `graph` itself is
-    mutated here and serves as the ground-truth twin.  Checks run at every
-    QueryCheckpoint in the log, or after every update when dense=True.
+    algo must expose apply(ev) and query(u, v) and must have been built
+    on an identical copy of `graph`; `graph` itself is mutated here and
+    serves as the ground-truth twin.  Checks run at every QueryCheckpoint
+    in the log, or after every update when dense=True.
     """
     report = StretchReport(bound=bound)
     report.checkpoints.append(_run_checkpoint(algo, graph, bound))
@@ -239,10 +239,7 @@ def sweep(algo, graph, updates, bound, *, dense=False):
                 report.checkpoints.append(_run_checkpoint(algo, graph, bound))
                 pending = False
             continue
-        if ev.kind == DELETE:
-            algo.delete(ev.u, ev.v)
-        else:
-            algo.increase(ev.u, ev.v, ev.delta)
+        algo.apply(ev)
         apply_update(graph, ev)
         pending = True
         if dense:

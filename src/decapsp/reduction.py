@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .apsp_mixed import MixedAPSP
-from .graph import DomainError, DynamicGraph, EdgeNotFound
+from .graph import DELETE, Decremental, DomainError, DynamicGraph, EdgeNotFound
 
 INF = math.inf
 
@@ -35,7 +35,7 @@ def subdivide(graph):
     return DynamicGraph(graph.n + len(mid), halves), mid
 
 
-class UnweightedAPSP:
+class UnweightedAPSP(Decremental):
     """Multiplicative-only approximation for unweighted decremental graphs.
 
     Runs the mixed scheme on the subdivided graph, where the additive
@@ -51,7 +51,13 @@ class UnweightedAPSP:
         self.inner = MixedAPSP(expanded, p, eps, tau, seed)
         self.updates_applied = 0
 
-    def delete(self, u, v):
+    def apply(self, ev):
+        if ev.kind != DELETE:
+            raise DomainError("subdivided graphs only support deletions")
+        u, v = ev.u, ev.v
+        # a plain int only: 2.0 and True hash like 2 and 1, so mid finds them
+        if type(u) is not int or type(v) is not int:
+            raise EdgeNotFound(f"edge {{{u}, {v}}} not in the original graph")
         a, b = (u, v) if u < v else (v, u)
         c = self.mid.get((a, b))
         if c is None:
@@ -61,9 +67,6 @@ class UnweightedAPSP:
         self.inner.delete(a, c)
         self.inner.delete(c, b)
         self.updates_applied += 1
-
-    def increase(self, u, v, delta):
-        raise DomainError("subdivided graphs only support deletions")
 
     def query(self, u, v):
         if not (0 <= u < self.n and 0 <= v < self.n):

@@ -15,8 +15,10 @@ different floats.  Comparing rounded values is therefore exactly as exact as
 comparing exponents, float drift cannot split or merge buckets, and the
 structures keep only the value.
 
-The domain is [1, inf): every value the package rounds is an integer weight,
-a distance, or a ladder value plus a weight, so none is below 1.
+The domain is [1, sys.float_info.max]: every value the package rounds is an
+integer weight, a distance, or a ladder value plus a weight, so none is
+below 1, and a value above the largest float (an integer weight of 10^309,
+say) is refused, since no finite rung could reach it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .graph import DomainError
 
 
 class GeometricRounder:
-    """Rounds finite values >= 1 up to powers of (1 + eps).
+    """Rounds values from 1 to the largest float up to powers of (1 + eps).
 
     An eps with 1.0 + eps == 1.0 is refused: its ladder could never climb
     past 1.  Any larger eps climbs, but a tiny one still needs about
@@ -48,8 +50,8 @@ class GeometricRounder:
         """Smallest integer e with (1+eps)^e >= delta (the ceil of the log)."""
         ladder = self._ladder
         if not (1.0 <= delta <= ladder[-1]):
-            if not (1.0 <= delta < math.inf):
-                raise DomainError(f"can only round finite values >= 1, got {delta!r}")
+            if not (1.0 <= delta <= sys.float_info.max):
+                raise DomainError(f"can only round values in [1, largest float], got {delta!r}")
             base = 1.0 + self.eps
             while ladder[-1] < delta:
                 # a rung past the float range is the largest float instead,

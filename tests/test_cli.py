@@ -430,6 +430,28 @@ def test_run_refuses_an_eps_too_small_to_round_with(tmp_path):
     assert proc.stderr == "error: eps must be finite with 1 + eps / 3 > 1, got 3e-16\n"
 
 
+def test_run_refuses_a_rise_above_the_largest_float(tmp_path):
+    """No rung of the rounding ladder reaches a weight of 10^309, so rounding
+    it is refused: the run ends with exit status 2 and one error line.  The
+    child runs under a time and an address-space limit, so a ladder that
+    grew without end fails the test instead of hanging it."""
+    resource = pytest.importorskip("resource")
+    gp, up = tmp_path / "big.graph", tmp_path / "big.updates"
+    gp.write_text("3 2\n0 1 1\n1 2 1\n")
+    up.write_text(f"i 0 1 {10**309}\nq 0 2\n")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "decapsp.cli", "run", "--graph", str(gp), "--updates", str(up),
+         "--algorithm", "mult"],
+        capture_output=True, text=True, env=_child_env(), timeout=60, preexec_fn=limit_memory)
+    assert proc.returncode == 2 and not proc.stdout
+    assert proc.stderr.startswith("error: can only round values in [1, largest float]")
+    assert proc.stderr.count("\n") == 1
+
+
 @pytest.mark.skipif(shutil.which("decapsp") is None,
                     reason="decapsp console script not installed (pip install -e .)")
 def test_installed_console_script(tmp_path):

@@ -7,11 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decapsp import (
-    DELETE,
-    INCREASE,
     DomainError,
     DynamicGraph,
-    UpdateEvent,
     apply_update,
     gnp_graph,
     parse_updates,
@@ -151,12 +148,8 @@ class ExactAlgo:
         self.graph = graph
         self._dist = None
 
-    def delete(self, u, v):
-        apply_update(self.graph, UpdateEvent(DELETE, u, v))
-        self._dist = None
-
-    def increase(self, u, v, delta):
-        apply_update(self.graph, UpdateEvent(INCREASE, u, v, delta))
+    def apply(self, ev):
+        apply_update(self.graph, ev)
         self._dist = None
 
     def query(self, u, v):
@@ -221,11 +214,8 @@ def test_sweep_respects_additive_radius():
 
     class Lousy:
         # exact within radius 1, garbage beyond: radius must shield it
-        def delete(self, u, v):
-            algo.delete(u, v)
-
-        def increase(self, u, v, d):
-            algo.increase(u, v, d)
+        def apply(self, ev):
+            algo.apply(ev)
 
         def query(self, u, v):
             d = algo.query(u, v)

@@ -180,3 +180,18 @@ def test_property_identity(seed):
     for (u, v), c in mid.items():
         assert u < v and expanded.adj[c] == {u: 1, v: 1}
     assert_doubled(g, expanded)
+
+
+def test_deletion_refuses_endpoints_that_are_not_plain_ints():
+    """2.0 and True hash like 2 and 1, so they would find the midpoint of
+    {1, 2}; they are refused as not in the original graph before either
+    half of the chain goes."""
+    g = DynamicGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
+    algo = UnweightedAPSP(g, p=0.5, eps=0.5, tau=2, seed=1)
+    before = (algo.counters(), algo.inner.g.m, algo.inner.g.version)
+    for u, v in ((1, 2.0), (2.0, 1), (True, 2), (2, True)):
+        with pytest.raises(EdgeNotFound, match="not in the original graph"):
+            algo.delete(u, v)
+        assert (algo.counters(), algo.inner.g.m, algo.inner.g.version) == before
+    algo.delete(2, 1)
+    assert algo.counters()["chain_updates"] == 2 and algo.inner.g.m == 6

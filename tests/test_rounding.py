@@ -47,6 +47,19 @@ def test_rounding_domain_errors():
     assert GeometricRounder(2.0**-52).round(1 + 2.0**-52) == 1 + 2.0**-52
 
 
+def test_values_above_the_largest_float_are_refused():
+    """The ladder tops out at the largest float, so a value above it (an
+    integer weight of 10^309, say) could never be reached; it is refused
+    like any value outside the domain, and the ladder is left usable."""
+    r = GeometricRounder(0.3)
+    top = sys.float_info.max
+    assert r.round(top) == top
+    for bad in (10**309, int(top) + 1):
+        with pytest.raises(DomainError):
+            r.round(bad)
+    assert r.round(top) == top and r.round(5) == pytest.approx(1.3**7)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.floats(1, 1e6), st.sampled_from([0.05, 0.3, 0.5, 0.9, 2.0]))
 def test_sandwich_and_idempotence(delta, eps):
