@@ -64,7 +64,19 @@ def sample_partition(n, m, k, c, seed):
 
 
 class AdditiveAPSP(Decremental):
-    def __init__(self, graph, k, d, c=2, seed=0):
+    """Answers every pair within distance d with additive error 2(k - 1).
+
+    k and d have no default: d is the query radius and k trades stretch
+    against time.  c is the sampling constant of the level probabilities
+    min(1, c ln n / s_i); None derives c = 2.  A node with at least s_i
+    neighbours then has none sampled at level i with probability at most
+    (1 - c ln n / s_i)^{s_i} <= n^{-c}, so c = 2 leaves, over the n nodes
+    and k - 1 levels, a chance of at most k / n that any has none.
+    """
+
+    def __init__(self, graph, k, d, c=None, seed=0):
+        if c is None:
+            c = 2
         if graph.n < 2:
             raise DomainError("need at least two nodes")
         if k < 2 or k > max(2, int(math.log2(graph.n))):

@@ -44,7 +44,26 @@ def _pair(a, b):
 
 
 class MixedAPSP(Decremental):
+    """(2 + eps, W_uv)-APSP in total update time O~(n m^{3/4}).
+
+    p is the pivot sampling probability and tau the promotion threshold;
+    None derives p = m^{-1/4} and tau = floor(sqrt(m)) with
+    m = max(graph.m, 1), so neither needs a clamp.  The p n pivot trees
+    cost O~(p n m).  Clusters hold as many entries as bunches, O~(n / p),
+    so at most n / (p tau) nodes turn heavy, and their trees cost
+    O~(n m / (p tau)).  A light w sits in fewer than tau bunches, so its
+    pairs number below tau |cluster(w)|, O~(n tau / p) overlap entries in
+    all.  At p = m^{-1/4} and tau = sqrt(m) each of the three is
+    O~(n m^{3/4}).  An explicit p outside [0, 1] is refused by
+    sample_pivots, and a tau below 1 here.
+    """
+
     def __init__(self, graph, p, eps, tau, seed):
+        m = max(graph.m, 1)
+        if p is None:
+            p = m ** -0.25
+        if tau is None:
+            tau = int(math.sqrt(m))
         if not tau >= 1:
             raise DomainError(f"tau must be a threshold of at least 1, got {tau!r}")
         self.g = graph

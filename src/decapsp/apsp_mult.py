@@ -65,7 +65,21 @@ INF = math.inf
 
 
 class MultiplicativeAPSP(Decremental):
+    """(2 + eps)-APSP in total update time O~(m^{1/2} n^{3/2}).
+
+    p is the pivot sampling probability; None derives p = min(1, sqrt(n / m))
+    with m = max(graph.m, 1).  The p n pivot trees cost O~(m) each, O~(p n m)
+    in all.  A bunch holds O~(1/p) nodes, and owner u's adjacency heaps
+    hold each member x of bunch(u) at most once per target v: O~(n^2 / p)
+    entries in all, each re-keyed polylogarithmically often by the
+    rounding.  p = sqrt(n / m) balances p n m against n^2 / p at
+    m^{1/2} n^{3/2}.  An explicit p outside [0, 1] is refused by
+    sample_pivots; only the derived one is clamped.
+    """
+
     def __init__(self, graph, p, eps, seed):
+        if p is None:
+            p = min(1.0, math.sqrt(graph.n / max(graph.m, 1)))
         self.g = graph
         self.engine = BunchEngine(graph, p, eps, seed)
         self.rounder = self.engine.rounder

@@ -53,8 +53,9 @@ from .reduction import UnweightedAPSP
 
 INF = math.inf
 ALGORITHMS = ("mult", "mixed", "unweighted-mult", "additive", "exact")
-# the flags an algorithm cannot run without
-REQUIRED_FLAGS = {"mixed": ("tau",), "additive": ("k", "d")}
+# the flags an algorithm cannot run without: no bound fixes additive's query
+# radius d or its stretch/time trade k
+REQUIRED_FLAGS = {"additive": ("k", "d")}
 
 
 @dataclass
@@ -67,31 +68,29 @@ class RunConfig:
     eps: float = 0.9
     k: int = None
     d: int = None
-    c: float = 2.0
+    c: float = None
     seed: int = 0
     dense: bool = False
     report_path: str = None
 
 
 def make_algorithm(cfg, graph):
-    """Instantiate the configured algorithm; enforce per-tag required flags."""
+    """Instantiate the configured algorithm on graph; enforce the required
+    flags.  cfg.p, cfg.tau and cfg.c pass through untouched: None (the flag
+    absent) lets the structure derive the value from its own bound, as its
+    class docstring says, and an explicit value outside its domain is
+    refused there."""
     tag = cfg.algorithm
     missing = [f"--{flag}" for flag in REQUIRED_FLAGS.get(tag, ())
                if getattr(cfg, flag) is None]
     if missing:
         raise ConfigError(f"algorithm {tag!r} requires {' and '.join(missing)}")
-    n, m = graph.n, max(graph.m, 1)
     if tag == "mult":
-        p = cfg.p if cfg.p is not None else math.sqrt(n / m)
-        return MultiplicativeAPSP(graph, min(p, 1.0), cfg.eps, cfg.seed)
+        return MultiplicativeAPSP(graph, cfg.p, cfg.eps, cfg.seed)
     if tag == "mixed":
-        p = cfg.p if cfg.p is not None else m ** -0.25
-        return MixedAPSP(graph, min(p, 1.0), cfg.eps, cfg.tau, cfg.seed)
+        return MixedAPSP(graph, cfg.p, cfg.eps, cfg.tau, cfg.seed)
     if tag == "unweighted-mult":
-        n2, m2 = n + m, 2 * m
-        p = cfg.p if cfg.p is not None else math.sqrt(n2 / m2)
-        tau = cfg.tau if cfg.tau is not None else max(1, int(math.sqrt(m2)))
-        return UnweightedAPSP(graph, min(p, 1.0), cfg.eps, tau, cfg.seed)
+        return UnweightedAPSP(graph, cfg.p, cfg.eps, cfg.tau, cfg.seed)
     if tag == "additive":
         return AdditiveAPSP(graph, cfg.k, cfg.d, cfg.c, cfg.seed)
     if tag == "exact":

@@ -14,6 +14,7 @@ the same fields.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -49,6 +50,15 @@ class DomainError(ValueError):
 
 class ConfigError(ValueError):
     """Invalid or incomplete run configuration."""
+
+
+def describe(x):
+    """repr(x), except that an integer outside the float range is named by
+    its bit length: its decimal form may pass Python's 4300-digit limit on
+    integer to string conversion, which raises ValueError."""
+    if isinstance(x, int) and abs(x) > sys.float_info.max:
+        return f"an integer of {x.bit_length()} bits"
+    return repr(x)
 
 
 class UpdateEvent(NamedTuple):
@@ -89,7 +99,8 @@ class ChangeRecord(NamedTuple):
 
 
 class DynamicGraph:
-    """Undirected graph with positive integer weights, deletions only.
+    """Undirected graph with integer weights in [1, largest float], deletions
+    and weight rises only.
 
     Nodes are 0..n-1, and adj is a list of n dicts: adj[u] maps each
     neighbor of u to the edge's weight, and both directions are stored.
@@ -97,7 +108,9 @@ class DynamicGraph:
     0..n-1, or one that is not an int (a bool included), rather than let a
     list index such as -1 read another node's row or True stand for node 1.
     W is the maximum weight seen at construction; it bounds only the bunch
-    rebuild budget (BunchEngine.rebuild_bound), not later rises.
+    rebuild budget (BunchEngine.rebuild_bound), not later rises.  A weight
+    above the largest float is refused, by add_edge and by apply_update's
+    rise, before any change: no rounding ladder could reach it.
     """
 
     __slots__ = ("n", "adj", "W", "version")
@@ -119,8 +132,9 @@ class DynamicGraph:
         self._check_node(v)
         if u == v:
             raise DomainError(f"self-loop at node {u}")
-        if type(w) is not int or w < 1:  # bool is an int subclass
-            raise DomainError(f"edge weight must be a positive integer, got {w!r}")
+        if type(w) is not int or not 1 <= w <= sys.float_info.max:  # bool is an int subclass
+            raise DomainError(
+                f"edge weight must be an integer in [1, largest float], got {describe(w)}")
         if v in self.adj[u]:
             raise DuplicateEdge(f"edge {{{u}, {v}}} already present")
         self.adj[u][v] = w
@@ -180,7 +194,12 @@ def apply_update(graph, event):
             )
         if new <= old:
             raise MonotonicityViolation(
-                f"weight of {{{u}, {v}}} must strictly increase: {old} -> {new!r}"
+                f"weight of {{{u}, {v}}} must strictly increase: {old} -> {describe(new)}"
+            )
+        if new > sys.float_info.max:
+            raise DomainError(
+                f"weight of {{{u}, {v}}} must rise to at most the largest float, "
+                f"got {describe(new)}"
             )
         graph.adj[u][v] = new
         graph.adj[v][u] = new

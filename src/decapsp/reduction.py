@@ -41,6 +41,11 @@ class UnweightedAPSP(Decremental):
     Runs the mixed scheme on the subdivided graph, where the additive
     per-pair edge term is worth exactly one unit, and halves estimates
     back down.  With inner stretch 2+eps this yields 2+3*eps.
+
+    p and tau go to the inner MixedAPSP as given, so None lets it derive
+    both from the expanded graph: n' = n + m nodes and m' = 2m edges give
+    p = (2m)^{-1/4}, tau = floor(sqrt(2m)) and total update time
+    O~(n' m'^{3/4}), which is O~(m^{7/4}) once n <= m.
     """
 
     def __init__(self, graph, p, eps, tau, seed):

@@ -18,7 +18,8 @@ structures keep only the value.
 The domain is [1, sys.float_info.max]: every value the package rounds is an
 integer weight, a distance, or a ladder value plus a weight, so none is
 below 1, and a value above the largest float (an integer weight of 10^309,
-say) is refused, since no finite rung could reach it.
+say) is refused, since no finite rung could reach it.  The refusal names an
+integer past the float range by its bit length, not its digits.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 import sys
 from bisect import bisect_left
 
-from .graph import DomainError
+from .graph import DomainError, describe
 
 
 class GeometricRounder:
@@ -51,7 +52,8 @@ class GeometricRounder:
         ladder = self._ladder
         if not (1.0 <= delta <= ladder[-1]):
             if not (1.0 <= delta <= sys.float_info.max):
-                raise DomainError(f"can only round values in [1, largest float], got {delta!r}")
+                raise DomainError(
+                    f"can only round values in [1, largest float], got {describe(delta)}")
             base = 1.0 + self.eps
             while ladder[-1] < delta:
                 # a rung past the float range is the largest float instead,

@@ -12,6 +12,7 @@ import pytest
 
 import decapsp
 from decapsp import cli
+from decapsp.bunches import sample_pivots
 from decapsp.graph import (
     DELETE, INCREASE, DomainError, QueryCheckpoint, UpdateEvent, dump_updates, gnp_workload,
     load_graph, parse_updates)
@@ -95,8 +96,11 @@ PATH_GRAPH = "4 3\n0 1 1\n1 2 1\n2 3 1\n"
      "weight of {0, 1} must strictly increase: 1 -> 1"),
     (None, "d 0 1\n", [], "[Errno 2] No such file or directory: 'GRAPH'"),
     (PATH_GRAPH, "q 9 9\n", [], "query (9, 9) outside the nodes [0, 4)"),
+    (PATH_GRAPH, "d 0 1\n", ["--p", "1.5"], "sampling probability must be in [0, 1], got 1.5"),
+    (f"2 1\n0 1 {10**309}\n", "d 0 1\n", [],
+     "line 2: edge weight must be an integer in [1, largest float], got an integer of 1027 bits"),
 ], ids=["zero-eps", "bad-graph-line", "missing-edge", "weight-not-rising", "missing-file",
-        "query-node-out-of-range"])
+        "query-node-out-of-range", "p-above-1", "weight-above-largest-float"])
 def test_run_refuses_bad_input_with_one_error_line(tmp_path, capsys, graph, updates, flags,
                                                    message):
     gp, up = tmp_path / "w.graph", tmp_path / "w.updates"
@@ -157,13 +161,32 @@ def test_run_every_algorithm(tmp_path):
         assert rep["checkpoints"] > 0
 
 
+def test_structures_derive_p_and_tau_that_no_flag_gives():
+    """make_algorithm passes an absent --p and --tau on as None.  mult then
+    samples its pivots at min(1, sqrt(n / m)), mixed at m^(-1/4) with tau
+    floor(sqrt(m)), and unweighted-mult's inner MixedAPSP does the same on
+    the subdivided graph: p = (2m)^(-1/4) over its n + m nodes."""
+    weighted, _ = gnp_workload(40, 0.2, 10, random.Random(5))
+    unit, _ = gnp_workload(40, 0.2, 1, random.Random(5))
+    m = weighted.m
+    algo = cli.make_algorithm(cli.RunConfig("mult", seed=7), weighted.copy())
+    assert list(algo.engine.trees) == sample_pivots(40, min(1.0, math.sqrt(40 / m)), 7)
+    algo = cli.make_algorithm(cli.RunConfig("mixed", seed=7), weighted.copy())
+    assert algo.tau == max(1, int(math.sqrt(m)))
+    assert list(algo.engine.trees) == sample_pivots(40, m ** -0.25, 7)
+    m = unit.m
+    inner = cli.make_algorithm(cli.RunConfig("unweighted-mult", seed=7), unit).inner
+    assert (inner.g.n, inner.g.m) == (40 + m, 2 * m)
+    assert inner.tau == max(1, int(math.sqrt(2 * m)))
+    assert list(inner.engine.trees) == sample_pivots(40 + m, (2 * m) ** -0.25, 7)
+
+
 def test_missing_required_flags(tmp_path):
     gp = tmp_path / "t.graph"
     up = tmp_path / "t.updates"
     gp.write_text("2 1\n0 1 1\n")
     up.write_text("d 0 1\nq 0 1\n")
     base = ["run", "--graph", str(gp), "--updates", str(up)]
-    assert cli.main(base + ["--algorithm", "mixed"]) == 2
     assert cli.main(base + ["--algorithm", "additive", "--k", "2"]) == 2
     assert cli.main(base + ["--algorithm", "additive", "--d", "4"]) == 2
 
@@ -182,7 +205,8 @@ def test_verify_passes_within_guarantee(tmp_path):
 
 @pytest.mark.parametrize("algorithm, W, flags", [
     ("mult", 10, []), ("mixed", 10, ["--tau", "4"]), ("additive", 1, ["--k", "2", "--d", "4"]),
-], ids=["mult", "mixed", "additive"])
+    ("mixed", 10, []), ("unweighted-mult", 1, []),
+], ids=["mult", "mixed", "additive", "mixed-default", "unweighted-mult"])
 def test_verify_seed_loop_reports_worst_stretch(tmp_path, algorithm, W, flags):
     """The README's seed loop: generate, then verify --dense.  Each report
     checks the start and every deletion, and its max_ratio and max_slack are
@@ -315,11 +339,10 @@ def test_bench_header(capsys, algorithm):
 
 
 @pytest.mark.parametrize("algorithm, flags, missing", [
-    ("mixed", [], "--tau"),
     ("additive", ["--W", "1"], "--k and --d"),
     ("additive", ["--W", "1", "--k", "2"], "--d"),
     ("additive", ["--W", "1", "--d", "4"], "--k"),
-], ids=["tau", "k-and-d", "d", "k"])
+], ids=["k-and-d", "d", "k"])
 def test_bench_refuses_a_missing_required_flag(tmp_path, capsys, algorithm, flags, missing):
     out = tmp_path / "bench.csv"
     rc = cli.main(["bench", "--algorithm", algorithm, "--sizes", "12", "--out", str(out),
@@ -431,8 +454,9 @@ def test_run_refuses_an_eps_too_small_to_round_with(tmp_path):
 
 
 def test_run_refuses_a_rise_above_the_largest_float(tmp_path):
-    """No rung of the rounding ladder reaches a weight of 10^309, so rounding
-    it is refused: the run ends with exit status 2 and one error line.  The
+    """No rung of the rounding ladder reaches a weight of 10^309, so the
+    graph refuses the rise before any change: the run ends with exit status
+    2 and one error line, which names the weight by its bit length.  The
     child runs under a time and an address-space limit, so a ladder that
     grew without end fails the test instead of hanging it."""
     resource = pytest.importorskip("resource")
@@ -448,7 +472,9 @@ def test_run_refuses_a_rise_above_the_largest_float(tmp_path):
          "--algorithm", "mult"],
         capture_output=True, text=True, env=_child_env(), timeout=60, preexec_fn=limit_memory)
     assert proc.returncode == 2 and not proc.stdout
-    assert proc.stderr.startswith("error: can only round values in [1, largest float]")
+    assert proc.stderr.startswith(
+        "error: weight of {0, 1} must rise to at most the largest float, "
+        "got an integer of 1027 bits")
     assert proc.stderr.count("\n") == 1
 
 
@@ -487,7 +513,8 @@ def test_out_of_range_queries_raise_domain_error(tag):
 def test_an_invalid_update_is_refused_before_any_change(tag):
     """Every structure refuses a non-edge, a node outside [0, n), and a
     rise to the same, a lower, a non-integer, a nan or an inf weight (a rise
-    to inf is not a deletion); additive and unweighted-mult refuse any rise.
+    to inf is not a deletion) or to one above the largest float; additive
+    and unweighted-mult refuse any rise.
     Each refusal raises and leaves the counters, every answer and the graph
     as they were."""
     n = 24
@@ -503,7 +530,7 @@ def test_an_invalid_update_is_refused_before_any_change(tag):
            ("increase", (u, n, 5)),
            ("increase", (u, v, w)), ("increase", (u, v, w - 1)),
            ("increase", (u, v, w + 0.5)), ("increase", (u, v, math.nan)),
-           ("increase", (u, v, math.inf))]
+           ("increase", (u, v, math.inf)), ("increase", (u, v, 10**309))]
     if unit:
         bad.append(("increase", (u, v, w + 1)))
 

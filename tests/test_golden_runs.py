@@ -35,6 +35,9 @@ CASES = {
              ["--algorithm", "mult", "--eps", "0.9", "--seed", "1"]),
     "mixed": (["--n", "24", "--density", "0.5", "--W", "10", "--seed", "6"],
               ["--algorithm", "mixed", "--tau", "6", "--seed", "2"]),
+    # no --tau or --p: the structure derives both from the graph
+    "mixed-default": (["--n", "24", "--density", "0.5", "--W", "10", "--seed", "6"],
+                      ["--algorithm", "mixed", "--seed", "2"]),
     "exact": (["--n", "24", "--density", "0.3", "--W", "10", "--seed", "7"],
               ["--algorithm", "exact"]),
     "additive": (["--n", "24", "--density", "0.25", "--W", "1", "--seed", "8"],

@@ -58,10 +58,11 @@ def test_delete_missing_edge():
 
 def test_increase_must_strictly_increase():
     """A rise to inf is refused too, with no delta as well: only a DELETE
-    removes an edge."""
+    removes an edge.  A fall to -10^5000, past Python's 4300-digit limit on
+    integer to string conversion, is refused the same way."""
     g = small_graph()
     before = [dict(nbrs) for nbrs in g.adj]
-    for bad in (3, 2, 1, 0, -4, INF):
+    for bad in (3, 2, 1, 0, -4, INF, -10**5000):
         with pytest.raises(MonotonicityViolation):
             apply_update(g, UpdateEvent(INCREASE, 1, 2, bad))
     with pytest.raises(MonotonicityViolation) as exc:
@@ -129,6 +130,8 @@ def test_construction_rejects_bad_edges():
         DynamicGraph(3, [(0, 0, 1)])
     with pytest.raises(DomainError):
         DynamicGraph(3, [(0, 1, 0)])
+    with pytest.raises(DomainError):  # no rounding ladder reaches it
+        DynamicGraph(3, [(0, 1, 10**309)])
     with pytest.raises(DomainError):
         DynamicGraph(3, [(0, 5, 1)])
     with pytest.raises(DuplicateEdge):

@@ -50,11 +50,13 @@ def test_rounding_domain_errors():
 def test_values_above_the_largest_float_are_refused():
     """The ladder tops out at the largest float, so a value above it (an
     integer weight of 10^309, say) could never be reached; it is refused
-    like any value outside the domain, and the ladder is left usable."""
+    like any value outside the domain, and the ladder is left usable.  The
+    refusal of 10^5000, past Python's 4300-digit limit on integer to string
+    conversion, is a DomainError too."""
     r = GeometricRounder(0.3)
     top = sys.float_info.max
     assert r.round(top) == top
-    for bad in (10**309, int(top) + 1):
+    for bad in (10**309, int(top) + 1, 10**5000):
         with pytest.raises(DomainError):
             r.round(bad)
     assert r.round(top) == top and r.round(5) == pytest.approx(1.3**7)
