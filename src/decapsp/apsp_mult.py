@@ -1,21 +1,26 @@
 """(2 + eps)-approximate all-pairs distances under deletions.
 
-Query answers come from the minimum of four certificates:
+Query answers come from the minimum of three certificates:
 
   * route through u's nearest pivot s: level of u plus level of v in s's tree;
   * route through v's pivot, symmetrically;
-  * for each ordered pair, a heap over "bunch of u touches an edge into a
+  * for each pair u < v, one heap over "bunch of u touches an edge into a
     neighborhood of bunch of v" walks, keyed by rounded lengths.
 
 The per-pair heaps are layered.  For an intermediate x and target v, a
 neighborhood heap holds w~(x, y) + rounded_bunch(y, v) over edge neighbors
 y of x inside bunch(v); its rounded minimum feeds a per-(u, v) adjacency
-heap entry keyed rounded_bunch(u, x) + that minimum, for every owner u whose
-bunch holds x.  Each layer is a list of n dicts keyed by the second node:
-nbr_heap[x][v], nbr_min[x][v] and adj_heap[u][v], so the live minima of x
-are the keys of nbr_min[x].  Bunches and clusters are read from the
-BunchEngine, which owns them; the structure keeps no copy of them and no
-reverse index.  Rounded edge weights, bunch estimates and minima (nbr_min)
+heap entry keyed rounded_bunch(u, x) + that minimum, for every owner u < v
+whose bunch holds x.  Each layer is a list of n dicts keyed by the second
+node: nbr_heap[x][v], nbr_min[x][v] and adj_heap[u][v], so the live minima
+of x are the keys of nbr_min[x].  adj_heap[u] holds only keys v > u.  The
+heap (v, u) would certify the same edges: x sits in heap (u, v) exactly
+when some edge {x, y} has x in bunch(u) and y in bunch(v), which is when y
+sits in heap (v, u), and the two entries differ only in which side's sum
+is rounded, so one of them is kept.  query(u, u) answers 0 before reading
+any heap, so no heap (u, u) is kept either.  Bunches and clusters are read
+from the BunchEngine, which owns them; the structure keeps no copy of them
+and no reverse index.  Rounded edge weights, bunch estimates and minima (nbr_min)
 are all ladder values of the GeometricRounder, so a key is a plain sum and
 a change is detected by comparing floats.  Edges are read off graph.adj
 itself, so entries are written in the graph's neighbour order; w_round is
@@ -42,12 +47,13 @@ graph's adjacency, engine.cluster and the keys of nbr_min:
      returns the events, at most one per (owner v, member w);
   3. each event, in one pass, writes w in the neighborhood heaps (x, v)
      for x adjacent to w at the event's rounded estimate, and w's entries
-     in the adjacency heaps (v, t), for t in nbr_min[w], at that estimate
-     against the minima as they stand (step 3 never writes nbr_min, so no
-     event sees another's);
+     in the adjacency heaps (v, t), for t > v in nbr_min[w], at that
+     estimate against the minima as they stand (step 3 never writes
+     nbr_min, so no event sees another's);
   4. every neighborhood minimum touched by steps 1 and 3 is re-rounded
      once (inf once its heap is gone); a changed one is written to the
-     adjacency heaps (u, v) for every final owner u in engine.cluster[x].
+     adjacency heaps (u, v) for every final owner u < v in
+     engine.cluster[x].
 
 Geometric rounding keeps the propagated minima from changing more than
 polylogarithmically often per pair.
@@ -70,11 +76,34 @@ class MultiplicativeAPSP(Decremental):
     p is the pivot sampling probability; None derives p = min(1, sqrt(n / m))
     with m = max(graph.m, 1).  The p n pivot trees cost O~(m) each, O~(p n m)
     in all.  A bunch holds O~(1/p) nodes, and owner u's adjacency heaps
-    hold each member x of bunch(u) at most once per target v: O~(n^2 / p)
-    entries in all, each re-keyed polylogarithmically often by the
-    rounding.  p = sqrt(n / m) balances p n m against n^2 / p at
+    hold each member x of bunch(u) at most once per target v > u:
+    O~(n^2 / p) entries in all, each re-keyed polylogarithmically often by
+    the rounding.  p = sqrt(n / m) balances p n m against n^2 / p at
     m^{1/2} n^{3/2}.  An explicit p outside [0, 1] is refused by
     sample_pivots; only the derived one is clamped.
+
+    Why query(u, v) <= (2 + eps) d(u, v) with one heap per pair (Thorup &
+    Zwick, JACM 2005).  Let r_u be u's pivot distance at its last bunch
+    rebuild; bunch(u) holds every node closer to u than r_u, and distances
+    only grow, so it still does.  Let d = d(u, v) and u < v.
+
+      * r_u + r_v > d, neither a pivot: on a shortest u-v path, let y be
+        the first node with d(u, y) >= r_u, or v if none is, and x its
+        predecessor.  Then d(u, x) < r_u puts x in bunch(u), and
+        d(v, y) <= max(0, d - r_u) < r_v puts y in bunch(v).  Heap
+        (u, v) holds x at rounded_bunch(u, x) + round(w~(x, y) +
+        rounded_bunch(v, y)) or less.  Each rounding is up by at most a
+        factor 1 + eps/3 and the sum inside is rounded once more, so the
+        entry is at most (1 + eps/3)^2 d, which is <= (2 + eps) d for
+        eps <= 4.85.
+      * r_u + r_v <= d: say r_u <= r_v, so r_u <= d / 2.  u's nearest
+        pivot s is at distance P <= (1 + eps/3) r_u, as a bunch is rebuilt
+        once its pivot distance outgrows r_u by more.  s's tree is exact,
+        so the route through s reads P + d(s, v) <= 2P + d <= (2 + eps/3) d;
+        when r_v <= r_u, v's route gives the same.
+      * A pivot's bunch is empty, and its own tree answers exactly.
+
+    Heap (v, u) would hold y under the same condition, so it adds no case.
     """
 
     def __init__(self, graph, p, eps, seed):
@@ -110,7 +139,8 @@ class MultiplicativeAPSP(Decremental):
         for u in range(n):
             for x, uval in self.engine.bunch[u].items():
                 for v, val in self.nbr_min[x].items():
-                    heap_set(self.adj_heap[u], v, x, uval + val)
+                    if u < v:
+                        heap_set(self.adj_heap[u], v, x, uval + val)
 
     # -- updates -----------------------------------------------------------
 
@@ -152,7 +182,8 @@ class MultiplicativeAPSP(Decremental):
             heap_set(nbr_heap[x], v, w, w_round[wt] + value)
             touched.add((x, v))
         for t, val in self.nbr_min[w].items():
-            heap_set(adj_v, t, w, value + val)
+            if v < t:
+                heap_set(adj_v, t, w, value + val)
 
     def _flush_minima(self, touched):
         """Re-round each touched neighborhood minimum once (inf once its
@@ -174,7 +205,8 @@ class MultiplicativeAPSP(Decremental):
             else:
                 mins[v] = new_val
             for u in cluster[x]:
-                heap_set(adj_heap[u], v, x, bunch[u][x] + new_val)
+                if u < v:
+                    heap_set(adj_heap[u], v, x, bunch[u][x] + new_val)
 
     # -- queries -----------------------------------------------------------
 
@@ -184,6 +216,8 @@ class MultiplicativeAPSP(Decremental):
             raise DomainError(f"query ({u}, {v}) outside the nodes [0, {n})")
         if u == v:
             return 0
+        if v < u:
+            u, v = v, u
         rows = self.engine.trees.nearest_row
         ru, rv = rows[u], rows[v]
         best = ru[u] + ru[v]
@@ -191,11 +225,6 @@ class MultiplicativeAPSP(Decremental):
         if cand < best:
             best = cand
         heap = self.adj_heap[u].get(v)
-        if heap is not None:
-            cand = heap.min_key()
-            if cand < best:
-                best = cand
-        heap = self.adj_heap[v].get(u)
         if heap is not None:
             cand = heap.min_key()
             if cand < best:
@@ -212,6 +241,7 @@ class MultiplicativeAPSP(Decremental):
             "nbr_min_changes_max": max(changes.values(), default=0),
             "nbr_min_changes_total": sum(changes.values()),
             "nbr_pairs_live": sum(map(len, self.nbr_min)),
+            # pairs u < v with an adjacency heap
             "adj_pairs_live": sum(map(len, self.adj_heap)),
             "tree_level_increases": sum(t.level_increases for t in self.engine.trees.values()),
         }

@@ -10,6 +10,7 @@ import random
 
 from decapsp import DuplicateEdge, DynamicGraph, EdgeNotFound, IndexedHeap
 from decapsp.estree import MonotoneESTree, _require_written
+from decapsp.graph import DELETE, INCREASE, QueryCheckpoint, UpdateEvent
 
 INF = math.inf
 
@@ -114,6 +115,37 @@ def deletion_order(rng, graph):
     edges = [(u, v) for u, v, _ in graph.edges()]
     rng.shuffle(edges)
     return edges
+
+
+def churn_updates(graph, seed):
+    """Increases and deletions about 1:1 until half the edges are gone.
+
+    A new weight is uniform in (old, W], and an edge already at W is deleted
+    instead, so weights stay within the bound the structures were built for.
+    Three random queries follow every fifth update and the last one.
+    """
+    rng = random.Random(seed)
+    weight = {(u, v): w for u, v, w in graph.edges()}
+    live = sorted(weight)
+    updates = []
+    target = len(live) - len(live) // 2
+    while len(live) > target:
+        i = rng.randrange(len(live))
+        u, v = live[i]
+        if weight[(u, v)] < graph.W and rng.random() < 0.5:
+            weight[(u, v)] = rng.randint(weight[(u, v)] + 1, graph.W)
+            updates.append(UpdateEvent(INCREASE, u, v, weight[(u, v)]))
+        else:
+            live[i] = live[-1]
+            live.pop()
+            updates.append(UpdateEvent(DELETE, u, v))
+    stream = []
+    for i, ev in enumerate(updates, start=1):
+        stream.append(ev)
+        if i % 5 == 0 or i == len(updates):
+            stream.extend(QueryCheckpoint(rng.randrange(graph.n), rng.randrange(graph.n))
+                          for _ in range(3))
+    return stream
 
 
 class ReferenceESTree(MonotoneESTree):

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decapsp.apsp_mult import MultiplicativeAPSP
-from decapsp.graph import DynamicGraph, gnp_graph
+from decapsp.cli import RunConfig, bound_for
+from decapsp.graph import DELETE, DynamicGraph, UpdateEvent, gnp_graph, gnp_workload
+from decapsp.oracle import sweep
 
-from helpers import check_nearest_rows, deletion_order, heap_entries, rand_connected, ref_apsp
+from helpers import (check_nearest_rows, churn_updates, deletion_order, heap_entries,
+                     rand_connected, ref_apsp)
 
 INF = math.inf
 
@@ -35,7 +38,7 @@ def rebuilt_layers(algo):
     for u in range(g.n):
         for x, uval in eng.bunch[u].items():
             for (x2, v), val in nbr_min.items():
-                if x2 == x:
+                if x2 == x and u < v:
                     adj.setdefault((u, v), {})[x] = uval + val
     return wv, nbr, nbr_min, adj
 
@@ -50,22 +53,23 @@ def audit(algo):
     assert by_pair(algo.nbr_heap, heap_entries) == nbr
     assert by_pair(algo.nbr_min) == nbr_min
     assert by_pair(algo.adj_heap, heap_entries) == adj
+    assert all(v > u for u, row in enumerate(algo.adj_heap) for v in row)
     check_nearest_rows(algo.engine.trees)
 
 
 def certificate_minimum(algo, u, v):
     """The query answer recomputed from the certificates: both pivot routes
     through each endpoint's nearest pivot tree, looked up by root, and the
-    least entry of both adjacency heaps."""
+    least entry of the pair's one adjacency heap, held by the smaller node."""
     trees = algo.engine.trees
     best = INF
     for a, b in ((u, v), (v, u)):
         s = trees.nearest[a]
         if s is not None:
             best = min(best, trees.nearest_row[a][a] + trees[s].level_of[b])
-        heap = algo.adj_heap[a].get(b)
-        if heap is not None:
-            best = min(best, min(heap_entries(heap).values()))
+    heap = algo.adj_heap[min(u, v)].get(max(u, v))
+    if heap is not None:
+        best = min(best, min(heap_entries(heap).values()))
     return best
 
 
@@ -235,3 +239,35 @@ def test_property_query_is_the_certificate_minimum(data):
             algo.increase(u, v, g.weight(u, v) + rng.randint(1, 4))
         else:
             algo.delete(u, v)
+
+
+class SymmetricQueries:
+    """Passes updates to algo and asserts, at every query the sweep makes,
+    that both orders of the pair get the same answer."""
+
+    def __init__(self, algo):
+        self.algo = algo
+        self.apply = algo.apply
+
+    def query(self, u, v):
+        est = self.algo.query(u, v)
+        assert self.algo.query(v, u) == est, (u, v)
+        return est
+
+
+@pytest.mark.parametrize("p", [0.05, 0.1, None])
+@pytest.mark.parametrize("W", [1, 10])
+def test_stretch_at_few_pivots(p, W):
+    """With few pivots most answers come from the one adjacency heap of each
+    pair u < v; every answer stays within 2 + eps after the build and after
+    every update of a full drain and of a churn stream (rises and deletions
+    at W = 10, deletions only at W = 1)."""
+    eps = 0.5
+    bound = bound_for(RunConfig(algorithm="mult", eps=eps))
+    for seed in range(1, 9):
+        g, order = gnp_workload(20, 0.3, W, random.Random(seed))
+        drain = [UpdateEvent(DELETE, u, v) for u, v in order]
+        for updates in (drain, churn_updates(g, seed)):
+            algo = MultiplicativeAPSP(g.copy(), p, eps, seed)
+            report = sweep(SymmetricQueries(algo), g.copy(), updates, bound, dense=True)
+            assert report.ok, report.violations[:3]

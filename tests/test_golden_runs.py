@@ -3,8 +3,9 @@ the determinism digests of the benchmark's instances.
 
 golden_runs.json holds, for each case below, the run report without its
 one timing field, wall_ms.  The churn cases replace the generated deletion
-stream with a fixed-seed mix of weight increases and deletions, the only
-cases that reach increase re-rounding and INCREASE bunch events.  A change that must keep every answer and
+stream with a fixed-seed mix of weight increases and deletions
+(helpers.churn_updates), the only cases that reach increase re-rounding
+and INCREASE bunch events.  A change that must keep every answer and
 counter reproduces these reports exactly; a change that alters a counter
 on purpose updates its entry and says which values moved.
 """
@@ -12,7 +13,6 @@ on purpose updates its entry and says which values moved.
 import contextlib
 import gc
 import json
-import random
 import sys
 import tracemalloc
 from pathlib import Path
@@ -20,8 +20,10 @@ from pathlib import Path
 import pytest
 
 from decapsp import cli
-from decapsp.graph import DELETE, INCREASE, QueryCheckpoint, UpdateEvent, dump_updates, load_graph
+from decapsp.graph import dump_updates, load_graph
 from decapsp.rounding import GeometricRounder
+
+from helpers import churn_updates
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import tracer  # noqa: E402  (perfbench's, only read)
@@ -53,37 +55,6 @@ CASES = {
 
 # name -> seed of the churn stream that replaces the generated updates
 CHURN = {"mult-churn": 12, "mixed-churn": 13}
-
-
-def churn_updates(graph, seed):
-    """Increases and deletions about 1:1 until half the edges are gone.
-
-    A new weight is uniform in (old, W], and an edge already at W is deleted
-    instead, so weights stay within the bound the structures were built for.
-    Three random queries follow every fifth update and the last one.
-    """
-    rng = random.Random(seed)
-    weight = {(u, v): w for u, v, w in graph.edges()}
-    live = sorted(weight)
-    updates = []
-    target = len(live) - len(live) // 2
-    while len(live) > target:
-        i = rng.randrange(len(live))
-        u, v = live[i]
-        if weight[(u, v)] < graph.W and rng.random() < 0.5:
-            weight[(u, v)] = rng.randint(weight[(u, v)] + 1, graph.W)
-            updates.append(UpdateEvent(INCREASE, u, v, weight[(u, v)]))
-        else:
-            live[i] = live[-1]
-            live.pop()
-            updates.append(UpdateEvent(DELETE, u, v))
-    stream = []
-    for i, ev in enumerate(updates, start=1):
-        stream.append(ev)
-        if i % 5 == 0 or i == len(updates):
-            stream.extend(QueryCheckpoint(rng.randrange(graph.n), rng.randrange(graph.n))
-                          for _ in range(3))
-    return stream
 
 
 def run_case(name, tmp_path):
@@ -122,8 +93,8 @@ def test_exact_case_verifies_against_the_oracle(tmp_path):
 # workload -> the first 12 hex digits of Replay.digest() for each instance of
 # its panel, replayed at seed 1 as `perfbench/run.py --seed 1` prints them
 DIGESTS = {
-    "mult-drain": ["37d3fb8ff3e9", "1c6f12fc5b32", "4390a3fbd9d5", "f5b48fc0c771",
-                   "19a7bdc3fcd3", "2f51096f1e44", "e4597f0803a4"],
+    "mult-drain": ["c2fd4bfdca2f", "fdb4684e9ed9", "af7eb0f8766e", "ab7f3c40dfe7",
+                   "6a80166856cf", "56b2ded3aacc", "520bdd0ace93"],
     "mixed-churn": ["94f1bb1dcf3e", "4ead248c66c5"],
     "additive-drain": ["3c548d489ab2", "9137d057a670"],
 }
@@ -131,7 +102,7 @@ DIGESTS = {
 # workload -> IndexedHeap insert/update/delete/pop calls over the build and
 # replay of every instance of its panel at seed 1, the heaps.ops that
 # `perfbench/run.py --seed 1 --trace 1` prints
-HEAP_OPS = {"mult-drain": 20881, "mixed-churn": 4863, "additive-drain": 0}
+HEAP_OPS = {"mult-drain": 13521, "mixed-churn": 4863, "additive-drain": 0}
 
 # workload -> GeometricRounder.exponent calls over the same build and replay,
 # the rounding.exponent.calls that `perfbench/run.py --seed 1 --trace 1`
@@ -176,22 +147,36 @@ def test_benchmark_instances_reproduce_recorded_digests(name):
                 "exponent calls": EXPONENT_CALLS[name]})
 
 
-# the peak that tracemalloc traces over the build and replay of additive-drain
-# instance 0, the same pass that gives `perfbench/run.py` its peak_mem_mb.
+def peak_mb(name):
+    """The peak that tracemalloc traces over the build and replay of
+    instance 0 of a benchmark workload, the same pass that gives
+    `perfbench/run.py` its peak_mem_mb."""
+    inst = workloads.build_instances(workloads.WORKLOADS[name], 1)[0]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        workloads.replay(inst, workloads.make_structure(inst))
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 # List-backed tree levels and adjacency read 0.545 MB; one dict per tree's
 # levels read 0.909 MB.
 ADDITIVE_PEAK_MB = 0.75
+
+# One adjacency heap per pair u < v reads 0.387 MB; a heap for each ordered
+# pair, self-pairs included, read 0.467 MB.
+MULT_DRAIN_PEAK_MB = 0.42
 
 
 def test_additive_drain_peak_memory_stays_list_backed():
     """Every additive root owns a tree whose levels span all n nodes, so a
     return to per-tree dicts fails here, not only in the benchmark."""
-    inst = workloads.build_instances(workloads.WORKLOADS["additive-drain"], 1)[0]
-    gc.collect()
-    tracemalloc.start()
-    try:
-        workloads.replay(inst, workloads.make_structure(inst))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / 2**20 < ADDITIVE_PEAK_MB
+    assert peak_mb("additive-drain") < ADDITIVE_PEAK_MB
+
+
+def test_mult_drain_peak_memory_keeps_one_heap_per_pair():
+    """Certificate heaps are most of mult-drain's memory, so a return to a
+    heap for each ordered pair fails here, not only in the benchmark."""
+    assert peak_mb("mult-drain") < MULT_DRAIN_PEAK_MB
