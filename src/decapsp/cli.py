@@ -2,14 +2,14 @@
 
 Subcommands:
 
-  generate   write a random graph file and a shuffled deletion stream with
-             interleaved query checkpoints (generator randomness is fixed
-             before any algorithm sampling happens)
+  generate   write a gnp_graph instance and its drain stream, or a prefix
+             of it, with query checkpoints from with_checkpoints, all drawn
+             from --seed before any algorithm samples
   run        execute one algorithm over a workload, print a JSON report
              with wall time, operation counters and checkpoint answers
   verify     replay the workload against the exact oracle and report any
              stretch violations; exit status 1 if one is found
-  bench      run a full deletion sequence per size for any algorithm and
+  bench      run a full drain of a gnp_graph per size for any algorithm and
              print a CSV row per size with wall time, build time and the
              structure's counters; for mult, hard-assert the laziness
              counter bounds
@@ -35,18 +35,18 @@ from .apsp_mult import MultiplicativeAPSP
 from .estree import ExactAPSP
 from .graph import (
     ConfigError,
-    DELETE,
     DomainError,
     EdgeNotFound,
     MonotonicityViolation,
     ParseError,
     QueryCheckpoint,
-    UpdateEvent,
+    drain,
     dump_graph,
     dump_updates,
-    gnp_workload,
+    gnp_graph,
     load_graph,
     parse_updates,
+    with_checkpoints,
 )
 from .oracle import BoundSpec, sweep
 from .reduction import UnweightedAPSP
@@ -134,16 +134,11 @@ def cmd_generate(args):
     if args.checkpoint_queries < 0:
         raise ConfigError("--checkpoint-queries must be non-negative")
     rng = random.Random(args.seed)
-    g, edges = gnp_workload(args.n, args.density, args.W, rng)
-    take = max(1, math.ceil(args.fraction * len(edges))) if edges else 0
-    stream = []
-    for i, (u, v) in enumerate(edges[:take], start=1):
-        stream.append(UpdateEvent(DELETE, u, v))
-        if i % args.checkpoint_every == 0 or i == take:
-            for _ in range(args.checkpoint_queries):
-                a = rng.randrange(args.n)
-                b = rng.randrange(args.n)
-                stream.append(QueryCheckpoint(a, b))
+    g = gnp_graph(args.n, args.density, args.W, rng)
+    deletions = drain(g, rng)
+    take = max(1, math.ceil(args.fraction * len(deletions))) if deletions else 0
+    stream = with_checkpoints(deletions[:take], args.n, rng, args.checkpoint_every,
+                              args.checkpoint_queries)
     with open(args.graph, "w") as fh:
         fh.write(dump_graph(g))
     with open(args.updates, "w") as fh:
@@ -214,13 +209,15 @@ def _ladder(cfg, sizes, density, max_weight):
     wall_ms times the deletions and build_ms the structure's build."""
     structure = replace(cfg, seed=cfg.seed + 1)
     for n in sizes:
-        g, edges = gnp_workload(n, density, max_weight, random.Random(cfg.seed))
+        rng = random.Random(cfg.seed)
+        g = gnp_graph(n, density, max_weight, rng)
+        stream = drain(g, rng)
         m0 = g.m
         t0 = time.perf_counter()
         algo = make_algorithm(structure, g)
         t1 = time.perf_counter()
-        for u, v in edges:
-            algo.delete(u, v)
+        for ev in stream:
+            algo.apply(ev)
         wall_ms = (time.perf_counter() - t1) * 1000.0
         build_ms = (t1 - t0) * 1000.0
         row = {"n": n, "m": m0, "wall_ms": round(wall_ms, 3), "build_ms": round(build_ms, 3)}

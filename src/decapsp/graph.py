@@ -1,21 +1,27 @@
-"""Decremental graph core: the update log model and file formats.
+"""Decremental graph core: the update log model, file formats and workloads.
 
 A graph instance only ever shrinks: edges are deleted or their weights are
 increased, never the reverse.  Every mutation goes through apply_update so
 that a single version counter orders all changes and downstream structures
 can reason about "the graph at time t".
 
-UpdateEvent and ChangeRecord are NamedTuples: immutable records with the
-repr of a dataclass, built once per update at a fraction of a frozen
-dataclass's cost.  Like any tuple they compare equal to a plain tuple of
-the same fields.
+UpdateEvent, QueryCheckpoint and ChangeRecord are NamedTuples: immutable
+records with the repr of a dataclass, built once per update at a fraction
+of a frozen dataclass's cost.  Like any tuple they compare equal to a plain
+tuple of the same fields.
+
+The generator section at the end owns every workload: graph families and
+update streams, each a function of (parameters, rng) returning a plain
+list.  A stream is drawn whole before any structure samples, as the
+paper's oblivious adversary requires.  The draws are a contract: generate,
+bench, the golden reports and the pinned counts replay them, so a change
+to any draw re-records those and says so.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 INF = math.inf
@@ -82,8 +88,9 @@ class Decremental:
         self.apply(UpdateEvent(INCREASE, u, v, delta))
 
 
-@dataclass(frozen=True)
-class QueryCheckpoint:
+class QueryCheckpoint(NamedTuple):
+    """A point in an update stream where the pair (u, v) is queried."""
+
     u: int
     v: int
 
@@ -309,14 +316,18 @@ def dump_updates(events):
     return "\n".join(out) + ("\n" if out else "")
 
 
-def gnp_graph(n, density, max_weight, rng):
-    """Erdos-Renyi style instance: each pair kept with probability density,
-    weights uniform on [1, max_weight].  Deterministic given the rng state.
-    A density outside (0, 1] or a max_weight below 1 is a DomainError."""
+def _check_family(density, max_weight):
     if not (0 < density <= 1):
         raise DomainError(f"density must be in (0, 1], got {density}")
     if max_weight < 1:
         raise DomainError(f"max weight must be at least 1, got {max_weight}")
+
+
+def gnp_graph(n, density, max_weight, rng):
+    """Erdos-Renyi style instance: each pair kept with probability density,
+    weights uniform on [1, max_weight].  Deterministic given the rng state.
+    A density outside (0, 1] or a max_weight below 1 is a DomainError."""
+    _check_family(density, max_weight)
     edges = []
     for u in range(n):
         for v in range(u + 1, n):
@@ -325,10 +336,60 @@ def gnp_graph(n, density, max_weight, rng):
     return DynamicGraph(n, edges)
 
 
-def gnp_workload(n, density, max_weight, rng):
-    """gnp_graph plus all of its edges as (u, v) pairs in a deletion order
-    shuffled by the same rng, which the caller may go on drawing from."""
-    g = gnp_graph(n, density, max_weight, rng)
-    order = [(u, v) for u, v, _ in g.edges()]
+def connected_graph(n, density, max_weight, rng):
+    """A random spanning tree, each node of a shuffled order joined to an
+    earlier one, plus gnp_graph's draw of every other pair: connected."""
+    _check_family(density, max_weight)
+    order = list(range(n))
     rng.shuffle(order)
-    return g, order
+    edges = []
+    for i in range(1, n):
+        u, v = order[i], order[rng.randrange(i)]
+        edges.append((min(u, v), max(u, v), rng.randint(1, max_weight)))
+    present = {(u, v) for u, v, _ in edges}
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (u, v) not in present and rng.random() < density:
+                edges.append((u, v, rng.randint(1, max_weight)))
+    return DynamicGraph(n, edges)
+
+
+def drain(graph, rng):
+    """Every edge of graph deleted once, in an order shuffled by rng."""
+    stream = [UpdateEvent(DELETE, u, v) for u, v, _ in graph.edges()]
+    rng.shuffle(stream)
+    return stream
+
+
+def churn(graph, rng, max_weight):
+    """Rises and deletions about 1:1 until m - m//2 edges are live: a live
+    edge below max_weight rises with probability 1/2 to a weight uniform on
+    (old, max_weight], and is deleted otherwise.  max_weight = graph.W keeps
+    weights within the bound the structures were built for."""
+    weight = {(u, v): w for u, v, w in graph.edges()}
+    live = sorted(weight)
+    target = len(live) - len(live) // 2
+    stream = []
+    while len(live) > target:
+        i = rng.randrange(len(live))
+        u, v = live[i]
+        if weight[(u, v)] < max_weight and rng.random() < 0.5:
+            weight[(u, v)] = rng.randint(weight[(u, v)] + 1, max_weight)
+            stream.append(UpdateEvent(INCREASE, u, v, weight[(u, v)]))
+        else:
+            live[i] = live[-1]
+            live.pop()
+            stream.append(UpdateEvent(DELETE, u, v))
+    return stream
+
+
+def with_checkpoints(updates, n, rng, every, queries):
+    """updates with `queries` QueryCheckpoints after every every-th update
+    and the last, each pair drawn uniformly from 0..n-1 by rng."""
+    stream = []
+    for i, ev in enumerate(updates, start=1):
+        stream.append(ev)
+        if i % every == 0 or i == len(updates):
+            stream.extend(QueryCheckpoint(rng.randrange(n), rng.randrange(n))
+                          for _ in range(queries))
+    return stream

@@ -6,11 +6,9 @@ package code is always judged against something written separately.
 
 import heapq
 import math
-import random
 
-from decapsp import DuplicateEdge, DynamicGraph, EdgeNotFound, IndexedHeap
+from decapsp import DuplicateEdge, EdgeNotFound, IndexedHeap
 from decapsp.estree import MonotoneESTree, _require_written
-from decapsp.graph import DELETE, INCREASE, QueryCheckpoint, UpdateEvent
 
 INF = math.inf
 
@@ -92,60 +90,6 @@ def minplus_hop_limited(graph, hops):
         out = minplus_product(out, a)
         steps += 1
     return out
-
-
-def rand_connected(rng, n, extra_density=0.2, max_weight=1):
-    """Random spanning tree plus extra edges; always connected at the start."""
-    edges = []
-    order = list(range(n))
-    rng.shuffle(order)
-    for i in range(1, n):
-        u = order[i]
-        v = order[rng.randrange(i)]
-        edges.append((min(u, v), max(u, v), rng.randint(1, max_weight)))
-    present = {(u, v) for u, v, _ in edges}
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (u, v) not in present and rng.random() < extra_density:
-                edges.append((u, v, rng.randint(1, max_weight)))
-    return DynamicGraph(n, edges)
-
-
-def deletion_order(rng, graph):
-    edges = [(u, v) for u, v, _ in graph.edges()]
-    rng.shuffle(edges)
-    return edges
-
-
-def churn_updates(graph, seed):
-    """Increases and deletions about 1:1 until half the edges are gone.
-
-    A new weight is uniform in (old, W], and an edge already at W is deleted
-    instead, so weights stay within the bound the structures were built for.
-    Three random queries follow every fifth update and the last one.
-    """
-    rng = random.Random(seed)
-    weight = {(u, v): w for u, v, w in graph.edges()}
-    live = sorted(weight)
-    updates = []
-    target = len(live) - len(live) // 2
-    while len(live) > target:
-        i = rng.randrange(len(live))
-        u, v = live[i]
-        if weight[(u, v)] < graph.W and rng.random() < 0.5:
-            weight[(u, v)] = rng.randint(weight[(u, v)] + 1, graph.W)
-            updates.append(UpdateEvent(INCREASE, u, v, weight[(u, v)]))
-        else:
-            live[i] = live[-1]
-            live.pop()
-            updates.append(UpdateEvent(DELETE, u, v))
-    stream = []
-    for i, ev in enumerate(updates, start=1):
-        stream.append(ev)
-        if i % 5 == 0 or i == len(updates):
-            stream.extend(QueryCheckpoint(rng.randrange(graph.n), rng.randrange(graph.n))
-                          for _ in range(3))
-    return stream
 
 
 class ReferenceESTree(MonotoneESTree):

@@ -17,7 +17,7 @@ from decapsp.apsp_mixed import MixedAPSP
 from decapsp.apsp_mult import MultiplicativeAPSP
 from decapsp.bunches import BunchEngine
 from decapsp.estree import ExactAPSP, MonotoneESTree
-from decapsp.graph import DELETE, INCREASE, UpdateEvent, QueryCheckpoint, gnp_graph, gnp_workload
+from decapsp.graph import UpdateEvent, apply_update, churn, drain, gnp_graph, with_checkpoints
 from decapsp.oracle import BoundSpec, exact_apsp, sweep
 from decapsp.reduction import UnweightedAPSP, subdivide
 
@@ -34,18 +34,6 @@ def report(name, ok, detail=""):
     assert ok, line
 
 
-def workload(n, density, W, seed, every=0):
-    """Graph plus full deletion stream; the stream is fixed before any
-    algorithm sees a seed, so the adversary stays oblivious."""
-    g, edges = gnp_workload(n, density, W, random.Random(seed))
-    updates = []
-    for i, (u, v) in enumerate(edges, 1):
-        updates.append(UpdateEvent(DELETE, u, v))
-        if every and (i % every == 0 or i == len(edges)):
-            updates.append(QueryCheckpoint(0, 0))
-    return g, updates
-
-
 GRID = [(seed, n, W) for seed in range(5) for n in (32, 64) for W in (1, 10)]
 
 
@@ -53,9 +41,10 @@ def test_criterion_1_multiplicative_stretch():
     t0 = time.perf_counter()
     pairs = violations = 0
     for seed, n, W in GRID:
-        g, updates = workload(n, 0.25, W, seed)
-        p = min(1.0, math.sqrt(g.n / max(g.m, 1)))
-        algo = MultiplicativeAPSP(g.copy(), p, 0.9, seed + 17)
+        rng = random.Random(seed)
+        g = gnp_graph(n, 0.25, W, rng)
+        updates = drain(g, rng)
+        algo = MultiplicativeAPSP(g.copy(), None, 0.9, seed + 17)
         rep = sweep(algo, g, updates, BoundSpec(alpha=2.9), dense=True)
         pairs += rep.pairs_checked
         violations += len(rep.violations)
@@ -70,10 +59,11 @@ def test_criterion_1_multiplicative_stretch():
 def test_criterion_2_mixed_stretch():
     pairs = violations = 0
     for seed, n, W in GRID:
-        g, updates = workload(n, 0.25, W, seed)
-        p = min(1.0, max(g.m, 1) ** -0.25)
-        tau = 4 if seed % 2 == 0 else max(1, int(math.sqrt(g.m)))
-        algo = MixedAPSP(g.copy(), p, 0.9, tau, seed + 23)
+        rng = random.Random(seed)
+        g = gnp_graph(n, 0.25, W, rng)
+        updates = drain(g, rng)
+        # tau None is the structure's own floor(sqrt(m))
+        algo = MixedAPSP(g.copy(), None, 0.9, 4 if seed % 2 == 0 else None, seed + 23)
         bound = BoundSpec(alpha=2.9, per_pair_bottleneck=True)
         rep = sweep(algo, g, updates, bound, dense=True)
         pairs += rep.pairs_checked
@@ -103,8 +93,10 @@ def _identity_pairs(g, rng, count=100):
 def test_criterion_3_unweighted_reduction():
     pairs = violations = identity_bad = 0
     for n, seed in ((24, 0), (36, 1), (48, 2)):
-        g, updates = workload(n, 0.25, 1, seed, every=5)
-        g0 = g.copy()
+        rng = random.Random(seed)
+        g = gnp_graph(n, 0.25, 1, rng)
+        updates = with_checkpoints(drain(g, rng), g.n, rng, 5, 1)
+        half = g.copy()
         rng = random.Random(seed + 41)
         identity_bad += _identity_pairs(g, rng)
         n2, m2 = g.n + g.m, 2 * g.m
@@ -115,11 +107,9 @@ def test_criterion_3_unweighted_reduction():
         pairs += rep.pairs_checked
         violations += len(rep.violations)
         # identity also holds mid-sequence, on the partially deleted graph
-        half = g0
         for ev in updates[: len(updates) // 2]:
             if isinstance(ev, UpdateEvent):
-                del half.adj[ev.u][ev.v]
-                del half.adj[ev.v][ev.u]
+                apply_update(half, ev)
         identity_bad += _identity_pairs(half, rng)
     report(
         "3 subdivision composition <= 2.3d and exact doubling",
@@ -134,7 +124,9 @@ def test_criterion_4_additive_stretch():
     for k in (2, 3):
         for d in (4, 8):
             for seed in (0, 1):
-                g, updates = workload(64, 0.15, 1, seed)
+                rng = random.Random(seed)
+                g = gnp_graph(64, 0.15, 1, rng)
+                updates = drain(g, rng)
                 algo = AdditiveAPSP(g.copy(), k, d, 2.0, seed + 11)
                 bound = BoundSpec(alpha=1.0, beta=2 * (k - 1), radius=d)
                 rep = sweep(algo, g, updates, bound, dense=True)
@@ -209,12 +201,12 @@ def test_criterion_6_laziness_counters():
     worst_rebuild = worst_changes = 0
     ok = True
     for seed, n, W in GRID:
-        g, updates = workload(n, 0.25, W, seed)
-        p = min(1.0, math.sqrt(g.n / max(g.m, 1)))
-        algo = MultiplicativeAPSP(g, p, 0.9, seed + 17)
+        rng = random.Random(seed)
+        g = gnp_graph(n, 0.25, W, rng)
+        updates = drain(g, rng)
+        algo = MultiplicativeAPSP(g, None, 0.9, seed + 17)
         for ev in updates:
-            if isinstance(ev, UpdateEvent):
-                algo.delete(ev.u, ev.v)
+            algo.apply(ev)
         c = algo.counters()
         logb = math.ceil(math.log(max(n * W, 2), 1 + 0.9 / 3))
         ok &= c["bunch_rebuilds_max"] <= algo.engine.rebuild_bound()
@@ -251,10 +243,12 @@ def test_criterion_7_size_bounds():
 
     heavy_ok = []
     for seed in seeds:
-        g, edges = gnp_workload(64, 0.2, 1, random.Random(seed))
+        rng = random.Random(seed)
+        g = gnp_graph(64, 0.2, 1, rng)
+        updates = drain(g, rng)
         algo = MixedAPSP(g, 0.25, eps, 8, seed + 100)
-        for u, v in edges:
-            algo.delete(u, v)
+        for ev in updates:
+            algo.apply(ev)
         limit = 8 * (64 / (0.25 * 8)) * math.log(max(64 * g.W, 2), 1 + eps / 3)
         heavy_ok.append(len(algo.heavy_trees) <= limit)
     ok_h, n_h = _fraction_passing(heavy_ok)
@@ -262,11 +256,13 @@ def test_criterion_7_size_bounds():
     ei_ok, estar_ok = [], []
     k = 3
     for seed in seeds:
-        g, edges = gnp_workload(64, 0.4, 1, random.Random(seed))
+        rng = random.Random(seed)
+        g = gnp_graph(64, 0.4, 1, rng)
+        updates = drain(g, rng)
         n, m0 = g.n, g.m
         algo = AdditiveAPSP(g, k, 4, 0.5, seed + 100)
-        for u, v in edges:
-            algo.delete(u, v)
+        for ev in updates:
+            algo.apply(ev)
         c = algo.counters()
         s = level_thresholds(n, m0, k)
         ei_ok.append(all(c["ei_added"][i] <= 4 * n * s[i - 2] for i in range(2, k + 1)))
@@ -284,29 +280,6 @@ def test_criterion_7_size_bounds():
     )
 
 
-def rise_and_delete_stream(g, rng, every=5):
-    """Rises and deletions about 1:1 until half the edges are gone, a rise
-    adding 1 to W to the weight, and a checkpoint after every fifth update
-    and the last one."""
-    weight = {(u, v): w for u, v, w in g.edges()}
-    live = sorted(weight)
-    target = len(live) - len(live) // 2
-    updates = []
-    while len(live) > target:
-        i = rng.randrange(len(live))
-        u, v = live[i]
-        if rng.random() < 0.5:
-            weight[(u, v)] += rng.randint(1, g.W)
-            updates.append(UpdateEvent(INCREASE, u, v, weight[(u, v)]))
-        else:
-            live[i] = live[-1]
-            live.pop()
-            updates.append(UpdateEvent(DELETE, u, v))
-        if len(updates) % every == 0 or len(live) == target:
-            updates.append(QueryCheckpoint(0, 0))
-    return updates
-
-
 def test_criterion_8_exact_dynamic_baseline():
     pairs = violations = 0
     for seed in range(20):
@@ -314,7 +287,8 @@ def test_criterion_8_exact_dynamic_baseline():
         W = 1 if seed % 2 == 0 else 10
         rng = random.Random(seed)
         g = gnp_graph(n, 0.25, W, rng)
-        updates = rise_and_delete_stream(g, rng)
+        # rises up to 3W: the exact baseline has no weight bound to keep
+        updates = with_checkpoints(churn(g, rng, 3 * g.W), g.n, rng, 5, 1)
         rep = sweep(ExactAPSP(g.copy()), g, updates, BoundSpec(alpha=1.0))
         pairs += rep.pairs_checked
         violations += len(rep.violations)

@@ -6,15 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from decapsp.additive import AdditiveAPSP, level_thresholds, sample_partition
 from decapsp.estree import NO_OFFERS, MonotoneESTree
-from decapsp.graph import DomainError, DynamicGraph, EdgeNotFound
+from decapsp.graph import DomainError, DynamicGraph, EdgeNotFound, connected_graph, drain
 
-from helpers import rand_connected, ref_apsp, deletion_order
+from helpers import ref_apsp
 
 INF = math.inf
-
-
-def unit_graph(rng, n, density):
-    return rand_connected(rng, n, density, 1)
 
 
 def test_threshold_frozen_value():
@@ -124,12 +120,12 @@ def check_stretch(algo):
 
 def run_full(n, density, k, d, c, seed):
     rng = random.Random(seed)
-    g = unit_graph(rng, n, density)
+    g = connected_graph(n, density, 1, rng)
     algo = AdditiveAPSP(g, k=k, d=d, c=c, seed=seed + 1)
     prev = structural_audit(algo, {})
     check_stretch(algo)
-    for u, v in deletion_order(rng, g.copy()):
-        algo.delete(u, v)
+    for ev in drain(g, rng):
+        algo.apply(ev)
         prev = structural_audit(algo, prev)
         check_stretch(algo)
     return algo
@@ -181,12 +177,12 @@ def test_escape_replacement_before_promotion():
 
 def test_counters_monotone_loads():
     rng = random.Random(21)
-    g = unit_graph(rng, 16, 0.4)
+    g = connected_graph(16, 0.4, 1, rng)
     algo = AdditiveAPSP(g, k=2, d=6, c=0.3, seed=9)
     before = algo.counters()
-    order = deletion_order(rng, g.copy())
-    for u, v in order:
-        algo.delete(u, v)
+    order = drain(g, rng)
+    for ev in order:
+        algo.apply(ev)
     after = algo.counters()
     assert after["estar_added"] >= before["estar_added"]
     assert all(after["ei_added"][i] >= before["ei_added"][i] for i in after["ei_added"])
@@ -201,12 +197,12 @@ def test_property_random_runs(data):
     d = data.draw(st.sampled_from([3, 6]), label="d")
     seed = data.draw(st.integers(0, 10 ** 6), label="seed")
     rng = random.Random(seed)
-    g = unit_graph(rng, n, 0.4)
+    g = connected_graph(n, 0.4, 1, rng)
     algo = AdditiveAPSP(g, k=k, d=d, c=0.3, seed=seed + 7)
     prev = structural_audit(algo, {})
     check_stretch(algo)
-    for u, v in deletion_order(rng, g.copy()):
-        algo.delete(u, v)
+    for ev in drain(g, rng):
+        algo.apply(ev)
         prev = structural_audit(algo, prev)
         check_stretch(algo)
 

@@ -5,17 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decapsp.apsp_mixed import MixedAPSP
-from decapsp.graph import DomainError, DynamicGraph, gnp_graph
+from decapsp.graph import DomainError, DynamicGraph, connected_graph, drain, gnp_graph
 from decapsp.oracle import bottleneck_weights
 
-from helpers import (
-    check_nearest_rows,
-    deletion_order,
-    heap_entries,
-    rand_connected,
-    ref_apsp,
-    ref_dijkstra,
-)
+from helpers import check_nearest_rows, heap_entries, ref_apsp, ref_dijkstra
 
 INF = math.inf
 
@@ -97,8 +90,8 @@ def check_stretch(algo, limit):
 def run_deletions(algo, rng, audit_every=True, limit=2.9):
     prev = set(algo.heavy_trees)
     check_stretch(algo, limit)
-    for u, v in deletion_order(rng, algo.g):
-        algo.delete(u, v)
+    for ev in drain(algo.g, rng):
+        algo.apply(ev)
         if audit_every:
             prev = audit(algo, prev)
         check_stretch(algo, limit)
@@ -106,7 +99,7 @@ def run_deletions(algo, rng, audit_every=True, limit=2.9):
 
 def test_small_threshold_promotes_all_clustered():
     rng = random.Random(3)
-    g = rand_connected(rng, 9, 0.35, 5)
+    g = connected_graph(9, 0.35, 5, rng)
     algo = MixedAPSP(g, p=0.4, eps=0.9, tau=1, seed=8)
     # every node held by at least one bunch is heavy, so no overlap remains
     assert not algo.overlap_heap
@@ -117,7 +110,7 @@ def test_small_threshold_promotes_all_clustered():
 
 def test_huge_threshold_never_promotes():
     rng = random.Random(4)
-    g = rand_connected(rng, 9, 0.35, 5)
+    g = connected_graph(9, 0.35, 5, rng)
     algo = MixedAPSP(g, p=0.4, eps=0.9, tau=g.n + 1, seed=8)
     run_deletions(algo, rng)
     assert not algo.heavy_trees
@@ -126,13 +119,13 @@ def test_huge_threshold_never_promotes():
 
 def test_mid_threshold_promotion_purges_overlap():
     rng = random.Random(9)
-    g = rand_connected(rng, 12, 0.4, 6)
+    g = connected_graph(12, 0.4, 6, rng)
     algo = MixedAPSP(g, p=0.3, eps=0.9, tau=3, seed=2)
     prev = audit(algo, set())
     saw_promotion_after_init = False
     base = len(algo.heavy_trees)
-    for u, v in deletion_order(rng, algo.g):
-        algo.delete(u, v)
+    for ev in drain(algo.g, rng):
+        algo.apply(ev)
         prev = audit(algo, prev)
         if len(algo.heavy_trees) > base:
             saw_promotion_after_init = True
@@ -146,7 +139,7 @@ def test_mid_threshold_promotion_purges_overlap():
 
 def test_increases_then_deletions_with_audit():
     rng = random.Random(15)
-    g = rand_connected(rng, 8, 0.4, 4)
+    g = connected_graph(8, 0.4, 4, rng)
     algo = MixedAPSP(g, p=0.5, eps=0.6, tau=2, seed=5)
     prev = audit(algo, set())
     edges = [(u, v) for u, v, _ in g.edges()]
@@ -186,13 +179,11 @@ def test_property_random_mixed_runs(data):
     p = data.draw(st.sampled_from([0.3, 0.6]), label="p")
     tau = data.draw(st.sampled_from([2, 4]), label="tau")
     rng = random.Random(seed)
-    g = rand_connected(rng, n, 0.3, 5)
+    g = connected_graph(n, 0.3, 5, rng)
     algo = MixedAPSP(g, p=p, eps=0.9, tau=tau, seed=seed + 1)
     prev = audit(algo, set())
     check_stretch(algo, 2.9)
-    edges = [(u, v) for u, v, _ in g.edges()]
-    rng.shuffle(edges)
-    for u, v in edges:
+    for _, u, v, _ in drain(g, rng):
         if rng.random() < 0.3 and g.weight(u, v) < 40:
             algo.increase(u, v, g.weight(u, v) + rng.randrange(1, 5))
         else:

@@ -6,11 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from decapsp.apsp_mult import MultiplicativeAPSP
 from decapsp.cli import RunConfig, bound_for
-from decapsp.graph import DELETE, DynamicGraph, UpdateEvent, gnp_graph, gnp_workload
+from decapsp.graph import DynamicGraph, churn, connected_graph, drain, gnp_graph
 from decapsp.oracle import sweep
 
-from helpers import (check_nearest_rows, churn_updates, deletion_order, heap_entries,
-                     rand_connected, ref_apsp)
+from helpers import check_nearest_rows, heap_entries, ref_apsp
 
 INF = math.inf
 
@@ -101,23 +100,22 @@ def test_query_self_and_disconnected():
 
 def test_all_pivots_gives_exact_distances():
     rng = random.Random(5)
-    g = rand_connected(rng, 9, 0.3, 7)
+    g = connected_graph(9, 0.3, 7, rng)
     algo = MultiplicativeAPSP(g, p=1.0, eps=0.9, seed=2)
-    order = deletion_order(rng, g)
     check_stretch(algo, 1.0)
-    for u, v in order:
-        algo.delete(u, v)
+    for ev in drain(g, rng):
+        algo.apply(ev)
         check_stretch(algo, 1.0)
 
 
 def test_full_deletion_stretch_and_audit():
     rng = random.Random(11)
-    g = rand_connected(rng, 10, 0.35, 6)
+    g = connected_graph(10, 0.35, 6, rng)
     algo = MultiplicativeAPSP(g, p=0.4, eps=0.9, seed=3)
     audit(algo)
     check_stretch(algo, 2.9)
-    for u, v in deletion_order(rng, g):
-        algo.delete(u, v)
+    for ev in drain(g, rng):
+        algo.apply(ev)
         audit(algo)
         check_stretch(algo, 2.9)
     assert algo.g.m == 0
@@ -125,7 +123,7 @@ def test_full_deletion_stretch_and_audit():
 
 def test_weight_increases_then_deletions():
     rng = random.Random(23)
-    g = rand_connected(rng, 8, 0.4, 5)
+    g = connected_graph(8, 0.4, 5, rng)
     algo = MultiplicativeAPSP(g, p=0.5, eps=0.6, seed=4)
     edges = [(u, v) for u, v, _ in g.edges()]
     for u, v in edges[: len(edges) // 2]:
@@ -141,11 +139,11 @@ def test_weight_increases_then_deletions():
 
 def test_counters_within_bounds():
     rng = random.Random(7)
-    g = rand_connected(rng, 12, 0.3, 8)
+    g = connected_graph(12, 0.3, 8, rng)
     algo = MultiplicativeAPSP(g, p=0.4, eps=0.9, seed=9)
-    order = deletion_order(rng, g)
-    for u, v in order:
-        algo.delete(u, v)
+    order = drain(g, rng)
+    for ev in order:
+        algo.apply(ev)
     c = algo.counters()
     log_bound = math.ceil(math.log(max(g.n * g.W, 2), 1.3))
     assert c["bunch_rebuilds_max"] <= algo.engine.rebuild_bound()
@@ -176,13 +174,11 @@ def test_property_random_mixed_runs(data):
     p = data.draw(st.sampled_from([0.3, 0.6]), label="p")
     eps = data.draw(st.sampled_from([0.5, 0.9]), label="eps")
     rng = random.Random(seed)
-    g = rand_connected(rng, n, 0.3, 5)
+    g = connected_graph(n, 0.3, 5, rng)
     algo = MultiplicativeAPSP(g, p=p, eps=eps, seed=seed + 1)
     audit(algo)
     check_stretch(algo, 2 + eps)
-    edges = [(u, v) for u, v, _ in g.edges()]
-    rng.shuffle(edges)
-    for u, v in edges:
+    for _, u, v, _ in drain(g, rng):
         if rng.random() < 0.3 and g.weight(u, v) < 40:
             algo.increase(u, v, g.weight(u, v) + rng.randrange(1, 5))
         else:
@@ -265,9 +261,9 @@ def test_stretch_at_few_pivots(p, W):
     eps = 0.5
     bound = bound_for(RunConfig(algorithm="mult", eps=eps))
     for seed in range(1, 9):
-        g, order = gnp_workload(20, 0.3, W, random.Random(seed))
-        drain = [UpdateEvent(DELETE, u, v) for u, v in order]
-        for updates in (drain, churn_updates(g, seed)):
+        rng = random.Random(seed)
+        g = gnp_graph(20, 0.3, W, rng)
+        for updates in (drain(g, rng), churn(g, random.Random(seed), g.W)):
             algo = MultiplicativeAPSP(g.copy(), p, eps, seed)
             report = sweep(SymmetricQueries(algo), g.copy(), updates, bound, dense=True)
             assert report.ok, report.violations[:3]

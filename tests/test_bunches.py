@@ -18,7 +18,8 @@ from decapsp.bunches import (
     BunchEngine,
     sample_pivots,
 )
-from helpers import nearest_levels, rand_connected, ref_apsp, ref_dijkstra
+from decapsp.graph import connected_graph, drain
+from helpers import nearest_levels, ref_apsp, ref_dijkstra
 
 INF = math.inf
 
@@ -32,7 +33,7 @@ def test_sample_pivots_deterministic_and_extreme_p():
 
 
 def test_all_pivots_means_empty_bunches():
-    g = rand_connected(random.Random(0), 10, 0.3, 3)
+    g = connected_graph(10, 0.3, 3, random.Random(0))
     eng = BunchEngine(g, p=1.0, eps=0.9, seed=1)
     assert list(eng.trees) == list(range(10))
     assert all(eng.trees.nearest_row[v][v] == 0 and eng.trees.nearest[v] == v for v in range(10))
@@ -40,7 +41,7 @@ def test_all_pivots_means_empty_bunches():
 
 
 def test_empty_pivot_set_degenerates_with_warning(caplog):
-    g = rand_connected(random.Random(1), 8, 0.3, 2)
+    g = connected_graph(8, 0.3, 2, random.Random(1))
     with caplog.at_level(logging.WARNING, logger="decapsp.bunches"):
         eng = BunchEngine(g, p=0.0, eps=0.9, seed=1)
     assert any("no pivots" in r.message for r in caplog.records)
@@ -55,7 +56,7 @@ def test_a_pivotless_sample_at_positive_p_gives_whole_component_bunches(caplog):
     """p > 0 drew no pivot: a bunch is every node strictly closer than the
     nearest pivot, so with none in reach it is the whole component, as at
     p = 0 and as for a component that lost its last pivot."""
-    g = rand_connected(random.Random(2), 30, 0.6, 1)
+    g = connected_graph(30, 0.6, 1, random.Random(2))
     with caplog.at_level(logging.WARNING, logger="decapsp.bunches"):
         eng = BunchEngine(g, p=0.001, eps=0.9, seed=7)  # seed samples no pivot
     assert not eng.trees
@@ -117,9 +118,7 @@ def test_full_deletion_run_keeps_all_contracts(seed, p, W):
     eng = BunchEngine(g, p=p, eps=0.9, seed=seed ^ 0xABC)
     prev_est = nearest_levels(eng.trees)
     _check_against_truth(eng, g, prev_est)
-    edges = [(u, v) for u, v, _ in g.edges()]
-    rng.shuffle(edges)
-    for u, v in edges:
+    for _, u, v, _ in drain(g, rng):
         if rng.random() < 0.25:
             ev = UpdateEvent(INCREASE, u, v, g.weight(u, v) + rng.randint(1, 3))
         else:
@@ -140,14 +139,12 @@ def test_full_deletion_run_keeps_all_contracts(seed, p, W):
 
 def test_events_replay_to_state_diff():
     rng = random.Random(100)
-    g = rand_connected(rng, 12, 0.35, 3)
+    g = connected_graph(12, 0.35, 3, rng)
     eng = BunchEngine(g, p=0.4, eps=0.9, seed=42)
     mirror = [dict(b) for b in eng.bunch]
-    edges = [(u, v) for u, v, _ in g.edges()]
-    rng.shuffle(edges)
     saw_join = saw_leave = False
-    for u, v in edges:
-        rec = apply_update(g, UpdateEvent(DELETE, u, v))
+    for ev in drain(g, rng):
+        rec = apply_update(g, ev)
         for bev in eng.refresh(rec):
             if bev.case == LEAVE:
                 del mirror[bev.owner][bev.member]
@@ -172,13 +169,11 @@ def test_events_replay_to_state_diff():
 
 def test_pivot_tree_levels_match_exact_distances():
     rng = random.Random(5)
-    g = rand_connected(rng, 10, 0.4, 5)
+    g = connected_graph(10, 0.4, 5, rng)
     eng = BunchEngine(g, p=0.5, eps=0.9, seed=5)
-    edges = [(u, v) for u, v, _ in g.edges()]
-    rng.shuffle(edges)
-    for u, v in edges[: len(edges) // 2]:
-        rec = apply_update(g, UpdateEvent(DELETE, u, v))
-        eng.refresh(rec)
+    stream = drain(g, rng)
+    for ev in stream[: len(stream) // 2]:
+        eng.refresh(apply_update(g, ev))
     for s in eng.trees:
         assert eng.trees[s].adj is g.adj
         truth = ref_dijkstra(g.adj, s)
@@ -187,7 +182,7 @@ def test_pivot_tree_levels_match_exact_distances():
 
 
 def test_isolating_a_node_evicts_its_bunch():
-    g = rand_connected(random.Random(8), 8, 0.3, 2)
+    g = connected_graph(8, 0.3, 2, random.Random(8))
     eng = BunchEngine(g, p=0.3, eps=0.9, seed=11)
     victim = max(range(8), key=lambda v: len(eng.bunch[v]))
     for w in sorted(g.adj[victim].copy()):

@@ -14,7 +14,7 @@ import decapsp
 from decapsp import cli
 from decapsp.bunches import sample_pivots
 from decapsp.graph import (
-    DELETE, INCREASE, DomainError, QueryCheckpoint, UpdateEvent, dump_updates, gnp_workload,
+    DELETE, INCREASE, DomainError, QueryCheckpoint, UpdateEvent, dump_updates, gnp_graph,
     load_graph, parse_updates)
 
 
@@ -62,6 +62,26 @@ def test_generate_refuses_bad_checkpoint_flags_before_writing(tmp_path, capsys, 
     assert rc == 2
     assert flag in capsys.readouterr().err
     assert not gp.exists() and not up.exists()
+
+
+def test_generate_fraction_takes_a_prefix_of_the_full_drain(tmp_path, capsys):
+    """--fraction 0.5 deletes the first ceil(m/2) edges of the --fraction 1
+    stream and ends on a checkpoint batch; a fraction outside (0, 1] is
+    refused before any file is written."""
+    deletions = {}
+    for fraction in ("1", "0.5"):
+        gp, up = generate(tmp_path, prefix=fraction, extra=("--fraction", fraction))
+        stream = parse_updates(open(up).read())
+        assert isinstance(stream[-1], QueryCheckpoint)
+        deletions[fraction] = [ev for ev in stream if isinstance(ev, UpdateEvent)]
+    m = load_graph(open(gp).read()).m
+    assert len(deletions["1"]) == m and deletions["0.5"] == deletions["1"][:math.ceil(m / 2)]
+    for fraction in ("0", "1.5"):
+        gp, up = tmp_path / "x.graph", tmp_path / "x.updates"
+        rc = cli.main(["generate", "--n", "8", "--density", "0.5", "--fraction", fraction,
+                       "--graph", str(gp), "--updates", str(up)])
+        assert rc == 2 and "fraction" in capsys.readouterr().err
+        assert not gp.exists() and not up.exists()
 
 
 def test_generate_without_checkpoint_queries(tmp_path):
@@ -166,8 +186,8 @@ def test_structures_derive_p_and_tau_that_no_flag_gives():
     samples its pivots at min(1, sqrt(n / m)), mixed at m^(-1/4) with tau
     floor(sqrt(m)), and unweighted-mult's inner MixedAPSP does the same on
     the subdivided graph: p = (2m)^(-1/4) over its n + m nodes."""
-    weighted, _ = gnp_workload(40, 0.2, 10, random.Random(5))
-    unit, _ = gnp_workload(40, 0.2, 1, random.Random(5))
+    weighted = gnp_graph(40, 0.2, 10, random.Random(5))
+    unit = gnp_graph(40, 0.2, 1, random.Random(5))
     m = weighted.m
     algo = cli.make_algorithm(cli.RunConfig("mult", seed=7), weighted.copy())
     assert list(algo.engine.trees) == sample_pivots(40, min(1.0, math.sqrt(40 / m)), 7)
@@ -302,7 +322,7 @@ def test_bench_csv_and_counter_assertions(tmp_path):
         assert int(row["n"]) == n
         assert int(row["m"]) == int(row["updates"])
         # the budgets are the engine's own, for the instance the row ran
-        g, _ = gnp_workload(n, 0.4, 6, random.Random(4))
+        g = gnp_graph(n, 0.4, 6, random.Random(4))
         bound = decapsp.BunchEngine(g, 0.5, 0.9, 5).rebuild_bound()
         assert int(row["rebuild_bound"]) == bound
         assert int(row["nbr_change_bound"]) == (bound - 1) ** 2
@@ -499,8 +519,8 @@ def test_out_of_range_queries_raise_domain_error(tag):
     negative one and a pair of equal ones included, instead of reading
     another node's entry or answering 0."""
     n = 24
-    graph, _ = gnp_workload(n, 0.3, 1 if tag in ("additive", "unweighted-mult") else 10,
-                            random.Random(5))
+    graph = gnp_graph(n, 0.3, 1 if tag in ("additive", "unweighted-mult") else 10,
+                      random.Random(5))
     cfg = cli.RunConfig(tag, "", "", tau=6, k=3, d=4, c=0.3, seed=1)
     algo = cli.make_algorithm(cfg, graph)
     for u, v in ((-1, 3), (3, -1), (-n, 3), (n, 3), (-1, -1), (n, n), (99, 99)):
@@ -519,7 +539,7 @@ def test_an_invalid_update_is_refused_before_any_change(tag):
     as they were."""
     n = 24
     unit = tag in ("additive", "unweighted-mult")
-    graph, _ = gnp_workload(n, 0.3, 1 if unit else 10, random.Random(5))
+    graph = gnp_graph(n, 0.3, 1 if unit else 10, random.Random(5))
     cfg = cli.RunConfig(tag, "", "", tau=6, k=3, d=4, c=0.3, seed=1)
     algo = cli.make_algorithm(cfg, graph)
     owned = algo.inner.g if tag == "unweighted-mult" else graph  # the graph it updates

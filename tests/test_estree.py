@@ -21,13 +21,11 @@ from decapsp import (
     gnp_graph,
 )
 from decapsp.estree import NO_OFFERS, TreeFamily, UnwrittenChange
-from decapsp.graph import ChangeRecord
+from decapsp.graph import ChangeRecord, connected_graph, drain
 from helpers import (
     ReferenceESTree,
     check_nearest_rows,
-    deletion_order,
     nearest_levels,
-    rand_connected,
     ref_dijkstra,
 )
 
@@ -110,9 +108,7 @@ def test_pure_decremental_levels_stay_exact(seed, n, w):
     g = gnp_graph(n, 0.5, w, rng)
     cap = 3 * n
     t = MonotoneESTree(g.adj, 0, cap)
-    edges = [(u, v) for u, v, _ in g.edges()]
-    rng.shuffle(edges)
-    for u, v in edges:
+    for _, u, v, _ in drain(g, rng):
         if rng.random() < 0.3 and g.has_edge(u, v):
             oldw = g.adj[u][v]
             neww = oldw + rng.randint(1, 3)
@@ -187,7 +183,7 @@ def test_mixed_ops_keep_monotone_lower_bounded_witnessed(seed):
 
 def test_work_counter_bounded_by_nodes_times_cap():
     rng = random.Random(11)
-    g = rand_connected(rng, 20, 0.2, 3)
+    g = connected_graph(20, 0.2, 3, rng)
     cap = 25
     t = MonotoneESTree(g.adj, 0, cap)
     for u, v in [(a, b) for a, b, _ in sorted(g.edges())]:
@@ -306,11 +302,11 @@ def test_draining_every_edge_matches_the_reference_on_a_shared_adjacency(cap, de
         pairs = [(MonotoneESTree(g.adj, r, depth), ReferenceESTree(g.adj, r, depth))
                  for r in rng.sample(range(n), 3)]
         raised_total = [0] * len(pairs)
-        for u, v in deletion_order(rng, g):
-            rec = apply_update(g, UpdateEvent(DELETE, u, v))
+        for ev in drain(g, rng):
+            rec = apply_update(g, ev)
             for i, (t, ref) in enumerate(pairs):
-                got = t.delete_edge(u, v, rec.old_weight)
-                assert got == ref.delete_edge(u, v, rec.old_weight)
+                got = t.delete_edge(ev.u, ev.v, rec.old_weight)
+                assert got == ref.delete_edge(ev.u, ev.v, rec.old_weight)
                 assert t.level_of == ref.level_of
                 raised_total[i] += len(got)
                 assert t.level_increases == raised_total[i]
@@ -643,7 +639,7 @@ def test_exact_apsp_answers_every_pair_under_rises_and_deletions():
     and refuses a query node outside 0..n-1, a float or a bool with
     DomainError."""
     rng = random.Random(6)
-    g = rand_connected(rng, 10, 0.4, 5)
+    g = connected_graph(10, 0.4, 5, rng)
     algo = ExactAPSP(g.copy())
     assert [[algo.query(u, v) for v in range(10)] for u in range(10)] == exact_apsp(g)
     for u, v, w in sorted(g.edges()):

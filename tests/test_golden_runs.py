@@ -3,16 +3,18 @@ the determinism digests of the benchmark's instances.
 
 golden_runs.json holds, for each case below, the run report without its
 one timing field, wall_ms.  The churn cases replace the generated deletion
-stream with a fixed-seed mix of weight increases and deletions
-(helpers.churn_updates), the only cases that reach increase re-rounding
-and INCREASE bunch events.  A change that must keep every answer and
-counter reproduces these reports exactly; a change that alters a counter
-on purpose updates its entry and says which values moved.
+stream with a fixed-seed mix of weight increases and deletions, drawn by
+graph.churn and checkpointed by graph.with_checkpoints, the only cases
+that reach increase re-rounding and INCREASE bunch events.  A change that
+must keep every answer and counter reproduces these reports exactly; a
+change that alters a counter on purpose updates its entry and says which
+values moved.
 """
 
 import contextlib
 import gc
 import json
+import random
 import sys
 import tracemalloc
 from pathlib import Path
@@ -20,10 +22,8 @@ from pathlib import Path
 import pytest
 
 from decapsp import cli
-from decapsp.graph import dump_updates, load_graph
+from decapsp.graph import churn, dump_updates, load_graph, with_checkpoints
 from decapsp.rounding import GeometricRounder
-
-from helpers import churn_updates
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import tracer  # noqa: E402  (perfbench's, only read)
@@ -63,8 +63,8 @@ def run_case(name, tmp_path):
     gp, up, rp = (str(tmp_path / f"{name}.{ext}") for ext in ("graph", "updates", "json"))
     assert cli.main(["generate", *gen, "--graph", gp, "--updates", up]) == 0
     if name in CHURN:
-        stream = churn_updates(load_graph(Path(gp).read_text()), CHURN[name])
-        Path(up).write_text(dump_updates(stream))
+        g, rng = load_graph(Path(gp).read_text()), random.Random(CHURN[name])
+        Path(up).write_text(dump_updates(with_checkpoints(churn(g, rng, g.W), g.n, rng, 5, 3)))
     assert cli.main(["run", "--graph", gp, "--updates", up, "--report", rp, *run]) == 0
     report = json.loads(Path(rp).read_text())
     del report["wall_ms"]
@@ -82,10 +82,11 @@ def test_exact_case_verifies_against_the_oracle(tmp_path):
     --dense passes at alpha 1 on its workload, and on a churn stream of
     rises and deletions over the same graph."""
     gen, run = CASES["exact"]
-    gp, up, churn = (str(tmp_path / name) for name in ("e.graph", "e.updates", "c.updates"))
+    gp, up, churned = (str(tmp_path / name) for name in ("e.graph", "e.updates", "c.updates"))
     assert cli.main(["generate", *gen, "--graph", gp, "--updates", up]) == 0
-    Path(churn).write_text(dump_updates(churn_updates(load_graph(Path(gp).read_text()), 14)))
-    for updates in (up, churn):
+    g = load_graph(Path(gp).read_text())
+    Path(churned).write_text(dump_updates(churn(g, random.Random(14), g.W)))
+    for updates in (up, churned):
         assert cli.main(["verify", "--graph", gp, "--updates", updates, "--dense", *run,
                          "--report", str(tmp_path / "verify.json")]) == 0
 

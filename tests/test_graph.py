@@ -23,6 +23,9 @@ from decapsp import (
     load_graph,
     parse_updates,
 )
+from decapsp.graph import churn, connected_graph, drain, with_checkpoints
+
+from helpers import ref_dijkstra
 
 INF = math.inf
 
@@ -192,8 +195,10 @@ def test_gnp_is_deterministic_under_seed():
 
 @pytest.mark.parametrize("density, max_weight", [(0, 5), (1.5, 5), (math.nan, 5), (0.4, 0)])
 def test_gnp_refuses_a_density_outside_0_1_or_a_weight_below_1(density, max_weight):
-    with pytest.raises(DomainError):
-        gnp_graph(12, density, max_weight, random.Random(7))
+    """connected_graph shares gnp_graph's domain."""
+    for family in (gnp_graph, connected_graph):
+        with pytest.raises(DomainError):
+            family(12, density, max_weight, random.Random(7))
 
 
 edge_lists = st.integers(2, 10).flatmap(
@@ -239,9 +244,7 @@ def test_log_replay_reproduces_final_state(data, seed):
     twin = g.copy()
     rng = random.Random(seed)
     log = []
-    live = [(u, v) for u, v, _ in g.edges()]
-    rng.shuffle(live)
-    for u, v in live:
+    for _, u, v, _ in drain(g, rng):
         if rng.random() < 0.3:
             log.append(UpdateEvent(INCREASE, u, v, g.weight(u, v) + rng.randint(1, 5)))
         if rng.random() < 0.8:
@@ -258,3 +261,42 @@ def test_log_replay_reproduces_final_state(data, seed):
             apply_update(twin, ev)
     assert twin.adj == g.adj
     assert twin.version == g.version
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**30), st.integers(1, 14), st.sampled_from([0.2, 0.5, 1.0]),
+       st.integers(1, 6), st.integers(0, 6), st.integers(1, 4), st.integers(0, 3))
+def test_workload_streams_keep_their_contract(seed, n, density, W, headroom, every, queries):
+    """Weights stay in [1, W] and connected_graph is connected; drain deletes
+    each edge once; churn's rises go strictly up to at most max_weight and it
+    stops at m - m//2 live edges; with_checkpoints puts `queries` pairs after
+    every every-th update and the last; each stream replays on a copy."""
+    rng = random.Random(seed)
+    for family in (gnp_graph, connected_graph):
+        g = family(n, density, W, rng)
+        m = g.m
+        assert all(1 <= w <= W for _, _, w in g.edges())
+        assert family is gnp_graph or INF not in ref_dijkstra(g.adj, 0)
+        deletions = drain(g, rng)
+        assert sorted(deletions) == sorted(UpdateEvent(DELETE, u, v) for u, v, _ in g.edges())
+        updates = churn(g, rng, W + headroom)
+        live = g.copy()
+        for ev in updates:
+            assert live.m > m - m // 2
+            if ev.kind == INCREASE:
+                assert live.weight(ev.u, ev.v) < ev.delta <= W + headroom
+            apply_update(live, ev)
+        for stream, m_after in ((deletions, 0), (updates, m - m // 2)):
+            checked = with_checkpoints(stream, n, rng, every, queries)
+            assert [ev for ev in checked if isinstance(ev, UpdateEvent)] == stream
+            live, batches = g.copy(), []
+            for ev in checked:
+                if isinstance(ev, QueryCheckpoint):
+                    assert 0 <= ev.u < n and 0 <= ev.v < n
+                    batches[-1] += 1
+                else:
+                    apply_update(live, ev)
+                    batches.append(0)
+            assert batches == [queries if i % every == 0 or i == len(stream) else 0
+                               for i in range(1, len(stream) + 1)]
+            assert live.m == m_after

@@ -4,18 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decapsp.graph import DomainError, DynamicGraph, EdgeNotFound, gnp_graph
+from decapsp.graph import (DomainError, DynamicGraph, EdgeNotFound, apply_update,
+                           connected_graph, drain, gnp_graph)
 from decapsp.reduction import UnweightedAPSP, subdivide
 
-from helpers import rand_connected, ref_apsp, deletion_order
+from helpers import ref_apsp
 
 INF = math.inf
-
-
-def unit_graph(rng, n, density):
-    g = rand_connected(rng, n, density, 1)
-    assert all(w == 1 for _, _, w in g.edges())
-    return g
 
 
 def assert_doubled(g, expanded):
@@ -47,7 +42,7 @@ def test_path_counts():
 
 def test_distance_identity_random_pairs():
     rng = random.Random(17)
-    g = unit_graph(rng, 18, 0.25)
+    g = connected_graph(18, 0.25, 1, rng)
     expanded, mid = subdivide(g)
     assert expanded.n == g.n + g.m and expanded.m == 2 * g.m
     assert sorted(mid.values()) == list(range(g.n, g.n + g.m))
@@ -64,15 +59,14 @@ def test_distance_identity_random_pairs():
 
 def test_identity_survives_deletions():
     rng = random.Random(29)
-    g = unit_graph(rng, 14, 0.3)
+    g = connected_graph(14, 0.3, 1, rng)
     gp, mid = subdivide(g)
-    for u, v in deletion_order(rng, g.copy()):
-        c = mid[(min(u, v), max(u, v))]
-        for x in (u, v):
+    for ev in drain(g, rng):
+        c = mid[(ev.u, ev.v)]
+        for x in (ev.u, ev.v):
             del gp.adj[x][c]
             del gp.adj[c][x]
-        del g.adj[u][v]
-        del g.adj[v][u]
+        apply_update(g, ev)
         assert_doubled(g, gp)
 
 
@@ -122,13 +116,12 @@ def test_query_halves_and_floors():
 
 def test_composed_wrapper_stretch():
     rng = random.Random(41)
-    g = unit_graph(rng, 16, 0.25)
+    g = connected_graph(16, 0.25, 1, rng)
     sub_m = 2 * g.m
     sub_n = g.n + g.m
     p = math.sqrt(sub_n / sub_m)
     algo = UnweightedAPSP(g.copy(), p=p, eps=0.1, tau=4, seed=6)
     truth = g.copy()
-    order = deletion_order(rng, g.copy())
 
     def check():
         d = ref_apsp(truth)
@@ -141,10 +134,9 @@ def test_composed_wrapper_stretch():
                     assert d[u][v] <= est <= 2.3 * d[u][v] + 1e-9
 
     check()
-    for u, v in order:
-        algo.delete(u, v)
-        del truth.adj[u][v]
-        del truth.adj[v][u]
+    for ev in drain(g, rng):
+        algo.apply(ev)
+        apply_update(truth, ev)
         check()
     with pytest.raises(DomainError):
         algo.increase(0, 1, 5)
@@ -156,17 +148,16 @@ def test_composed_wrapper_stretch():
 def test_deletions_leave_the_given_graph_untouched():
     """The wrapper keeps one graph, the expanded one: the graph it was built
     from is never written, and a deleted edge is refused there too."""
-    g = unit_graph(random.Random(5), 10, 0.4)
+    g = connected_graph(10, 0.4, 1, random.Random(5))
     before = (g.copy().adj, g.version)
     algo = UnweightedAPSP(g, p=0.5, eps=0.1, tau=4, seed=2)
-    order = deletion_order(random.Random(6), g.copy())
-    for u, v in order:
-        algo.delete(u, v)
+    order = drain(g, random.Random(6))
+    for ev in order:
+        algo.apply(ev)
     assert (g.adj, g.version) == before
     assert algo.inner.g.m == 0 and algo.updates_applied == len(order)
-    u, v = order[0]
     with pytest.raises(EdgeNotFound):
-        algo.delete(u, v)
+        algo.apply(order[0])
     assert (g.adj, g.version) == before and algo.updates_applied == len(order)
 
 

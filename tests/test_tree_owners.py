@@ -12,9 +12,7 @@ from decapsp.additive import AdditiveAPSP
 from decapsp.apsp_mixed import MixedAPSP
 from decapsp.apsp_mult import MultiplicativeAPSP
 from decapsp.estree import MonotoneESTree
-from decapsp.graph import gnp_workload
-
-from helpers import deletion_order, rand_connected
+from decapsp.graph import connected_graph, drain, gnp_graph
 
 INF = math.inf
 
@@ -28,7 +26,7 @@ def owners(structure, tree):
 
 
 def replay(monkeypatch, build, stream):
-    """Build a structure and delete stream's edges, recording each tree it
+    """Build a structure and apply stream's updates, recording each tree it
     builds; returns the structure, the trees and how many the build made."""
     built = []
     init = MonotoneESTree.__init__
@@ -40,23 +38,24 @@ def replay(monkeypatch, build, stream):
     monkeypatch.setattr(MonotoneESTree, "__init__", record)
     algo = build()
     at_build = len(built)
-    for u, v in stream:
-        algo.delete(u, v)
+    for ev in stream:
+        algo.apply(ev)
     return algo, built, at_build
 
 
 def test_mult_trees_are_the_pivot_family(monkeypatch):
-    g, order = gnp_workload(20, 0.3, 5, random.Random(1))
-    algo, built, _ = replay(monkeypatch, lambda: MultiplicativeAPSP(g, 0.3, 0.9, 2), order)
+    rng = random.Random(1)
+    g = gnp_graph(20, 0.3, 5, rng)
+    algo, built, _ = replay(monkeypatch, lambda: MultiplicativeAPSP(g, 0.3, 0.9, 2),
+                            drain(g, rng))
     assert built and all(owners(algo, t) == [0] for t in built)
 
 
 def test_mixed_trees_promoted_mid_stream_are_the_heavy_family(monkeypatch):
     rng = random.Random(9)
-    g = rand_connected(rng, 12, 0.4, 6)
+    g = connected_graph(12, 0.4, 6, rng)
     algo, built, at_build = replay(
-        monkeypatch, lambda: MixedAPSP(g, p=0.3, eps=0.9, tau=3, seed=2),
-        deletion_order(rng, g))
+        monkeypatch, lambda: MixedAPSP(g, p=0.3, eps=0.9, tau=3, seed=2), drain(g, rng))
     assert len(built) > at_build  # promotions after the build
     found = [owners(algo, t) for t in built]
     assert all(len(f) == 1 for f in found) and {f[0] for f in found} == {0, 1}
@@ -64,9 +63,10 @@ def test_mixed_trees_promoted_mid_stream_are_the_heavy_family(monkeypatch):
 
 
 def test_additive_trees_are_the_additive_family(monkeypatch):
-    g, order = gnp_workload(24, 0.3, 1, random.Random(3))
+    rng = random.Random(3)
+    g = gnp_graph(24, 0.3, 1, rng)
     algo, built, _ = replay(monkeypatch, lambda: AdditiveAPSP(g, k=3, d=4, c=0.3, seed=4),
-                            order)
+                            drain(g, rng))
     assert built and all(owners(algo, t) == [2] for t in built)
 
 
@@ -130,13 +130,13 @@ def test_every_change_calls_exactly_the_family_trees_it_flags(monkeypatch):
     twin of each tree, called on every change, raises nothing in each tree
     that was skipped."""
     rng = random.Random(9)
-    g = rand_connected(rng, 12, 0.4, 6)
+    g = connected_graph(12, 0.4, 6, rng)
     algo = MixedAPSP(g, p=0.3, eps=0.9, tau=3, seed=2)
     twin_adj = [dict(nb) for nb in g.adj]
     twins = {}
     calls = count_rise_calls(monkeypatch)
     heavy_seen = skipped = 0
-    for u, v in deletion_order(rng, g):
+    for _, u, v, _ in drain(g, rng):
         for kind in ("increase", "delete"):
             trees = [*algo.engine.trees.values(), *algo.heavy_trees.values()]
             for t in trees:
@@ -165,7 +165,9 @@ def test_every_deletion_calls_exactly_the_level_one_additive_trees_it_flags(monk
     A tree gets at most one absorb call per deletion, which the tracer
     does not wrap (delete_edge reaches it too), and only when it has offers
     to raise or the dying edge is flagged in it."""
-    g, order = gnp_workload(24, 0.3, 1, random.Random(3))
+    rng = random.Random(3)
+    g = gnp_graph(24, 0.3, 1, rng)
+    order = drain(g, rng)
     algo = AdditiveAPSP(g, k=3, d=4, c=0.3, seed=4)
     level_one = [algo.tree[r] for r in algo.roots[1]]
     assert level_one
@@ -182,7 +184,7 @@ def test_every_deletion_calls_exactly_the_level_one_additive_trees_it_flags(monk
 
     monkeypatch.setattr(MonotoneESTree, "absorb", absorb)
     skipped = 0
-    for u, v in order:
+    for _, u, v, _ in order:
         want = flagged(level_one, u, v, 1)
         skipped += len(level_one) - len(want)
         calls.clear()

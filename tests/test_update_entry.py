@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from decapsp import cli
-from decapsp.graph import DELETE, INCREASE, Decremental, DomainError, UpdateEvent, gnp_graph
+from decapsp.graph import (DELETE, INCREASE, Decremental, DomainError, UpdateEvent, churn,
+                           drain, gnp_graph)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import tracer  # noqa: E402  (perfbench's, only read)
@@ -26,22 +27,12 @@ def build(tag, graph):
 
 
 def graph_and_stream(tag, seed=8):
-    """A G(14, .4) graph, unit weights for the deletions-only tags, and 24
-    updates on it: deletions, and rises about half the time where the
-    structure takes them."""
+    """A G(14, .4) graph and the first 24 updates of a stream on it: a
+    drain on unit weights for the deletions-only tags, a churn within W 10
+    for the others."""
     rng = random.Random(seed)
     g = gnp_graph(14, 0.4, 1 if tag in DELETIONS_ONLY else 10, rng)
-    weight = {(u, v): w for u, v, w in g.edges()}
-    stream = []
-    while len(stream) < 24:
-        u, v = rng.choice(sorted(weight))
-        if tag not in DELETIONS_ONLY and rng.random() < 0.5:
-            weight[(u, v)] += rng.randint(1, 4)
-            stream.append(UpdateEvent(INCREASE, u, v, weight[(u, v)]))
-        else:
-            del weight[(u, v)]
-            stream.append(UpdateEvent(DELETE, u, v))
-    return g, stream
+    return g, (drain(g, rng) if tag in DELETIONS_ONLY else churn(g, rng, g.W))[:24]
 
 
 def answers(algo, n):
