@@ -23,9 +23,42 @@ the edge supported an endpoint (the O(1) phase-0 test of estree).  The
 repair's fixpoint is unique, so the levels and offers are those of
 absorbing the changes one by one; estimate increases are exported upward.
 
-For a pair at distance at most d + (k - i), the tree rooted at its
-lower-level endpoint (level i) answers within additive error 2(i - 1), so
-any pair within d is answered within 2(k - 1).
+Depth.  Level i's trees run to depth d + k + i - 2 and send any level
+above it to inf.  Write D for distance in the graph.  For every root u of
+level i and every node x in reach, D(u, x) <= d + (k - i),
+
+    D(u, x) <= l_u(x) <= B(x) = D(u, x) + 2(i - 1),
+
+and B(x) <= d + (k - i) + 2(i - 1) = d + k + i - 2, the depth.  A query
+reads the tree of the pair's lower-level endpoint, so a pair within d is
+answered within 2(k - 1); a pair farther than d has no bound and may be
+answered inf.
+
+Proof, by induction on the level and, within a level, on the updates.
+The lower bound holds because every view is a subgraph of the graph at
+weight 1 and every offer is a lower tree's level, itself at least the
+distance.  For the upper bound, take level i after an update; every lower
+level is already through it, and each offer reads its tree's current
+level.  A repair leaves L, the least vector at or above the old levels
+that is feasible, i.e. every node but the root is at least its best
+support (a neighbor's level + 1, or its offer), or inf if that exceeds
+the depth (estree's fixpoint); the build leaves the least feasible vector.
+Let L' lower each x in reach to min(L(x), B(x)).  Distances only grow, so
+x was in reach before, its old level at most its old B(x) <= B(x) by
+induction on the updates, and L' stays at or above the old levels.  L' is
+feasible: where L' = L the supports only got lower; where L'(x) = B(x) <
+L(x), take x's predecessor p on a shortest u-x path, in reach with
+L'(p) <= B(x) - 1.  If view i holds {p, x}, p supports x at B(x).  Else
+i > 1 and idx(x) < i, since view i holds every edge with an endpoint of
+idx >= i, so x's escape edge, which every view holds, leads to a node z of
+level j = idx(x) < i.  D(z, u) <= D(u, x) + 1 <= d + (k - j), so by
+induction on the level the offer at z, tree z's level of u, is at most
+D(u, x) + 1 + 2(j - 1) <= B(x) - 1, and L(z) never exceeds an offer up to
+the depth (offers only rise, and lowering z to its offer keeps a vector
+feasible, by the same argument); so z supports x at B(x).  Every B(x) is
+at most the depth, so no support is sent to inf, and L <= L' by
+minimality, which is the bound.  The depth is tight: with any level's
+trees one shallower the bound fails on some drains (tests/test_additive).
 """
 
 from __future__ import annotations
@@ -66,6 +99,10 @@ def sample_partition(n, m, k, c, seed):
 class AdditiveAPSP(Decremental):
     """Answers every pair within distance d with additive error 2(k - 1).
 
+    Level i's trees run to depth d + k + i - 2, the largest level its bound
+    reads (see the module docstring's proof); a pair farther than d may be
+    answered inf.
+
     k and d have no default: d is the query radius and k trades stretch
     against time.  c is the sampling constant of the level probabilities
     min(1, c ln n / s_i); None derives c = 2.  A node with at least s_i
@@ -89,7 +126,6 @@ class AdditiveAPSP(Decremental):
         self.g = graph
         self.k = k
         self.d = d
-        self.cap = d + 3 * k
         self.level = sample_partition(graph.n, graph.m, k, c, seed)
         self.roots = [[v for v in range(graph.n) if self.level[v] == i] for i in range(k + 1)]
         # rank[v]: v's place in (level, node) order; a pair's lower one roots its tree
@@ -128,10 +164,11 @@ class AdditiveAPSP(Decremental):
                     self._add_edge_level(self._pair(v, x), i, star=True)
 
         # trees, built level by level so the offers' estimates already exist;
-        # the roots of a level share its view
+        # the roots of a level share its view and its depth
         self.tree = {}
         for i in range(1, k + 1):
             view = self.view[i]
+            cap = d + k + i - 2
             lower = [w for j in range(1, i) for w in self.roots[j]]
             for u in self.roots[i]:
                 offers = {}
@@ -139,7 +176,7 @@ class AdditiveAPSP(Decremental):
                     lw = self.tree[w].level_of[u]
                     if lw < INF:
                         offers[w] = lw
-                self.tree[u] = MonotoneESTree(view, u, self.cap, offers)
+                self.tree[u] = MonotoneESTree(view, u, cap, offers)
 
         self.updates_applied = 0
 

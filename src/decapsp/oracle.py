@@ -139,11 +139,17 @@ class BoundSpec:
 
 @dataclass
 class CheckpointResult:
+    """One checkpoint's check.  far_pairs counts the connected pairs beyond
+    the bound's radius, whose upper bound is not checked, and far_inf those
+    of them answered inf: how far the structure reaches past its radius."""
+
     version: int
     pairs_checked: int
     violations: list = field(default_factory=list)
     max_ratio: float = 0.0
     max_slack: float = -INF
+    far_pairs: int = 0
+    far_inf: int = 0
 
     def to_dict(self):
         return {
@@ -152,6 +158,8 @@ class CheckpointResult:
             "violations": [list(v) for v in self.violations],
             "max_ratio": self.max_ratio,
             "max_slack": None if self.max_slack == -INF else self.max_slack,
+            "far_pairs": self.far_pairs,
+            "far_inf": self.far_inf,
         }
 
 
@@ -174,13 +182,16 @@ class StretchReport:
 
     def to_dict(self):
         """The report as JSON; max_ratio and max_slack are the worst seen
-        over the checkpoints (max_slack None when no pair had one)."""
+        over the checkpoints (max_slack None when no pair had one), and
+        far_pairs and far_inf sum theirs."""
         slack = max((c.max_slack for c in self.checkpoints), default=-INF)
         return {
             "schema": 1,
             "bound": self.bound.to_dict(),
             "ok": self.ok,
             "pairs_checked": self.pairs_checked,
+            "far_pairs": sum(c.far_pairs for c in self.checkpoints),
+            "far_inf": sum(c.far_inf for c in self.checkpoints),
             "max_ratio": max((c.max_ratio for c in self.checkpoints), default=0.0),
             "max_slack": None if slack == -INF else slack,
             "checkpoints": [c.to_dict() for c in self.checkpoints],
@@ -206,6 +217,9 @@ def _run_checkpoint(algo, graph, bound):
                 res.violations.append((graph.version, u, v, d, dhat, "estimate below true distance"))
                 continue
             if bound.radius is not None and d > bound.radius:
+                res.far_pairs += 1
+                if dhat == INF:
+                    res.far_inf += 1
                 continue
             w_uv = wmat[u][v] if wmat is not None else 0
             upper = bound.upper(d, w_uv)

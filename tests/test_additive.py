@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decapsp.additive import AdditiveAPSP, level_thresholds, sample_partition
+from decapsp.cli import RunConfig, bound_for, make_algorithm
 from decapsp.estree import NO_OFFERS, MonotoneESTree
 from decapsp.graph import DomainError, DynamicGraph, EdgeNotFound, connected_graph, drain
+from decapsp.oracle import sweep
 
 from helpers import ref_apsp
 
@@ -207,6 +209,101 @@ def test_property_random_runs(data):
         check_stretch(algo)
 
 
+def path_graph(n):
+    return DynamicGraph(n, [(i, i + 1, 1) for i in range(n - 1)])
+
+
+def grid_graph(rows, cols):
+    def node(r, q):
+        return r * cols + q
+    return DynamicGraph(rows * cols, [(node(r, q), node(r, q + 1), 1)
+                                      for r in range(rows) for q in range(cols - 1)]
+                        + [(node(r, q), node(r + 1, q), 1)
+                           for r in range(rows - 1) for q in range(cols)])
+
+
+# (family, k, d, c, seed) of seeded drains whose distances run past every
+# depth; a G(n, p) family draws its graph, then its drain, from the seed's
+# rng, and the structure samples with seed + 1.  Between them, some tree of
+# each level 1..4 meets its depth at a node in reach.
+AT_THE_DEPTHS = [
+    (("gnp", 20, 0.12), 2, 1, 0.5, 2),
+    (("gnp", 24, 0.3), 3, 1, 1, 4),
+    (("gnp", 40, 0.3), 3, 1, 0.5, 0),
+    (("gnp", 40, 0.08), 3, 6, 0.2, 38),
+    (("gnp", 40, 0.2), 3, 6, 2, 12),
+    (("gnp", 32, 0.3), 3, 4, 0.5, 16),
+    (("gnp", 48, 0.12), 4, 2, 0.2, 90),
+    (("gnp", 48, 0.12), 4, 2, 0.2, 108),
+    (("path", 64), 2, 5, 0.2, 6),
+    (("path", 64), 3, 5, 0.2, 10),
+    (("grid", 8, 8), 2, 3, 0.3, 7),
+    (("grid", 8, 6), 3, 5, 0.2, 10),
+]
+
+
+class TreesChecked:
+    """An AdditiveAPSP whose trees are checked against exact distances at
+    the build and after every update: each tree of level i holds every node
+    x at D(u, x) <= l_u(x), and at l_u(x) <= D(u, x) + 2(i - 1) when
+    D(u, x) <= d + (k - i), the bound the module docstring proves.  reached
+    collects the levels with a node in reach at the tree's depth."""
+
+    def __init__(self, algo):
+        self.algo = algo
+        self.query = algo.query
+        self.reached = set()
+        self.check()
+
+    def apply(self, ev):
+        self.algo.apply(ev)
+        self.check()
+
+    def check(self):
+        algo = self.algo
+        k, d = algo.k, algo.d
+        for u, row in enumerate(ref_apsp(algo.g)):
+            i = algo.level[u]
+            tree = algo.tree[u]
+            for x, (dist, est) in enumerate(zip(row, tree.level_of)):
+                assert est >= dist
+                if dist <= d + k - i:
+                    assert est <= dist + 2 * (i - 1), (u, x, dist, est)
+                    if est == tree.cap:
+                        self.reached.add(i)
+
+
+def test_each_level_runs_to_the_depth_its_bound_reads():
+    """Level i's trees run to depth d + k + i - 2: a node in reach, within
+    d + (k - i), has error at most 2(i - 1), so d + k + i - 2 is the
+    largest level the bound reads."""
+    for k, d in ((2, 1), (3, 4), (4, 6)):
+        rng = random.Random(k)
+        algo = AdditiveAPSP(connected_graph(40, 0.2, 1, rng), k=k, d=d, c=0.3, seed=k)
+        assert len(set(algo.level)) == k
+        assert all(tree.cap == d + k + algo.level[u] - 2 for u, tree in algo.tree.items())
+
+
+def test_bounds_hold_at_the_depths_and_every_depth_is_met():
+    """Dense sweeps at bound_for's bound over seeded drains, every tree
+    checked at its level's bound after every update.  Some tree of each
+    level 1..4 has a node in reach at exactly its depth, so with any one
+    level's trees one shallower that node would read inf and fail here."""
+    reached = set()
+    for (family, *shape), k, d, c, seed in AT_THE_DEPTHS:
+        rng = random.Random(seed)
+        if family == "gnp":
+            g = connected_graph(*shape, 1, rng)
+        else:
+            g = (path_graph if family == "path" else grid_graph)(*shape)
+        cfg = RunConfig(algorithm="additive", k=k, d=d, c=c, seed=seed + 1)
+        checked = TreesChecked(make_algorithm(cfg, g.copy()))
+        report = sweep(checked, g, drain(g, rng), bound_for(cfg), dense=True)
+        assert report.ok, (family, seed, report.violations[:3])
+        reached |= checked.reached
+    assert reached == {1, 2, 3, 4}
+
+
 def view_owner():
     """Eight nodes, k = 2: level-2 roots 0, 1 and 6 share one view."""
     g = DynamicGraph(8, [(i, i + 1, 1) for i in range(7)] + [(0, 4, 1), (2, 6, 1)])
@@ -248,7 +345,10 @@ def test_deletion_absorbs_offers_and_the_dying_edge_in_one_repair(monkeypatch):
     all of them and the deletion at its weight 1 in one call, and each other
     root whose tree the dying edge supported at an endpoint calls
     delete_edge; the levels, offers and level increases are those of raising
-    each offer, then deleting."""
+    each offer, then deleting.  Level 1's trees run to depth d + k - 1 = 4
+    and level 2's to 5, so tree 7, which now reaches node 1 only at 5,
+    exports inf: root 1 drops its offer at 7, and node 7, at 6 from root 1
+    once only the view reaches it, goes to inf."""
     calls, active = [], []
     for op in ("insert_edge", "relax_edge", "increase_weight", "delete_edge", "absorb"):
         def record(tree, *args, op=op, orig=getattr(MonotoneESTree, op)):
@@ -267,11 +367,11 @@ def test_deletion_absorbs_offers_and_the_dying_edge_in_one_repair(monkeypatch):
     assert algo.tree[6].level_of[2] + 1 <= algo.tree[6].level_of[1] < INF
     algo.delete(1, 2)
     assert calls == [("absorb", 0, {2: 3}, (1, 2, INF, 1), False, True),
-                     ("absorb", 1, {2: 4, 3: 3, 7: 5}, (1, 2, INF, 1), False, True),
+                     ("absorb", 1, {2: 4, 3: 3, 7: INF}, (1, 2, INF, 1), False, True),
                      ("delete_edge", 6, 1, 2, 1, False, True)]
     assert algo.escape[1] == 0 and algo.exports_applied == 4
-    assert dict(algo.tree[1].offers) == {2: 4, 3: 3, 4: 2, 5: 3, 7: 5}
+    assert dict(algo.tree[1].offers) == {2: 4, 3: 3, 4: 2, 5: 3}
     assert [[algo.tree[r].level_of[x] for x in range(8)] for r in (0, 1, 6)] == [
-        [0, 3, 3, 2, 1, 2, 4, 4], [3, 0, 4, 3, 2, 3, 5, 5], [3, 4, 1, 2, 2, 1, 0, 1]]
+        [0, 3, 3, 2, 1, 2, 4, 4], [3, 0, 4, 3, 2, 3, 5, INF], [3, 4, 1, 2, 2, 1, 0, 1]]
     assert [algo.tree[r].level_increases for r in (0, 1, 6)] == [2, 4, 1]
     structural_audit(algo, {})

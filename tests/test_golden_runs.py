@@ -97,13 +97,20 @@ DIGESTS = {
     "mult-drain": ["c2fd4bfdca2f", "fdb4684e9ed9", "af7eb0f8766e", "ab7f3c40dfe7",
                    "6a80166856cf", "56b2ded3aacc", "520bdd0ace93"],
     "mixed-churn": ["94f1bb1dcf3e", "4ead248c66c5"],
-    "additive-drain": ["3c548d489ab2", "9137d057a670"],
+    "additive-drain": ["997271ffd3cb", "368371e1bc37"],
 }
 
 # workload -> IndexedHeap insert/update/delete/pop calls over the build and
 # replay of every instance of its panel at seed 1, the heaps.ops that
 # `perfbench/run.py --seed 1 --trace 1` prints
 HEAP_OPS = {"mult-drain": 13521, "mixed-churn": 4863, "additive-drain": 0}
+
+# workload -> AdditiveAPSP counters summed over the same replay, the
+# estree.additive.level_increases and additive.exports_applied that
+# `perfbench/run.py --seed 1 --trace 1` prints.  Level i's trees run to
+# depth d + k + i - 2; at depth d + 3k for every level they read 77490 and
+# 23202, so a return to deeper trees fails here.
+ADDITIVE_WORK = {"additive-drain": {"tree_level_increases": 61482, "exports_applied": 17707}}
 
 # workload -> GeometricRounder.exponent calls over the same build and replay,
 # the rounding.exponent.calls that `perfbench/run.py --seed 1 --trace 1`
@@ -134,18 +141,20 @@ def counted_exponent_calls():
 def test_benchmark_instances_reproduce_recorded_digests(name):
     """Each benchmark instance's answers and final counters hash to the
     recorded digest, and the panel makes the recorded number of heap
-    operations and of rounding calls.  Re-record an entry only with a
+    operations and of rounding calls, and additive-drain's the recorded
+    tree raises and offer exports.  Re-record an entry only with a
     change that alters a counter, an answer, the heap traffic or the
     rounding traffic on purpose and says so in CHANGES.md."""
     insts = workloads.build_instances(workloads.WORKLOADS[name], 1)
     heaps = tracer.HeapCounter()
     with heaps, counted_exponent_calls() as rounded:
-        got = [workloads.replay(inst, workloads.make_structure(inst)).digest()[:12]
-               for inst in insts]
+        runs = [workloads.replay(inst, workloads.make_structure(inst)) for inst in insts]
+    work = {key: sum(run.counters[key] for run in runs) for key in ADDITIVE_WORK.get(name, {})}
     # one comparison, so a failure shows every pinned fact that moved
-    assert ({"digests": got, "heaps.ops": heaps.ops, "exponent calls": rounded[0]}
+    assert ({"digests": [run.digest()[:12] for run in runs], "heaps.ops": heaps.ops,
+             "exponent calls": rounded[0], "work": work}
             == {"digests": DIGESTS[name], "heaps.ops": HEAP_OPS[name],
-                "exponent calls": EXPONENT_CALLS[name]})
+                "exponent calls": EXPONENT_CALLS[name], "work": ADDITIVE_WORK.get(name, {})})
 
 
 def peak_mb(name):

@@ -225,3 +225,28 @@ def test_sweep_respects_additive_radius():
     assert report.ok
     report2 = sweep(ExactAlgo(g.copy()), g.copy(), [], BoundSpec(alpha=1.0))
     assert report2.ok
+
+
+def test_sweep_counts_the_pairs_beyond_the_radius_and_their_inf_answers():
+    """Each checkpoint counts the connected pairs beyond the radius, whose
+    upper bound it skips, and how many of them were answered inf; the
+    report sums both.  A disconnected pair is not counted, and a bound
+    without a radius counts none."""
+    g = DynamicGraph(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])  # node 4 isolated
+
+    class Shallow(ExactAlgo):
+        # exact up to distance 2, inf beyond
+        def query(self, u, v):
+            value = super().query(u, v)
+            return value if value <= 2 else INF
+
+    report = sweep(Shallow(g.copy()), g.copy(), parse_updates("d 2 3\n"),
+                   BoundSpec(alpha=1.0, radius=1), dense=True)
+    assert report.ok
+    # before: (0, 2) and (1, 3) at 2, (0, 3) at 3 answered inf; after: (0, 2)
+    assert [(c.far_pairs, c.far_inf) for c in report.checkpoints] == [(3, 1), (1, 0)]
+    payload = report.to_dict()
+    assert (payload["far_pairs"], payload["far_inf"]) == (4, 1)
+    assert [(c["far_pairs"], c["far_inf"]) for c in payload["checkpoints"]] == [(3, 1), (1, 0)]
+    unbounded = sweep(ExactAlgo(g.copy()), g.copy(), [], BoundSpec(alpha=1.0))
+    assert (unbounded.to_dict()["far_pairs"], unbounded.to_dict()["far_inf"]) == (0, 0)
