@@ -6,22 +6,22 @@ tree.  The trees of level i share one view: level 1's is the graph's own
 adjacency, and each higher level's a sparser graph holding only edges whose
 endpoints lack low-level neighbors (E_i) and one designated escape edge per
 node into its lowest reachable level (E*).  Each tree above level 1 also
-owns a shortcut from its root to every lower-level node, priced at that
-node's own tree estimate; shortcuts touch the root, so a tree holds them as
-offers (see estree) and the view stays the same for every root of the
-level.
+has a shortcut from its root to every lower-level node, priced at that
+node's own tree estimate of the root.  Shortcuts touch the root, so the
+level's roots read them as offers (see estree), live from one shared list
+of the lower trees' level rows, and share one view.
 
 A deletion is absorbed level by level, every level the same way.  The
 graph loses the edge first; the escape-edge redesignation then writes each
 higher view's new pairs through its one writer, _add_edge_level (levels
 never drop on an insertion, and only level i's trees read view i, so no
 tree is called), and each higher view loses the dying edge where it holds
-it.  Then each root of the level whose offers lower levels exported
-absorbs all of its raised offers and the deletion in one repair
-(MonotoneESTree.absorb), and each other root calls delete_edge only where
-the edge supported an endpoint (the O(1) phase-0 test of estree).  The
-repair's fixpoint is unique, so the levels and offers are those of
-absorbing the changes one by one; estimate increases are exported upward.
+it.  A lower tree w that raises a higher-level node x raises the offer at
+w in x's tree, and _export names w to x.  Each root of the level with
+named nodes absorbs them and the deletion in one repair (absorb), and each
+other root calls delete_edge only where the edge supported an endpoint
+(the O(1) phase-0 test of estree).  The repair's fixpoint is unique, so
+the levels are those of absorbing the changes one by one.
 
 Depth.  Level i's trees run to depth d + k + i - 2 and send any level
 above it to inf.  Write D for distance in the graph.  For every root u of
@@ -163,20 +163,18 @@ class AdditiveAPSP(Decremental):
                 for i in range(2, k + 1):
                     self._add_edge_level(self._pair(v, x), i, star=True)
 
-        # trees, built level by level so the offers' estimates already exist;
-        # the roots of a level share its view and its depth
+        # trees, built level by level so the lower rows already exist; the
+        # roots of a level share its view, its depth and its offer rows
         self.tree = {}
+        rows = None
         for i in range(1, k + 1):
             view = self.view[i]
             cap = d + k + i - 2
-            lower = [w for j in range(1, i) for w in self.roots[j]]
             for u in self.roots[i]:
-                offers = {}
-                for w in lower:
-                    lw = self.tree[w].level_of[u]
-                    if lw < INF:
-                        offers[w] = lw
-                self.tree[u] = MonotoneESTree(view, u, cap, offers)
+                self.tree[u] = MonotoneESTree(view, u, cap, rows)
+            rows = list(rows) if rows else [None] * n
+            for w in self.roots[i]:
+                rows[w] = self.tree[w].level_of
 
         self.updates_applied = 0
 
@@ -239,10 +237,9 @@ class AdditiveAPSP(Decremental):
     # -- updates ------------------------------------------------------------
 
     def _export(self, pend, tree, raised):
-        """Queue tree's root at each higher-level node tree raised, whose
-        offer at that root must follow; pend maps a root to the nodes whose
-        offers it re-reads.  A raised node's level was finite, so the
-        offer is there."""
+        """Queue tree's root at each higher-level node x tree raised: the
+        offer x's tree reads at that root, tree's level of x, rose.  pend
+        maps a root to the nodes whose offers rose in its tree."""
         source = tree.root
         level = self.level
         for x in raised:
@@ -251,7 +248,7 @@ class AdditiveAPSP(Decremental):
 
     def _advance_level(self, i, pend, edge):
         """Bring level i's trees through one deletion, its view written: each
-        root whose offers were exported absorbs them and edge = (a, b, inf,
+        root whose offers rose absorbs those nodes and edge = (a, b, inf,
         1), the pair taken out of the view (None if the view lacked it), in
         one repair; any other root calls delete_edge where the edge
         supported an endpoint."""
@@ -260,9 +257,8 @@ class AdditiveAPSP(Decremental):
             t = tree[r]
             exported = pend.pop(r, None)
             if exported:
-                rises = {w: tree[w].level_of[r] for w in exported}
-                self.exports_applied += len(rises)
-                raised = t.absorb(rises, edge)
+                self.exports_applied += len(exported)
+                raised = t.absorb(exported, edge)
             elif edge is None:
                 continue
             else:
@@ -285,8 +281,8 @@ class AdditiveAPSP(Decremental):
             if self.escape[x] == y:
                 self._redesignate(x)
 
-        # pend[root]: lower nodes whose estimate the root re-reads as an
-        # offer; trees export upward only, so entries precede their root.
+        # pend[root]: lower nodes whose offer rose in the root's tree;
+        # trees export upward only, so entries precede their root.
         # The graph is level 1's view; each higher view loses the dying
         # pair where it holds it.
         pend = {}

@@ -85,7 +85,8 @@ class MultiplicativeAPSP(Decremental):
     Why query(u, v) <= (2 + eps) d(u, v) with one heap per pair (Thorup &
     Zwick, JACM 2005).  Let r_u be u's pivot distance at its last bunch
     rebuild; bunch(u) holds every node closer to u than r_u, and distances
-    only grow, so it still does.  Let d = d(u, v) and u < v.
+    only grow, so it still does.  Let d = d(u, v) and u < v, and let eps
+    stand for min(eps, 4.85), the eps the engine rounds at: no larger.
 
       * r_u + r_v > d, neither a pivot: on a shortest u-v path, let y be
         the first node with d(u, y) >= r_u, or v if none is, and x its
@@ -94,8 +95,8 @@ class MultiplicativeAPSP(Decremental):
         (u, v) holds x at rounded_bunch(u, x) + round(w~(x, y) +
         rounded_bunch(v, y)) or less.  Each rounding is up by at most a
         factor 1 + eps/3 and the sum inside is rounded once more, so the
-        entry is at most (1 + eps/3)^2 d, which is <= (2 + eps) d for
-        eps <= 4.85.
+        entry is at most (1 + eps/3)^2 d, which is <= (2 + eps) d as
+        eps^2 - 3 eps - 9 <= 0 for eps <= 4.85.
       * r_u + r_v <= d: say r_u <= r_v, so r_u <= d / 2.  u's nearest
         pivot s is at distance P <= (1 + eps/3) r_u, as a bunch is rebuilt
         once its pivot distance outgrows r_u by more.  s's tree is exact,

@@ -46,6 +46,7 @@ INF = math.inf
 LEAVE = "leave"
 INCREASE = "increase"
 JOIN = "join"
+EPS_ROUNDED_MAX = 4.85  # mult's proof needs (1 + eps/3)^2 <= 2 + eps, true up to here
 
 logger = logging.getLogger(__name__)
 
@@ -85,11 +86,9 @@ class BunchEngine:
     def __init__(self, graph, p, eps, seed):
         if not (eps > 0):
             raise DomainError(f"eps must be positive, got {eps!r}")
-        try:
-            self.rounder = GeometricRounder(eps / 3.0)
-        except DomainError:  # name the eps the caller gave, not eps / 3
-            raise DomainError(
-                f"eps must be finite with 1 + eps / 3 > 1, got {eps!r}") from None
+        if not (1.0 + eps / 3.0 > 1.0 and eps < INF):
+            raise DomainError(f"eps must be finite with 1 + eps / 3 > 1, got {eps!r}")
+        self.rounder = GeometricRounder(min(eps, EPS_ROUNDED_MAX) / 3.0)
         self.g = graph
         n = graph.n
         self.trees = TreeFamily(graph.adj, sample_pivots(n, p, seed))

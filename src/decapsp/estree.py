@@ -21,12 +21,12 @@ bool is not) raises KeyError, and an old weight that is not finite or not
 below the new one raises MonotonicityViolation.  The tree keeps no edge
 set, so the owner refuses a missing or duplicate edge.
 
-Offers: a tree may also own offers (node -> weight), edges of its own from
-the root that no other tree sees, so trees whose root edges differ can still
-share one adjacency.  An offer w at x is the constraint l(x) <= w: like an
-edge from the root it supports x whenever w <= l(x), and it is only ever
-raised or dropped.  A tree without offers holds the shared read-only
-NO_OFFERS.
+Offers: edges from the root that no other tree sees, so trees whose root
+edges differ can still share one adjacency.  offers is None or a list of n
+entries, each None or a level row, shared and read live, never written:
+the offer at x is offers[x][root] (inf: none), a support of x when at most
+l(x).  The caller keeps no entry at the root and every offer at least 1 and
+rising, and names each node whose offer rose to the next absorb.
 
 Build.  The constructor runs Dijkstra from the root at 0 and from each
 offer no larger than the cap; a level above the cap is infinite.  Its
@@ -40,10 +40,10 @@ weights need no other path.  The repair below keeps a (key, node) heap:
 half of all repairs have a one-node region, where buckets cost more than
 they save.
 
-absorb is the one entry that checks, seeds and repairs: it raises any
-number of offers, together with at most one edge rise (u, v, w, old) the
-owner has written, w = inf for a deletion, in a single repair.
-increase_weight(u, v, w, old) is absorb(NO_OFFERS, (u, v, w, old)), and
+absorb is the one entry that checks, seeds and repairs: it takes any
+number of nodes whose offer rose, together with at most one edge rise
+(u, v, w, old) the owner has written, w = inf for a deletion, in a single
+repair.  increase_weight(u, v, w, old) is absorb((), (u, v, w, old)), and
 delete_edge(u, v, old) is increase_weight(u, v, inf, old).
 
 Repair.  With f sending values above the cap to infinity, a weight rise
@@ -57,10 +57,10 @@ included.  Bounded-region repair (Ramalingam & Reps, 1996) finds it:
      have lost its support only if l(x) is finite and l(other) + old <= l(x).
      A node the edge did not support keeps its own support; should that
      support join the region, phase 1 rechecks its neighbors then.  With no
-     such endpoint nothing rises and the call returns at once.  A raised
-     offer seeds its node x the same way when old <= l(x) < inf, and
-     every flagged node of a batch seeds the region at once, so each tree
-     runs at most one repair per batch.
+     such endpoint nothing rises and the call returns at once.  A node
+     whose offer rose seeds it while l(x) is below that offer, since the
+     old offer is gone (a seed still supported stays out).  Every flagged
+     node of a batch seeds at once: one repair per tree per batch.
   1. Collect the nodes left without support, a support of x being a
      neighbor y outside the set with l(y) + w <= l(x), or an offer at x no
      larger than l(x) (the root never joins the set): check the endpoints
@@ -98,12 +98,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from types import MappingProxyType
 
 from .graph import Decremental, MonotonicityViolation, apply_update
 
 INF = math.inf
-NO_OFFERS = MappingProxyType({})  # the offers of every tree that has none
 
 
 class UnwrittenChange(RuntimeError):
@@ -138,10 +136,11 @@ class MonotoneESTree:
 
     def __init__(self, adj, root, cap, offers=None):
         """adj: a list of n dicts, adj[u] mapping each neighbor of u to the
-        edge's weight; read, never copied.  offers: node -> finite positive
-        weight, or None; the tree takes the dict over and is its only writer
-        from then on.  A root or offer node outside 0..n-1 raises before
-        anything is built."""
+        edge's weight; read, never copied.  offers: None, or a list of n
+        entries, each None or a level row whose entry at root is the offer
+        at that node; read live, never copied or written.  A root outside
+        0..n-1, or an offers list of another length or with an entry at
+        the root, raises before anything is built."""
         if cap < 0:
             raise ValueError("depth cap must be nonnegative")
         self.root = root
@@ -149,12 +148,9 @@ class MonotoneESTree:
         self.adj = adj
         if not _is_node(root, adj):
             raise KeyError(f"root {root!r} not a node of the graph")
-        if offers:
-            for x, w in offers.items():
-                if x == root or not _is_node(x, adj) or not 0 < w < INF:
-                    raise ValueError(f"offer {w!r} at {x!r}: need a non-root node "
-                                     "and a finite positive weight")
-        self.offers = offers or NO_OFFERS
+        if offers is not None and (len(offers) != len(adj) or offers[root] is not None):
+            raise ValueError("offers must hold one entry per node and none at the root")
+        self.offers = offers
         self.level_of = self._dijkstra()
         self.level_increases = 0
 
@@ -166,8 +162,9 @@ class MonotoneESTree:
         bucket = {0: [self.root]}
         adj = self.adj
         cap = self.cap
-        for x, w in self.offers.items():
-            if w <= cap:
+        for x, row in enumerate(self.offers or ()):
+            w = INF if row is None else row[self.root]
+            if w < INF and w <= cap:
                 dist[x] = w
                 bucket.setdefault(w, []).append(x)
         keys = list(bucket)
@@ -208,18 +205,18 @@ class MonotoneESTree:
 
     def increase_weight(self, u, v, w, old):
         """The rise of {u, v} from weight old to w (inf: the edge is gone):
-        absorb(NO_OFFERS, (u, v, w, old))."""
-        return self.absorb(NO_OFFERS, (u, v, w, old))
+        absorb((), (u, v, w, old))."""
+        return self.absorb((), (u, v, w, old))
 
     def absorb(self, rises, change=None):
-        """Raise the offers in rises (node -> new weight, inf drops the
-        offer) and, given change = (u, v, w, old), absorb the rise of edge
-        {u, v} from weight old to w (inf: the edge is gone), which the
+        """Absorb the rise of the offers at the nodes in rises, which their
+        rows already show, and, given change = (u, v, w, old), the rise of
+        edge {u, v} from weight old to w (inf: the edge is gone), which the
         owner has written: all in one repair.  Returns the set of nodes
-        whose level increased.  An offer that does not rise (a node holding
-        none included), a change the adjacency does not show or whose
-        endpoints are not nodes, or a weight that does not rise from a
-        finite one raises before anything changes."""
+        whose level increased.  A node in rises without an offer row, a
+        change the adjacency does not show or whose endpoints are not
+        nodes, or a weight that does not rise from a finite one raises
+        before anything changes."""
         level_of = self.level_of
         seeds = []
         if change is not None:
@@ -238,18 +235,10 @@ class MonotoneESTree:
                 seeds.append(v)
         if rises:
             offers = self.offers
-            for x, w in rises.items():
-                held = offers.get(x, INF)
-                if not held < w:
-                    raise MonotonicityViolation(
-                        f"offer at {x!r} must rise from a finite weight: {held!r} -> {w!r}")
-            for x, w in rises.items():
-                if offers[x] <= level_of[x] < INF:
-                    seeds.append(x)
-                if w == INF:
-                    del offers[x]
-                else:
-                    offers[x] = w
+            for x in rises:
+                if offers is None or not _is_node(x, self.adj) or offers[x] is None:
+                    raise KeyError(f"node {x!r} holds no offer row")
+            seeds += [x for x in rises if level_of[x] < offers[x][self.root]]  # inf: no seed
         region = self._unsupported(seeds) if seeds else None
         if not region:
             return set()
@@ -281,7 +270,7 @@ class MonotoneESTree:
                 elif lx + w <= ly:
                     dependants.append(y)
             else:
-                if offers and offers.get(x, INF) <= lx:
+                if offers is not None and offers[x] is not None and offers[x][root] <= lx:
                     continue
                 region.add(x)
                 stack += dependants
@@ -293,11 +282,12 @@ class MonotoneESTree:
         level_of = self.level_of
         adj = self.adj
         cap = self.cap
+        root = self.root
         offers = self.offers
         key = {}
         heap = []
         for x in region:
-            best = offers.get(x, INF) if offers else INF
+            best = offers[x][root] if offers is not None and offers[x] is not None else INF
             for y, w in adj[x].items():
                 if y not in region:
                     d = level_of[y] + w

@@ -106,7 +106,7 @@ class ChangeRecord(NamedTuple):
 
 
 class DynamicGraph:
-    """Undirected graph with integer weights in [1, largest float], deletions
+    """Undirected graph with integer weights in [1, max_weight], deletions
     and weight rises only.
 
     Nodes are 0..n-1, and adj is a list of n dicts: adj[u] maps each
@@ -115,12 +115,19 @@ class DynamicGraph:
     0..n-1, or one that is not an int (a bool included), rather than let a
     list index such as -1 read another node's row or True stand for node 1.
     W is the maximum weight seen at construction; it bounds only the bunch
-    rebuild budget (BunchEngine.rebuild_bound), not later rises.  A weight
-    above the largest float is refused, by add_edge and by apply_update's
-    rise, before any change: no rounding ladder could reach it.
+    rebuild budget (BunchEngine.rebuild_bound), not later rises.
+
+    max_weight is the largest float / 16n: add_edge and apply_update's
+    rise refuse a heavier weight before any change, so no sum a structure
+    forms leaves the float range.  With weights at most M, a path of at
+    most n - 1 edges is at most (n - 1)M, and a route through a pivot or
+    heavy root at most 2(n - 1)M.  Rounders step by b = 1 + min(eps,
+    4.85)/3 < 2.62, and round(x) <= b(1 + 2^-53)x, so the largest ladder
+    sum, mult's adjacency key round(d1) + round(round(w) + round(d2)) with
+    d1, d2 <= (n - 1)M, is below (b + b^2)nM < 9.5nM < 16nM.
     """
 
-    __slots__ = ("n", "adj", "W", "version")
+    __slots__ = ("n", "adj", "W", "version", "max_weight")
 
     def __init__(self, n, edges=()):
         # edges: iterable of (u, v, w)
@@ -130,6 +137,7 @@ class DynamicGraph:
         self.adj = [{} for _ in range(n)]
         self.W = 1
         self.version = 0
+        self.max_weight = sys.float_info.max / (16 * max(n, 1))
         for u, v, w in edges:
             self.add_edge(u, v, w)
 
@@ -139,9 +147,9 @@ class DynamicGraph:
         self._check_node(v)
         if u == v:
             raise DomainError(f"self-loop at node {u}")
-        if type(w) is not int or not 1 <= w <= sys.float_info.max:  # bool is an int subclass
+        if type(w) is not int or not 1 <= w <= self.max_weight:  # bool is an int subclass
             raise DomainError(
-                f"edge weight must be an integer in [1, largest float], got {describe(w)}")
+                f"edge weight must be an integer in [1, largest float / 16n], got {describe(w)}")
         if v in self.adj[u]:
             raise DuplicateEdge(f"edge {{{u}, {v}}} already present")
         self.adj[u][v] = w
@@ -203,9 +211,9 @@ def apply_update(graph, event):
             raise MonotonicityViolation(
                 f"weight of {{{u}, {v}}} must strictly increase: {old} -> {describe(new)}"
             )
-        if new > sys.float_info.max:
+        if new > graph.max_weight:
             raise DomainError(
-                f"weight of {{{u}, {v}}} must rise to at most the largest float, "
+                f"weight of {{{u}, {v}}} must rise to at most the largest float / 16n, "
                 f"got {describe(new)}"
             )
         graph.adj[u][v] = new

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from decapsp.additive import AdditiveAPSP, level_thresholds, sample_partition
 from decapsp.cli import RunConfig, bound_for, make_algorithm
-from decapsp.estree import NO_OFFERS, MonotoneESTree
+from decapsp.estree import MonotoneESTree
 from decapsp.graph import DomainError, DynamicGraph, EdgeNotFound, connected_graph, drain
 from decapsp.oracle import sweep
 
@@ -77,9 +77,10 @@ def structural_audit(algo, prev_levels):
             for b, w in row.items():
                 assert b in g.adj[a] and w == 1 and view[b][a] == 1
 
-    # level 1's view is the graph; the roots of a level share its view, and
-    # each owns an offer at every lower node its tree reaches, priced at that
-    # tree's level of the root (so level-1 trees own none)
+    # level 1's view is the graph; the roots of a level share its view and
+    # one offers list, holding the level row of every lower node's own tree,
+    # so the offer at w is tree w's level of the root, read live (level-1
+    # trees read none)
     assert algo.view[1] is g.adj and sorted(algo.view) == list(range(1, k + 1))
     assert len({id(view) for view in algo.view.values()}) == k
     for u in range(g.n):
@@ -87,13 +88,14 @@ def structural_audit(algo, prev_levels):
         i = algo.level[u]
         assert tree.adj is algo.view[i]
         if i == 1:
-            assert tree.offers is NO_OFFERS
+            assert tree.offers is None
             continue
+        assert tree.offers is algo.tree[algo.roots[i][0]].offers
         for w in range(g.n):
-            if algo.level[w] < i and algo.tree[w].level_of[u] < INF:
-                assert tree.offers[w] == algo.tree[w].level_of[u]
+            if algo.level[w] < i:
+                assert tree.offers[w] is algo.tree[w].level_of
             else:
-                assert w not in tree.offers
+                assert tree.offers[w] is None
 
     # monotone levels
     for u in range(g.n):
@@ -209,6 +211,49 @@ def test_property_random_runs(data):
         check_stretch(algo)
 
 
+def check_trees_against_live_rows(algo):
+    """Each tree is in step with the rows it reads: above level 1 it is
+    feasible against them, l(x) <= the offer at x wherever that is within
+    the depth, and every node at a finite level other than the root has a
+    support, a view neighbour y with l(y) + 1 <= l(x) or an offer at most
+    l(x).  A raised offer left unnamed to absorb leaves its node at a level
+    nothing supports."""
+    for u, tree in algo.tree.items():
+        level_of, offers, view = tree.level_of, tree.offers, tree.adj
+        for x, lx in enumerate(level_of):
+            offer = INF if offers is None or offers[x] is None else offers[x][u]
+            if offer <= tree.cap:
+                assert lx <= offer, (u, x, lx, offer)
+            if x != u and lx < INF:
+                assert offer <= lx or any(level_of[y] + w <= lx for y, w in view[x].items()), \
+                    (u, x, lx)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**30), st.sampled_from([2, 3, 4]))
+def test_trees_stay_in_step_with_the_rows_they_read(seed, k):
+    """After the build and every deletion of a seeded drain, every tree is
+    feasible against and supported by the lower rows it reads live; and
+    absorb refuses a node holding no offer row (a tree's own root, any
+    node of a level-1 tree) before any level or level_increases changes."""
+    rng = random.Random(seed)
+    n = rng.randint(16, 48)
+    g = connected_graph(n, rng.choice((0.1, 0.2)), 1, rng)
+    algo = AdditiveAPSP(g, k=k, d=rng.randint(1, 5), c=rng.choice((0.2, 0.5)), seed=seed + 1)
+    check_trees_against_live_rows(algo)
+    for ev in drain(g, rng):
+        algo.apply(ev)
+        check_trees_against_live_rows(algo)
+        tree = algo.tree[rng.randrange(n)]
+        before = (list(tree.level_of), tree.level_increases)
+        with pytest.raises(KeyError):
+            tree.absorb([tree.root])
+        if tree.offers is None:
+            with pytest.raises(KeyError):
+                tree.absorb([rng.randrange(n)])
+        assert (tree.level_of, tree.level_increases) == before
+
+
 def path_graph(n):
     return DynamicGraph(n, [(i, i + 1, 1) for i in range(n - 1)])
 
@@ -313,7 +358,7 @@ def view_owner():
 
 
 def tree_states(algo):
-    return [(list(t.level_of), dict(t.offers), t.level_increases) for t in algo.tree.values()]
+    return [(list(t.level_of), t.level_increases) for t in algo.tree.values()]
 
 
 def test_level_write_adds_new_pairs_without_a_tree_call(monkeypatch):
@@ -330,7 +375,7 @@ def test_level_write_adds_new_pairs_without_a_tree_call(monkeypatch):
     algo = view_owner()
     view = algo.view[2]
     trees = tree_states(algo)
-    assert 6 not in view[0] and 2 not in view[0] and algo.tree[0].offers[2] == 2
+    assert 6 not in view[0] and 2 not in view[0] and algo.tree[0].offers[2][0] == 2
     for x, y in ((0, 6), (2, 0), (1, 5)):
         view[x][y] = view[y][x] = 1
     algo._advance_level(2, {}, None)
@@ -341,14 +386,14 @@ def test_level_write_adds_new_pairs_without_a_tree_call(monkeypatch):
 def test_deletion_absorbs_offers_and_the_dying_edge_in_one_repair(monkeypatch):
     """Deleting {1, 2} moves root 1's escape edge to {0, 1}; both enter and
     leave the level-2 view before any level-2 tree is called.  Then, in node
-    order, each level-2 root whose offers the level-1 trees exported absorbs
-    all of them and the deletion at its weight 1 in one call, and each other
-    root whose tree the dying edge supported at an endpoint calls
-    delete_edge; the levels, offers and level increases are those of raising
-    each offer, then deleting.  Level 1's trees run to depth d + k - 1 = 4
-    and level 2's to 5, so tree 7, which now reaches node 1 only at 5,
-    exports inf: root 1 drops its offer at 7, and node 7, at 6 from root 1
-    once only the view reaches it, goes to inf."""
+    order, each level-2 root whose offers the level-1 trees raised absorbs
+    the nodes they name and the deletion at its weight 1 in one call, and
+    each other root whose tree the dying edge supported at an endpoint
+    calls delete_edge; the levels, offers and level increases are those of
+    raising each offer, then deleting.  Level 1's trees run to depth
+    d + k - 1 = 4 and level 2's to 5, so tree 7, which now reaches node 1
+    only at 5, reads inf there: root 1's offer at 7 is gone, and node 7,
+    at 6 from root 1 once only the view reaches it, goes to inf."""
     calls, active = [], []
     for op in ("insert_edge", "relax_edge", "increase_weight", "delete_edge", "absorb"):
         def record(tree, *args, op=op, orig=getattr(MonotoneESTree, op)):
@@ -366,11 +411,13 @@ def test_deletion_absorbs_offers_and_the_dying_edge_in_one_repair(monkeypatch):
     # root 6's tree: l(2) + 1 <= l(1), so the dying edge supported node 1
     assert algo.tree[6].level_of[2] + 1 <= algo.tree[6].level_of[1] < INF
     algo.delete(1, 2)
-    assert calls == [("absorb", 0, {2: 3}, (1, 2, INF, 1), False, True),
-                     ("absorb", 1, {2: 4, 3: 3, 7: INF}, (1, 2, INF, 1), False, True),
+    assert calls == [("absorb", 0, {2}, (1, 2, INF, 1), False, True),
+                     ("absorb", 1, {2, 3, 7}, (1, 2, INF, 1), False, True),
                      ("delete_edge", 6, 1, 2, 1, False, True)]
     assert algo.escape[1] == 0 and algo.exports_applied == 4
-    assert dict(algo.tree[1].offers) == {2: 4, 3: 3, 4: 2, 5: 3}
+    offers = algo.tree[1].offers
+    assert [offers[w][1] for w in (2, 3, 4, 5, 7)] == [4, 3, 2, 3, INF]
+    assert algo.tree[0].offers[2][0] == 3
     assert [[algo.tree[r].level_of[x] for x in range(8)] for r in (0, 1, 6)] == [
         [0, 3, 3, 2, 1, 2, 4, 4], [3, 0, 4, 3, 2, 3, 5, INF], [3, 4, 1, 2, 2, 1, 0, 1]]
     assert [algo.tree[r].level_increases for r in (0, 1, 6)] == [2, 4, 1]

@@ -267,3 +267,24 @@ def test_stretch_at_few_pivots(p, W):
             algo = MultiplicativeAPSP(g.copy(), p, eps, seed)
             report = sweep(SymmetricQueries(algo), g.copy(), updates, bound, dense=True)
             assert report.ok, report.violations[:3]
+
+
+@pytest.mark.parametrize("eps", [4.85, 5.0, 20.0, 1e308])
+def test_an_eps_above_the_proofs_limit_rounds_as_4_85(eps):
+    """The stretch proof needs (1 + eps/3)^2 <= 2 + eps, which holds up to
+    eps = 4.85 and fails from 4.86 on; a larger eps rounds at 4.85 / 3, so
+    it answers as eps = 4.85 does, within 2 + 4.85, after every deletion;
+    at eps <= 4.85 the engine rounds at eps / 3 as before."""
+    assert (1 + 4.85 / 3) ** 2 <= 2 + 4.85 and (1 + 4.86 / 3) ** 2 > 2 + 4.86
+    rng = random.Random(8)
+    g = connected_graph(20, 0.3, 10, rng)
+    updates = drain(g, rng)
+    capped = MultiplicativeAPSP(g.copy(), 0.3, eps, 2)
+    same = MultiplicativeAPSP(g.copy(), 0.3, 4.85, 2)
+    assert capped.rounder.eps == same.rounder.eps == 4.85 / 3
+    assert MultiplicativeAPSP(g.copy(), 0.3, 0.9, 2).rounder.eps == 0.9 / 3
+    bound = bound_for(RunConfig(algorithm="mult", eps=4.85))
+    assert sweep(capped, g.copy(), updates, bound, dense=True).ok
+    for ev in updates:
+        same.apply(ev)
+    assert all(capped.query(u, v) == same.query(u, v) for u in range(20) for v in range(20))

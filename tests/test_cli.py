@@ -14,8 +14,9 @@ import decapsp
 from decapsp import cli
 from decapsp.bunches import sample_pivots
 from decapsp.graph import (
-    DELETE, INCREASE, DomainError, QueryCheckpoint, UpdateEvent, dump_updates, gnp_graph,
-    load_graph, parse_updates)
+    DELETE, INCREASE, DomainError, DynamicGraph, QueryCheckpoint, UpdateEvent, dump_updates,
+    gnp_graph, load_graph, parse_updates)
+from decapsp.oracle import sweep
 
 
 def generate(tmp_path, prefix="w", n=12, density=0.5, W=10, seed=3, extra=()):
@@ -118,7 +119,8 @@ PATH_GRAPH = "4 3\n0 1 1\n1 2 1\n2 3 1\n"
     (PATH_GRAPH, "q 9 9\n", [], "query (9, 9) outside the nodes [0, 4)"),
     (PATH_GRAPH, "d 0 1\n", ["--p", "1.5"], "sampling probability must be in [0, 1], got 1.5"),
     (f"2 1\n0 1 {10**309}\n", "d 0 1\n", [],
-     "line 2: edge weight must be an integer in [1, largest float], got an integer of 1027 bits"),
+     "line 2: edge weight must be an integer in [1, largest float / 16n], "
+     "got an integer of 1027 bits"),
 ], ids=["zero-eps", "bad-graph-line", "missing-edge", "weight-not-rising", "missing-file",
         "query-node-out-of-range", "p-above-1", "weight-above-largest-float"])
 def test_run_refuses_bad_input_with_one_error_line(tmp_path, capsys, graph, updates, flags,
@@ -493,7 +495,7 @@ def test_run_refuses_a_rise_above_the_largest_float(tmp_path):
         capture_output=True, text=True, env=_child_env(), timeout=60, preexec_fn=limit_memory)
     assert proc.returncode == 2 and not proc.stdout
     assert proc.stderr.startswith(
-        "error: weight of {0, 1} must rise to at most the largest float, "
+        "error: weight of {0, 1} must rise to at most the largest float / 16n, "
         "got an integer of 1027 bits")
     assert proc.stderr.count("\n") == 1
 
@@ -527,6 +529,34 @@ def test_out_of_range_queries_raise_domain_error(tag):
         with pytest.raises(DomainError):
             algo.query(u, v)
     assert algo.query(3, 3) == 0
+
+
+@pytest.mark.parametrize("tag", cli.ALGORITHMS)
+def test_a_weight_whose_sums_could_leave_the_float_range_is_refused(tag):
+    """On weights 10^308, 10^308 and 1, mult's build raised KeyError (two
+    ladder values summed to inf) and mixed's delete(0, 2) raised DomainError
+    after the graph changed (the distance 2 * 10^308).  The graph refuses
+    such a weight, at construction and on a rise, before any change.  At
+    max_weight, the largest weight it takes, each structure that takes
+    weights builds, refuses a rise past it with the graph as it was, then
+    rises to it and deletes {0, 2}, answering within its bound after every
+    update; a unit-weight one refuses the graph."""
+    with pytest.raises(DomainError):
+        DynamicGraph(3, [(0, 1, 10**308), (1, 2, 10**308), (0, 2, 1)])
+    top = int(DynamicGraph(3).max_weight)
+    g = DynamicGraph(3, [(0, 1, top), (1, 2, 1), (0, 2, 1)])
+    cfg = cli.RunConfig(tag, "", "", p=0.0, tau=1, k=2, d=2, seed=1)
+    if tag in ("additive", "unweighted-mult"):
+        with pytest.raises(DomainError):
+            cli.make_algorithm(cfg, g)
+        return
+    algo = cli.make_algorithm(cfg, g.copy())
+    with pytest.raises(DomainError):
+        algo.increase(1, 2, top + 1)
+    assert algo.g.adj == g.adj and algo.g.version == 0
+    updates = [UpdateEvent(INCREASE, 1, 2, top), UpdateEvent(DELETE, 0, 2)]
+    report = sweep(algo, g, updates, cli.bound_for(cfg), dense=True)
+    assert report.ok and 2 * top <= algo.query(0, 2) < math.inf
 
 
 @pytest.mark.parametrize("tag", cli.ALGORITHMS)

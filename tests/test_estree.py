@@ -20,7 +20,7 @@ from decapsp import (
     exact_apsp,
     gnp_graph,
 )
-from decapsp.estree import NO_OFFERS, TreeFamily, UnwrittenChange
+from decapsp.estree import TreeFamily, UnwrittenChange
 from decapsp.graph import ChangeRecord, connected_graph, drain
 from helpers import (
     ReferenceESTree,
@@ -30,6 +30,22 @@ from helpers import (
 )
 
 INF = math.inf
+
+
+def offer_rows(n, root, offers):
+    """The offers list a tree at root reads for offers = {node: weight}:
+    each node holding an offer gets a level row of its own whose entry at
+    root is the weight, every other entry is None."""
+    rows = [None] * n
+    for x, w in offers.items():
+        rows[x] = [INF] * n
+        rows[x][root] = w
+    return rows
+
+
+def held_offers(rows, root):
+    """The finite offers rows show at root, as {node: weight}."""
+    return {x: row[root] for x, row in enumerate(rows) if row is not None and row[root] < INF}
 
 
 def test_initial_levels_are_exact_up_to_cap():
@@ -389,7 +405,7 @@ def test_an_offer_is_a_support():
     support goes, without joining the region, so the rows of the nodes it
     supports are never read."""
     g = DynamicGraph(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)])
-    t = MonotoneESTree(g.adj, 0, cap=10, offers={2: 2})
+    t = MonotoneESTree(g.adj, 0, cap=10, offers=offer_rows(5, 0, {2: 2}))
     g.adj[3] = NoScan(g.adj[3])
     rec = apply_update(g, UpdateEvent(DELETE, 1, 2))
     assert t.delete_edge(1, 2, rec.old_weight) == set()
@@ -456,8 +472,9 @@ def test_offers_match_the_reference_with_root_edges(density, max_w):
     """A tree whose offers stand for edges from the root raises the same
     nodes, ends at the same levels and counts one level increase per raised
     node as the level-by-level reference built on the adjacency plus those
-    edges, over raised and dropped offers interleaved with deletions; the
-    adjacency it shares is never written."""
+    edges, over raised and dropped offers (rows rewritten, then named to
+    absorb) interleaved with deletions; the adjacency and the rows it reads
+    are never written."""
     for seed in range(4):
         rng = random.Random(f"offers/{density}/{max_w}/{seed}")
         n = rng.randint(6, 30)
@@ -474,11 +491,12 @@ def test_offers_match_the_reference_with_root_edges(density, max_w):
 
         for x in offers:
             with_edges[root][x] = with_edges[x][root] = root_edge(x)
-        t = MonotoneESTree(adj, root, cap, dict(offers))
+        rows = offer_rows(n, root, offers)
+        t = MonotoneESTree(adj, root, cap, rows)
         ref = ReferenceESTree(with_edges, root, cap)
-        assert t.level_of == ref.level_of and t.offers == offers
+        assert t.level_of == ref.level_of and t.offers is rows
         raised_total = 0
-        for op, x, y in offer_stream(rng, g, root, t.offers):
+        for op, x, y in offer_stream(rng, g, root, offers):
             # the reference edge the step changes: a root edge where an
             # offer or a deleted edge meets the root, else the deleted edge
             if op == "absorb":
@@ -487,7 +505,8 @@ def test_offers_match_the_reference_with_root_edges(density, max_w):
                 u, v = (root, x + y - root) if root in (x, y) else (x, y)
             before = with_edges[u].get(v, INF)
             if op == "absorb":
-                got = t.absorb({x: y})
+                rows[x][root] = y
+                got = t.absorb([x])
                 if y == INF:
                     del offers[x]
                 else:
@@ -508,7 +527,7 @@ def test_offers_match_the_reference_with_root_edges(density, max_w):
                 with_edges[u][v] = with_edges[v][u] = after
                 want = ref.increase_weight(u, v, after, before)
             assert got == want
-            assert t.level_of == ref.level_of and t.offers == offers
+            assert t.level_of == ref.level_of and held_offers(rows, root) == offers
             raised_total += len(got)
             assert t.level_increases == raised_total
 
@@ -535,59 +554,69 @@ def test_a_build_with_offers_and_a_cap_matches_dijkstra(seed, n, max_w, cut):
     i = rng.randrange(len(levels) - 1)
     cap = {"on": levels[i], "between": (levels[i] + min(levels[i + 1], levels[i] + 2)) / 2,
            "none": INF}[cut]
-    t = MonotoneESTree(adj, root, cap, dict(offers))
+    t = MonotoneESTree(adj, root, cap, offer_rows(n, root, offers))
     assert t.level_of == [d if d <= cap else INF for d in exact]
 
 
-def test_a_non_rising_offer_or_an_unknown_node_is_refused():
-    """absorb refuses an offer that does not rise, at a node holding
-    none (the root, a node outside the graph) too, before anything
-    changes; a tree built without offers holds the shared read-only empty
-    mapping and refuses every raise."""
+def test_a_node_without_an_offer_row_is_refused():
+    """absorb refuses a node holding no offer row (the root, a node of a
+    None entry, a node outside the graph, a bool or float, any node of a
+    tree built without offers) with KeyError, the whole batch with it,
+    before anything changes; a build refuses an offers list of another
+    length or with an entry at the root.  A node named to absorb seeds the
+    repair only while its level is below the offer its row now shows."""
     g = DynamicGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
-    t = MonotoneESTree(g.adj, 0, cap=10, offers={2: 1, 3: 5})
+    rows = offer_rows(4, 0, {2: 1, 3: 5})
+    t = MonotoneESTree(g.adj, 0, cap=10, offers=rows)
     assert [t.level_of[x] for x in range(4)] == [0, 1, 1, 2]
-    before = (list(t.level_of), dict(t.offers), t.level_increases)
-    for x, w in [(2, 1), (2, 0), (2, math.nan), (3, 4), (0, 3), (1, 3), (9, 3), (-1, INF)]:
-        with pytest.raises(MonotonicityViolation):
-            t.absorb({x: w})
-        assert (t.level_of, t.offers, t.level_increases) == before
-    assert t.absorb({3: 6}) == set()  # not the support of 3: no repair
-    assert t.absorb({2: INF}) == {2, 3}
-    assert [t.level_of[x] for x in range(4)] == [0, 1, 2, 3] and t.offers == {3: 6}
-    assert t.level_increases == 2
+    before = (list(t.level_of), t.level_increases)
+    rows[2][0] = INF
+    for x in (0, 1, 9, -1, True, 2.0, None):
+        for batch in ([x], [2, x], [x, 2]):
+            with pytest.raises(KeyError):
+                t.absorb(batch)
+            assert (t.level_of, t.level_increases) == before
+    rows[2][0] = 1
+    rows[3][0] = 6
+    assert t.absorb([3]) == set()  # not the support of 3: no repair
+    assert t.absorb([2]) == set()  # no rise at all: 2 keeps its offer
+    rows[2][0] = INF
+    assert t.absorb([2]) == {2, 3}
+    assert [t.level_of[x] for x in range(4)] == [0, 1, 2, 3] and t.level_increases == 2
+    assert held_offers(rows, 0) == {3: 6}
 
     # an offer up to the cap seeds the build, one above it does not
     short = MonotoneESTree(DynamicGraph(4, [(0, 1, 4), (1, 3, 3)]).adj, 0, cap=5,
-                           offers={2: 5, 3: 6})
+                           offers=offer_rows(4, 0, {2: 5, 3: 6}))
     assert [short.level_of[x] for x in range(4)] == [0, 4, 5, INF]
 
     bare = MonotoneESTree(g.adj, 0, cap=10)
     fam = TreeFamily(g.adj, [0, 3])
-    assert bare.offers is NO_OFFERS and all(tr.offers is NO_OFFERS for tr in fam.values())
-    assert MonotoneESTree(g.adj, 0, cap=10, offers={}).offers is NO_OFFERS
-    with pytest.raises(MonotonicityViolation):
-        bare.absorb({1: 5})
-    assert not NO_OFFERS
-    for offers in ({0: 1}, {4: 1}, {1: 0}, {1: INF}, {1: -2}):
+    assert bare.offers is None and all(tr.offers is None for tr in fam.values())
+    with pytest.raises(KeyError):
+        bare.absorb([1])
+    for offers in ([None] * 3, [None] * 5, offer_rows(4, 0, {0: 1, 1: 1})):
         with pytest.raises(ValueError):
             MonotoneESTree(g.adj, 0, cap=10, offers=offers)
 
 
 def test_a_node_outside_the_graph_is_refused():
     """Levels and adjacency are lists, where index -1 would read the last
-    node: a root or an offer node at -1 or n is refused with the error a
-    lookup of a missing node gives; so is a change with such an endpoint, to
-    a tree or a family, and TreeFamily.add_root of such a root, before any
-    level, tree, nearest root or nearest row changes.  Node 3 is not
+    node: a root at -1 or n, or such a node named to absorb as an offer
+    rise, is refused with the error a lookup of a missing node gives; so is
+    a change with such an endpoint, to a tree or a family, and
+    TreeFamily.add_root of such a root, before any level, tree, nearest
+    root or nearest row changes.  Node 3 is not
     adjacent to 1, so {-1, 1} would read as an edge already gone."""
     g = DynamicGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
     for root in (-1, 4):
         with pytest.raises(KeyError):
             MonotoneESTree(g.adj, root, cap=10)
+    rowed = MonotoneESTree(g.adj, 0, cap=10, offers=offer_rows(4, 0, {3: 1}))
     for x in (-1, 4):
-        with pytest.raises(ValueError):
-            MonotoneESTree(g.adj, 0, cap=10, offers={x: 1})
+        with pytest.raises(KeyError):
+            rowed.absorb([x])
+    assert rowed.level_of == [0, 1, 2, 1] and rowed.level_increases == 0
     fam = TreeFamily(g.adj, [1])
     t = fam[1]
     before = (dict(fam), list(fam.nearest), nearest_levels(fam), list(fam.nearest_row),
@@ -598,7 +627,7 @@ def test_a_node_outside_the_graph_is_refused():
         with pytest.raises(KeyError):
             t.delete_edge(x, 1, 1)
         with pytest.raises(KeyError):
-            t.absorb(NO_OFFERS, (1, x, INF, 1))
+            t.absorb((), (1, x, INF, 1))
         with pytest.raises(KeyError):
             fam.apply(ChangeRecord(x, 1, 1, INF, 1))
         assert (dict(fam), fam.nearest, nearest_levels(fam), fam.nearest_row,
@@ -608,8 +637,8 @@ def test_a_node_outside_the_graph_is_refused():
 
 def test_a_bool_is_not_a_node():
     """bool is an int subclass and True == 1, so True would pass for node 1:
-    a bool root is refused with KeyError, a bool offer node with
-    ValueError, and a change with a bool endpoint, to a tree or a family,
+    a bool root is refused with KeyError, a bool named to absorb as an offer
+    rise with KeyError, and a change with a bool endpoint, to a tree or a family,
     with KeyError before any level or nearest root changes, even once the
     adjacency shows the change at node 1."""
     g = DynamicGraph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 3)])
@@ -618,8 +647,10 @@ def test_a_bool_is_not_a_node():
             MonotoneESTree(g.adj, root, INF)
         with pytest.raises(KeyError):
             TreeFamily(g.adj, [root])
-    with pytest.raises(ValueError):
-        MonotoneESTree(g.adj, 0, INF, offers={True: 2})
+    rowed = MonotoneESTree(g.adj, 0, INF, offers=offer_rows(3, 0, {1: 2}))
+    with pytest.raises(KeyError):
+        rowed.absorb([True])
+    assert rowed.level_of == [0, 1, 2] and rowed.level_increases == 0
     fam = TreeFamily(g.adj, [0])
     t = fam[0]
     before = (list(fam.nearest), nearest_levels(fam), list(t.level_of), t.level_increases)
@@ -628,7 +659,7 @@ def test_a_bool_is_not_a_node():
         with pytest.raises(KeyError):
             fam.apply(ChangeRecord(u, v, 1, INF, 1))
         with pytest.raises(KeyError):
-            t.absorb(NO_OFFERS, (u, v, INF, 1))
+            t.absorb((), (u, v, INF, 1))
     assert (fam.nearest, nearest_levels(fam), t.level_of, t.level_increases) == before
     assert fam.apply(ChangeRecord(1, 2, 1, INF, 1)) == {2}
     assert t.level_of == [0, 1, 3]
@@ -658,33 +689,37 @@ def test_exact_apsp_answers_every_pair_under_rises_and_deletions():
 
 
 def test_absorb_refuses_a_bad_batch_before_anything_changes():
-    """absorb checks every offer and the deletion before it writes any:
-    one offer that does not rise, an edge the adjacency still shows, or an
-    old weight that is not finite refuses the whole batch."""
+    """absorb checks every named node and the deletion before it writes
+    any: one node without an offer row, an edge the adjacency still shows,
+    or an old weight that is not finite refuses the whole batch, with the
+    raised offer already showing in its row."""
     g = DynamicGraph(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)])
-    t = MonotoneESTree(g.adj, 0, cap=10, offers={2: 1, 3: 5})
-    before = (list(t.level_of), dict(t.offers), t.level_increases)
-    with pytest.raises(MonotonicityViolation):
-        t.absorb({2: INF, 3: 5})
+    rows = offer_rows(5, 0, {2: 1, 3: 5})
+    t = MonotoneESTree(g.adj, 0, cap=10, offers=rows)
+    before = (list(t.level_of), t.level_increases)
+    rows[2][0] = INF
+    with pytest.raises(KeyError):
+        t.absorb([2, 4])
     with pytest.raises(UnwrittenChange):
-        t.absorb({2: INF}, (1, 2, INF, 1))
+        t.absorb([2], (1, 2, INF, 1))
     del g.adj[1][2], g.adj[2][1]
     for old in (INF, -INF, math.nan):
         with pytest.raises(MonotonicityViolation):
-            t.absorb({2: INF}, (1, 2, INF, old))
-    assert (t.level_of, t.offers, t.level_increases) == before
-    assert t.absorb({2: INF}, (1, 2, INF, 1)) == {2, 3, 4}
-    assert [t.level_of[x] for x in range(5)] == [0, 1, 6, 5, 6] and t.offers == {3: 5}
+            t.absorb([2], (1, 2, INF, old))
+    assert (t.level_of, t.level_increases) == before
+    assert t.absorb([2], (1, 2, INF, 1)) == {2, 3, 4}
+    assert [t.level_of[x] for x in range(5)] == [0, 1, 6, 5, 6]
+    assert held_offers(rows, 0) == {3: 5}
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**30))
 def test_one_batched_absorb_equals_sequential_changes(seed):
     """absorb of several offer rises and an edge change (a deletion or a
-    finite weight rise) ends at the levels and offers that absorbing each
-    offer and then the edge change one by one, on a twin tree and
-    adjacency, reaches; it raises the union of their raised sets and counts
-    no more level increases."""
+    finite weight rise) ends at the levels that absorbing each offer and
+    then the edge change one by one, on a twin tree, adjacency and rows,
+    reaches; it raises the union of their raised sets and counts no more
+    level increases."""
     rng = random.Random(seed)
     n = rng.randint(3, 16)
     g = gnp_graph(n, rng.choice((0.2, 0.5)), rng.choice((1, 4)), rng)
@@ -693,11 +728,12 @@ def test_one_batched_absorb_equals_sequential_changes(seed):
     cap = rng.choice((2, 6, 4 * n * 4))
     others = [x for x in range(n) if x != root]
     offers = {x: rng.randint(1, 6) for x in rng.sample(others, rng.randint(0, n - 1))}
-    batched = MonotoneESTree(g.adj, root, cap, dict(offers))
-    twin = MonotoneESTree(twin_adj, root, cap, dict(offers))
+    rows, twin_rows = offer_rows(n, root, offers), offer_rows(n, root, offers)
+    batched = MonotoneESTree(g.adj, root, cap, rows)
+    twin = MonotoneESTree(twin_adj, root, cap, twin_rows)
     for _ in range(6):
-        held = sorted(batched.offers)
-        rises = {x: INF if rng.random() < 0.3 else batched.offers[x] + rng.randint(1, 4)
+        held = sorted(offers)
+        rises = {x: INF if rng.random() < 0.3 else offers[x] + rng.randint(1, 4)
                  for x in rng.sample(held, rng.randint(0, len(held)))}
         edges = [(u, v) for u, v, _ in g.edges()]
         change = None
@@ -711,10 +747,17 @@ def test_one_batched_absorb_equals_sequential_changes(seed):
             change = (u, v, rec.new_weight, rec.old_weight)
         if not rises and change is None:
             continue
-        got = batched.absorb(rises, change)
+        for x, w in rises.items():
+            rows[x][root] = w
+            if w == INF:
+                del offers[x]
+            else:
+                offers[x] = w
+        got = batched.absorb(list(rises), change)
         want = set()
         for x, w in rises.items():
-            want |= twin.absorb({x: w})
+            twin_rows[x][root] = w
+            want |= twin.absorb([x])
         if change is not None and rec.new_weight == INF:
             del twin_adj[u][v], twin_adj[v][u]
             want |= twin.delete_edge(u, v, rec.old_weight)
@@ -722,7 +765,7 @@ def test_one_batched_absorb_equals_sequential_changes(seed):
             twin_adj[u][v] = twin_adj[v][u] = rec.new_weight
             want |= twin.increase_weight(u, v, rec.new_weight, rec.old_weight)
         assert got == want
-        assert batched.level_of == twin.level_of and batched.offers == twin.offers
+        assert batched.level_of == twin.level_of and rows == twin_rows
         assert batched.level_increases <= twin.level_increases
 
 
@@ -788,7 +831,7 @@ def test_tree_family_and_absorb_refuse_a_non_node_endpoint_with_key_error():
             with pytest.raises(KeyError):
                 fam.apply(ChangeRecord(u, v, 1, INF, 1))
             with pytest.raises(KeyError):
-                t.absorb(NO_OFFERS, (u, v, INF, 1))
+                t.absorb((), (u, v, INF, 1))
     for old, new in ((1, 1), (2, 1), (INF, 1), (math.nan, 1)):
         with pytest.raises(MonotonicityViolation):
             fam.apply(ChangeRecord(1, 2, old, new, 1))

@@ -91,32 +91,13 @@ def test_exact_case_verifies_against_the_oracle(tmp_path):
                          "--report", str(tmp_path / "verify.json")]) == 0
 
 
-# workload -> the first 12 hex digits of Replay.digest() for each instance of
-# its panel, replayed at seed 1 as `perfbench/run.py --seed 1` prints them
-DIGESTS = {
-    "mult-drain": ["c2fd4bfdca2f", "fdb4684e9ed9", "af7eb0f8766e", "ab7f3c40dfe7",
-                   "6a80166856cf", "56b2ded3aacc", "520bdd0ace93"],
-    "mixed-churn": ["94f1bb1dcf3e", "4ead248c66c5"],
-    "additive-drain": ["997271ffd3cb", "368371e1bc37"],
-}
-
-# workload -> IndexedHeap insert/update/delete/pop calls over the build and
-# replay of every instance of its panel at seed 1, the heaps.ops that
-# `perfbench/run.py --seed 1 --trace 1` prints
-HEAP_OPS = {"mult-drain": 13521, "mixed-churn": 4863, "additive-drain": 0}
-
-# workload -> AdditiveAPSP counters summed over the same replay, the
-# estree.additive.level_increases and additive.exports_applied that
-# `perfbench/run.py --seed 1 --trace 1` prints.  Level i's trees run to
-# depth d + k + i - 2; at depth d + 3k for every level they read 77490 and
-# 23202, so a return to deeper trees fails here.
-ADDITIVE_WORK = {"additive-drain": {"tree_level_increases": 61482, "exports_applied": 17707}}
-
-# workload -> GeometricRounder.exponent calls over the same build and replay,
-# the rounding.exponent.calls that `perfbench/run.py --seed 1 --trace 1`
-# prints: one per weight, distance or minimum rounded, none per read of a
-# rounded value
-EXPONENT_CALLS = {"mult-drain": 6250, "mixed-churn": 6492, "additive-drain": 0}
+# workload -> its pinned seed-1 work counts: digests, heaps.ops,
+# rounding.exponent.calls and summed AdditiveAPSP counters.  BENCH_work.json
+# is their one owner.  Level i's additive trees run to depth d + k + i - 2;
+# at depth d + 3k for every level additive-drain's counters read 77490 tree
+# level increases and 23202 exports, so a return to deeper trees fails here.
+WORK = json.loads((Path(__file__).resolve().parent.parent / "BENCH_work.json").read_text())
+PINNED = WORK["workloads"]
 
 
 @contextlib.contextmanager
@@ -137,7 +118,7 @@ def counted_exponent_calls():
         GeometricRounder.exponent = exponent
 
 
-@pytest.mark.parametrize("name", sorted(DIGESTS))
+@pytest.mark.parametrize("name", sorted(PINNED))
 def test_benchmark_instances_reproduce_recorded_digests(name):
     """Each benchmark instance's answers and final counters hash to the
     recorded digest, and the panel makes the recorded number of heap
@@ -145,16 +126,16 @@ def test_benchmark_instances_reproduce_recorded_digests(name):
     tree raises and offer exports.  Re-record an entry only with a
     change that alters a counter, an answer, the heap traffic or the
     rounding traffic on purpose and says so in CHANGES.md."""
-    insts = workloads.build_instances(workloads.WORKLOADS[name], 1)
+    pinned = PINNED[name]
+    insts = workloads.build_instances(workloads.WORKLOADS[name], WORK["seed"])
     heaps = tracer.HeapCounter()
     with heaps, counted_exponent_calls() as rounded:
         runs = [workloads.replay(inst, workloads.make_structure(inst)) for inst in insts]
-    work = {key: sum(run.counters[key] for run in runs) for key in ADDITIVE_WORK.get(name, {})}
     # one comparison, so a failure shows every pinned fact that moved
-    assert ({"digests": [run.digest()[:12] for run in runs], "heaps.ops": heaps.ops,
-             "exponent calls": rounded[0], "work": work}
-            == {"digests": DIGESTS[name], "heaps.ops": HEAP_OPS[name],
-                "exponent calls": EXPONENT_CALLS[name], "work": ADDITIVE_WORK.get(name, {})})
+    assert {"digests": [run.digest()[:12] for run in runs], "heaps.ops": heaps.ops,
+            "rounding.exponent.calls": rounded[0],
+            "counters": {key: sum(run.counters[key] for run in runs)
+                         for key in pinned["counters"]}} == pinned
 
 
 def peak_mb(name):
@@ -171,9 +152,10 @@ def peak_mb(name):
         tracemalloc.stop()
 
 
-# List-backed tree levels and adjacency read 0.545 MB; one dict per tree's
-# levels read 0.909 MB.
-ADDITIVE_PEAK_MB = 0.75
+# List-backed levels with offers read live from the lower trees' rows read
+# 0.470 MB.  A private offer dict per tree read 0.5426 MB, and one dict per
+# tree's levels on top of that 0.909 MB.
+ADDITIVE_PEAK_MB = 0.50
 
 # One adjacency heap per pair u < v reads 0.387 MB; a heap for each ordered
 # pair, self-pairs included, read 0.467 MB.
@@ -181,8 +163,10 @@ MULT_DRAIN_PEAK_MB = 0.42
 
 
 def test_additive_drain_peak_memory_stays_list_backed():
-    """Every additive root owns a tree whose levels span all n nodes, so a
-    return to per-tree dicts fails here, not only in the benchmark."""
+    """Every additive root owns a tree whose levels span all n nodes and
+    reads its offers from the lower trees' rows, so a return to per-tree
+    level dicts or to a private copy of the offers fails here, not only in
+    the benchmark."""
     assert peak_mb("additive-drain") < ADDITIVE_PEAK_MB
 
 

@@ -163,8 +163,8 @@ def test_every_deletion_calls_exactly_the_level_one_additive_trees_it_flags(monk
     phase-0 test flags an endpoint, each once; a twin of each level-1 tree,
     called on every deletion, raises nothing in each tree that was skipped.
     A tree gets at most one absorb call per deletion, which the tracer
-    does not wrap (delete_edge reaches it too), and only when it has offers
-    to raise or the dying edge is flagged in it."""
+    does not wrap (delete_edge reaches it too), and only when lower trees
+    name offers that rose in it or the dying edge is flagged in it."""
     rng = random.Random(3)
     g = gnp_graph(24, 0.3, 1, rng)
     order = drain(g, rng)
