@@ -67,7 +67,7 @@ import math
 import random
 
 from .estree import MonotoneESTree
-from .graph import DELETE, Decremental, DomainError, apply_update
+from .graph import DELETE, Decremental, DomainError, apply_update, check_query, check_unweighted
 
 INF = math.inf
 
@@ -120,9 +120,7 @@ class AdditiveAPSP(Decremental):
             raise DomainError(f"k={k} outside [2, log2(n)]")
         if d < 1:
             raise DomainError("depth parameter d must be >= 1")
-        for u, v, w in graph.edges():
-            if w != 1:
-                raise DomainError(f"edge {{{u}, {v}}} has weight {w}; expected unweighted input")
+        check_unweighted(graph)
         self.g = graph
         self.k = k
         self.d = d
@@ -300,8 +298,9 @@ class AdditiveAPSP(Decremental):
     def query(self, u, v):
         rank = self.rank
         n = len(rank)
-        if not (0 <= u < n and 0 <= v < n):
-            raise DomainError(f"query ({u}, {v}) outside the nodes [0, {n})")
+        # graph.is_node, inline: two calls made a query about 20% slower
+        if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
+            check_query(u, v, n)
         if u == v:
             return 0
         root, other = (u, v) if rank[u] < rank[v] else (v, u)

@@ -64,7 +64,7 @@ from __future__ import annotations
 import math
 
 from .bunches import BunchEngine
-from .graph import Decremental, DomainError, apply_update
+from .graph import Decremental, apply_update, check_query
 from .heaps import heap_set
 
 INF = math.inf
@@ -213,8 +213,9 @@ class MultiplicativeAPSP(Decremental):
 
     def query(self, u, v):
         n = self.g.n
-        if not (0 <= u < n and 0 <= v < n):
-            raise DomainError(f"query ({u}, {v}) outside the nodes [0, {n})")
+        # graph.is_node, inline: two calls made a query about 20% slower
+        if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
+            check_query(u, v, n)
         if u == v:
             return 0
         if v < u:

@@ -179,8 +179,8 @@ class BunchEngine:
     def refresh(self, change):
         """Absorb one already-applied graph change; returns ordered events."""
         rows, radius, grow = self.trees.nearest_row, self.radius, 1 + self.rounder.eps
-        # Only a raised node can outgrow its radius: its estimate never drops
-        # and stays within (1 + eps/3) * radius between rebuilds.
+        # apply returns the nodes whose estimate rose; every other one stays
+        # within (1 + eps/3) * radius, as each estimate does between rebuilds.
         outgrown = {x for x in self.trees.apply(change) if rows[x][x] > grow * radius[x]}
         # old >= 1, so |d(x, u) - d(x, v)| == old is the tightness test
         u, v, old, region = change.u, change.v, change.old_weight, self._region

@@ -16,10 +16,10 @@ never copies or writes it, so any number of trees can share one graph.
 Nodes are 0..n-1 and level_of is a list of n levels, written in place.
 The owner writes each change first, then passes it to the tree with the
 weight the edge had before a rise; a change the adjacency does not show
-yet raises UnwrittenChange, an endpoint that is not an int in 0..n-1 (a
-bool is not) raises KeyError, and an old weight that is not finite or not
-below the new one raises MonotonicityViolation.  The tree keeps no edge
-set, so the owner refuses a missing or duplicate edge.
+yet raises UnwrittenChange, an endpoint that graph.is_node refuses raises
+KeyError, and an old weight that is not finite or not below the new one
+raises MonotonicityViolation.  The tree keeps no edge set, so the owner
+refuses a missing or duplicate edge.
 
 Offers: edges from the root that no other tree sees, so trees whose root
 edges differ can still share one adjacency.  offers is None or a list of n
@@ -99,7 +99,7 @@ from __future__ import annotations
 import heapq
 import math
 
-from .graph import Decremental, MonotonicityViolation, apply_update
+from .graph import Decremental, MonotonicityViolation, apply_update, check_query, is_node
 
 INF = math.inf
 
@@ -108,16 +108,12 @@ class UnwrittenChange(RuntimeError):
     """A tree call for an edge change its owner has not written yet."""
 
 
-def _is_node(x, adj):
-    return type(x) is int and 0 <= x < len(adj)  # bool is an int subclass
-
-
 def _require_written(adj, u, v, w):
     """Refuse a change to {u, v} that adj does not show at weight w both
     ways (inf: the edge is gone) with UnwrittenChange, or one whose
     endpoints are not both nodes with KeyError, the error of a lookup of a
     missing node."""
-    if not (_is_node(u, adj) and _is_node(v, adj)):
+    if not (is_node(u, len(adj)) and is_node(v, len(adj))):
         raise KeyError(f"edge {{{u!r}, {v!r}}}: endpoints must be nodes of the graph")
     if adj[u].get(v, INF) != w or adj[v].get(u, INF) != w:
         raise UnwrittenChange(
@@ -146,7 +142,7 @@ class MonotoneESTree:
         self.root = root
         self.cap = cap
         self.adj = adj
-        if not _is_node(root, adj):
+        if not is_node(root, len(adj)):
             raise KeyError(f"root {root!r} not a node of the graph")
         if offers is not None and (len(offers) != len(adj) or offers[root] is not None):
             raise ValueError("offers must hold one entry per node and none at the root")
@@ -223,7 +219,8 @@ class MonotoneESTree:
             u, v, new, old = change
             adj = self.adj
             n = len(adj)
-            if (not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n)
+            # graph.is_node, inline: two calls would cost more than the test
+            if (type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n)
                     or adj[u].get(v, INF) != new or adj[v].get(u, INF) != new):
                 _require_written(adj, u, v, new)
             if not -INF < old < new:
@@ -236,7 +233,7 @@ class MonotoneESTree:
         if rises:
             offers = self.offers
             for x in rises:
-                if offers is None or not _is_node(x, self.adj) or offers[x] is None:
+                if offers is None or not is_node(x, len(self.adj)) or offers[x] is None:
                     raise KeyError(f"node {x!r} holds no offer row")
             seeds += [x for x in rises if level_of[x] < offers[x][self.root]]  # inf: no seed
         region = self._unsupported(seeds) if seeds else None
@@ -379,31 +376,30 @@ class TreeFamily(dict):
 
     def apply(self, change):
         """Pass one written ChangeRecord (a rise or a deletion) to the trees
-        whose phase-0 test flags an endpoint, each once; returns the nodes
-        raised in any of them.  A change the adjacency does not show, or a
+        whose phase-0 test flags an endpoint, each once; returns the list of
+        nodes whose nearest root it re-read, each once: those raised in
+        their nearest tree.  A node raised only in another tree keeps its
+        nearest root and level.  A change the adjacency does not show, or a
         weight that does not rise, raises before any tree changes."""
         u, v, old, new = change.u, change.v, change.old_weight, change.new_weight
         adj = self.adj
         n = len(adj)
-        if (not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n)
+        # graph.is_node, inline as in absorb
+        if (type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n)
                 or adj[u].get(v, INF) != new or adj[v].get(u, INF) != new):
             _require_written(adj, u, v, new)
         if not -INF < old < new:
             _require_rise(u, v, old, new)
         nearest = self.nearest
-        raised = set()
         stale = []
         for r, tree in self.items():
             level_of = tree.level_of
             lu, lv = level_of[u], level_of[v]
             if lv + old <= lu < INF or lu + old <= lv < INF:
-                moved = tree.increase_weight(u, v, new, old)
-                if moved:
-                    raised |= moved
-                    stale += [x for x in moved if nearest[x] == r]
+                stale += [x for x in tree.increase_weight(u, v, new, old) if nearest[x] == r]
         if stale:
             self._read_min(stale)
-        return raised
+        return stale
 
 
 class ExactAPSP(Decremental):
@@ -421,8 +417,7 @@ class ExactAPSP(Decremental):
         self.updates += 1
 
     def query(self, u, v):
-        self.g._check_node(u)
-        self.g._check_node(v)
+        check_query(u, v, self.g.n)
         return self.trees[u].level_of[v]
 
     def counters(self):

@@ -5,6 +5,9 @@ increased, never the reverse.  Every mutation goes through apply_update so
 that a single version counter orders all changes and downstream structures
 can reason about "the graph at time t".
 
+Every structure holds outside input to the rules kept here: is_node,
+check_query, check_unweighted and the parsers' integer fields.
+
 UpdateEvent, QueryCheckpoint and ChangeRecord are NamedTuples: immutable
 records with the repr of a dataclass, built once per update at a fraction
 of a frozen dataclass's cost.  Like any tuple they compare equal to a plain
@@ -67,6 +70,26 @@ def describe(x):
     return repr(x)
 
 
+def is_node(x, n):
+    """Whether x names a node of a graph on n nodes: a plain int in 0..n-1.
+    Every structure refuses any other node; True == 1 and 2.0 hashes as 2,
+    so a bool or a float would pass a range test or a lookup as a node."""
+    return type(x) is int and 0 <= x < n
+
+
+def check_query(u, v, n):
+    """Refuse a pair that is not two nodes of an n-node graph: DomainError."""
+    if not (is_node(u, n) and is_node(v, n)):
+        raise DomainError(f"query ({u!r}, {v!r}) outside the nodes [0, {n})")
+
+
+def check_unweighted(graph):
+    """Refuse a graph with an edge of weight other than 1 with DomainError."""
+    for u, v, w in graph.edges():
+        if w != 1:
+            raise DomainError(f"edge {{{u}, {v}}} has weight {w}; expected unweighted input")
+
+
 class UpdateEvent(NamedTuple):
     """One decremental operation: a DELETE, or an INCREASE to the new,
     strictly larger integer weight delta.  A DELETE ignores delta."""
@@ -111,9 +134,7 @@ class DynamicGraph:
 
     Nodes are 0..n-1, and adj is a list of n dicts: adj[u] maps each
     neighbor of u to the edge's weight, and both directions are stored.
-    add_edge, has_edge, weight and apply_update refuse a node id outside
-    0..n-1, or one that is not an int (a bool included), rather than let a
-    list index such as -1 read another node's row or True stand for node 1.
+    add_edge, has_edge, weight and apply_update refuse what is_node refuses.
     W is the maximum weight seen at construction; it bounds only the bunch
     rebuild budget (BunchEngine.rebuild_bound), not later rises.
 
@@ -143,8 +164,8 @@ class DynamicGraph:
 
     def add_edge(self, u, v, w):
         # construction-time only; the decremental log never adds edges
-        self._check_node(u)
-        self._check_node(v)
+        if not (is_node(u, self.n) and is_node(v, self.n)):
+            raise DomainError(f"edge {{{u!r}, {v!r}}}: endpoints must be nodes in [0, {self.n})")
         if u == v:
             raise DomainError(f"self-loop at node {u}")
         if type(w) is not int or not 1 <= w <= self.max_weight:  # bool is an int subclass
@@ -157,14 +178,8 @@ class DynamicGraph:
         if w > self.W:
             self.W = w
 
-    def _check_node(self, u):
-        if type(u) is not int or not (0 <= u < self.n):  # bool is an int subclass
-            raise DomainError(f"node {u!r} out of range [0, {self.n})")
-
     def has_edge(self, u, v):
-        # type(...) is int, as in _check_node: True in adj[0] would find node 1
-        return (type(u) is int and type(v) is int and 0 <= u < self.n
-                and v in self.adj[u])
+        return is_node(u, self.n) and is_node(v, self.n) and v in self.adj[u]
 
     def weight(self, u, v):
         if not self.has_edge(u, v):
@@ -241,6 +256,13 @@ def _content_lines(text):
         yield lineno, line
 
 
+def _ints(lineno, line, fields):
+    try:
+        return [int(f) for f in fields]
+    except ValueError:
+        raise ParseError(lineno, f"non-integer fields in {line!r}") from None
+
+
 def load_graph(text):
     lines = _content_lines(text)
     try:
@@ -250,10 +272,7 @@ def load_graph(text):
     parts = header.split()
     if len(parts) != 2:
         raise ParseError(lineno, f"expected header 'n m', got {header!r}")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError(lineno, f"non-integer header fields in {header!r}") from None
+    n, m = _ints(lineno, header, parts)
     if n < 0 or m < 0:
         raise ParseError(lineno, "n and m must be nonnegative")
     g = DynamicGraph(n)
@@ -263,11 +282,7 @@ def load_graph(text):
         if len(parts) != 3:
             raise ParseError(lineno, f"expected 'u v w', got {line!r}")
         try:
-            u, v, w = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError(lineno, f"non-integer fields in {line!r}") from None
-        try:
-            g.add_edge(u, v, w)
+            g.add_edge(*_ints(lineno, line, parts))
         except (DomainError, DuplicateEdge) as exc:
             raise ParseError(lineno, str(exc)) from None
         count += 1
@@ -290,23 +305,11 @@ def parse_updates(text):
         parts = line.split()
         tag = parts[0]
         if tag == "d" and len(parts) == 3:
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(lineno, f"non-integer endpoints in {line!r}") from None
-            events.append(UpdateEvent(DELETE, u, v))
+            events.append(UpdateEvent(DELETE, *_ints(lineno, line, parts[1:])))
         elif tag == "i" and len(parts) == 4:
-            try:
-                u, v, delta = int(parts[1]), int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError(lineno, f"non-integer fields in {line!r}") from None
-            events.append(UpdateEvent(INCREASE, u, v, delta))
+            events.append(UpdateEvent(INCREASE, *_ints(lineno, line, parts[1:])))
         elif tag == "q" and len(parts) == 3:
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(lineno, f"non-integer endpoints in {line!r}") from None
-            events.append(QueryCheckpoint(u, v))
+            events.append(QueryCheckpoint(*_ints(lineno, line, parts[1:])))
         else:
             raise ParseError(lineno, f"unrecognized update line {line!r}")
     return events

@@ -22,7 +22,8 @@ ORACLE_CAP_ENV = "DECAPSP_ORACLE_CAP"
 _DEFAULT_CAP = 512
 
 # guard against float noise in sums of rounded values; real violations are
-# at least one rounding step, many orders of magnitude larger
+# at least one rounding step, many orders of magnitude larger.  Compare a
+# difference with it: d - FLOAT_GUARD rounds back to d once d passes 2**53.
 FLOAT_GUARD = 1e-9
 
 
@@ -213,7 +214,7 @@ def _run_checkpoint(algo, graph, bound):
                 if dhat != INF:
                     res.violations.append((graph.version, u, v, d, dhat, "finite estimate for disconnected pair"))
                 continue
-            if dhat < d - FLOAT_GUARD:
+            if d - dhat > FLOAT_GUARD:
                 res.violations.append((graph.version, u, v, d, dhat, "estimate below true distance"))
                 continue
             if bound.radius is not None and d > bound.radius:
@@ -223,7 +224,7 @@ def _run_checkpoint(algo, graph, bound):
                 continue
             w_uv = wmat[u][v] if wmat is not None else 0
             upper = bound.upper(d, w_uv)
-            if dhat > upper + FLOAT_GUARD:
+            if dhat - upper > FLOAT_GUARD:
                 res.violations.append((graph.version, u, v, d, dhat, f"estimate above bound {upper}"))
                 continue
             if d > 0 and dhat != INF:

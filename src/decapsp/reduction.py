@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 
 from .apsp_mixed import MixedAPSP
-from .graph import DELETE, Decremental, DomainError, DynamicGraph, EdgeNotFound
+from .graph import (DELETE, Decremental, DomainError, DynamicGraph, EdgeNotFound, check_query,
+                    check_unweighted, is_node)
 
 INF = math.inf
 
@@ -24,9 +25,7 @@ def subdivide(graph):
     """The expanded graph and mid, which maps each edge (u, v) with u < v
     to its midpoint; edge i in sorted order gets midpoint n + i, so
     replaying the same update stream always addresses the same nodes."""
-    for u, v, w in graph.edges():
-        if w != 1:
-            raise DomainError(f"edge {{{u}, {v}}} has weight {w}; expected unweighted input")
+    check_unweighted(graph)
     mid = {}
     halves = []
     for c, (u, v, _) in enumerate(sorted(graph.edges()), start=graph.n):
@@ -60,8 +59,8 @@ class UnweightedAPSP(Decremental):
         if ev.kind != DELETE:
             raise DomainError("subdivided graphs only support deletions")
         u, v = ev.u, ev.v
-        # a plain int only: 2.0 and True hash like 2 and 1, so mid finds them
-        if type(u) is not int or type(v) is not int:
+        # 2.0 and True hash like 2 and 1, so mid would find them
+        if not (is_node(u, self.n) and is_node(v, self.n)):
             raise EdgeNotFound(f"edge {{{u}, {v}}} not in the original graph")
         a, b = (u, v) if u < v else (v, u)
         c = self.mid.get((a, b))
@@ -74,8 +73,7 @@ class UnweightedAPSP(Decremental):
         self.updates_applied += 1
 
     def query(self, u, v):
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise DomainError("query endpoints must be original nodes")
+        check_query(u, v, self.n)
         est = self.inner.query(u, v)
         return INF if est == INF else int(math.floor(est)) // 2
 

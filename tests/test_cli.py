@@ -117,12 +117,16 @@ PATH_GRAPH = "4 3\n0 1 1\n1 2 1\n2 3 1\n"
      "weight of {0, 1} must strictly increase: 1 -> 1"),
     (None, "d 0 1\n", [], "[Errno 2] No such file or directory: 'GRAPH'"),
     (PATH_GRAPH, "q 9 9\n", [], "query (9, 9) outside the nodes [0, 4)"),
+    (PATH_GRAPH, "d 0 x\n", [], "line 1: non-integer fields in 'd 0 x'"),
+    (PATH_GRAPH, "i 0 1 x\n", [], "line 1: non-integer fields in 'i 0 1 x'"),
+    (PATH_GRAPH, "q x 1\n", [], "line 1: non-integer fields in 'q x 1'"),
     (PATH_GRAPH, "d 0 1\n", ["--p", "1.5"], "sampling probability must be in [0, 1], got 1.5"),
     (f"2 1\n0 1 {10**309}\n", "d 0 1\n", [],
      "line 2: edge weight must be an integer in [1, largest float / 16n], "
      "got an integer of 1027 bits"),
 ], ids=["zero-eps", "bad-graph-line", "missing-edge", "weight-not-rising", "missing-file",
-        "query-node-out-of-range", "p-above-1", "weight-above-largest-float"])
+        "query-node-out-of-range", "bad-delete-line", "bad-rise-line", "bad-query-line",
+        "p-above-1", "weight-above-largest-float"])
 def test_run_refuses_bad_input_with_one_error_line(tmp_path, capsys, graph, updates, flags,
                                                    message):
     gp, up = tmp_path / "w.graph", tmp_path / "w.updates"

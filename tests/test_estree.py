@@ -661,7 +661,7 @@ def test_a_bool_is_not_a_node():
         with pytest.raises(KeyError):
             t.absorb((), (u, v, INF, 1))
     assert (fam.nearest, nearest_levels(fam), t.level_of, t.level_increases) == before
-    assert fam.apply(ChangeRecord(1, 2, 1, INF, 1)) == {2}
+    assert fam.apply(ChangeRecord(1, 2, 1, INF, 1)) == [2]
     assert t.level_of == [0, 1, 3]
 
 
@@ -809,7 +809,9 @@ def test_tree_family_refuses_an_unwritten_or_non_rising_change():
         fam.apply(ChangeRecord(1, 2, 2, 5, 1))
     assert state() == before
     g.adj[2][1] = 5
-    assert fam.apply(ChangeRecord(1, 2, 2, 5, 1)) == {0, 1, 2, 3}
+    # tree 0 raises 2 and 3 and tree 3 raises 0 and 1, none in its nearest
+    # tree, so no nearest root is re-read
+    assert fam.apply(ChangeRecord(1, 2, 2, 5, 1)) == []
     assert [fam[0].level_of[x] for x in range(5)] == [0, 1, 6, 7, 6]
     assert [fam[3].level_of[x] for x in range(5)] == [7, 6, 1, 0, 3]
     assert fam.nearest == [0, 0, 3, 3, 3] and nearest_levels(fam) == [0, 1, 1, 0, 3]
@@ -843,8 +845,8 @@ def test_tree_family_and_absorb_refuse_a_non_node_endpoint_with_key_error():
 def test_tree_family_keeps_each_nodes_nearest_root(seed):
     """Over deletions and rises, with roots added mid-stream, each node's
     nearest root and level are the argmin over the family (ties to the
-    smaller root), and apply returns exactly the union of the sets that
-    per-tree calls on a twin adjacency raise."""
+    smaller root), and apply returns, each once, the nodes that per-tree
+    calls on a twin adjacency raise in the node's nearest tree."""
     rng = random.Random(seed)
     n = rng.randint(2, 14)
     g = gnp_graph(n, rng.choice((0.2, 0.5)), 3, rng)
@@ -872,6 +874,7 @@ def test_tree_family_keeps_each_nodes_nearest_root(seed):
         if not live:
             break
         u, v = rng.choice(live)
+        nearest = list(fam.nearest)
         if rng.random() < 0.5:
             rec = apply_update(g, UpdateEvent(DELETE, u, v))
             del twin[u][v], twin[v][u]
@@ -881,6 +884,7 @@ def test_tree_family_keeps_each_nodes_nearest_root(seed):
             twin[u][v] = twin[v][u] = rec.new_weight
             want = [t.increase_weight(u, v, rec.new_weight, rec.old_weight)
                     for t in twins.values()]
-        assert fam.apply(rec) == set().union(*want)
+        assert sorted(fam.apply(rec)) == sorted(x for r, raised in zip(twins, want)
+                                                for x in raised if nearest[x] == r)
         assert all(fam[r].level_of == t.level_of for r, t in twins.items())
         check_nearest(fam)

@@ -92,7 +92,7 @@ def test_exact_case_verifies_against_the_oracle(tmp_path):
 
 
 # workload -> its pinned seed-1 work counts: digests, heaps.ops,
-# rounding.exponent.calls and summed AdditiveAPSP counters.  BENCH_work.json
+# rounding.exponent.calls and counters summed by name.  BENCH_work.json
 # is their one owner.  Level i's additive trees run to depth d + k + i - 2;
 # at depth d + 3k for every level additive-drain's counters read 77490 tree
 # level increases and 23202 exports, so a return to deeper trees fails here.
@@ -122,8 +122,8 @@ def counted_exponent_calls():
 def test_benchmark_instances_reproduce_recorded_digests(name):
     """Each benchmark instance's answers and final counters hash to the
     recorded digest, and the panel makes the recorded number of heap
-    operations and of rounding calls, and additive-drain's the recorded
-    tree raises and offer exports.  Re-record an entry only with a
+    operations and of rounding calls, and each named counter its recorded
+    sum.  Re-record an entry only with a
     change that alters a counter, an answer, the heap traffic or the
     rounding traffic on purpose and says so in CHANGES.md."""
     pinned = PINNED[name]

@@ -13,6 +13,7 @@ from decapsp import (
     gnp_graph,
     parse_updates,
 )
+from decapsp.estree import ExactAPSP
 from decapsp.oracle import (
     ORACLE_CAP_ENV,
     BoundSpec,
@@ -250,3 +251,27 @@ def test_sweep_counts_the_pairs_beyond_the_radius_and_their_inf_answers():
     assert [(c["far_pairs"], c["far_inf"]) for c in payload["checkpoints"]] == [(3, 1), (1, 0)]
     unbounded = sweep(ExactAlgo(g.copy()), g.copy(), [], BoundSpec(alpha=1.0))
     assert (unbounded.to_dict()["far_pairs"], unbounded.to_dict()["far_inf"]) == (0, 0)
+
+
+@pytest.mark.parametrize("big", ["2**53 + 1", "max_weight - 1"])
+def test_sweep_compares_exact_answers_past_float_precision(big):
+    """Distances past 2**53 are not all floats: d - FLOAT_GUARD rounds back
+    up to d and alpha * d + FLOAT_GUARD down to float(d), so a shifted bound
+    reported exact answers 'below true distance' (max_weight - 1) or
+    'above bound' (2**53 + 1).  The sweep compares differences with the
+    guard instead, passes the exact structure on both, and still reports an
+    answer one below the true distance."""
+    W = {"2**53 + 1": 2**53 + 1, "max_weight - 1": int(DynamicGraph(3).max_weight) - 1}[big]
+    g = DynamicGraph(3, [(0, 1, W), (1, 2, 1), (0, 2, 1)])
+    updates = parse_updates(f"i 1 2 {W}\nd 0 2\n")
+
+    class OneShort(ExactAPSP):
+        def query(self, u, v):
+            d = super().query(u, v)
+            return d - 1 if (u, v) == (0, 2) and self.g.version == 2 else d
+
+    report = sweep(ExactAPSP(g.copy()), g.copy(), updates, BoundSpec(alpha=1.0), dense=True)
+    assert report.ok and report.checkpoints[-1].max_slack == 0
+    short = sweep(OneShort(g.copy()), g, updates, BoundSpec(alpha=1.0), dense=True)
+    assert [v[1:] for v in short.violations] == [
+        (0, 2, 2 * W, 2 * W - 1, "estimate below true distance")]
