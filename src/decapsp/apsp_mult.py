@@ -127,7 +127,8 @@ class MultiplicativeAPSP(Decremental):
         # adjacency layer: u -> v -> IndexedHeap of intermediates x
         self.adj_heap = [{} for _ in range(n)]
 
-        self.nbr_min_changes = {}
+        # x -> v -> times the rounded minimum nbr_min[x][v] changed
+        self.nbr_min_changes = [{} for _ in range(n)]
         self.updates_applied = 0
 
         for v in range(n):
@@ -193,14 +194,14 @@ class MultiplicativeAPSP(Decremental):
         rounder = self.rounder
         bunch, cluster = self.engine.bunch, self.engine.cluster
         adj_heap = self.adj_heap
-        for xv in touched:
-            x, v = xv
+        for x, v in touched:
             heap = self.nbr_heap[x].get(v)
             new_val = rounder.round(heap.min_key()) if heap is not None else INF
             mins = self.nbr_min[x]
             if new_val == mins.get(v, INF):
                 continue
-            self.nbr_min_changes[xv] = self.nbr_min_changes.get(xv, 0) + 1
+            changes = self.nbr_min_changes[x]
+            changes[v] = changes.get(v, 0) + 1
             if new_val == INF:
                 del mins[v]
             else:
@@ -234,14 +235,14 @@ class MultiplicativeAPSP(Decremental):
         return best
 
     def counters(self):
-        changes = self.nbr_min_changes
+        changes = [count for row in self.nbr_min_changes for count in row.values()]
         return {
             "updates": self.updates_applied,
             "searches": self.engine.searches,
             "bunch_rebuilds_max": max(self.engine.rebuilds, default=0),
             "bunch_rebuilds_total": sum(self.engine.rebuilds),
-            "nbr_min_changes_max": max(changes.values(), default=0),
-            "nbr_min_changes_total": sum(changes.values()),
+            "nbr_min_changes_max": max(changes, default=0),
+            "nbr_min_changes_total": sum(changes),
             "nbr_pairs_live": sum(map(len, self.nbr_min)),
             # pairs u < v with an adjacency heap
             "adj_pairs_live": sum(map(len, self.adj_heap)),

@@ -13,9 +13,11 @@ are of a dict just emptied.  On the benchmark's seed-1 runs (mult-drain,
 mixed-churn, mult-churn) 8.9-10.1% of operations rescan a heap they do not
 leave empty, none of those heaps holds more than 50 entries, and rescans
 visit 0.15-0.64 entries per operation on average.  Among entries of equal
-key, pop returns some minimum entry, not a fixed one.  A one-entry heap
-costs 296 bytes by sys.getsizeof on CPython 3.11: 48 for the object, 224
-for its dict and 24 for a float key.
+key, pop returns some minimum entry, not a fixed one.  A heap is itself
+the dict: a dict subclass whose one slot holds the minimum, so its entries,
+len, in and truthiness are the dict's own, in C.  A one-entry heap costs
+256 bytes by sys.getsizeof on CPython 3.11: 232 for the object with its
+dict and 24 for a float key.
 
 The certificate heaps live in dicts: mixed's overlap heaps in one keyed by
 node pair, mult's nbr and adj heaps in one per first node, keyed by the
@@ -33,72 +35,66 @@ import math
 INF = math.inf
 
 
-class IndexedHeap:
+class IndexedHeap(dict):
     """Min-key store over hashable ids with updatable keys.
 
     Keys may be ints or floats (math.inf is fine).  Ids need only be
-    hashable; they are never compared.  The class keeps a heap's name and
-    pop because perfbench's HeapCounter imports it by that name and counts
-    its insert, update, delete and pop calls, and the reference ES-tree in
+    hashable; they are never compared.  The heap is the id -> key dict
+    itself, with the cached minimum in its one slot and no per-instance
+    __dict__, so reads (len, in, iteration, dict(heap)) are the dict's
+    own.  update and pop shadow dict.update and dict.pop with the heap's
+    meanings below.  A write through any dict method (item assignment,
+    del, setdefault, clear) would skip the cached minimum, so only this
+    class's methods write a heap, and among the certificate layers only
+    heap_set calls them.  The class keeps a heap's name and pop
+    because perfbench's HeapCounter imports it by that name and counts its
+    insert, update, delete and pop calls, and the reference ES-tree in
     tests/helpers.py pops its queue.
     """
 
-    __slots__ = ("_keys", "_min")
+    __slots__ = ("_min",)
 
     def __init__(self):
-        self._keys = {}
         self._min = INF
 
-    def __len__(self):
-        return len(self._keys)
-
-    def __contains__(self, ident):
-        return ident in self._keys
-
-    def __bool__(self):
-        return bool(self._keys)
-
     def min_key(self):
-        if not self._keys:
+        if not self:
             raise IndexError("min_key on empty heap")
         return self._min
 
     def insert(self, ident, key):
-        keys = self._keys
-        if ident in keys:
+        if ident in self:
             raise KeyError(f"heap id {ident!r} already present")
-        keys[ident] = key
+        self[ident] = key
         if key < self._min:
             self._min = key
 
     def update(self, ident, key):
-        """Change the key of an existing entry (either direction)."""
-        keys = self._keys
-        old = keys[ident]
-        keys[ident] = key
+        """Change the key of an existing entry (either direction).  Shadows
+        dict.update."""
+        old = self[ident]
+        self[ident] = key
         if key < self._min:
             self._min = key
         elif old == self._min and key > old:
-            self._min = min(keys.values())
+            self._min = min(self.values())
 
     def pop(self):
-        """Remove and return (id, key) of an entry of minimum key.  The
-        entry is removed here, not through delete, so that HeapCounter
-        counts a pop as one operation."""
-        keys = self._keys
-        if not keys:
+        """Remove and return (id, key) of an entry of minimum key.  Shadows
+        dict.pop.  The entry is removed here, not through delete, so that
+        HeapCounter counts a pop as one operation."""
+        if not self:
             raise IndexError("pop on empty heap")
         key = self._min
-        ident = next(i for i, k in keys.items() if k == key)
-        del keys[ident]
-        self._min = min(keys.values()) if keys else INF
+        ident = next(i for i, k in self.items() if k == key)
+        del self[ident]
+        self._min = min(self.values()) if self else INF
         return ident, key
 
     def delete(self, ident):
-        keys = self._keys
-        key = keys.pop(ident)
+        key = dict.pop(self, ident)  # the dict's own pop, which pop shadows
         if key == self._min:
-            self._min = min(keys.values()) if keys else INF
+            self._min = min(self.values()) if self else INF
 
 
 def heap_set(heaps, at, ident, key):

@@ -14,10 +14,10 @@ INF = math.inf
 
 
 def heap_entries(heap):
-    """id -> key of every entry of an IndexedHeap, copied off its dict (the
-    heap's users only ever ask for the minimum, so it offers no snapshot),
-    after checking that the cached minimum is the least of those keys."""
-    entries = dict(heap._keys)
+    """id -> key of every entry of an IndexedHeap, copied off the heap, which
+    is that dict itself, after checking that the cached minimum is the least
+    of those keys."""
+    entries = dict(heap)
     if entries:
         assert heap.min_key() == min(entries.values())
     return entries

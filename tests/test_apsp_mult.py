@@ -197,15 +197,16 @@ def test_each_neighborhood_minimum_changes_at_most_once_per_update():
     increases = 0
     while len(live) > g.n:
         u, v = live[rng.randrange(len(live))]
-        before = dict(algo.nbr_min_changes)
+        before = [dict(row) for row in algo.nbr_min_changes]
         if g.weight(u, v) < g.W and rng.random() < 0.5:
             algo.increase(u, v, rng.randint(g.weight(u, v) + 1, g.W))
             increases += 1
         else:
             algo.delete(u, v)
             live.remove((u, v))
-        for xv, count in algo.nbr_min_changes.items():
-            assert count - before.get(xv, 0) <= 1, (xv, u, v)
+        for x, row in enumerate(algo.nbr_min_changes):
+            for t, count in row.items():
+                assert count - before[x].get(t, 0) <= 1, ((x, t), u, v)
         audit(algo)
     assert increases >= 10
 

@@ -121,3 +121,40 @@ def test_against_reference_model(ops, seed):
         drained.append(h.pop())
     assert [key for _, key in drained] == sorted(model.values())
     assert dict(drained) == model
+
+
+def test_heap_is_one_object():
+    """A heap is its id -> key dict itself: no per-instance __dict__ and no
+    inner dict, so heap_entries reads the heap as the mapping it is."""
+    h = heap_of([(1, 5.0), (2, 3.0)])
+    assert isinstance(h, dict) and not hasattr(h, "__dict__")
+    assert h == {1: 5.0, 2: 3.0} == heap_entries(h)
+    assert not any(isinstance(getattr(h, slot), dict) for slot in IndexedHeap.__slots__)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6),
+                          st.one_of(st.integers(0, 50), st.just(INF))), max_size=150))
+def test_heap_set_matches_a_plain_dict_model(writes):
+    """heap_set writes (inf deletes a present entry) keep every heap's len,
+    in, truthiness and min_key equal to those of a plain dict of dicts."""
+    heaps, model = {}, {}
+    for at, ident, key in writes:
+        row = model.get(at, {})
+        if key == INF and ident not in row:
+            continue
+        heap_set(heaps, at, ident, key)
+        if key == INF:
+            del row[ident]
+        else:
+            row[ident] = key
+        if row:
+            model[at] = row
+        else:
+            model.pop(at, None)
+        assert heaps.keys() == model.keys()
+        for a, want in model.items():
+            heap = heaps[a]
+            assert len(heap) == len(want) and bool(heap) == bool(want)
+            assert all((i in heap) == (i in want) for i in range(7))
+            assert heap.min_key() == min(want.values())
