@@ -330,11 +330,9 @@ def main(argv=None):
         if args.command == "verify":
             return cmd_verify(_config_from(args), args.alpha, args.beta)
         return cmd_bench(_config_from(args), args.sizes, args.density, args.W, args.out)
-    except (ConfigError, DomainError, ParseError, MonotonicityViolation, OSError) as exc:
+    except (ConfigError, DomainError, EdgeNotFound, ParseError, MonotonicityViolation,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EdgeNotFound as exc:  # a KeyError, whose str() is the quoted message
-        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 
 

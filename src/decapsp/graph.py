@@ -46,7 +46,7 @@ class DuplicateEdge(ValueError):
 
 
 class EdgeNotFound(KeyError):
-    pass
+    __str__ = BaseException.__str__  # its message, not KeyError's quoted repr
 
 
 class MonotonicityViolation(ValueError):

@@ -6,18 +6,17 @@ least key.  insert and a lowering update move the cached minimum in O(1).
 Only an update that raises an entry at the minimum, or a delete that removes
 one, rescans the dict with min(); that scan is O(k) in the heap's k entries
 but runs in C, where a binary heap would take O(log k) steps in Python.  A
-delete or pop that leaves the dict empty sets the minimum to inf without a
-scan, and heap_set then drops the heap: on the benchmark's seed-1
-mult-drain run 3,666 of the 4,869 rescans that min() would otherwise make
-are of a dict just emptied.  On the benchmark's seed-1 runs (mult-drain,
-mixed-churn, mult-churn) 8.9-10.1% of operations rescan a heap they do not
-leave empty, none of those heaps holds more than 50 entries, and rescans
-visit 0.15-0.64 entries per operation on average.  Among entries of equal
-key, pop returns some minimum entry, not a fixed one.  A heap is itself
-the dict: a dict subclass whose one slot holds the minimum, so its entries,
-len, in and truthiness are the dict's own, in C.  A one-entry heap costs
-256 bytes by sys.getsizeof on CPython 3.11: 232 for the object with its
-dict and 24 for a float key.
+delete that leaves the dict empty sets the minimum to inf without a scan,
+so an empty heap's minimum reads inf, and heap_set then drops the heap: on
+the benchmark's seed-1 mult-drain run 3,666 of the 4,869 rescans that min()
+would otherwise make are of a dict just emptied.  On the benchmark's seed-1
+runs (mult-drain, mixed-churn, mult-churn) 8.9-10.1% of operations rescan a
+heap they do not leave empty, none of those heaps holds more than 50
+entries, and rescans visit 0.15-0.64 entries per operation on average.  A
+heap is itself the dict: a dict subclass whose one slot holds the minimum,
+so its entries, len, in and truthiness are the dict's own, in C.  A
+one-entry heap costs 256 bytes by sys.getsizeof on CPython 3.11: 232 for
+the object with its dict and 24 for a float key.
 
 The certificate heaps live in dicts: mixed's overlap heaps in one keyed by
 node pair, mult's nbr and adj heaps in one per first node, keyed by the
@@ -42,14 +41,15 @@ class IndexedHeap(dict):
     hashable; they are never compared.  The heap is the id -> key dict
     itself, with the cached minimum in its one slot and no per-instance
     __dict__, so reads (len, in, iteration, dict(heap)) are the dict's
-    own.  update and pop shadow dict.update and dict.pop with the heap's
-    meanings below.  A write through any dict method (item assignment,
+    own.  Only update shadows a dict method, dict.update, with the heap's
+    meaning below.  A write through any dict method (item assignment,
     del, setdefault, clear) would skip the cached minimum, so only this
     class's methods write a heap, and among the certificate layers only
-    heap_set calls them.  The class keeps a heap's name and pop
-    because perfbench's HeapCounter imports it by that name and counts its
-    insert, update, delete and pop calls, and the reference ES-tree in
-    tests/helpers.py pops its queue.
+    heap_set calls them.  The class keeps its name because perfbench's
+    HeapCounter imports it by that name and counts calls to its insert,
+    update, delete and pop attributes, pop being the inherited dict.pop.
+    So delete calls dict.pop(self, ident) directly: through self.pop, a
+    counted pass would count each delete twice.
     """
 
     __slots__ = ("_min",)
@@ -58,8 +58,6 @@ class IndexedHeap(dict):
         self._min = INF
 
     def min_key(self):
-        if not self:
-            raise IndexError("min_key on empty heap")
         return self._min
 
     def insert(self, ident, key):
@@ -79,20 +77,8 @@ class IndexedHeap(dict):
         elif old == self._min and key > old:
             self._min = min(self.values())
 
-    def pop(self):
-        """Remove and return (id, key) of an entry of minimum key.  Shadows
-        dict.pop.  The entry is removed here, not through delete, so that
-        HeapCounter counts a pop as one operation."""
-        if not self:
-            raise IndexError("pop on empty heap")
-        key = self._min
-        ident = next(i for i, k in self.items() if k == key)
-        del self[ident]
-        self._min = min(self.values()) if self else INF
-        return ident, key
-
     def delete(self, ident):
-        key = dict.pop(self, ident)  # the dict's own pop, which pop shadows
+        key = dict.pop(self, ident)
         if key == self._min:
             self._min = min(self.values()) if self else INF
 

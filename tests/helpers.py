@@ -1,14 +1,12 @@
 """Shared test utilities: tiny independent reference implementations.
 
-These are deliberately naive (heapq Dijkstra, matrix min-plus) so that
-package code is always judged against something written separately.
+These are deliberately naive (heapq Dijkstra, matrix min-plus, an ES-tree
+that lifts one level at a time) and share no package code, so that package
+code is always judged against something written separately.
 """
 
 import heapq
 import math
-
-from decapsp import DuplicateEdge, EdgeNotFound, IndexedHeap
-from decapsp.estree import MonotoneESTree, _require_written
 
 INF = math.inf
 
@@ -92,80 +90,57 @@ def minplus_hop_limited(graph, hops):
     return out
 
 
-class ReferenceESTree(MonotoneESTree):
+class ReferenceESTree:
     """The ES-tree that raises a cut-off node one level at a time.
 
-    Each node keeps a heap over its neighbors keyed by l(neighbor) + weight,
-    and a queue settles nodes in increasing level order; every lift to the
-    current neighbor minimum counts as one level increase.  It shares
-    construction and checks with MonotoneESTree, keeps the edge set in its
-    heaps, and serves as the oracle for the region repair.
+    The build is ref_dijkstra from the root, infinite above the cap.  On a
+    rise or deletion a heapq queue settles nodes in increasing level order,
+    starting from the endpoints: a node's new level is the least l(y) + w
+    over its neighbors y in the adjacency, read live, and when that exceeds
+    its level the node takes it (inf above the cap) and its neighbors join
+    the queue.  The tree keeps its own edge set, so a stream that inserts an
+    edge twice or raises a missing one fails an assert.  It serves as the
+    oracle for MonotoneESTree's region repair.
     """
 
-    __slots__ = ("_nbr", "_queue")
-
     def __init__(self, adj, root, cap):
-        super().__init__(adj, root, cap)
-        self._nbr = [IndexedHeap() for _ in adj]
-        for u, nbrs in enumerate(adj):
-            for v, w in nbrs.items():
-                self._nbr[u].insert(v, self.level_of[v] + w)
-        self._queue = IndexedHeap()
+        self.adj, self.root, self.cap = adj, root, cap
+        self.level_of = [d if d <= cap else INF for d in ref_dijkstra(adj, root)]
+        self.edges = {frozenset((u, v)) for u, nbrs in enumerate(adj) for v in nbrs}
 
     def insert_edge(self, u, v, w):
-        if v in self._nbr[u]:
-            raise DuplicateEdge(f"edge {{{u}, {v}}} already in tree graph")
-        _require_written(self.adj, u, v, w)
-        lv = self.level_of
-        self._nbr[u].insert(v, lv[v] + w)
-        self._nbr[v].insert(u, lv[u] + w)
+        """Levels never drop, so a new edge only counts from the next rise."""
+        edge = frozenset((u, v))
+        assert edge not in self.edges and self.adj[u][v] == self.adj[v][u] == w
+        self.edges.add(edge)
 
     def relax_edge(self, u, v, w):
-        if v not in self._nbr[u]:
+        if frozenset((u, v)) not in self.edges:
             self.insert_edge(u, v, w)
-            return
-        cur = self.adj[u].get(v, INF)
-        _require_written(self.adj, u, v, min(cur, w))
-        lv = self.level_of
-        nu, nv = self._nbr[u], self._nbr[v]
-        if lv[v] + cur < heap_entries(nu)[v] or lv[u] + cur < heap_entries(nv)[u]:
-            nu.update(v, lv[v] + cur)
-            nv.update(u, lv[u] + cur)
+
+    def delete_edge(self, u, v, old):
+        return self.increase_weight(u, v, INF, old)
 
     def increase_weight(self, u, v, w, old):
-        """Scans both endpoints whatever old is: the oracle for the skip."""
-        if v not in self._nbr[u]:
-            raise EdgeNotFound(f"edge {{{u}, {v}}} not in tree graph")
-        _require_written(self.adj, u, v, w)
-        nu, nv = self._nbr[u], self._nbr[v]
+        """Settles both endpoints whatever old is: the oracle for the skip."""
+        edge = frozenset((u, v))
+        assert edge in self.edges and self.adj[u].get(v, INF) == self.adj[v].get(u, INF) == w
         if w == INF:
-            nu.delete(v)
-            nv.delete(u)
-        else:
-            lv = self.level_of
-            nu.update(v, lv[v] + w)
-            nv.update(u, lv[u] + w)
-        queue = self._queue
-        for x in (u, v):
-            if x != self.root and x not in queue:
-                queue.insert(x, self.level_of[x])
-        return self._settle()
-
-    def _settle(self):
-        queue, level_of, nbr = self._queue, self.level_of, self._nbr
-        changed = set()
+            self.edges.remove(edge)
+        level_of, adj = self.level_of, self.adj
+        queued = {u, v} - {self.root}
+        queue = [(level_of[x], x) for x in queued]
+        heapq.heapify(queue)
+        raised = set()
         while queue:
-            u, _ = queue.pop()
-            heap = nbr[u]
-            new = heap.min_key() if heap else INF
-            if new > level_of[u]:
-                if new > self.cap:
-                    new = INF
-                level_of[u] = new
-                self.level_increases += 1
-                changed.add(u)
-                for v, w in self.adj[u].items():
-                    nbr[v].update(u, new + w)
-                    if v != self.root and v not in queue:
-                        queue.insert(v, level_of[v])
-        return changed
+            _, x = heapq.heappop(queue)
+            queued.remove(x)
+            new = min((level_of[y] + wy for y, wy in adj[x].items()), default=INF)
+            if new > level_of[x]:
+                level_of[x] = new if new <= self.cap else INF
+                raised.add(x)
+                for y in adj[x]:
+                    if y != self.root and y not in queued:
+                        queued.add(y)
+                        heapq.heappush(queue, (level_of[y], y))
+        return raised

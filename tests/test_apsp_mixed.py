@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decapsp.apsp_mixed import MixedAPSP
-from decapsp.graph import DomainError, DynamicGraph, connected_graph, drain, gnp_graph
+from decapsp.graph import DomainError, DynamicGraph, churn, connected_graph, drain, gnp_graph
 from decapsp.oracle import bottleneck_weights
+from decapsp.reduction import UnweightedAPSP
 
 from helpers import check_nearest_rows, heap_entries, ref_apsp, ref_dijkstra
 
@@ -152,6 +153,32 @@ def test_increases_then_deletions_with_audit():
             algo.delete(u, v)
             prev = audit(algo, prev)
             check_stretch(algo, 2.6)
+
+
+@pytest.mark.parametrize("eps", [0.5, 3])
+@pytest.mark.parametrize("tag", ["mixed", "unweighted-mult"])
+def test_rebuilds_stay_within_the_per_node_budget(tag, eps):
+    """Every node's bunch rebuilds stay within BunchEngine.rebuild_bound over
+    seeded drains, for mixed also over a churn of rises within g.W, and for
+    unweighted-mult in its inner MixedAPSP's engine."""
+    worst = 0
+    for seed in range(3):
+        for kind in ("drain", "churn") if tag == "mixed" else ("drain",):
+            rng = random.Random(seed)
+            if tag == "mixed":
+                g = gnp_graph(40, 0.25, 10, rng)
+                algo = MixedAPSP(g, p=None, eps=eps, tau=None, seed=seed)
+                engine = algo.engine
+            else:
+                g = gnp_graph(24, 0.25, 1, rng)
+                algo = UnweightedAPSP(g, p=None, eps=eps, tau=None, seed=seed)
+                engine = algo.inner.engine
+            for ev in drain(g, rng) if kind == "drain" else churn(g, rng, g.W):
+                algo.apply(ev)
+            rebuilds = algo.counters()["bunch_rebuilds_max"]
+            assert rebuilds <= engine.rebuild_bound()
+            worst = max(worst, rebuilds)
+    assert worst > 0  # the streams do make nodes rebuild
 
 
 def test_query_trivia():

@@ -19,17 +19,6 @@ def heap_of(items):
     return h
 
 
-def test_pop_drains_in_key_order():
-    h = IndexedHeap()
-    h.insert(5, 2.0)
-    h.insert(1, 2.0)
-    h.insert(9, 1.0)
-    h.insert(3, 2.0)
-    drained = [h.pop() for _ in range(4)]
-    assert [key for _, key in drained] == [1.0, 2.0, 2.0, 2.0]
-    assert sorted(drained) == [(1, 2.0), (3, 2.0), (5, 2.0), (9, 1.0)]
-
-
 def test_update_both_directions():
     h = heap_of([(0, 10), (1, 20), (2, 30)])
     h.update(2, 5)
@@ -37,7 +26,8 @@ def test_update_both_directions():
     h.update(2, 50)
     assert h.min_key() == 10
     assert heap_entries(h) == {0: 10, 1: 20, 2: 50}
-    assert [h.pop() for _ in range(3)] == [(0, 10), (1, 20), (2, 50)]
+    h.update(0, 60)
+    assert heap_entries(h) == {0: 60, 1: 20, 2: 50} and h.min_key() == 20
 
 
 def test_insert_duplicate_raises():
@@ -51,8 +41,18 @@ def test_delete():
     h.delete(0)
     with pytest.raises(KeyError):
         h.delete(99)
-    assert len(h) == 4
-    assert [h.pop() for _ in range(4)] == [(i, i) for i in range(1, 5)]
+    assert heap_entries(h) == {i: i for i in range(1, 5)} and h.min_key() == 1
+    h.delete(3)
+    assert heap_entries(h) == {1: 1, 2: 2, 4: 4} and h.min_key() == 1
+
+
+def test_an_emptied_heap_reads_inf():
+    """A heap that delete leaves empty, like a new one, has minimum inf."""
+    h = heap_of([(0, 4), (1, 2)])
+    assert IndexedHeap().min_key() == INF
+    h.delete(1)
+    h.delete(0)
+    assert not h and h.min_key() == INF
 
 
 def snapshot(heaps):
@@ -85,7 +85,7 @@ def test_heap_set_lifecycle():
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 20), st.integers(0, 100)), max_size=120), st.integers(0, 2**30))
 def test_against_reference_model(ops, seed):
     """Random op soup vs a plain dict model: min_key matches the model after
-    every operation, and the drain at the end is sorted."""
+    every operation, and the entries match it at the end."""
     rng = random.Random(seed)
     h = IndexedHeap()
     model = {}
@@ -100,27 +100,21 @@ def test_against_reference_model(ops, seed):
             victim = rng.choice(sorted(model))
             h.delete(victim)
             del model[victim]
-        elif op == 2 and model:  # pop-min: some id holding the minimum key
-            ident2, key2 = h.pop()
-            assert model[ident2] == key2 == min(model.values())
-            del model[ident2]
+        elif op == 2 and model:  # delete an id holding the minimum key
+            victim = rng.choice(sorted(i for i, k in model.items() if k == min(model.values())))
+            h.delete(victim)
+            del model[victim]
         elif op == 3:
             assert (ident in h) == (ident in model)
-        elif op == 4 and model:  # the minimum, left in place
-            assert h.min_key() == min(model.values())
-            ident2, key2 = h.pop()
-            assert model[ident2] == key2 == min(model.values())
-            h.insert(ident2, key2)
+        elif op == 4 and model:  # raise an argmin entry, which may rescan
+            victim = min(model, key=model.get)
+            model[victim] += key
+            h.update(victim, model[victim])
         elif op == 5:
             assert heap_entries(h) == model
-        if model:  # the cached minimum, after every operation
-            assert h.min_key() == min(model.values())
+        assert h.min_key() == min(model.values(), default=INF)  # after every operation
     assert len(h) == len(model)
-    drained = []
-    while h:
-        drained.append(h.pop())
-    assert [key for _, key in drained] == sorted(model.values())
-    assert dict(drained) == model
+    assert heap_entries(h) == model
 
 
 def test_heap_is_one_object():
