@@ -23,6 +23,11 @@ other root calls delete_edge only where the edge supported an endpoint
 (the O(1) phase-0 test of estree).  The repair's fixpoint is unique, so
 the levels are those of absorbing the changes one by one.
 
+The build writes the E_i edges first, so ei_added counts a pair that is
+also an escape edge, then designates every escape edge through the
+update's own _redesignate.  _add_edge_level takes a pair's two endpoints,
+in either order, and writes both directions.
+
 Depth.  Level i's trees run to depth d + k + i - 2 and send any level
 above it to inf.  Write D for distance in the graph.  For every root u of
 level i and every node x in reach, D(u, x) <= d + (k - i),
@@ -141,12 +146,9 @@ class AdditiveAPSP(Decremental):
         self.ei_added = [0] * (k + 1)  # per tree level, index 0 unused
         self.scans = 0
         self.exports_applied = 0
-
         for v in range(n):
             if graph.adj[v]:
                 self.idx[v] = min(self.level[x] for x in graph.adj[v])
-                self.escape[v] = self._scan(v)
-                self.estar_added += 1
 
         # per-level views: level 1 reads the whole graph, each higher level a
         # sparse view at weight 1
@@ -154,12 +156,10 @@ class AdditiveAPSP(Decremental):
         self.view[1] = graph.adj
         for u, v, _ in graph.edges():
             for i in range(2, max(self.idx[u], self.idx[v]) + 1):
-                self._add_edge_level((u, v), i)
+                self._add_edge_level(u, v, i)
         for v in range(n):
-            x = self.escape[v]
-            if x is not None:
-                for i in range(2, k + 1):
-                    self._add_edge_level(self._pair(v, x), i, star=True)
+            if graph.adj[v]:
+                self._redesignate(v)
 
         # trees, built level by level so the lower rows already exist; the
         # roots of a level share its view, its depth and its offer rows
@@ -174,13 +174,7 @@ class AdditiveAPSP(Decremental):
             for w in self.roots[i]:
                 rows[w] = self.tree[w].level_of
 
-        self.updates_applied = 0
-
     # -- escape-edge bookkeeping ------------------------------------------
-
-    @staticmethod
-    def _pair(a, b):
-        return (a, b) if a < b else (b, a)
 
     def _scan(self, v):
         """Next live neighbor of v in D_{idx[v]} at or after the pointer."""
@@ -196,7 +190,7 @@ class AdditiveAPSP(Decremental):
         return None
 
     def _redesignate(self, v):
-        """v lost its escape edge; find a replacement, promoting idx if needed."""
+        """Designate v's escape edge at the build or once v lost it, promoting idx if needed."""
         x = self._scan(v)
         if x is None:
             live = self.g.adj[v]
@@ -212,19 +206,17 @@ class AdditiveAPSP(Decremental):
                     lo = max(old, self.idx[z])
                     hi = max(self.idx[v], self.idx[z])
                     for i in range(lo + 1, hi + 1):
-                        self._add_edge_level(self._pair(v, z), i)
+                        self._add_edge_level(v, z, i)
         self.escape[v] = x
         if x is not None:
             self.estar_added += 1
-            pair = self._pair(v, x)
             for i in range(2, self.k + 1):
-                self._add_edge_level(pair, i, star=True)
+                self._add_edge_level(v, x, i, star=True)
 
-    def _add_edge_level(self, pair, i, star=False):
-        """Write pair into level i's view at weight 1 unless the view holds
-        it, counting it in ei_added[i] unless it is an escape edge (star);
-        the one writer of the views above level 1."""
-        a, b = pair
+    def _add_edge_level(self, a, b, i, star=False):
+        """Write {a, b} into level i's view at weight 1, both directions,
+        unless the view holds it, counting it in ei_added[i] unless it is an
+        escape edge (star); the one writer of the views above level 1."""
         view = self.view[i]
         if b in view[a]:
             return
@@ -272,7 +264,6 @@ class AdditiveAPSP(Decremental):
         if ev.kind != DELETE:
             raise DomainError("additive structure supports deletions only")
         rec = apply_update(self.g, ev)
-        self.updates_applied += 1
         a, b = rec.u, rec.v
 
         for x, y in ((a, b), (b, a)):
@@ -308,7 +299,7 @@ class AdditiveAPSP(Decremental):
 
     def counters(self):
         return {
-            "updates": self.updates_applied,
+            "updates": self.g.version,
             "estar_added": self.estar_added,
             "ei_added": {i: self.ei_added[i] for i in range(2, self.k + 1)},
             "neighbor_scans": self.scans,

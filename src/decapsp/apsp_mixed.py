@@ -72,7 +72,6 @@ class MixedAPSP(Decremental):
         self.heavy_trees = TreeFamily(graph.adj)
         self.overlap_heap = {}  # unordered (u, v) -> IndexedHeap of light w
         self.overlap_touches = 0  # overlap entries re-keyed by INCREASE events
-        self.updates_applied = 0
         # the build is an update in which w joins the bunch of every owner
         cluster = self.engine.cluster
         self._absorb((w, dict.fromkeys(cluster[w], JOIN)) for w in range(graph.n))
@@ -115,7 +114,6 @@ class MixedAPSP(Decremental):
 
     def apply(self, ev):
         rec = apply_update(self.g, ev)
-        self.updates_applied += 1
         changed = {}  # member -> {owner: case}
         for bev in self.engine.refresh(rec):
             changed.setdefault(bev.member, {})[bev.owner] = bev.case
@@ -154,12 +152,11 @@ class MixedAPSP(Decremental):
 
     def counters(self):
         return {
-            "updates": self.updates_applied,
+            "updates": self.g.version,
             "searches": self.engine.searches,
             "bunch_rebuilds_max": max(self.engine.rebuilds, default=0),
             "bunch_rebuilds_total": sum(self.engine.rebuilds),
             "promotions": len(self.heavy_trees),
-            "heavy_count": len(self.heavy_trees),
             "overlap_touches": self.overlap_touches,
             "overlap_pairs_live": len(self.overlap_heap),
             "tree_level_increases": (

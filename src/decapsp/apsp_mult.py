@@ -129,7 +129,6 @@ class MultiplicativeAPSP(Decremental):
 
         # x -> v -> times the rounded minimum nbr_min[x][v] changed
         self.nbr_min_changes = [{} for _ in range(n)]
-        self.updates_applied = 0
 
         for v in range(n):
             for y, yval in self.engine.bunch[v].items():
@@ -148,7 +147,6 @@ class MultiplicativeAPSP(Decremental):
 
     def apply(self, ev):
         rec = apply_update(self.g, ev)
-        self.updates_applied += 1
         touched = self._edge_stage(rec)
         for bev in self.engine.refresh(rec):
             self._bunch_change(bev, touched)
@@ -237,7 +235,7 @@ class MultiplicativeAPSP(Decremental):
     def counters(self):
         changes = [count for row in self.nbr_min_changes for count in row.values()]
         return {
-            "updates": self.updates_applied,
+            "updates": self.g.version,
             "searches": self.engine.searches,
             "bunch_rebuilds_max": max(self.engine.rebuilds, default=0),
             "bunch_rebuilds_total": sum(self.engine.rebuilds),

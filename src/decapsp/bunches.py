@@ -14,6 +14,9 @@ cached radius:
     by more than a (1 + eps/3) factor, at which point the bunch is rebuilt
     from scratch and the radius is reset.
 
+The build rebuilds every owner from an empty bunch through _rebuild_owner,
+the update's own rebuild, and drops the JOIN events it emits.
+
 Radii grow geometrically, so each node rebuilds O(log_(1+eps/3)(n W)) times
 over a whole deletion sequence; this is what bounds the churn seen by the
 certificate heaps downstream.
@@ -106,13 +109,7 @@ class BunchEngine:
         self._region_rev = [set() for _ in range(n)]
         self.searches = 0
         for v in range(n):
-            settled = self._search(v, self.radius[v])
-            b = {}
-            for w, dist in settled.items():
-                b[w] = 0.0 if dist == 0 else self.rounder.round(dist)
-                self.cluster[w].add(v)
-            self.bunch[v] = b
-            self._set_region(v, settled)
+            self._rebuild_owner(v, True, [])
 
     # -- accessors ---------------------------------------------------------
 

@@ -410,16 +410,14 @@ class ExactAPSP(Decremental):
     def __init__(self, graph):
         self.g = graph
         self.trees = TreeFamily(graph.adj, range(graph.n))
-        self.updates = 0
 
     def apply(self, ev):
         self.trees.apply(apply_update(self.g, ev))
-        self.updates += 1
 
     def query(self, u, v):
         check_query(u, v, self.g.n)
         return self.trees[u].level_of[v]
 
     def counters(self):
-        return {"updates": self.updates,
+        return {"updates": self.g.version,
                 "tree_level_increases": sum(t.level_increases for t in self.trees.values())}

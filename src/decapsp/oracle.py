@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .graph import DomainError, QueryCheckpoint, apply_update
 
@@ -130,12 +130,7 @@ class BoundSpec:
         return bound
 
     def to_dict(self):
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "per_pair_bottleneck": self.per_pair_bottleneck,
-            "radius": self.radius,
-        }
+        return asdict(self)
 
 
 @dataclass

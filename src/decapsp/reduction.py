@@ -53,7 +53,6 @@ class UnweightedAPSP(Decremental):
         self.n = graph.n
         expanded, self.mid = subdivide(graph)
         self.inner = MixedAPSP(expanded, p, eps, tau, seed)
-        self.updates_applied = 0
 
     def apply(self, ev):
         if ev.kind != DELETE:
@@ -70,7 +69,6 @@ class UnweightedAPSP(Decremental):
             raise EdgeNotFound(f"edge {{{a}, {b}}} already deleted")
         self.inner.delete(a, c)
         self.inner.delete(c, b)
-        self.updates_applied += 1
 
     def query(self, u, v):
         check_query(u, v, self.n)
@@ -79,6 +77,7 @@ class UnweightedAPSP(Decremental):
 
     def counters(self):
         out = dict(self.inner.counters())
-        out["updates"] = self.updates_applied
-        out["chain_updates"] = self.inner.updates_applied
+        # each deletion is two half-edge deletions of the expanded graph
+        out["updates"] = self.inner.g.version // 2
+        out["chain_updates"] = self.inner.g.version
         return out

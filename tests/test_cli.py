@@ -341,9 +341,8 @@ BENCH_COLUMNS = {
                   "adj_pairs_live", "tree_level_increases",
                   "rebuild_bound", "nbr_change_bound"]),
     "mixed": (["--tau", "4"], ["updates", "searches", "bunch_rebuilds_max",
-                               "bunch_rebuilds_total", "promotions", "heavy_count",
-                               "overlap_touches", "overlap_pairs_live",
-                               "tree_level_increases"]),
+                               "bunch_rebuilds_total", "promotions", "overlap_touches",
+                               "overlap_pairs_live", "tree_level_increases"]),
     "additive": (["--k", "2", "--d", "4", "--W", "1"],
                  ["updates", "estar_added", "neighbor_scans", "exports_applied",
                   "tree_level_increases"]),

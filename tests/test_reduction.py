@@ -92,7 +92,8 @@ def test_delete_refuses_a_non_edge_and_a_double_delete_before_any_change():
     # a deletion takes out (a, c) then (c, b), with a < b
     algo.delete(2, 1)
     assert calls == [(1, 5), (5, 2)]
-    assert algo.updates_applied == 1 and algo.inner.updates_applied == 2
+    counts = algo.counters()
+    assert (counts["updates"], counts["chain_updates"]) == (1, 2)
     before = snapshot(algo)
     # a non-edge, a half-edge of the expansion and a node out of range, then
     # an edge deleted already: each refused, nothing written
@@ -155,10 +156,10 @@ def test_deletions_leave_the_given_graph_untouched():
     for ev in order:
         algo.apply(ev)
     assert (g.adj, g.version) == before
-    assert algo.inner.g.m == 0 and algo.updates_applied == len(order)
+    assert algo.inner.g.m == 0 and algo.counters()["updates"] == len(order)
     with pytest.raises(EdgeNotFound):
         algo.apply(order[0])
-    assert (g.adj, g.version) == before and algo.updates_applied == len(order)
+    assert (g.adj, g.version) == before and algo.counters()["updates"] == len(order)
 
 
 @settings(max_examples=10, deadline=None)

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from decapsp import cli
-from decapsp.graph import (DELETE, INCREASE, Decremental, DomainError, UpdateEvent, churn,
-                           drain, gnp_graph)
+from decapsp.graph import (DELETE, INCREASE, Decremental, DomainError, UpdateEvent,
+                           apply_update, churn, drain, gnp_graph)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import tracer  # noqa: E402  (perfbench's, only read)
@@ -39,10 +39,23 @@ def answers(algo, n):
     return [[algo.query(u, v) for v in range(n)] for u in range(n)]
 
 
-@pytest.mark.parametrize("tag", cli.ALGORITHMS)
-def test_apply_and_delete_increase_give_the_same_run(tag):
+# (tag, changes the graph took before the build); the ids of the first
+# input are the bare tags
+RUNS = [pytest.param(tag, prior, id=tag if prior == 0 else f"{tag}-built-after-{prior}")
+        for prior in (0, 3) for tag in cli.ALGORITHMS]
+
+
+@pytest.mark.parametrize("tag, prior", RUNS)
+def test_apply_and_delete_increase_give_the_same_run(tag, prior):
+    """counters()["updates"] reads the structure's own graph version, so a
+    structure built on a graph that already took changes counts them too.
+    unweighted-mult owns a fresh expanded graph, in which each deletion is
+    two half-edge deletions."""
     g, stream = graph_and_stream(tag)
     assert any(ev.kind == INCREASE for ev in stream) == (tag not in DELETIONS_ONLY)
+    for ev in stream[:prior]:
+        apply_update(g, ev)
+    stream = stream[prior:]
     through_apply, through_pair = build(tag, g), build(tag, g)
     for ev in stream:
         through_apply.apply(ev)
@@ -51,8 +64,14 @@ def test_apply_and_delete_increase_give_the_same_run(tag):
         else:
             through_pair.increase(ev.u, ev.v, ev.delta)
         assert answers(through_apply, g.n) == answers(through_pair, g.n)
-    assert through_apply.counters() == through_pair.counters()
-    assert through_apply.counters()["updates"] == len(stream)
+    counts = through_apply.counters()
+    assert counts == through_pair.counters()
+    if tag == "unweighted-mult":
+        version = through_apply.inner.g.version
+        assert (counts["updates"], counts["chain_updates"]) == (version // 2, version)
+        assert counts["updates"] == len(stream)
+    else:
+        assert counts["updates"] == through_apply.g.version == prior + len(stream)
 
 
 @pytest.mark.parametrize("tag", DELETIONS_ONLY)
