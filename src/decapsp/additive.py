@@ -108,8 +108,8 @@ class AdditiveAPSP(Decremental):
     reads (see the module docstring's proof); a pair farther than d may be
     answered inf.
 
-    k and d have no default: d is the query radius and k trades stretch
-    against time.  c is the sampling constant of the level probabilities
+    k and d have no default and take plain ints only: d is the query
+    radius and k trades stretch against time.  c is the sampling constant of the level probabilities
     min(1, c ln n / s_i); None derives c = 2.  A node with at least s_i
     neighbours then has none sampled at level i with probability at most
     (1 - c ln n / s_i)^{s_i} <= n^{-c}, so c = 2 leaves, over the n nodes
@@ -121,6 +121,8 @@ class AdditiveAPSP(Decremental):
             c = 2
         if graph.n < 2:
             raise DomainError("need at least two nodes")
+        if type(k) is not int or type(d) is not int:
+            raise DomainError(f"k and d must be ints, got k={k!r} and d={d!r}")
         if k < 2 or k > max(2, int(math.log2(graph.n))):
             raise DomainError(f"k={k} outside [2, log2(n)]")
         if d < 1:

@@ -52,10 +52,20 @@ from .oracle import BoundSpec, sweep
 from .reduction import UnweightedAPSP
 
 INF = math.inf
-ALGORITHMS = ("mult", "mixed", "unweighted-mult", "additive", "exact")
-# the flags an algorithm cannot run without: no bound fixes additive's query
-# radius d or its stretch/time trade k
-REQUIRED_FLAGS = {"additive": ("k", "d")}
+# tag -> (the flags it cannot run without, build(cfg, graph), bound(cfg)).
+# No bound fixes additive's query radius d or its stretch/time trade k.
+STRUCTURES = {
+    "mult": ((), lambda cfg, g: MultiplicativeAPSP(g, cfg.p, cfg.eps, cfg.seed),
+             lambda cfg: BoundSpec(alpha=2 + cfg.eps)),
+    "mixed": ((), lambda cfg, g: MixedAPSP(g, cfg.p, cfg.eps, cfg.tau, cfg.seed),
+              lambda cfg: BoundSpec(alpha=2 + cfg.eps, per_pair_bottleneck=True)),
+    "unweighted-mult": ((), lambda cfg, g: UnweightedAPSP(g, cfg.p, cfg.eps, cfg.tau, cfg.seed),
+                        lambda cfg: BoundSpec(alpha=2 + 3 * cfg.eps)),
+    "additive": (("k", "d"), lambda cfg, g: AdditiveAPSP(g, cfg.k, cfg.d, cfg.c, cfg.seed),
+                 lambda cfg: BoundSpec(alpha=1.0, beta=2 * (cfg.k - 1), radius=cfg.d)),
+    "exact": ((), lambda cfg, g: ExactAPSP(g), lambda cfg: BoundSpec(alpha=1.0)),
+}
+ALGORITHMS = tuple(STRUCTURES)
 
 
 @dataclass
@@ -74,44 +84,28 @@ class RunConfig:
     report_path: str = None
 
 
-def make_algorithm(cfg, graph):
-    """Instantiate the configured algorithm on graph; enforce the required
-    flags.  cfg.p, cfg.tau and cfg.c pass through untouched: None (the flag
-    absent) lets the structure derive the value from its own bound, as its
-    class docstring says, and an explicit value outside its domain is
-    refused there."""
+def _structure(cfg):
+    """cfg's build and bound, once its tag is known and its flags complete."""
     tag = cfg.algorithm
-    missing = [f"--{flag}" for flag in REQUIRED_FLAGS.get(tag, ())
-               if getattr(cfg, flag) is None]
+    if tag not in STRUCTURES:
+        raise ConfigError(f"unknown algorithm {tag!r}; choose from {', '.join(ALGORITHMS)}")
+    required, build, bound = STRUCTURES[tag]
+    missing = [f"--{flag}" for flag in required if getattr(cfg, flag) is None]
     if missing:
         raise ConfigError(f"algorithm {tag!r} requires {' and '.join(missing)}")
-    if tag == "mult":
-        return MultiplicativeAPSP(graph, cfg.p, cfg.eps, cfg.seed)
-    if tag == "mixed":
-        return MixedAPSP(graph, cfg.p, cfg.eps, cfg.tau, cfg.seed)
-    if tag == "unweighted-mult":
-        return UnweightedAPSP(graph, cfg.p, cfg.eps, cfg.tau, cfg.seed)
-    if tag == "additive":
-        return AdditiveAPSP(graph, cfg.k, cfg.d, cfg.c, cfg.seed)
-    if tag == "exact":
-        return ExactAPSP(graph)
-    raise ConfigError(f"unknown algorithm {tag!r}; choose from {', '.join(ALGORITHMS)}")
+    return build, bound
+
+
+def make_algorithm(cfg, graph):
+    """Instantiate the configured algorithm on graph.  cfg.p, cfg.tau and
+    cfg.c pass through untouched: None (the flag absent) lets the structure
+    derive the value from its own bound, as its class docstring says, and an
+    explicit value outside its domain is refused there."""
+    return _structure(cfg)[0](cfg, graph)
 
 
 def bound_for(cfg):
-    if cfg.algorithm == "mult":
-        return BoundSpec(alpha=2 + cfg.eps)
-    if cfg.algorithm == "mixed":
-        return BoundSpec(alpha=2 + cfg.eps, per_pair_bottleneck=True)
-    if cfg.algorithm == "unweighted-mult":
-        return BoundSpec(alpha=2 + 3 * cfg.eps)
-    if cfg.algorithm == "additive":
-        return BoundSpec(alpha=1.0, beta=2 * (cfg.k - 1), radius=cfg.d)
-    return BoundSpec(alpha=1.0)  # exact
-
-
-def _jsonable(x):
-    return "inf" if x == INF else x
+    return _structure(cfg)[1](cfg)
 
 
 def _emit(payload, path):
@@ -162,22 +156,20 @@ def cmd_run(cfg):
     algo = make_algorithm(cfg, graph)
     answers = []
     t0 = time.perf_counter()
-    applied = 0
     for ev in updates:
         if isinstance(ev, QueryCheckpoint):
-            answers.append([ev.u, ev.v, _jsonable(algo.query(ev.u, ev.v))])
+            d = algo.query(ev.u, ev.v)
+            answers.append([ev.u, ev.v, "inf" if d == INF else d])
         else:
             algo.apply(ev)
-            applied += 1
     wall_ms = (time.perf_counter() - t0) * 1000.0
     report = {
-        "schema": 1,
+        "schema": 2,
         "algorithm": cfg.algorithm,
         "n": n,
         "m0": m0,
         "eps": cfg.eps,
         "seed": cfg.seed,
-        "updates_applied": applied,
         "checkpoints": len(answers),
         "wall_ms": round(wall_ms, 3),
         "counters": algo.counters(),

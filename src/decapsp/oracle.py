@@ -148,15 +148,11 @@ class CheckpointResult:
     far_inf: int = 0
 
     def to_dict(self):
-        return {
-            "version": self.version,
-            "pairs_checked": self.pairs_checked,
-            "violations": [list(v) for v in self.violations],
-            "max_ratio": self.max_ratio,
-            "max_slack": None if self.max_slack == -INF else self.max_slack,
-            "far_pairs": self.far_pairs,
-            "far_inf": self.far_inf,
-        }
+        d = asdict(self)
+        d["violations"] = [list(v) for v in self.violations]
+        if self.max_slack == -INF:
+            d["max_slack"] = None
+        return d
 
 
 @dataclass

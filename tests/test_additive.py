@@ -165,6 +165,18 @@ def test_query_trivia_and_errors():
         AdditiveAPSP(g, k=2, d=0)
 
 
+@pytest.mark.parametrize("k, d", [(2.5, 3), (True, 3), ("3", 3), (2, 2.5), (2, True), (2, None)])
+def test_a_parameter_that_is_not_a_plain_int_is_refused(k, d):
+    """k = 2.5 raised TypeError from range, and d = 2.5 and d = True were
+    taken; each is refused with DomainError, and the graph is left as it
+    was."""
+    g = DynamicGraph(8, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    adj = [dict(row) for row in g.adj]
+    with pytest.raises(DomainError, match="k and d must be ints"):
+        AdditiveAPSP(g, k=k, d=d, c=0.5, seed=0)
+    assert g.adj == adj and g.version == 0
+
+
 def test_escape_replacement_before_promotion():
     # star around 0 with two level-forcing nodes: deleting the designated
     # escape edge picks the next same-level neighbor before idx may move

@@ -14,8 +14,8 @@ import decapsp
 from decapsp import cli
 from decapsp.bunches import sample_pivots
 from decapsp.graph import (
-    DELETE, INCREASE, DomainError, DynamicGraph, QueryCheckpoint, UpdateEvent, dump_updates,
-    gnp_graph, load_graph, parse_updates)
+    DELETE, INCREASE, ConfigError, DomainError, DynamicGraph, QueryCheckpoint, UpdateEvent,
+    dump_updates, gnp_graph, load_graph, parse_updates)
 from decapsp.oracle import sweep
 
 
@@ -159,10 +159,9 @@ def test_run_report_shape_and_determinism(tmp_path):
     argv = ["--algorithm", "mult", "--eps", "0.9", "--seed", "1"]
     rep1 = run_report(tmp_path, gp, up, "r1.json", argv)
     rep2 = run_report(tmp_path, gp, up, "r2.json", argv)
-    assert rep1["schema"] == 1
+    assert rep1["schema"] == 2
     assert rep1["algorithm"] == "mult"
     assert rep1["n"] == 12
-    assert rep1["updates_applied"] == rep1["m0"]
     assert rep1["checkpoints"] == len(rep1["answers"])
     assert rep1["counters"]["updates"] == rep1["m0"]
     for u, v, est in rep1["answers"]:
@@ -449,7 +448,7 @@ def test_console_script(tmp_path):
                            "--algorithm", "exact"],
                           check=True, capture_output=True, env=env)
     rep = json.loads(proc.stdout)
-    assert rep["schema"] == 1
+    assert rep["schema"] == 2
     # the README's fallback form must run without runpy's double-import warning
     proc = subprocess.run(
         [sys.executable, "-m", "decapsp.cli", "generate", "--n", "6",
@@ -515,7 +514,21 @@ def test_installed_console_script(tmp_path):
     proc = subprocess.run([exe, "run", "--graph", gp, "--updates", up,
                            "--algorithm", "exact"], check=True, capture_output=True)
     rep = json.loads(proc.stdout)
-    assert rep["schema"] == 1
+    assert rep["schema"] == 2
+
+
+def test_an_unknown_or_incomplete_structure_is_refused_by_build_and_bound():
+    """make_algorithm and bound_for read one table, so both refuse an unknown
+    tag, and additive missing --k or --d, with the same ConfigError;
+    bound_for returned the exact bound for an unknown tag."""
+    for cfg, message in ((cli.RunConfig("nope"), "unknown algorithm 'nope'; choose from "
+                          "mult, mixed, unweighted-mult, additive, exact"),
+                         (cli.RunConfig("additive", k=3), "algorithm 'additive' requires --d")):
+        with pytest.raises(ConfigError) as built:
+            cli.make_algorithm(cfg, DynamicGraph(4))
+        with pytest.raises(ConfigError) as bounded:
+            cli.bound_for(cfg)
+        assert str(built.value) == str(bounded.value) == message
 
 
 @pytest.mark.parametrize("tag", cli.ALGORITHMS)
